@@ -27,7 +27,6 @@ from .core import (
 from .dp import (
     Discretization,
     adaptive_grid,
-    ceil_to_grid,
     dp_enumerate,
     solve_ef1_fptas,
     solve_eps_ef_fptas,
@@ -72,7 +71,6 @@ __all__ = [
     "build_ef1_lp",
     "build_ef_lp",
     "build_efs_lp",
-    "ceil_to_grid",
     "dp_enumerate",
     "efs_augment",
     "embed_subsidized",

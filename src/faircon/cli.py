@@ -35,18 +35,6 @@ EXIT_VERIFY_FAILED = 1
 EXIT_BUDGET = 2
 EXIT_INVALID = 3
 
-METHODS = (
-    "greedy",
-    "exact-ef",
-    "exact-eps-ef",
-    "exact-ef1",
-    "exact-efs",
-    "dp-eps-ef",
-    "dp-ef1",
-    "round-robin",
-)
-EPS_METHODS = ("exact-eps-ef", "dp-eps-ef", "dp-ef1")
-
 
 def _setup_logging() -> None:
     level = os.environ.get("FAIRCON_LOG", "WARNING").upper()
@@ -57,36 +45,43 @@ def _load_instance(path: str):
     return serialize.instance_from_dict(serialize.load_json(path))
 
 
-def _dispatch_solve(inst, method: str, eps, budget_lps: int, budget_states: int, f_bits):
-    if method == "greedy":
-        contract = greedy_ef(inst)
-        return SolveResult(contract, revenue(inst, contract), "greedy", {})
-    if method == "exact-ef":
-        return exact.solve_opt_ef(inst, 0, budget_lps)
-    if method == "exact-eps-ef":
-        return exact.solve_opt_ef(inst, eps, budget_lps)
-    if method == "exact-ef1":
-        return exact.solve_opt_ef1(inst, budget_lps)
-    if method == "exact-efs":
-        return exact.solve_opt_efs(inst, budget_lps)
-    if method == "dp-eps-ef":
-        return dp.solve_eps_ef_fptas(inst, eps, budget_states)
-    if method == "dp-ef1":
-        return dp.solve_ef1_fptas(inst, eps, budget_states, f_bits=f_bits)
-    if method == "round-robin":
-        return ext.round_robin_ef1(inst)
-    raise InvalidInstanceError(f"unknown method {method!r}")
+def _greedy(inst) -> SolveResult:
+    contract = greedy_ef(inst)
+    return SolveResult(contract, revenue(inst, contract), "greedy", {})
+
+
+# Method name -> (solver, needs_eps).  Each solver takes (inst, eps,
+# budget_lps, budget_states, f_bits) and looks its function up on the module
+# at call time, so a name rebound there (a tracing wrapper) sees the call.
+SOLVERS = {
+    "greedy": (lambda inst, *_: _greedy(inst), False),
+    "exact-ef": (lambda inst, eps, lps, *_: exact.solve_opt_ef(inst, 0, lps), False),
+    "exact-eps-ef": (lambda inst, eps, lps, *_: exact.solve_opt_ef(inst, eps, lps), True),
+    "exact-ef1": (lambda inst, eps, lps, *_: exact.solve_opt_ef1(inst, lps), False),
+    "exact-efs": (lambda inst, eps, lps, *_: exact.solve_opt_efs(inst, lps), False),
+    "dp-eps-ef": (lambda inst, eps, lps, states, _: dp.solve_eps_ef_fptas(inst, eps, states), True),
+    "dp-ef1": (
+        lambda inst, eps, lps, states, f_bits: dp.solve_ef1_fptas(inst, eps, states, f_bits),
+        True,
+    ),
+    "round-robin": (lambda inst, *_: ext.round_robin_ef1(inst), False),
+}
+# The methods bench-pof accepts for its EF and EF1 columns.
+BENCH_EF_METHODS = ("exact-ef", "dp-eps-ef", "greedy")
+BENCH_EF1_METHODS = ("exact-ef1", "dp-ef1", "round-robin")
+
+
+def _run(method: str, inst, eps, budget_lps: int, budget_states: int, f_bits) -> SolveResult:
+    solver, needs_eps = SOLVERS[method]
+    if needs_eps and eps is None:
+        raise InvalidInstanceError(f"method {method} requires eps")
+    return solver(inst, eps, budget_lps, budget_states, f_bits)
 
 
 def cmd_solve(args) -> int:
     inst = _load_instance(args.instance)
     eps = as_fraction(args.eps) if args.eps is not None else None
-    if args.method in EPS_METHODS and eps is None:
-        print(f"method {args.method} requires --eps", file=sys.stderr)
-        return EXIT_INVALID
-    res = _dispatch_solve(
-        inst, args.method, eps, args.budget_lps, args.budget_states, args.f_bits
-    )
+    res = _run(args.method, inst, eps, args.budget_lps, args.budget_states, args.f_bits)
     report = fairness_report(inst, res.contract, eps or 0, args.tol)
     payload = serialize.result_to_dict(res, report, args.exact_arith)
     if args.out:
@@ -214,27 +209,13 @@ def _bench_row(row: dict, budget_lps: int, budget_states: int) -> dict:
         ef_method = row.get("ef_method", "exact-ef")
         ef1_method = row.get("ef1_method", "round-robin")
         opt = unconstrained_opt(inst)
-
-        if ef_method == "exact-ef":
-            ef_res = exact.solve_opt_ef(inst, 0, budget_lps)
-        elif ef_method == "dp-eps-ef":
-            ef_res = dp.solve_eps_ef_fptas(inst, eps, budget_states)
-        elif ef_method == "greedy":
-            k = greedy_ef(inst)
-            ef_res = SolveResult(k, revenue(inst, k), "greedy", {})
-        else:
+        if ef_method not in BENCH_EF_METHODS:
             raise InvalidInstanceError(f"unknown ef_method {ef_method!r}")
-
-        if ef1_method == "exact-ef1":
-            ef1_res = exact.solve_opt_ef1(inst, budget_lps)
-        elif ef1_method == "dp-ef1":
-            ef1_res = dp.solve_ef1_fptas(
-                inst, eps, budget_states, f_bits=row.get("f_bits")
-            )
-        elif ef1_method == "round-robin":
-            ef1_res = ext.round_robin_ef1(inst)
-        else:
+        if ef1_method not in BENCH_EF1_METHODS:
             raise InvalidInstanceError(f"unknown ef1_method {ef1_method!r}")
+        f_bits = row.get("f_bits")
+        ef_res = _run(ef_method, inst, eps, budget_lps, budget_states, f_bits)
+        ef1_res = _run(ef1_method, inst, eps, budget_lps, budget_states, f_bits)
 
         states = ef_res.meta.get("states", 0) + ef1_res.meta.get("states", 0)
         lps = ef_res.meta.get("lp_solves", 0) + ef1_res.meta.get("lp_solves", 0)
@@ -292,14 +273,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("solve", help="solve an instance file")
     ps.add_argument("instance")
-    ps.add_argument("--method", required=True, choices=METHODS)
+    ps.add_argument("--method", required=True, choices=tuple(SOLVERS))
     ps.add_argument("--eps", help="epsilon for eps-EF / DP methods")
     ps.add_argument("--tol", default="1e-9")
     ps.add_argument("--budget-lps", type=int, default=exact.DEFAULT_LP_BUDGET)
     ps.add_argument("--budget-states", type=int, default=dp.DEFAULT_STATE_BUDGET)
     ps.add_argument("--f-bits", type=int, default=None, help="override the EF1 guess resolution")
     ps.add_argument("--exact-arith", action="store_true", help="print rationals as num/den")
-    ps.add_argument("--seed", type=int, default=0, help="accepted for script symmetry")
     ps.add_argument("--out")
     ps.set_defaults(func=cmd_solve)
 
@@ -343,7 +323,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     _setup_logging()
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return EXIT_INVALID if exc.code else EXIT_OK
     try:
         return args.func(args)
     except BudgetExceededError as exc:

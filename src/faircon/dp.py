@@ -54,15 +54,6 @@ DEFAULT_STATE_BUDGET = 5_000_000
 _CHUNK = 2_000_000  # transition candidates per numpy block
 
 
-def ceil_to_grid(x: Num, grid: Sequence[Fraction]) -> Fraction:
-    """Smallest grid element >= x; grid must be ascending and cover x."""
-    x = as_fraction(x)
-    for g in grid:
-        if g >= x:
-            return g
-    raise ValueError(f"{x} above the top of the grid")
-
-
 @dataclass(frozen=True)
 class Discretization:
     """Uniform grids: per-task contract sets, per-agent utility steps
@@ -490,7 +481,6 @@ def solve_eps_ef_fptas(
     inst: Instance,
     eps: Num,
     budget_states: int = DEFAULT_STATE_BUDGET,
-    use_caps: bool = True,
 ) -> SolveResult:
     """eps-envy-free contract with revenue within eps of the envy-free
     optimum, via the profile DP on a uniform grid.
@@ -509,12 +499,10 @@ def solve_eps_ef_fptas(
     step = Fraction(1, K)
     disc = uniform_grid(inst, K)
 
-    caps = None
-    if use_caps:
-        # The rounded optimum's cross-utilities stay within 2m grid steps of
-        # the true optimum's, which envy-freeness bounds by the agent's best
-        # possible bundle utility.
-        caps = [ceil_div(_max_bundle_utility(inst, i), step) + 2 * m for i in range(n)]
+    # The rounded optimum's cross-utilities stay within 2m grid steps of
+    # the true optimum's, which envy-freeness bounds by the agent's best
+    # possible bundle utility.
+    caps = [ceil_div(_max_bundle_utility(inst, i), step) + 2 * m for i in range(n)]
     # The guaranteed candidate earns at least OPT-EF - 2 eps/3, and the
     # greedy EF contract lower-bounds OPT-EF, giving a sound revenue floor.
     floor = revenue(inst, greedy_ef(inst)) - 2 * eps_int
@@ -550,7 +538,6 @@ def solve_ef1_fptas(
     eps: Num,
     budget_states: int = DEFAULT_STATE_BUDGET,
     f_bits: Optional[int] = None,
-    use_caps: bool = True,
 ) -> SolveResult:
     """EF1 contract (exactly, no relaxation) with revenue within eps of the
     envy-free optimum.
@@ -591,11 +578,7 @@ def solve_ef1_fptas(
     for guess in itertools.product(*per_agent):
         guesses_run += 1
         disc = adaptive_grid(inst, guess, delta, K)
-        caps = None
-        if use_caps:
-            caps = [
-                (K + ceil_div(nu, step) + m) if guess[i] > 0 else 0 for i in range(n)
-            ]
+        caps = [(K + ceil_div(nu, step) + m) if guess[i] > 0 else 0 for i in range(n)]
         floor = rev_floor if best_rev is None else max(rev_floor, best_rev)
         h_floor = int(floor / step) if floor > 0 else None
         dp = dp_enumerate(

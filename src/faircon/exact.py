@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import logging
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from . import ext
 from .core import (
@@ -22,9 +22,13 @@ from .core import (
     revenue,
     verify_ef1,
     verify_efs,
+    verify_eps_ef,
+    verify_ir,
 )
 from .errors import BudgetExceededError, FairconError
 from .lp import (
+    LpModel,
+    LpSolution,
     alphas_from_solution,
     build_ef_lp,
     build_ef1_lp,
@@ -38,7 +42,6 @@ log = logging.getLogger("faircon")
 DEFAULT_LP_BUDGET = 10**7
 
 __all__ = [
-    "minimum_wage",
     "assignments",
     "solve_opt_ef",
     "solve_opt_ef1",
@@ -52,13 +55,6 @@ def assignments(n: int, m: int) -> Iterator[tuple[int, ...]]:
     return itertools.product(range(n), repeat=m)
 
 
-def _check_allocation_budget(inst: Instance, budget: int) -> int:
-    count = inst.n**inst.m
-    if count > budget:
-        raise BudgetExceededError("lps", budget, count)
-    return count
-
-
 def _assignment_feasible(inst: Instance, assignment: tuple[int, ...]) -> bool:
     """Every assigned pair must admit an IR contract (wage <= 1)."""
     for j, i in enumerate(assignment):
@@ -68,15 +64,44 @@ def _assignment_feasible(inst: Instance, assignment: tuple[int, ...]) -> bool:
     return True
 
 
-class _LpCounter:
-    def __init__(self, budget: int):
-        self.budget = budget
-        self.count = 0
+def _best_lp(
+    inst: Instance,
+    budget_lps: int,
+    models: Callable[[Allocation], Iterable[LpModel]],
+) -> tuple[tuple[Fraction, Allocation, LpModel, LpSolution], int]:
+    """Best LP optimum over all IR-feasible allocations.
 
-    def tick(self) -> None:
-        self.count += 1
-        if self.count > self.budget:
-            raise BudgetExceededError("lps", self.budget)
+    `models(alloc)` yields the LP models for one allocation.  Allocations
+    are visited in lexicographic order and the first strictly better
+    optimum wins, so ties resolve to the earliest allocation and model.
+    Every LP is charged to `budget_lps`; n^m above the budget fails before
+    any work.  Returns ((objective, allocation, model, solution), LP count).
+    """
+    count = inst.n**inst.m
+    if count > budget_lps:
+        raise BudgetExceededError("lps", budget_lps, count)
+    lps = 0
+    best = None
+    for assignment in assignments(inst.n, inst.m):
+        if not _assignment_feasible(inst, assignment):
+            continue
+        alloc = Allocation(assignment, inst.n)
+        for model in models(alloc):
+            lps += 1
+            if lps > budget_lps:
+                raise BudgetExceededError("lps", budget_lps)
+            sol = solve_lp(model)
+            if sol.optimal and (best is None or sol.objective > best[0]):
+                best = (sol.objective, alloc, model, sol)
+    if best is None:
+        raise FairconError("no feasible allocation; Assumption 1 should prevent this")
+    return best, lps
+
+
+def _check_optimum(inst: Instance, contract: Contract, fair: bool, method: str) -> None:
+    """Safety net: the returned contract must pass IR and its notion at tol 0."""
+    if not (fair and verify_ir(inst, contract)[0]):
+        raise FairconError(f"internal error: {method} optimum failed verification")
 
 
 def solve_opt_ef(
@@ -85,30 +110,17 @@ def solve_opt_ef(
     """Optimal (eps-)envy-free contract by enumerating all allocations and
     solving the fixed-allocation LP for each."""
     eps = as_fraction(eps)
-    _check_allocation_budget(inst, budget_lps)
-    counter = _LpCounter(budget_lps)
-    best: Optional[tuple[Fraction, tuple[int, ...], tuple[Fraction, ...]]] = None
-    for assignment in assignments(inst.n, inst.m):
-        if not _assignment_feasible(inst, assignment):
-            continue
-        alloc = Allocation(assignment, inst.n)
-        model = build_ef_lp(inst, alloc, eps)
-        counter.tick()
-        sol = solve_lp(model)
-        if not sol.optimal:
-            continue
-        if best is None or sol.objective > best[0]:
-            best = (sol.objective, assignment, alphas_from_solution(model, sol, inst.m))
-    if best is None:
-        raise FairconError("no feasible allocation; Assumption 1 should prevent this")
-    value, assignment, alphas = best
-    contract = Contract(Allocation(assignment, inst.n), alphas)
+    (value, alloc, model, sol), lps = _best_lp(
+        inst, budget_lps, lambda alloc: [build_ef_lp(inst, alloc, eps)]
+    )
+    contract = Contract(alloc, alphas_from_solution(model, sol, inst.m))
     method = "exact-ef" if eps == 0 else "exact-eps-ef"
+    _check_optimum(inst, contract, verify_eps_ef(inst, contract, eps), method)
     return SolveResult(
         contract,
         value,
         method,
-        {"eps": eps, "lp_solves": counter.count, "allocations": inst.n**inst.m},
+        {"eps": eps, "lp_solves": lps, "allocations": inst.n**inst.m},
     )
 
 
@@ -173,13 +185,8 @@ def solve_opt_ef1(inst: Instance, budget_lps: int = DEFAULT_LP_BUDGET) -> SolveR
     """Optimal EF1 contract: per allocation, enumerate removable-task
     choices for nonempty pairs and wage upper-bound vectors for agents with
     empty bundles, solving an LP per combination."""
-    _check_allocation_budget(inst, budget_lps)
-    counter = _LpCounter(budget_lps)
-    best: Optional[tuple[Fraction, tuple[int, ...], tuple[Fraction, ...]]] = None
-    for assignment in assignments(inst.n, inst.m):
-        if not _assignment_feasible(inst, assignment):
-            continue
-        alloc = Allocation(assignment, inst.n)
+
+    def models(alloc: Allocation) -> Iterator[LpModel]:
         bundles = alloc.bundles()
         nonempty = [i for i in range(inst.n) if bundles[i]]
         empty = [i for i in range(inst.n) if not bundles[i]]
@@ -207,27 +214,12 @@ def solve_opt_ef1(inst: Instance, budget_lps: int = DEFAULT_LP_BUDGET) -> SolveR
                 upper: dict[int, Fraction] = {}
                 for chunk in bound_choice:
                     upper.update(chunk)
-                model = build_ef1_lp(inst, alloc, witnesses, upper)
-                counter.tick()
-                sol = solve_lp(model)
-                if not sol.optimal:
-                    continue
-                if best is None or sol.objective > best[0]:
-                    best = (
-                        sol.objective,
-                        assignment,
-                        alphas_from_solution(model, sol, inst.m),
-                    )
-    if best is None:
-        raise FairconError("no feasible allocation; Assumption 1 should prevent this")
-    value, assignment, alphas = best
-    contract = Contract(Allocation(assignment, inst.n), alphas)
-    ok, _ = verify_ef1(inst, contract)
-    if not ok:
-        raise FairconError("internal error: EF1 optimum failed verification")
-    return SolveResult(
-        contract, value, "exact-ef1", {"lp_solves": counter.count}
-    )
+                yield build_ef1_lp(inst, alloc, witnesses, upper)
+
+    (value, alloc, model, sol), lps = _best_lp(inst, budget_lps, models)
+    contract = Contract(alloc, alphas_from_solution(model, sol, inst.m))
+    _check_optimum(inst, contract, verify_ef1(inst, contract)[0], "exact-ef1")
+    return SolveResult(contract, value, "exact-ef1", {"lp_solves": lps})
 
 
 def solve_opt_efs(inst: Instance, budget_lps: int = DEFAULT_LP_BUDGET) -> SolveResult:
@@ -240,41 +232,21 @@ def solve_opt_efs(inst: Instance, budget_lps: int = DEFAULT_LP_BUDGET) -> SolveR
     materialized on the augmented instance and mapped back, which recovers
     the subsidies as the payments on added tasks.
     """
-    _check_allocation_budget(inst, budget_lps)
-    counter = _LpCounter(budget_lps)
-    best = None
-    for assignment in assignments(inst.n, inst.m):
-        if not _assignment_feasible(inst, assignment):
-            continue
-        alloc = Allocation(assignment, inst.n)
-        model = build_efs_lp(inst, alloc)
-        counter.tick()
-        sol = solve_lp(model)
-        if not sol.optimal:
-            continue
-        if best is None or sol.objective > best[0]:
-            subs = tuple(sol.values[f"s[{i}]"] for i in range(inst.n))
-            best = (
-                sol.objective,
-                assignment,
-                alphas_from_solution(model, sol, inst.m),
-                subs,
-            )
-    if best is None:
-        raise FairconError("no feasible allocation; Assumption 1 should prevent this")
-    value, assignment, alphas, subsidies = best
+    (value, alloc, model, sol), lps = _best_lp(
+        inst, budget_lps, lambda alloc: [build_efs_lp(inst, alloc)]
+    )
+    subsidies = tuple(sol.values[f"s[{i}]"] for i in range(inst.n))
     aug_inst, mapping = ext.efs_augment(inst)
     aug_contract = ext.embed_subsidized(
-        Contract(Allocation(assignment, inst.n), alphas, subsidies), mapping
+        Contract(alloc, alphas_from_solution(model, sol, inst.m), subsidies), mapping
     )
     contract = ext.extract_subsidies(aug_contract, mapping)
     if revenue(inst, contract) != value:
         raise FairconError("internal error: EFS reduction round-trip changed revenue")
-    if not verify_efs(inst, contract):
-        raise FairconError("internal error: EFS optimum failed verification")
+    _check_optimum(inst, contract, verify_efs(inst, contract), "exact-efs")
     return SolveResult(
         contract,
         value,
         "exact-efs",
-        {"lp_solves": counter.count, "augmented_tasks": aug_inst.m},
+        {"lp_solves": lps, "augmented_tasks": aug_inst.m},
     )

@@ -41,29 +41,6 @@ class LpModel:
     def n_vars(self) -> int:
         return len(self.var_names)
 
-    def to_lp_text(self) -> str:
-        """Debug dump in the familiar text LP format."""
-
-        def term(coef: Fraction, name: str) -> str:
-            sign = "+" if coef >= 0 else "-"
-            return f"{sign} {abs(coef)} {name}"
-
-        parts = ["Maximize", " obj: " + " ".join(
-            term(v, self.var_names[k]) for k, v in sorted(self.objective.items())
-        )]
-        if self.objective_const:
-            parts[-1] += f" + {self.objective_const}"
-        parts.append("Subject To")
-        for idx, row in enumerate(self.rows):
-            lhs = " ".join(term(v, self.var_names[k]) for k, v in sorted(row.coeffs.items()))
-            parts.append(f" {row.tag or f'c{idx}'}: {lhs} {row.sense} {row.rhs}")
-        parts.append("Bounds")
-        for k, name in enumerate(self.var_names):
-            ub = self.upper_bounds.get(k)
-            parts.append(f" 0 <= {name}" + (f" <= {ub}" if ub is not None else ""))
-        parts.append("End")
-        return "\n".join(parts)
-
 
 @dataclass(frozen=True)
 class LpSolution:
@@ -223,24 +200,26 @@ def build_efs_lp(inst: Instance, alloc: Allocation) -> LpModel:
     return LpModel(b.names, obj, const, b.rows, b.ub)
 
 
-def solve_lp(model: LpModel, tol: Num = Fraction(1, 10**7)) -> LpSolution:
+def solve_lp(model: LpModel) -> LpSolution:
     """Solve with the exact simplex; deterministic given the model.
 
-    With rational arithmetic the returned point is exactly feasible; the
-    tolerance is kept for the self-check so float-built models behave.
+    Models are built from Fractions, so the returned point must satisfy
+    every row and every bound exactly; the self-check holds it to that.
     """
     rows = [(r.coeffs, r.sense, r.rhs) for r in model.rows]
-    rows += [({k: ONE}, "<=", ub) for k, ub in sorted(model.upper_bounds.items())]
+    tags = [r.tag for r in model.rows]
+    for k, ub in sorted(model.upper_bounds.items()):
+        rows.append(({k: ONE}, "<=", ub))
+        tags.append(f"ub[{model.var_names[k]}]")
     status, x, value = simplex.maximize(model.n_vars, model.objective, rows)
     if status != simplex.OPTIMAL:
         return LpSolution(status, {}, None)
-    tol = as_fraction(tol)
-    for r in model.rows:
-        lhs = sum((v * x[k] for k, v in r.coeffs.items()), ZERO)
-        if (r.sense == ">=" and lhs < r.rhs - tol) or (
-            r.sense == "<=" and lhs > r.rhs + tol
-        ):
-            raise AssertionError(f"simplex returned infeasible point at {r.tag}")
+    for (coeffs, sense, rhs), tag in zip(rows, tags):
+        lhs = sum((v * x[k] for k, v in coeffs.items()), ZERO)
+        if (lhs < rhs) if sense == ">=" else (lhs > rhs):
+            raise AssertionError(f"simplex returned infeasible point at {tag}")
+    if any(v < 0 for v in x):
+        raise AssertionError("simplex returned a negative variable")
     values = {name: x[k] for k, name in enumerate(model.var_names)}
     return LpSolution(simplex.OPTIMAL, values, value + model.objective_const)
 

@@ -88,6 +88,11 @@ class TestSolve:
     def test_eps_method_requires_eps(self, ex52_path):
         assert run(["solve", ex52_path, "--method", "dp-eps-ef"]) == 3
 
+    def test_usage_errors_exit_invalid(self, ex52_path):
+        assert run(["solve", ex52_path, "--method", "nope"]) == 3
+        assert run(["solve", ex52_path]) == 3
+        assert run(["solve", "--help"]) == 0
+
     def test_budget_exit_code(self, ex52_path):
         assert run(["solve", ex52_path, "--method", "exact-ef", "--budget-lps", "1"]) == 2
 
@@ -152,6 +157,13 @@ class TestBenchPof:
                     "family": "no-such-family",
                     "params": {},
                 },
+                {
+                    "id": "no-eps",
+                    "family": "example",
+                    "params": {"id": "5.2", "eps": "1/100"},
+                    "ef_method": "dp-eps-ef",
+                    "ef1_method": "round-robin",
+                },
             ]
         }
         cpath = tmp_path / "bench.json"
@@ -159,12 +171,14 @@ class TestBenchPof:
         out = tmp_path / "pof.csv"
         assert run(["bench-pof", cpath, "--out", out]) == 0
         rows = list(csv.DictReader(open(out)))
-        assert [r["instance_id"] for r in rows] == ["ex52-1e2", "ex52-1e3", "single", "broken"]
+        ids = [r["instance_id"] for r in rows]
+        assert ids == ["ex52-1e2", "ex52-1e3", "single", "broken", "no-eps"]
         # Price of envy-freeness on the example is exactly 36 eps.
         assert float(rows[0]["ratio_ef"]) == pytest.approx(0.36, abs=1e-9)
         assert float(rows[1]["ratio_ef"]) == pytest.approx(0.036, abs=1e-9)
         assert float(rows[2]["ratio_ef"]) == pytest.approx(1.0, abs=1e-12)
         assert rows[3]["error"]
+        assert rows[4]["error"] == "InvalidInstanceError: method dp-eps-ef requires eps"
         # EF1 lower bound never falls below the EF optimum on these rows.
         for r in rows[:3]:
             assert float(r["ratio_ef1"]) >= float(r["ratio_ef"]) - 1e-12

@@ -18,7 +18,6 @@ from faircon.core import (
 )
 from faircon.dp import (
     adaptive_grid,
-    ceil_to_grid,
     dp_enumerate,
     instance_bit_length,
     solve_ef1_fptas,
@@ -35,14 +34,6 @@ from oracles import exhaustive_profiles
 
 
 class TestRounding:
-    def test_ceil_to_grid_minimal_upper(self):
-        grid = tuple(F(k, 4) for k in range(5))
-        assert ceil_to_grid(F(3, 8), grid) == F(1, 2)
-        assert ceil_to_grid(F(1, 2), grid) == F(1, 2)
-        assert ceil_to_grid(0, grid) == 0
-        with pytest.raises(ValueError):
-            ceil_to_grid(F(9, 8), grid)
-
     def test_unit_rounding_overshoot_bounded(self):
         inst = gen_random(2, 3, 123)
         disc = uniform_grid(inst, 10)

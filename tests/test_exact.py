@@ -14,7 +14,8 @@ from faircon.core import (
     verify_eps_ef,
     verify_ir,
 )
-from faircon.errors import BudgetExceededError
+from faircon import exact
+from faircon.errors import BudgetExceededError, FairconError
 from faircon.exact import (
     enumerate_case4_bounds,
     solve_opt_ef,
@@ -67,6 +68,20 @@ class TestSolveOptEf:
             assert verify_ir(inst, res.contract, tol=0)[0]
             assert verify_ef(inst, res.contract, tol=0)[0]
             assert revenue(inst, res.contract) == res.revenue
+
+    def test_unverified_optimum_raises(self, ex52, monkeypatch):
+        # Without its envy rows the LP returns the envious unconstrained
+        # optimum, which the solver's own tol-0 check must refuse.
+        build = exact.build_ef_lp
+
+        def without_envy_rows(inst, alloc, eps=0):
+            model = build(inst, alloc, eps)
+            model.rows = [r for r in model.rows if not r.tag.startswith("ef[")]
+            return model
+
+        monkeypatch.setattr(exact, "build_ef_lp", without_envy_rows)
+        with pytest.raises(FairconError, match="failed verification"):
+            solve_opt_ef(ex52)
 
     def test_eps_relaxation_monotone(self):
         inst = gen_random(2, 3, 71)

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from faircon import simplex
 from faircon.core import Allocation, Contract, Instance, greedy_ef, verify_ef, verify_ir
 from faircon.errors import InvalidInstanceError
 from faircon.instances import gen_partition_ef, gen_partition_ef1, gen_random
@@ -60,6 +61,20 @@ def test_solve_lp_unbounded_guard():
         upper_bounds={},
     )
     assert solve_lp(model).status == "unbounded"
+
+
+def test_solve_lp_self_check_covers_upper_bounds(monkeypatch):
+    # The row a >= 1/2 holds at a = 2; only the bound a <= 1 is broken.
+    model = LpModel(
+        var_names=["a"],
+        objective={0: -ONE},
+        objective_const=ONE,
+        rows=[LpRow({0: ONE}, ">=", F(1, 2), "floor")],
+        upper_bounds={0: ONE},
+    )
+    monkeypatch.setattr(simplex, "maximize", lambda *args: (simplex.OPTIMAL, [F(2)], -F(2)))
+    with pytest.raises(AssertionError, match="ub"):
+        solve_lp(model)
 
 
 class TestBuildEfLp:
@@ -204,13 +219,6 @@ def test_build_efs_lp_example_54(ex52):
     assert sol.optimal and sol.objective == F(3, 20)
     assert sol.values["alpha[0]"] == F(3, 5)
     assert sol.values["s[0]"] == F(1, 20) and sol.values["s[1]"] == 0
-
-
-def test_lp_text_dump(ex52):
-    model = build_ef_lp(ex52, Allocation((0,), 2), 0)
-    text = model.to_lp_text()
-    assert "Maximize" in text and "Subject To" in text and "Bounds" in text
-    assert "ir[0,0]" in text and "alpha[0]" in text and "End" in text
 
 
 def test_lp_solutions_reverify_with_core(ex52):
