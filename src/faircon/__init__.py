@@ -18,6 +18,7 @@ from .core import (
     minimum_wage,
     revenue,
     unconstrained_opt,
+    utilities,
     verify_ef,
     verify_ef1,
     verify_efs,
@@ -89,6 +90,7 @@ __all__ = [
     "solve_opt_efs",
     "unconstrained_opt",
     "uniform_grid",
+    "utilities",
     "utility_guesses",
     "verify_ef",
     "verify_ef1",

@@ -23,7 +23,6 @@ from .core import (
     greedy_ef,
     revenue,
     unconstrained_opt,
-    verify_eps_ef,
 )
 from .errors import BudgetExceededError, FairconError, InvalidInstanceError
 from .numeric import as_fraction, format_scalar_text
@@ -66,6 +65,8 @@ SOLVERS = {
     ),
     "round-robin": (lambda inst, *_: ext.round_robin_ef1(inst), False),
 }
+# verify --notion name -> the FairnessReport field holding its verdict.
+NOTIONS = {"ef": "ef_ok", "eps-ef": "eps_ef_ok", "ef1": "ef1_ok", "efs": "efs_ok"}
 # The methods bench-pof accepts for its EF and EF1 columns.
 BENCH_EF_METHODS = ("exact-ef", "dp-eps-ef", "greedy")
 BENCH_EF1_METHODS = ("exact-ef1", "dp-ef1", "round-robin")
@@ -106,21 +107,12 @@ def cmd_verify(args) -> int:
     if args.notion == "eps-ef" and eps is None:
         print("eps-ef verification requires --eps", file=sys.stderr)
         return EXIT_INVALID
+    if args.notion == "efs" and contract.subsidies is None:
+        print("contract has no subsidies", file=sys.stderr)
+        return EXIT_INVALID
     report = fairness_report(inst, contract, eps or 0, tol)
     payload = serialize.report_to_dict(report, args.exact_arith)
-    if args.notion == "ef":
-        ok = report.ir_ok and bool(report.ef_ok)
-    elif args.notion == "eps-ef":
-        ok = report.ir_ok and verify_eps_ef(inst, contract, eps, tol)
-    elif args.notion == "ef1":
-        ok = report.ir_ok and bool(report.ef1_ok)
-    elif args.notion == "efs":
-        if contract.subsidies is None:
-            print("contract has no subsidies", file=sys.stderr)
-            return EXIT_INVALID
-        ok = report.ir_ok and bool(report.efs_ok)
-    else:
-        return EXIT_INVALID
+    ok = report.ir_ok and bool(getattr(report, NOTIONS[args.notion]))
     payload["notion"] = args.notion
     payload["ok"] = ok
     out = json.dumps(payload, indent=2, sort_keys=True)
@@ -187,21 +179,16 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
+CSV_COLUMNS = [
+    "instance_id", "n", "m", "opt", "opt_ef", "opt_ef1_lb",
+    "ratio_ef", "ratio_ef1", "method", "lp_solves", "states", "error",
+]
+
+
 def _bench_row(row: dict, budget_lps: int, budget_states: int) -> dict:
     """One price-of-fairness row; exceptions are reported in the row."""
-    out = {
-        "instance_id": row.get("id", ""),
-        "n": "",
-        "m": "",
-        "opt": "",
-        "opt_ef": "",
-        "opt_ef1_lb": "",
-        "ratio_ef": "",
-        "ratio_ef1": "",
-        "method": "",
-        "runtime_states": "",
-        "error": "",
-    }
+    out = dict.fromkeys(CSV_COLUMNS, "")
+    out["instance_id"] = row.get("id", "")
     try:
         inst = instances.make(row["family"], row.get("params", {}))
         out["n"], out["m"] = inst.n, inst.m
@@ -216,9 +203,6 @@ def _bench_row(row: dict, budget_lps: int, budget_states: int) -> dict:
         f_bits = row.get("f_bits")
         ef_res = _run(ef_method, inst, eps, budget_lps, budget_states, f_bits)
         ef1_res = _run(ef1_method, inst, eps, budget_lps, budget_states, f_bits)
-
-        states = ef_res.meta.get("states", 0) + ef1_res.meta.get("states", 0)
-        lps = ef_res.meta.get("lp_solves", 0) + ef1_res.meta.get("lp_solves", 0)
         out.update(
             opt=format_scalar_text(opt),
             opt_ef=format_scalar_text(ef_res.revenue),
@@ -226,17 +210,12 @@ def _bench_row(row: dict, budget_lps: int, budget_states: int) -> dict:
             ratio_ef=format_scalar_text(ef_res.revenue / opt) if opt else "",
             ratio_ef1=format_scalar_text(ef1_res.revenue / opt) if opt else "",
             method=f"{ef_method}+{ef1_method}",
-            runtime_states=states or lps,
+            lp_solves=ef_res.meta.get("lp_solves", 0) + ef1_res.meta.get("lp_solves", 0),
+            states=ef_res.meta.get("states", 0) + ef1_res.meta.get("states", 0),
         )
     except Exception as exc:  # per-row failures must not kill the sweep
         out["error"] = f"{type(exc).__name__}: {exc}"
     return out
-
-
-CSV_COLUMNS = [
-    "instance_id", "n", "m", "opt", "opt_ef", "opt_ef1_lb",
-    "ratio_ef", "ratio_ef1", "method", "runtime_states", "error",
-]
 
 
 def cmd_bench_pof(args) -> int:
@@ -286,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="verify a contract against an instance")
     pv.add_argument("instance")
     pv.add_argument("contract")
-    pv.add_argument("--notion", required=True, choices=("ef", "eps-ef", "ef1", "efs"))
+    pv.add_argument("--notion", required=True, choices=tuple(NOTIONS))
     pv.add_argument("--eps")
     pv.add_argument("--tol", default="1e-9")
     pv.add_argument("--exact-arith", action="store_true")

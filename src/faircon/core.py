@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import DimensionMismatchError, InvalidInstanceError, NoViableAgentError
 from .numeric import INF_WAGE, Num, ZERO, as_fraction
@@ -27,12 +27,14 @@ class Instance:
 
     All entries must lie in [0, 1], and every task must have at least one
     agent with nonnegative welfare p*r - c (otherwise the task could never
-    be allocated; construction raises NoViableAgentError).
+    be allocated; construction raises NoViableAgentError).  `pr` holds the
+    products p[i][j] * r[j], derived once on construction.
     """
 
     r: tuple[Fraction, ...]
     p: tuple[tuple[Fraction, ...], ...]
     c: tuple[tuple[Fraction, ...], ...]
+    pr: tuple[tuple[Fraction, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "r", _rational_row(self.r))
@@ -49,8 +51,10 @@ class Instance:
             for x in vec:
                 if not (0 <= x <= 1):
                     raise InvalidInstanceError(f"entry {x} outside [0, 1]")
+        pr = tuple(tuple(p * r for p, r in zip(row, self.r)) for row in self.p)
+        object.__setattr__(self, "pr", pr)
         for j in range(m):
-            if all(self.p[i][j] * self.r[j] - self.c[i][j] < 0 for i in range(n)):
+            if all(self.welfare(i, j) < 0 for i in range(n)):
                 raise NoViableAgentError(j)
 
     @property
@@ -63,7 +67,7 @@ class Instance:
 
     def welfare(self, i: int, j: int) -> Fraction:
         """p*r - c for the pair: the surplus the pair can generate."""
-        return self.p[i][j] * self.r[j] - self.c[i][j]
+        return self.pr[i][j] - self.c[i][j]
 
     def viable_agents(self, j: int) -> list[int]:
         """Agents with nonnegative welfare on task j (nonempty by construction)."""
@@ -76,7 +80,7 @@ def minimum_wage(inst: Instance, i: int, j: int) -> Fraction | float:
     c/(p*r) when p*r > 0; 0 when the cost is already 0; otherwise the
     INF_WAGE sentinel (the agent can never be incentivized).
     """
-    pr = inst.p[i][j] * inst.r[j]
+    pr = inst.pr[i][j]
     if inst.c[i][j] == 0:
         return ZERO
     if pr > 0:
@@ -181,7 +185,7 @@ def agent_task_utility(inst: Instance, i: int, j: int, alpha: Num) -> Fraction:
     a = as_fraction(alpha)
     if not (0 <= a <= 1):
         raise InvalidInstanceError(f"alpha={a} outside [0, 1]")
-    return a * inst.p[i][j] * inst.r[j] - inst.c[i][j]
+    return a * inst.pr[i][j] - inst.c[i][j]
 
 
 def revenue(inst: Instance, k: Contract) -> Fraction:
@@ -189,50 +193,104 @@ def revenue(inst: Instance, k: Contract) -> Fraction:
     _check_dims(inst, k)
     total = ZERO
     for j, i in enumerate(k.assignment):
-        total += (1 - k.alpha[j]) * inst.p[i][j] * inst.r[j]
+        total += (1 - k.alpha[j]) * inst.pr[i][j]
     if k.subsidies is not None:
         total -= sum(k.subsidies, ZERO)
     return total
 
 
+def utilities(inst: Instance, alpha: Sequence[Fraction]) -> tuple[tuple[Fraction, ...], ...]:
+    """The n x m utility matrix alpha_j p_ij r_j - c_ij under contract vector
+    alpha: every fairness notion compares sums over its rows."""
+    return tuple(
+        tuple(a * pr - c for a, pr, c in zip(alpha, pr_row, c_row))
+        for pr_row, c_row in zip(inst.pr, inst.c)
+    )
+
+
+class _EnvyTerms(NamedTuple):
+    """What every verifier reads off one utility matrix.  own[i] sums
+    agent i's own bundle, clamping each task at 0 when IR fails (the general
+    envy form); switch[i][j] sums max(u, 0) of agent i over S_j; drop[i][j]
+    is (task, gain) for the first best task of S_j, or None if S_j is empty.
+    """
+
+    ir_ok: bool
+    ir_slacks: dict
+    own: list
+    switch: list
+    drop: list
+
+
+def _envy_terms(u, k: Contract, tol, zero=ZERO) -> _EnvyTerms:
+    """IR slacks and envy sums from a utility matrix, exact or float alike
+    (zero is the additive identity of the entries)."""
+    ir_slacks = {(i, j): u[i][j] for j, i in enumerate(k.assignment)}
+    ir_ok = all(s >= -tol for s in ir_slacks.values())
+    gains = [[max(x, zero) for x in row] for row in u]
+    lhs = u if ir_ok else gains
+    bundles = k.allocation.bundles()
+    own = [sum((lhs[i][t] for t in bundles[i]), zero) for i in range(len(u))]
+    switch = [[sum((row[t] for t in b), zero) for b in bundles] for row in gains]
+    drop = [[_best_drop(row, b) for b in bundles] for row in gains]
+    return _EnvyTerms(ir_ok, ir_slacks, own, switch, drop)
+
+
+def _best_drop(gains, bundle):
+    if not bundle:
+        return None
+    task = max(bundle, key=gains.__getitem__)  # max keeps the first of ties
+    return task, gains[task]
+
+
+def _contract_terms(inst: Instance, k: Contract, tol: Fraction) -> _EnvyTerms:
+    _check_dims(inst, k)
+    return _envy_terms(utilities(inst, k.alpha), k, tol)
+
+
+def _pairs(n: int):
+    return ((i, j) for i in range(n) for j in range(n) if i != j)
+
+
+def _ef_slacks(t: _EnvyTerms) -> tuple[tuple[Fraction, ...], ...]:
+    """slack[i][j] = LHS_i - RHS_{i->j}, with slack[i][i] = 0."""
+    n = len(t.own)
+    return tuple(
+        tuple(ZERO if i == j else t.own[i] - t.switch[i][j] for j in range(n))
+        for i in range(n)
+    )
+
+
+def _eps_ef_ok(slacks, eps: Fraction, tol: Fraction) -> bool:
+    if eps < 0:
+        raise InvalidInstanceError("eps must be nonnegative")
+    return all(slacks[i][j] >= -eps - tol for i, j in _pairs(len(slacks)))
+
+
+def _ef1(t: _EnvyTerms, tol) -> tuple[bool, dict[tuple[int, int], Optional[int]]]:
+    """The EF1 comparison: dropping the best task of each envied bundle
+    must remove the envy (empty bundles pass with witness None)."""
+    ok = True
+    witnesses: dict[tuple[int, int], Optional[int]] = {}
+    for i, j in _pairs(len(t.own)):
+        if t.drop[i][j] is None:
+            witnesses[(i, j)] = None
+            continue
+        task, gain = t.drop[i][j]
+        witnesses[(i, j)] = task
+        if t.own[i] < t.switch[i][j] - gain - tol:
+            ok = False
+    return ok, witnesses
+
+
+def _efs_ok(t: _EnvyTerms, s: tuple[Fraction, ...], tol: Fraction) -> bool:
+    return all(t.own[i] + s[i] >= t.switch[i][j] + s[j] - tol for i, j in _pairs(len(t.own)))
+
+
 def verify_ir(inst: Instance, k: Contract, tol: Num = 0) -> tuple[bool, dict[tuple[int, int], Fraction]]:
     """Check alpha_j p r - c >= 0 for every assigned pair; returns slacks."""
-    _check_dims(inst, k)
-    tol = as_fraction(tol)
-    slacks: dict[tuple[int, int], Fraction] = {}
-    ok = True
-    for j, i in enumerate(k.assignment):
-        s = agent_task_utility(inst, i, j, k.alpha[j])
-        slacks[(i, j)] = s
-        if s < -tol:
-            ok = False
-    return ok, slacks
-
-
-def _bundle_utilities(inst: Instance, k: Contract, clamp_lhs: bool):
-    """Own-bundle utility per agent and clamped switch utility matrix.
-
-    own[i]  = sum over S_i of (alpha p r - c), clamped per task when
-              clamp_lhs (the general envy form, used when IR fails).
-    switch[i][j] = sum over S_j of max(alpha p r - c, 0).
-    """
-    n = inst.n
-    bundles = k.allocation.bundles()
-    own = [ZERO] * n
-    switch = [[ZERO] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            acc = ZERO
-            for task in bundles[j]:
-                u = agent_task_utility(inst, i, task, k.alpha[task])
-                if i == j and not clamp_lhs:
-                    acc += u
-                else:
-                    acc += max(u, ZERO)
-            if i == j:
-                own[i] = acc
-            switch[i][j] = acc if i != j else ZERO
-    return own, switch
+    t = _contract_terms(inst, k, as_fraction(tol))
+    return t.ir_ok, t.ir_slacks
 
 
 def verify_ef(
@@ -245,39 +303,15 @@ def verify_ef(
     report from fairness_report records which).  Returns (ok, slack
     matrix) with slack[i][j] = LHS_i - RHS_{i->j} and slack[i][i] = 0.
     """
-    ok, _, slacks = _ef_slack_matrix(inst, k, as_fraction(tol), eps=ZERO)
-    return ok, slacks
-
-
-def _ef_slack_matrix(inst: Instance, k: Contract, tol: Fraction, eps: Fraction):
-    _check_dims(inst, k)
-    ir_ok, _ = verify_ir(inst, k, tol)
-    own, switch = _bundle_utilities(inst, k, clamp_lhs=not ir_ok)
-    n = inst.n
-    ok = True
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i == j:
-                row.append(ZERO)
-                continue
-            slack = own[i] - switch[i][j]
-            row.append(slack)
-            if slack < -eps - tol:
-                ok = False
-        rows.append(tuple(row))
-    form = "simplified" if ir_ok else "clamped"
-    return ok, form, tuple(rows)
+    tol = as_fraction(tol)
+    slacks = _ef_slacks(_contract_terms(inst, k, tol))
+    return _eps_ef_ok(slacks, ZERO, tol), slacks
 
 
 def verify_eps_ef(inst: Instance, k: Contract, eps: Num, tol: Num = 0) -> bool:
     """Envy-freeness with the right side relaxed by eps >= 0."""
-    eps = as_fraction(eps)
-    if eps < 0:
-        raise InvalidInstanceError("eps must be nonnegative")
-    ok, _, _ = _ef_slack_matrix(inst, k, as_fraction(tol), eps)
-    return ok
+    tol = as_fraction(tol)
+    return _eps_ef_ok(_ef_slacks(_contract_terms(inst, k, tol)), as_fraction(eps), tol)
 
 
 def verify_ef1(
@@ -289,30 +323,8 @@ def verify_ef1(
     Empty envied bundles are vacuously fine (witness None).  Witnesses are
     the dropped tasks, always members of the envied bundle.
     """
-    _check_dims(inst, k)
     tol = as_fraction(tol)
-    ir_ok, _ = verify_ir(inst, k, tol)
-    own, switch = _bundle_utilities(inst, k, clamp_lhs=not ir_ok)
-    bundles = k.allocation.bundles()
-    witnesses: dict[tuple[int, int], Optional[int]] = {}
-    ok = True
-    for i in range(inst.n):
-        for j in range(inst.n):
-            if i == j:
-                continue
-            if not bundles[j]:
-                witnesses[(i, j)] = None
-                continue
-            best_task = bundles[j][0]
-            best_gain = ZERO
-            for task in bundles[j]:
-                gain = max(agent_task_utility(inst, i, task, k.alpha[task]), ZERO)
-                if gain > best_gain:
-                    best_gain, best_task = gain, task
-            witnesses[(i, j)] = best_task
-            if own[i] < switch[i][j] - best_gain - tol:
-                ok = False
-    return ok, witnesses
+    return _ef1(_contract_terms(inst, k, tol), tol)
 
 
 def verify_efs(inst: Instance, k: Contract, tol: Num = 0) -> bool:
@@ -321,39 +333,31 @@ def verify_efs(inst: Instance, k: Contract, tol: Num = 0) -> bool:
     if k.subsidies is None:
         raise InvalidInstanceError("contract has no subsidies; EFS needs them")
     tol = as_fraction(tol)
-    ir_ok, _ = verify_ir(inst, k, tol)
-    own, switch = _bundle_utilities(inst, k, clamp_lhs=not ir_ok)
-    s = k.subsidies
-    for i in range(inst.n):
-        for j in range(inst.n):
-            if i == j:
-                continue
-            if own[i] + s[i] < switch[i][j] + s[j] - tol:
-                return False
-    return True
+    return _efs_ok(_contract_terms(inst, k, tol), k.subsidies, tol)
 
 
 def fairness_report(inst: Instance, k: Contract, eps: Num = 0, tol: Num = 0) -> FairnessReport:
-    """Run all applicable verifiers and collect slacks into one report."""
+    """Every notion's verdict, with slacks, from one utility matrix.
+
+    A negative eps is rejected as in verify_eps_ef."""
     tol = as_fraction(tol)
     eps = as_fraction(eps)
-    ir_ok, ir_slacks = verify_ir(inst, k, tol)
-    ef_ok, form, slacks = _ef_slack_matrix(inst, k, tol, ZERO)
-    eps_ok = verify_eps_ef(inst, k, eps, tol) if eps > 0 else ef_ok
-    ef1_ok, witnesses = verify_ef1(inst, k, tol)
-    efs_ok = verify_efs(inst, k, tol) if k.subsidies is not None else None
+    t = _contract_terms(inst, k, tol)
+    slacks = _ef_slacks(t)
+    ef_ok = _eps_ef_ok(slacks, ZERO, tol)
+    ef1_ok, witnesses = _ef1(t, tol)
     return FairnessReport(
         tolerance=tol,
         epsilon=eps,
-        ir_ok=ir_ok,
-        ir_slacks=ir_slacks,
+        ir_ok=t.ir_ok,
+        ir_slacks=t.ir_slacks,
         ef_ok=ef_ok,
         ef_slacks=slacks,
-        eps_ef_ok=eps_ok,
+        eps_ef_ok=_eps_ef_ok(slacks, eps, tol),
         ef1_ok=ef1_ok,
         ef1_witnesses=witnesses,
-        efs_ok=efs_ok,
-        lhs_form=form,
+        efs_ok=_efs_ok(t, k.subsidies, tol) if k.subsidies is not None else None,
+        lhs_form="simplified" if t.ir_ok else "clamped",
     )
 
 
@@ -375,7 +379,7 @@ def greedy_ef(inst: Instance) -> Contract:
                 best_i, best_w = i, w
         assignment.append(best_i)
         # p*r = 0 inside the viable set forces c = 0; alpha 0 maximizes revenue.
-        alphas.append(ZERO if inst.p[best_i][j] * inst.r[j] == 0 else as_fraction(best_w))
+        alphas.append(ZERO if inst.pr[best_i][j] == 0 else as_fraction(best_w))
     alloc = Allocation(tuple(assignment), inst.n)
     return Contract(alloc, tuple(alphas))
 

@@ -44,6 +44,8 @@ from .core import (
     revenue,
     verify_ef1,
     verify_eps_ef,
+    _ef1,
+    _envy_terms,
 )
 from .errors import BudgetExceededError, FairconError, InvalidInstanceError
 from .numeric import INF_WAGE, Num, ONE, ZERO, as_fraction, ceil_div
@@ -68,7 +70,10 @@ class Discretization:
     principal_step: Fraction
 
     def agent_units(self, inst: Instance, i: int, j: int, alpha: Fraction) -> int:
-        u = agent_task_utility(inst, i, j, alpha)
+        return self._units(i, agent_task_utility(inst, i, j, alpha))
+
+    def _units(self, i: int, u: Fraction) -> int:
+        """Agent i's rounded units for utility u."""
         if u <= 0:
             return 0
         step = self.agent_steps[i]
@@ -79,7 +84,7 @@ class Discretization:
         return ceil_div(u, step)
 
     def principal_units(self, inst: Instance, j: int, i: int, alpha: Fraction) -> int:
-        v = (1 - alpha) * inst.p[i][j] * inst.r[j]
+        v = (1 - alpha) * inst.pr[i][j]
         if v <= 0:
             return 0
         return ceil_div(v, self.principal_step)
@@ -120,7 +125,7 @@ def adaptive_grid(
     for j in range(inst.m):
         cap_alpha = []
         for i in range(inst.n):
-            pr = inst.p[i][j] * inst.r[j]
+            pr = inst.pr[i][j]
             if pr == 0:
                 cap_alpha.append(ONE)
             else:
@@ -261,7 +266,7 @@ class DpResult:
         for t in range(self.inst.m - 1, -1, -1):
             lut = np.array(
                 [
-                    (1.0 - float(a)) * float(self.inst.p[agent][t] * self.inst.r[t])
+                    (1.0 - float(a)) * float(self.inst.pr[agent][t])
                     for agent, a, _, _ in self.options[t]
                 ],
                 dtype=np.float64,
@@ -282,12 +287,14 @@ def _task_options(
     out: list[tuple[int, Fraction, tuple[int, ...], int]] = []
     seen: set[tuple[int, ...]] = set()
     for alpha in disc.task_grids[j]:
+        u = [agent_task_utility(inst, i, j, alpha) for i in range(n)]
+        units = [disc._units(i, x) for i, x in enumerate(u)]  # the same for any receiver
         for agent in range(n):
-            if agent_task_utility(inst, agent, j, alpha) < 0:
+            if u[agent] < 0:
                 continue  # not IR: this pair can never appear in a contract
             dv = [0] * (n * n)
             for i in range(n):
-                dv[i * n + agent] = disc.agent_units(inst, i, j, alpha)
+                dv[i * n + agent] = units[i]
             dh = disc.principal_units(inst, j, agent, alpha)
             sig = (agent, dh, *dv)
             if sig in seen:
@@ -351,7 +358,7 @@ def dp_enumerate(
             if u > 0 and disc.agent_steps[i] > 0:
                 max_units = max(max_units, ceil_div(u, disc.agent_steps[i]))
             max_units = max(
-                max_units, ceil_div(inst.p[i][j] * inst.r[j], disc.principal_step)
+                max_units, ceil_div(inst.pr[i][j], disc.principal_step)
             )
     radix = m * max(1, max_units) + 1
     n_comp = n * n + (0 if collapse_h else 1)
@@ -617,20 +624,16 @@ def solve_ef1_fptas(
 
 def _ef1_float_plausible(inst: Instance, k: Contract, slack: float = 1e-7) -> bool:
     """Cheap float screen: certain EF1 failures are skipped before the
-    exact rational check; anything borderline goes through."""
-    n = inst.n
-    bundles = k.allocation.bundles()
-    util = [
-        [float(k.alpha[j]) * float(inst.p[i][j] * inst.r[j]) - float(inst.c[i][j])
-         for j in range(inst.m)]
-        for i in range(n)
+    exact rational check; anything borderline goes through.
+
+    The exact EF1 comparison runs on a float utility matrix with tolerance
+    `slack`.  Candidates are IR, so no float entry of an assigned pair
+    falls below -slack and the own-bundle sums stay plain, as in the exact
+    verifier.
+    """
+    alpha = [float(a) for a in k.alpha]
+    u = [
+        [a * float(pr) - float(c) for a, pr, c in zip(alpha, pr_row, c_row)]
+        for pr_row, c_row in zip(inst.pr, inst.c)
     ]
-    own = [sum(util[i][j] for j in bundles[i]) for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i == j or not bundles[j]:
-                continue
-            gains = [max(util[i][t], 0.0) for t in bundles[j]]
-            if own[i] < sum(gains) - max(gains) - slack:
-                return False
-    return True
+    return _ef1(_envy_terms(u, k, slack, zero=0.0), slack)[0]

@@ -40,6 +40,7 @@ from .numeric import INF_WAGE, Num, ONE, ZERO, as_fraction
 log = logging.getLogger("faircon")
 
 DEFAULT_LP_BUDGET = 10**7
+_LOG_EVERY_LPS = 1_000  # DEBUG progress interval
 
 __all__ = [
     "assignments",
@@ -76,15 +77,17 @@ def _best_lp(
     optimum wins, so ties resolve to the earliest allocation and model.
     Every LP is charged to `budget_lps`; n^m above the budget fails before
     any work.  Returns ((objective, allocation, model, solution), LP count).
+    Logs progress at DEBUG and a summary at INFO.
     """
     count = inst.n**inst.m
     if count > budget_lps:
         raise BudgetExceededError("lps", budget_lps, count)
-    lps = 0
+    lps = feasible = 0
     best = None
-    for assignment in assignments(inst.n, inst.m):
+    for visited, assignment in enumerate(assignments(inst.n, inst.m), 1):
         if not _assignment_feasible(inst, assignment):
             continue
+        feasible += 1
         alloc = Allocation(assignment, inst.n)
         for model in models(alloc):
             lps += 1
@@ -93,6 +96,12 @@ def _best_lp(
             sol = solve_lp(model)
             if sol.optimal and (best is None or sol.objective > best[0]):
                 best = (sol.objective, alloc, model, sol)
+            if lps % _LOG_EVERY_LPS == 0:
+                log.debug("exact: %d LPs, %d/%d allocations visited", lps, visited, count)
+    log.info(
+        "exact: %d allocations visited, %d feasible, %d LPs, best objective %s",
+        count, feasible, lps, None if best is None else best[0],
+    )
     if best is None:
         raise FairconError("no feasible allocation; Assumption 1 should prevent this")
     return best, lps
@@ -144,7 +153,7 @@ def enumerate_case4_bounds(
     for k in tasks:
         entries = []
         for a in agents:
-            pr = inst.p[a][k] * inst.r[k]
+            pr = inst.pr[a][k]
             # pr = 0 means the agent can never gain from the task: sort last.
             wage = inst.c[a][k] / pr if pr > 0 else None
             entries.append((a, wage))

@@ -19,6 +19,7 @@ from .core import (
     SolveResult,
     minimum_wage,
     revenue,
+    utilities,
 )
 from .errors import DimensionMismatchError, FairconError
 from .numeric import ONE, ZERO
@@ -40,13 +41,13 @@ def round_robin_ef1(inst: Instance) -> SolveResult:
     for j in range(m):
         if inst.welfare(star, j) >= 0:
             w = minimum_wage(inst, star, j)
-            pr = inst.p[star][j] * inst.r[j]
-            alphas.append(ZERO if pr == 0 else Fraction(w))
+            alphas.append(ZERO if inst.pr[star][j] == 0 else Fraction(w))
         else:
             viable = inst.viable_agents(j)
             w = min(minimum_wage(inst, i, j) for i in viable)
             alphas.append(Fraction(w))
 
+    u = utilities(inst, alphas)
     order = [star] + [i for i in range(n) if i != star]
     assignment: list[int | None] = [None] * m
     remaining = set(range(m))
@@ -55,19 +56,12 @@ def round_robin_ef1(inst: Instance) -> SolveResult:
         for i in order:
             if not remaining:
                 break
-            candidates = [
-                j for j in remaining
-                if alphas[j] * inst.p[i][j] * inst.r[j] - inst.c[i][j] >= 0
-            ]
+            candidates = [j for j in remaining if u[i][j] >= 0]
             if not candidates:
                 continue  # agent passes: nothing IR for it remains
             best = max(
                 candidates,
-                key=lambda j: (
-                    alphas[j] * inst.p[i][j] * inst.r[j] - inst.c[i][j],
-                    (1 - alphas[j]) * inst.p[i][j] * inst.r[j],
-                    -j,
-                ),
+                key=lambda j: (u[i][j], (1 - alphas[j]) * inst.pr[i][j], -j),
             )
             assignment[best] = i
             remaining.discard(best)
@@ -78,7 +72,7 @@ def round_robin_ef1(inst: Instance) -> SolveResult:
     # sweep is a safety net that assigns any straggler to such an agent.
     for j in sorted(remaining):
         for i in range(n):
-            if alphas[j] * inst.p[i][j] * inst.r[j] - inst.c[i][j] >= 0:
+            if u[i][j] >= 0:
                 assignment[j] = i
                 break
     if any(a is None for a in assignment):

@@ -80,7 +80,7 @@ class _Builder:
         coeffs: dict[int, Fraction] = {}
         const = ZERO
         for j, i in enumerate(self.alloc.assignment):
-            pr = self.inst.p[i][j] * self.inst.r[j]
+            pr = self.inst.pr[i][j]
             const += pr
             if pr:
                 coeffs[self.alpha(j)] = coeffs.get(self.alpha(j), ZERO) - pr
@@ -88,18 +88,16 @@ class _Builder:
 
     def add_ir_rows(self) -> None:
         for j, i in enumerate(self.alloc.assignment):
-            pr = self.inst.p[i][j] * self.inst.r[j]
             self.rows.append(
-                LpRow({self.alpha(j): pr}, ">=", self.inst.c[i][j], f"ir[{i},{j}]")
+                LpRow({self.alpha(j): self.inst.pr[i][j]}, ">=", self.inst.c[i][j], f"ir[{i},{j}]")
             )
 
     def add_tdef_rows(self) -> None:
         for i in range(self.inst.n):
             for k in range(self.inst.m):
-                pr = self.inst.p[i][k] * self.inst.r[k]
                 self.rows.append(
                     LpRow(
-                        {self.t(i, k): ONE, self.alpha(k): -pr},
+                        {self.t(i, k): ONE, self.alpha(k): -self.inst.pr[i][k]},
                         ">=",
                         -self.inst.c[i][k],
                         f"tdef[{i},{k}]",
@@ -113,7 +111,7 @@ class _Builder:
         coeffs: dict[int, Fraction] = {}
         rhs = -relax
         for k in bundles[i]:
-            pr = self.inst.p[i][k] * self.inst.r[k]
+            pr = self.inst.pr[i][k]
             if pr:
                 coeffs[self.alpha(k)] = coeffs.get(self.alpha(k), ZERO) + pr
             rhs += self.inst.c[i][k]

@@ -164,6 +164,14 @@ class TestBenchPof:
                     "ef_method": "dp-eps-ef",
                     "ef1_method": "round-robin",
                 },
+                {
+                    "id": "dp",
+                    "family": "example",
+                    "params": {"id": "5.2", "eps": "1/100"},
+                    "eps": "1/4",
+                    "ef_method": "dp-eps-ef",
+                    "ef1_method": "round-robin",
+                },
             ]
         }
         cpath = tmp_path / "bench.json"
@@ -172,13 +180,16 @@ class TestBenchPof:
         assert run(["bench-pof", cpath, "--out", out]) == 0
         rows = list(csv.DictReader(open(out)))
         ids = [r["instance_id"] for r in rows]
-        assert ids == ["ex52-1e2", "ex52-1e3", "single", "broken", "no-eps"]
+        assert ids == ["ex52-1e2", "ex52-1e3", "single", "broken", "no-eps", "dp"]
         # Price of envy-freeness on the example is exactly 36 eps.
         assert float(rows[0]["ratio_ef"]) == pytest.approx(0.36, abs=1e-9)
         assert float(rows[1]["ratio_ef"]) == pytest.approx(0.036, abs=1e-9)
         assert float(rows[2]["ratio_ef"]) == pytest.approx(1.0, abs=1e-12)
         assert rows[3]["error"]
         assert rows[4]["error"] == "InvalidInstanceError: method dp-eps-ef requires eps"
+        # LP and DP-state counts sit in their own columns.
+        assert int(rows[0]["lp_solves"]) > 0 and int(rows[0]["states"]) == 0
+        assert not rows[5]["error"] and int(rows[5]["states"]) > 0
         # EF1 lower bound never falls below the EF optimum on these rows.
         for r in rows[:3]:
             assert float(r["ratio_ef1"]) >= float(r["ratio_ef"]) - 1e-12

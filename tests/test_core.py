@@ -15,6 +15,7 @@ from faircon.core import (
     minimum_wage,
     revenue,
     unconstrained_opt,
+    utilities,
     verify_ef,
     verify_ef1,
     verify_efs,
@@ -33,6 +34,7 @@ from faircon.instances import (
     gen_pof_sqrt,
     gen_random,
 )
+from faircon import core
 from faircon.numeric import INF_WAGE
 
 from conftest import make_contract, random_instances
@@ -307,3 +309,79 @@ def test_fairness_report_fields(ex52):
     assert rep.efs_ok is None
     assert rep.ef_slacks[0][0] == 0 and rep.ef_slacks[1][1] == 0
     assert rep.epsilon == F(1, 10)
+
+
+class TestUtilityMatrix:
+    def test_entries_and_derived_products(self):
+        for inst in random_instances(10, 3, 5):
+            alpha = tuple(F(j + 1, inst.m + 2) for j in range(inst.m))
+            u = utilities(inst, alpha)
+            for i in range(inst.n):
+                for j in range(inst.m):
+                    assert inst.pr[i][j] == inst.p[i][j] * inst.r[j]
+                    assert u[i][j] == agent_task_utility(inst, i, j, alpha[j])
+
+    def test_pr_is_not_part_of_identity(self):
+        a = Instance(r=(1, F(1, 2)), p=((F(1, 3), 1),), c=((0, 0),))
+        b = Instance(r=(1, "1/2"), p=(("1/3", 1),), c=((0, 0),))
+        assert a == b and hash(a) == hash(b)
+        assert "pr" not in repr(a)
+
+    def test_report_builds_the_matrix_once(self, monkeypatch, ex52):
+        calls = []
+        real = core.utilities
+        monkeypatch.setattr(core, "utilities", lambda *a: calls.append(a) or real(*a))
+        k = make_contract(ex52, [1], [F(3, 5)], [F(1, 20), 0])
+        rep = fairness_report(ex52, k, eps=F(1, 10), tol=0)
+        assert rep.efs_ok is not None and len(calls) == 1
+
+
+def _random_contract(rng, inst, t):
+    """Random contracts, and every fourth one a greedy contract (all envy
+    slacks exactly 0) with some wages cut by 1e-10, so that tol 1e-9 flips
+    IR, the left-hand-side form and envy verdicts."""
+    if t % 4 == 3:
+        base = greedy_ef(inst)
+        assignment = base.assignment
+        alphas = tuple(max(a - rng.randint(0, 1) * F(1, 10**10), F(0)) for a in base.alpha)
+    else:
+        assignment = tuple(rng.randrange(inst.n) for _ in range(inst.m))
+        alphas = tuple(F(rng.randint(0, 7), 7) for _ in range(inst.m))
+    subs = tuple(F(rng.randint(0, 3), 12) for _ in range(inst.n)) if t % 2 else None
+    return Contract(Allocation(assignment, inst.n), alphas, subs)
+
+
+def test_report_agrees_with_every_standalone_verifier():
+    """The report's one pass must give what the five verifiers give alone,
+    on IR and non-IR (clamped) contracts, with and without subsidies."""
+    rng = random.Random(5)
+    seen = set()
+    tol_flips = 0
+    for t in range(160):
+        inst = gen_random(2 + t % 3, 1 + t % 4, 7000 + t)
+        k = _random_contract(rng, inst, t)
+        eps = (F(0), F(1, 10), F(1, 3))[t % 3]
+        reports = []
+        for tol in (F(0), F(1, 10**9)):
+            rep = fairness_report(inst, k, eps, tol)
+            assert (rep.ir_ok, rep.ir_slacks) == verify_ir(inst, k, tol)
+            assert (rep.ef_ok, rep.ef_slacks) == verify_ef(inst, k, tol)
+            assert rep.eps_ef_ok == verify_eps_ef(inst, k, eps, tol)
+            assert (rep.ef1_ok, rep.ef1_witnesses) == verify_ef1(inst, k, tol)
+            assert rep.efs_ok == (verify_efs(inst, k, tol) if k.subsidies else None)
+            assert rep.lhs_form == ("simplified" if rep.ir_ok else "clamped")
+            reports.append(rep)
+            seen.add((rep.lhs_form, rep.ef1_ok, rep.efs_ok, eps > 0 and rep.eps_ef_ok != rep.ef_ok))
+        assert reports[0].ef1_ok == ef1_holds_exhaustive(inst, k)
+        verdicts = [(r.ir_ok, r.ef_ok, r.eps_ef_ok, r.ef1_ok, r.efs_ok) for r in reports]
+        tol_flips += verdicts[0] != verdicts[1]
+    assert {s[0] for s in seen} == {"simplified", "clamped"}
+    assert {s[1] for s in seen} == {True, False}
+    assert {s[2] for s in seen} == {None, True, False}
+    assert any(s[3] for s in seen)  # eps > 0 changed a verdict somewhere
+    assert tol_flips > 0
+
+
+def test_report_rejects_negative_eps(ex52):
+    with pytest.raises(InvalidInstanceError):
+        fairness_report(ex52, greedy_ef(ex52), eps=-1)

@@ -10,6 +10,7 @@ from faircon.core import (
     Contract,
     Instance,
     agent_task_utility,
+    greedy_ef,
     revenue,
     unconstrained_opt,
     verify_ef1,
@@ -17,6 +18,7 @@ from faircon.core import (
     verify_ir,
 )
 from faircon.dp import (
+    _ef1_float_plausible,
     adaptive_grid,
     dp_enumerate,
     instance_bit_length,
@@ -30,7 +32,8 @@ from faircon.exact import solve_opt_ef
 from faircon.instances import gen_partition_ef1, gen_random
 from faircon.numeric import ONE, ZERO
 
-from oracles import exhaustive_profiles
+from conftest import make_contract, random_instances
+from oracles import ef1_holds_exhaustive, exhaustive_profiles
 
 
 class TestRounding:
@@ -204,3 +207,85 @@ class TestEf1Fptas:
         res = solve_ef1_fptas(inst, F(1, 4), f_bits=6)
         assert {"nu", "delta", "guess", "states", "guesses"} <= res.meta.keys()
         assert res.meta["nu"] == min(F(1, 8), F(1, 12))
+
+
+def _min_ef1_slack(inst, k):
+    """Smallest exact EF1 slack over ordered pairs, from the definition."""
+    bundles = k.allocation.bundles()
+    u = [
+        [k.alpha[t] * inst.p[i][t] * inst.r[t] - inst.c[i][t] for t in range(inst.m)]
+        for i in range(inst.n)
+    ]
+    slacks = []
+    for i in range(inst.n):
+        own = sum((u[i][t] for t in bundles[i]), ZERO)
+        for j in range(inst.n):
+            if i != j and bundles[j]:
+                gains = [max(u[i][t], ZERO) for t in bundles[j]]
+                slacks.append(own - (sum(gains, ZERO) - max(gains)))
+    return min(slacks)
+
+
+class TestEf1FloatScreen:
+    """The float screen may only drop contracts that fail EF1 exactly; a
+    dropped true passer would silently cost the dp-ef1 solver revenue."""
+
+    def test_greedy_contracts_tie_at_zero_and_pass(self):
+        # Greedy pays each task the lowest incentive wage, so every utility
+        # is at most 0 and every own bundle is worth exactly 0.
+        for inst in random_instances(45, 3, 5):
+            if inst.n > 1:
+                k = greedy_ef(inst)
+                assert _min_ef1_slack(inst, k) == 0
+                assert _ef1_float_plausible(inst, k)
+
+    @pytest.mark.parametrize(
+        "assignment, p, c, alpha",
+        [
+            # Agent 0: own utility 1/7 = (1/3 + 1/7) for S_1 minus the dropped 1/3.
+            (
+                [0, 1, 1],
+                ((F(6, 7), 1, F(6, 7)), (1, 1, 1)),
+                ((F(1, 7), F(1, 3), F(1, 7)), (0, 0, 0)),
+                (F(1, 3), F(2, 3), F(1, 3)),
+            ),
+            # Agent 0: own utility 1/3 = (10/21 + 1/3) for S_1 minus 10/21.
+            (
+                [0, 1, 1],
+                ((F(7, 9), F(6, 7), 1), (1, 1, 1)),
+                ((F(1, 3), F(2, 21), 0), (0, 0, 0)),
+                (F(6, 7), F(2, 3), F(1, 3)),
+            ),
+            # Agent 1: own utility 1/7 = (1/7 + 5/21) for S_0 minus 5/21.
+            (
+                [0, 0, 1],
+                ((1, 1, 1), (F(2, 3), F(6, 7), F(3, 7))),
+                ((0, 0, 0), (F(1, 7), F(1, 21), F(1, 7))),
+                (F(3, 7), F(1, 3), F(2, 3)),
+            ),
+        ],
+    )
+    def test_hand_built_exact_ties_pass(self, assignment, p, c, alpha):
+        inst = Instance(r=(1, 1, 1), p=p, c=c)
+        k = make_contract(inst, assignment, alpha)
+        assert verify_ir(inst, k)[0]
+        assert _min_ef1_slack(inst, k) == 0
+        assert verify_ef1(inst, k, tol=0)[0] and ef1_holds_exhaustive(inst, k)
+        assert _ef1_float_plausible(inst, k)
+
+    def test_never_drops_an_exact_passer(self):
+        rng = random.Random(8)
+        passers = 0
+        for inst in random_instances(60, 3, 4):
+            assignment = [rng.randrange(inst.n) for _ in range(inst.m)]
+            k = make_contract(inst, assignment, [F(rng.randint(0, 9), 9) for _ in range(inst.m)])
+            if verify_ef1(inst, k, tol=0)[0]:
+                passers += 1
+                assert _ef1_float_plausible(inst, k)
+        assert passers > 10
+
+    def test_clear_failure_is_screened_out(self):
+        inst = Instance(r=(1, 1, 1), p=((1, 1, 1), (1, 1, 1)), c=((0, 0, 0), (0, 0, 0)))
+        k = make_contract(inst, [0, 1, 1], [F(1, 10), F(1, 2), F(1, 2)])
+        assert not verify_ef1(inst, k, tol=0)[0]
+        assert not _ef1_float_plausible(inst, k)

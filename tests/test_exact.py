@@ -1,5 +1,6 @@
 """Enumeration solvers: optimal EF / eps-EF / EF1 / EFS."""
 
+import logging
 from fractions import Fraction as F
 
 import pytest
@@ -212,3 +213,15 @@ class TestSolveOptEfs:
         inst = gen_random(2, 2, 888)
         res = solve_opt_efs(inst)
         assert revenue(inst, res.contract) == res.revenue
+
+
+def test_exact_solve_logs_summary_at_info(caplog):
+    inst = gen_partition_ef([1, 2])
+    with caplog.at_level(logging.INFO, logger="faircon"):
+        res = solve_opt_ef(inst)
+    lps = res.meta["lp_solves"]  # one LP per feasible allocation for EF
+    summaries = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
+    assert summaries == [
+        f"exact: {inst.n ** inst.m} allocations visited, {lps} feasible, "
+        f"{lps} LPs, best objective {res.revenue}"
+    ]

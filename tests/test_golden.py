@@ -1,0 +1,100 @@
+"""Byte-for-byte CLI snapshots: `solve --exact-arith` for every method and
+`verify --exact-arith` for every notion, on example 5.2 and a seeded 2x3
+random instance.
+
+The snapshots pin whole fairness reports (IR and EF slacks, EF1 witnesses,
+the left-hand-side form) and solver meta, which the other tests only sample.
+After an intended output change, rewrite them with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from faircon.cli import SOLVERS, main
+from faircon.instances import gen_example, gen_random
+from faircon.serialize import dump_json, instance_to_dict
+
+GOLDEN = Path(__file__).parent / "golden"
+
+INSTANCES = {
+    "ex52": lambda: gen_example("5.2", Fraction(1, 100)),
+    "rand2x3s1": lambda: gen_random(2, 3, 1),
+}
+
+# Extra solve flags per method; eps methods share one eps, dp-ef1 gets a
+# coarse guess ladder so the snapshot stays quick.
+SOLVE_FLAGS = {m: (["--eps", "1/4"] if needs_eps else []) for m, (_, needs_eps) in SOLVERS.items()}
+SOLVE_FLAGS["dp-ef1"] = SOLVE_FLAGS["dp-ef1"] + ["--f-bits", "6"]
+
+# (instance, notion, contract, extra flags).  The rand2x3s1 ef, eps-ef and
+# ef1 contracts break IR, so their reports take the clamped left-hand side.
+VERIFY_CASES = [
+    ("ex52", "ef", {"assignment": [1], "alpha": ["1/2"]}, []),
+    ("ex52", "eps-ef", {"assignment": [1], "alpha": ["3/5"]}, ["--eps", "1/25"]),
+    ("ex52", "ef1", {"assignment": [0], "alpha": ["1/7"]}, ["--tol", "0"]),
+    (
+        "ex52", "efs",
+        {"assignment": [1], "alpha": ["3/5"], "subsidies": ["1/20", "0"]},
+        ["--tol", "0"],
+    ),
+    ("rand2x3s1", "ef", {"assignment": [1, 0, 0], "alpha": ["1/3", "1/7", "0"]}, []),
+    (
+        "rand2x3s1", "eps-ef",
+        {"assignment": [1, 0, 0], "alpha": ["1/2", "1/3", "1/7"]},
+        ["--eps", "1/10"],
+    ),
+    ("rand2x3s1", "ef1", {"assignment": [0, 1, 1], "alpha": ["1/3", "2/3", "1/7"]}, ["--tol", "0"]),
+    (
+        "rand2x3s1", "efs",
+        {"assignment": [1, 0, 0], "alpha": ["2/3", "1/2", "5/7"], "subsidies": ["1/10", "0"]},
+        [],
+    ),
+]
+
+
+def _cases():
+    """(golden file name, instance name, argv template[, contract]) per snapshot."""
+    out = []
+    for name in INSTANCES:
+        for method, flags in SOLVE_FLAGS.items():
+            argv = ["solve", "{inst}", "--method", method, "--exact-arith", *flags]
+            out.append((f"solve-{name}-{method}.json", name, argv))
+    for name, notion, contract, flags in VERIFY_CASES:
+        argv = ["verify", "{inst}", "{contract}", "--notion", notion, "--exact-arith", *flags]
+        out.append((f"verify-{name}-{notion}.json", name, argv, contract))
+    return out
+
+
+def _render(case, workdir: Path) -> bytes:
+    fname, name, argv, *contract = case
+    ipath = workdir / f"{name}.json"
+    dump_json(instance_to_dict(INSTANCES[name](), exact=True), str(ipath))
+    kpath = workdir / f"{fname}.contract.json"
+    if contract:
+        dump_json(contract[0], str(kpath))
+    out = workdir / fname
+    args = [a.format(inst=ipath, contract=kpath) for a in argv] + ["--out", str(out)]
+    main(args)  # exit code 1 (verification failed) is part of some snapshots
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("case", _cases(), ids=lambda case: case[0])
+def test_cli_output_matches_golden(case, tmp_path):
+    assert _render(case, tmp_path) == (GOLDEN / case[0]).read_bytes()
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in _cases():
+            (GOLDEN / case[0]).write_bytes(_render(case, Path(tmp)))
+            print(f"wrote {GOLDEN / case[0]}", file=sys.stderr)
