@@ -14,16 +14,33 @@ per-guess adaptive grids for EF1 contracts, where the contract grid for
 each task spans exactly the range that keeps every agent at or below its
 guessed utility.
 
+Option generation is integer arithmetic.  A task's grid points are put
+over one common denominator D and each agent's p*r and c over one
+denominator L, so the IR sign, the agent units and the principal units of
+every (grid point, agent) pair are one integer product and one floor
+division each; `agent_units` and `principal_units` remain the scalar
+definitions.  Adaptive grids are built the same way, as integer
+numerators over L*K, and each distinct point becomes a Fraction once.
+
 The FPTAS wrappers run the DP keyed on the cross-utility profile only,
 retaining the maximum-principal-units representative per profile: the
 fairness argument for the surviving representative depends only on the
 cross-utility profile, and taking the max principal units can only improve
 the revenue guarantee.  The full profile (principal units included) stays
 available for the completeness oracle.
+
+The candidate scan walks the final layer in descending float revenue.  For
+dp-ef1 it backtracks fixed-size blocks of the band into (N, m) agent and
+contract arrays and screens EF1 in numpy over the (N, n, m) utility
+tensor; only screen-passers, and screen-failers whose float revenue is too
+close to the incumbent's to order, are reconstructed and given an exact
+revenue.  The float margins of the band and of the screen are derived from
+m below (`_band_margin`, `_screen_slack`).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 import math
@@ -44,8 +61,6 @@ from .core import (
     revenue,
     verify_ef1,
     verify_eps_ef,
-    _ef1,
-    _envy_terms,
 )
 from .errors import BudgetExceededError, FairconError, InvalidInstanceError
 from .numeric import INF_WAGE, Num, ONE, ZERO, as_fraction, ceil_div
@@ -58,8 +73,9 @@ _CHUNK = 2_000_000  # transition candidates per numpy block
 
 @dataclass(frozen=True)
 class Discretization:
-    """Uniform grids: per-task contract sets, per-agent utility steps
-    (step 0 means the degenerate grid {0}), and the principal's step.
+    """Uniform grids: per-task contract sets in ascending order, per-agent
+    utility steps (step 0 means the degenerate grid {0}), and the
+    principal's step.
 
     Rounded utilities are ceil(value / step) steps, matching "smallest grid
     element >= value"; clamping at zero is implicit since grids start at 0.
@@ -70,10 +86,7 @@ class Discretization:
     principal_step: Fraction
 
     def agent_units(self, inst: Instance, i: int, j: int, alpha: Fraction) -> int:
-        return self._units(i, agent_task_utility(inst, i, j, alpha))
-
-    def _units(self, i: int, u: Fraction) -> int:
-        """Agent i's rounded units for utility u."""
+        u = agent_task_utility(inst, i, j, alpha)
         if u <= 0:
             return 0
         step = self.agent_steps[i]
@@ -131,16 +144,22 @@ def adaptive_grid(
             else:
                 cap_alpha.append(min(ONE, (guess[i] + inst.c[i][j]) / pr))
         low_alpha = min(cap_alpha)
-        points: set[Fraction] = set()
+        wages = []
         for i in range(inst.n):
             w = minimum_wage(inst, i, j)
-            if w is INF_WAGE or w > low_alpha:
-                continue
-            span = low_alpha - w
-            points.update(w + Fraction(k, K) * span for k in range(K + 1))
-        if not points:
+            if w is not INF_WAGE and w <= low_alpha:
+                wages.append(w)
+        if not wages:
             raise FairconError(f"no contract grid for task {j}; Assumption 1 broken?")
-        grids.append(tuple(sorted(points)))
+        # Point k of agent i's subgrid is w + k/K (low - w): over the common
+        # denominator L*K its numerator is K*W + k*(LOW - W).
+        L = math.lcm(low_alpha.denominator, *(w.denominator for w in wages))
+        top = low_alpha.numerator * (L // low_alpha.denominator)
+        points: set[int] = set()
+        for w in wages:
+            W = w.numerator * (L // w.denominator)
+            points.update(range(K * W, K * top + 1, top - W) if top > W else (K * W,))
+        grids.append(tuple(Fraction(x, L * K) for x in sorted(points)))
 
     return Discretization(
         task_grids=tuple(grids),
@@ -251,6 +270,25 @@ class DpResult:
             index = int(self.layer_parent[t][index])
         return tuple(assignment), tuple(alphas)
 
+    def _walk(self, positions: np.ndarray):
+        """(task, option index per position) for final-layer positions, last
+        task first."""
+        idx = positions
+        for t in range(self.inst.m - 1, -1, -1):
+            yield t, self.layer_opt[t][idx]
+            idx = self.layer_parent[t][idx]
+
+    @functools.cached_property
+    def _option_tables(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per task layer: the agent and the float contract of each option."""
+        return [
+            (
+                np.array([o[0] for o in opts], dtype=np.int64),
+                np.array([float(o[1]) for o in opts], dtype=np.float64),
+            )
+            for opts in self.options
+        ]
+
     def band(self, min_rev: Optional[Fraction]):
         """Final-layer positions whose principal units could still beat
         min_rev (h * step > min_rev), plus their float true revenues.
@@ -262,19 +300,21 @@ class DpResult:
         h_min = 0 if min_rev is None else int(min_rev / step) + 1
         positions = np.nonzero(self.final_h() >= h_min)[0].astype(np.int64)
         frev = np.zeros(len(positions), dtype=np.float64)
-        idx = positions.copy()
-        for t in range(self.inst.m - 1, -1, -1):
-            lut = np.array(
-                [
-                    (1.0 - float(a)) * float(self.inst.pr[agent][t])
-                    for agent, a, _, _ in self.options[t]
-                ],
-                dtype=np.float64,
-            )
-            o = self.layer_opt[t][idx]
-            frev += lut[o]
-            idx = self.layer_parent[t][idx]
+        pr = np.array([[float(x) for x in row] for row in self.inst.pr])
+        for t, o in self._walk(positions):
+            agents, alphas = self._option_tables[t]
+            frev += ((1.0 - alphas) * pr[agents, t])[o]
         return positions, frev
+
+    def choices(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(N, m) agent and float contract arrays of final-layer positions."""
+        agents = np.empty((len(positions), self.inst.m), dtype=np.int64)
+        alphas = np.empty((len(positions), self.inst.m), dtype=np.float64)
+        for t, o in self._walk(positions):
+            agent_of, alpha_of = self._option_tables[t]
+            agents[:, t] = agent_of[o]
+            alphas[:, t] = alpha_of[o]
+        return agents, alphas
 
 
 def _task_options(
@@ -282,24 +322,55 @@ def _task_options(
 ) -> list[tuple[int, Fraction, tuple[int, ...], int]]:
     """IR (alpha, agent) choices for task j as (agent, alpha, packed cross
     deltas, principal units), deduplicated when they move the profile
-    identically."""
+    identically.
+
+    Exact integer kernel: with the grid point alpha = A/D and agent i's
+    p*r = P_i/L_i and c = C_i/L_i, utility u_i = (A P_i - D C_i)/(D L_i), so
+    its sign is the IR test and, for a step S_i/T_i, its units are
+    ceil((A P_i - D C_i) T_i / (D L_i S_i)); the principal's units are
+    ceil((D - A) P_i T / (D L_i S)) for its step S/T.
+    """
     n = inst.n
+    grid = disc.task_grids[j]
+    D = math.lcm(*(a.denominator for a in grid))
+    h_step = disc.principal_step
+    L, P, DC, unit_den, unit_mul, h_den, h_mul = [], [], [], [], [], [], []
+    for i in range(n):
+        pr, c = inst.pr[i][j], inst.c[i][j]
+        L.append(math.lcm(pr.denominator, c.denominator))
+        P.append(pr.numerator * (L[i] // pr.denominator))
+        DC.append(D * c.numerator * (L[i] // c.denominator))
+        step = disc.agent_steps[i]
+        unit_den.append(D * L[i] * step.numerator)  # 0 marks a degenerate grid
+        unit_mul.append(step.denominator)
+        h_den.append(D * L[i] * h_step.numerator)
+        h_mul.append(P[i] * h_step.denominator)
+
     out: list[tuple[int, Fraction, tuple[int, ...], int]] = []
     seen: set[tuple[int, ...]] = set()
-    for alpha in disc.task_grids[j]:
-        u = [agent_task_utility(inst, i, j, alpha) for i in range(n)]
-        units = [disc._units(i, x) for i, x in enumerate(u)]  # the same for any receiver
+    for alpha in grid:
+        A = alpha.numerator * (D // alpha.denominator)
+        u = [A * P[i] - DC[i] for i in range(n)]  # D L_i times the utility
+        units = [0] * n  # the same for any receiver
+        for i in range(n):
+            if u[i] > 0:
+                if unit_den[i] == 0:
+                    raise FairconError(
+                        f"agent {i} has positive utility {Fraction(u[i], D * L[i])} "
+                        "but a degenerate grid"
+                    )
+                units[i] = -((-u[i] * unit_mul[i]) // unit_den[i])
+        units = tuple(units)
         for agent in range(n):
             if u[agent] < 0:
                 continue  # not IR: this pair can never appear in a contract
-            dv = [0] * (n * n)
-            for i in range(n):
-                dv[i * n + agent] = units[i]
-            dh = disc.principal_units(inst, j, agent, alpha)
-            sig = (agent, dh, *dv)
+            dh = -((-(D - A) * h_mul[agent]) // h_den[agent])
+            sig = (agent, dh, units)
             if sig in seen:
                 continue
             seen.add(sig)
+            dv = [0] * (n * n)
+            dv[agent::n] = units  # agent i's units on the receiver's bundle
             key_comps = dv if collapse_h else [dh, *dv]
             out.append((agent, alpha, packer.pack(key_comps), dh))
     return out
@@ -352,7 +423,7 @@ def dp_enumerate(
     n, m = inst.n, inst.m
     max_units = 0
     for j in range(m):
-        top = max(disc.task_grids[j])
+        top = disc.task_grids[j][-1]
         for i in range(n):
             u = agent_task_utility(inst, i, j, top)
             if u > 0 and disc.agent_steps[i] > 0:
@@ -448,39 +519,132 @@ def _max_bundle_utility(inst: Instance, i: int) -> Fraction:
     return sum((max(inst.welfare(i, j), ZERO) for j in range(inst.m)), ZERO)
 
 
-def _scan_candidates(inst, dp: DpResult, best_rev, best, verify):
+# Float margins.  Entries a, p*r, c lie in [0, 1] and round to the nearest
+# float64 with relative error at most u = 2^-53.
+#
+# Band revenue: the term (1 - a) p r comes out within 4.001u of its exact
+# value (|a - float(a)| <= u before the subtraction, then three relative
+# roundings of a value <= 1), and adding m such terms in a row adds at most
+# (m - 1) m u (1 + 4.001u) / (1 - (m - 1) u).  So for m <= 10^6
+#     |band revenue - exact revenue| <= 1.002 m (m + 4) u = _band_error(m),
+# and the incumbent's float(revenue) is off by at most m u more.  The scan
+# stops at a candidate below the incumbent's float by more than the margin,
+# and counts a screen-failer above it by more than the margin as beating the
+# incumbent without computing its exact revenue; both are sound while the
+# margin exceeds _band_error(m) + m u.  1e-9 is at least twice that up to
+# m = 2,100; beyond, the margin grows with the bound.
+_BAND_MARGIN = 1e-9
+#
+# EF1 screen: an entry a p r - c, and its clamp max(., 0), comes out within
+# 6u of its exact value.  The own and switch sums run over disjoint
+# bundles, at most m tasks together, so they are off by at most
+# 6 m u + 1.001 m^2 u together (any summation order: adding an exact zero
+# never rounds); the best drop adds 6u and the two subtractions, of values
+# <= m + 1, add u (2m + 1).  So the float EF1 slack own - (switch - drop)
+# is within _screen_error(m) = 1.01 m (m + 15) u of the exact one, and a
+# screen tolerance above it never drops an exact passer.  1e-7 is at least
+# twice that up to m = 21,000; beyond, the tolerance grows with the bound.
+_SCREEN_SLACK = 1e-7
+_UNIT_ROUNDOFF = 2.0**-53
+_SCAN_BLOCK = 4096  # band positions per screened block; bounds scan memory
+
+
+def _band_error(m: int) -> float:
+    return 1.002 * m * (m + 4) * _UNIT_ROUNDOFF
+
+
+def _band_margin(m: int) -> float:
+    return max(_BAND_MARGIN, 2 * (_band_error(m) + m * _UNIT_ROUNDOFF))
+
+
+def _screen_error(m: int) -> float:
+    return 1.01 * m * (m + 15) * _UNIT_ROUNDOFF
+
+
+def _screen_slack(m: int) -> float:
+    return max(_SCREEN_SLACK, 2 * _screen_error(m))
+
+
+def _ef1_screen(inst: Instance, agents: np.ndarray, alphas: np.ndarray, slack: float) -> np.ndarray:
+    """Float EF1 screen of N contracts, given as (N, m) agent and contract
+    arrays: False only where EF1 fails by more than `slack`.
+
+    It reads the terms of `core._envy_terms` over the (N, n, m) utility
+    tensor: own sums, clamped switch sums and best drops.  The own sum is
+    always the clamped one: at tolerance 0 the exact verifier's own sum is
+    the clamped sum whether or not IR holds (under IR the clamp changes no
+    own task), so no IR branch is needed.  Own sums are the diagonal of the
+    switch sums; an empty bundle has switch and drop 0 and so always passes.
+    """
+    n = inst.n
+    pr = np.array([[float(x) for x in row] for row in inst.pr])
+    c = np.array([[float(x) for x in row] for row in inst.c])
+    gains = np.maximum(alphas[:, None, :] * pr - c, 0.0)  # (N, n, m)
+    member = agents[:, None, :] == np.arange(n)[:, None]  # (N, n, m): task in S_j
+    switch = np.einsum("bit,bjt->bij", gains, member.astype(np.float64))
+    drop = np.where(member[:, None, :, :], gains[:, :, None, :], 0.0).max(axis=3)
+    own = np.diagonal(switch, axis1=1, axis2=2)
+    return np.all(own[:, :, None] >= switch - drop - slack, axis=(1, 2))
+
+
+def _ef1_float_plausible(inst: Instance, k: Contract) -> bool:
+    """The float EF1 screen of one contract: certain EF1 failures are
+    skipped before the exact rational check; anything borderline passes."""
+    agents = np.array([k.assignment], dtype=np.int64)
+    alphas = np.array([[float(a) for a in k.alpha]], dtype=np.float64)
+    return bool(_ef1_screen(inst, agents, alphas, _screen_slack(inst.m))[0])
+
+
+def _scan_candidates(inst, dp: DpResult, best_rev, best, verify, screen=False):
     """Best-true-revenue verifier-passing candidate, scanned by descending
-    float revenue.
+    float revenue; returns (revenue, contract, verifier calls).
 
     Full verification runs only until the first passer; afterwards exact
     revenue comparison gates it, and the scan stops once float revenue
-    falls a safety margin below the incumbent (true revenues track the
-    float ones to ~1e-12, far inside the margin).
+    falls the band margin below the incumbent.  With `screen`, the float
+    EF1 screen runs first over fixed-size blocks of the scan; a screen-failer
+    counts as one rejected verifier call whenever verify would have run, and
+    only a failer too close to the incumbent for floats to order gets
+    reconstructed, for its exact revenue.
     """
     positions, frev = dp.band(best_rev)
     if len(positions) == 0:
         return best_rev, best, 0
     order = np.argsort(-frev, kind="stable")
+    margin = _band_margin(inst.m)
+    slack = _screen_slack(inst.m)
     checks = 0
     fbest = float(best_rev) if best_rev is not None else -math.inf
-    for q in order:
-        fr = float(frev[q])
-        if fr < fbest - 1e-9:
-            break
-        assignment, alphas = dp.reconstruct(int(positions[q]))
-        contract = Contract(Allocation(assignment, inst.n), alphas)
-        if best_rev is not None:
-            rev = revenue(inst, contract)
-            if rev <= best_rev:
-                continue
-            checks += 1
-            if verify(contract):
-                best_rev, best, fbest = rev, contract, float(rev)
+    # Float revenue falls along `order` and fbest only rises, so the scan
+    # never leaves this prefix.
+    scanned = order[: int(np.count_nonzero(frev >= fbest - margin))]
+    for start in range(0, len(scanned), _SCAN_BLOCK):
+        block = scanned[start : start + _SCAN_BLOCK]
+        if screen:
+            passed = _ef1_screen(inst, *dp.choices(positions[block]), slack).tolist()
         else:
-            checks += 1
-            if verify(contract):
-                best_rev = revenue(inst, contract)
-                best, fbest = contract, float(best_rev)
+            passed = [True] * len(block)
+        for q, ok in zip(block.tolist(), passed):
+            fr = float(frev[q])
+            if fr < fbest - margin:
+                return best_rev, best, checks
+            if not ok and (best_rev is None or fr > fbest + margin):
+                checks += 1  # verify would run, and reject
+                continue
+            assignment, alphas = dp.reconstruct(int(positions[q]))
+            contract = Contract(Allocation(assignment, inst.n), alphas)
+            if best_rev is not None:
+                rev = revenue(inst, contract)
+                if rev <= best_rev:
+                    continue
+                checks += 1
+                if ok and verify(contract):
+                    best_rev, best, fbest = rev, contract, float(rev)
+            else:
+                checks += 1
+                if verify(contract):
+                    best_rev = revenue(inst, contract)
+                    best, fbest = contract, float(best_rev)
     return best_rev, best, checks
 
 
@@ -554,6 +718,7 @@ def solve_ef1_fptas(
     rounded utilities multiplicatively faithful, which is what turns
     near-envy-freeness into exact EF1.  Candidates from all guesses are
     filtered by the exact EF1 verifier; the best true revenue wins.
+    budget_states bounds the DP states of all guesses together.
     """
     eps = as_fraction(eps)
     if eps <= 0:
@@ -588,18 +753,19 @@ def solve_ef1_fptas(
         caps = [(K + ceil_div(nu, step) + m) if guess[i] > 0 else 0 for i in range(n)]
         floor = rev_floor if best_rev is None else max(rev_floor, best_rev)
         h_floor = int(floor / step) if floor > 0 else None
-        dp = dp_enumerate(
-            inst, disc, budget_states, caps, collapse_h=True, min_final_h=h_floor
-        )
+        # Each guess's DP gets what the earlier guesses left of the budget.
+        try:
+            dp = dp_enumerate(
+                inst, disc, budget_states - states_total, caps,
+                collapse_h=True, min_final_h=h_floor,
+            )
+        except BudgetExceededError as exc:
+            raise BudgetExceededError("states", budget_states, states_total + exc.needed) from None
         states_total += dp.states_total
 
-        def ef1_exact(contract: Contract) -> bool:
-            if not _ef1_float_plausible(inst, contract):
-                return False
-            ok, _ = verify_ef1(inst, contract, tol=0)
-            return ok
-
-        new_rev, new_best, checks = _scan_candidates(inst, dp, best_rev, best, ef1_exact)
+        new_rev, new_best, checks = _scan_candidates(
+            inst, dp, best_rev, best, lambda k: verify_ef1(inst, k, tol=0)[0], screen=True
+        )
         exact_checks += checks
         if new_best is not best:
             best_rev, best, best_guess = new_rev, new_best, guess
@@ -621,19 +787,3 @@ def solve_ef1_fptas(
         },
     )
 
-
-def _ef1_float_plausible(inst: Instance, k: Contract, slack: float = 1e-7) -> bool:
-    """Cheap float screen: certain EF1 failures are skipped before the
-    exact rational check; anything borderline goes through.
-
-    The exact EF1 comparison runs on a float utility matrix with tolerance
-    `slack`.  Candidates are IR, so no float entry of an assigned pair
-    falls below -slack and the own-bundle sums stay plain, as in the exact
-    verifier.
-    """
-    alpha = [float(a) for a in k.alpha]
-    u = [
-        [a * float(pr) - float(c) for a, pr, c in zip(alpha, pr_row, c_row)]
-        for pr_row, c_row in zip(inst.pr, inst.c)
-    ]
-    return _ef1(_envy_terms(u, k, slack, zero=0.0), slack)[0]

@@ -200,3 +200,68 @@ def exhaustive_profiles(inst: Instance, grids, agent_steps, principal_step):
                         v[i * n + agent] += ceil_units(u, agent_steps[i])
             profiles.add((h, *v))
     return profiles
+
+
+def task_options_reference(inst: Instance, disc, j: int, packer, collapse_h: bool):
+    """IR (agent, alpha, packed cross deltas, principal units) choices for
+    task j, in Fractions straight from the rounding definitions: the DP's
+    option list before its integer kernel, kept as the kernel's reference.
+
+    Units are ceil(u / step) for u > 0 and 0 otherwise; a positive utility
+    on a degenerate (step 0) grid raises FairconError.
+    """
+    from faircon.errors import FairconError
+
+    def units(u: Fraction, step: Fraction, i: int) -> int:
+        if u <= 0:
+            return 0
+        if step == 0:
+            raise FairconError(f"agent {i} has positive utility {u} but a degenerate grid")
+        return -((-u) // step)
+
+    n = inst.n
+    out = []
+    seen = set()
+    for alpha in disc.task_grids[j]:
+        u = [alpha * inst.p[i][j] * inst.r[j] - inst.c[i][j] for i in range(n)]
+        du = [units(x, disc.agent_steps[i], i) for i, x in enumerate(u)]
+        for agent in range(n):
+            if u[agent] < 0:
+                continue
+            dv = [0] * (n * n)
+            for i in range(n):
+                dv[i * n + agent] = du[i]
+            dh = units((1 - alpha) * inst.p[agent][j] * inst.r[j], disc.principal_step, agent)
+            sig = (agent, dh, *dv)
+            if sig in seen:
+                continue
+            seen.add(sig)
+            out.append((agent, alpha, packer.pack(dv if collapse_h else [dh, *dv]), dh))
+    return out
+
+
+def adaptive_task_grids_reference(inst: Instance, guess, K: int):
+    """Per-task contract grids of the EF1 discretization in Fractions: for
+    each agent with a finite minimum wage w at or below the task's cap, the
+    K + 1 points w + k/K (cap - w); the grid is their sorted union."""
+    grids = []
+    for j in range(inst.m):
+        low = Fraction(1)
+        for i in range(inst.n):
+            pr = inst.p[i][j] * inst.r[j]
+            if pr > 0:
+                low = min(low, (guess[i] + inst.c[i][j]) / pr)
+        points = set()
+        for i in range(inst.n):
+            pr = inst.p[i][j] * inst.r[j]
+            if inst.c[i][j] == 0:
+                w = Fraction(0)
+            elif pr > 0:
+                w = inst.c[i][j] / pr
+            else:
+                continue
+            if w > low:
+                continue
+            points.update(w + Fraction(k, K) * (low - w) for k in range(K + 1))
+        grids.append(tuple(sorted(points)))
+    return tuple(grids)

@@ -1,10 +1,15 @@
 """Discretization, the profile DP, and the two FPTAS solvers."""
 
+import itertools
+import json
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
+from faircon import dp as dp_module
+from faircon.cli import main
 from faircon.core import (
     Allocation,
     Contract,
@@ -18,7 +23,14 @@ from faircon.core import (
     verify_ir,
 )
 from faircon.dp import (
+    Discretization,
+    _Packer,
+    _band_error,
+    _band_margin,
     _ef1_float_plausible,
+    _ef1_screen,
+    _screen_slack,
+    _task_options,
     adaptive_grid,
     dp_enumerate,
     instance_bit_length,
@@ -27,13 +39,19 @@ from faircon.dp import (
     uniform_grid,
     utility_guesses,
 )
-from faircon.errors import BudgetExceededError, InvalidInstanceError
+from faircon.errors import BudgetExceededError, FairconError, InvalidInstanceError
 from faircon.exact import solve_opt_ef
 from faircon.instances import gen_partition_ef1, gen_random
 from faircon.numeric import ONE, ZERO
+from faircon.serialize import dump_json, instance_to_dict
 
 from conftest import make_contract, random_instances
-from oracles import ef1_holds_exhaustive, exhaustive_profiles
+from oracles import (
+    adaptive_task_grids_reference,
+    ef1_holds_exhaustive,
+    exhaustive_profiles,
+    task_options_reference,
+)
 
 
 class TestRounding:
@@ -289,3 +307,182 @@ class TestEf1FloatScreen:
         k = make_contract(inst, [0, 1, 1], [F(1, 10), F(1, 2), F(1, 2)])
         assert not verify_ef1(inst, k, tol=0)[0]
         assert not _ef1_float_plausible(inst, k)
+
+
+def _fptas_runs(monkeypatch, inst, eps, f_bits, budget_states=None):
+    """solve_ef1_fptas's result and the DpResult of every guess it ran."""
+    runs = []
+    real = dp_module.dp_enumerate
+
+    def recording(*args, **kwargs):
+        runs.append(real(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(dp_module, "dp_enumerate", recording)
+    kwargs = {} if budget_states is None else {"budget_states": budget_states}
+    res = solve_ef1_fptas(inst, eps, f_bits=f_bits, **kwargs)
+    monkeypatch.undo()
+    return res, runs
+
+
+def _options_match(inst, disc):
+    """The kernel's options equal the Fraction reference's, and each one's
+    units equal the scalar `agent_units` / `principal_units`."""
+    n = inst.n
+    for collapse_h in (True, False):
+        packer = _Packer(10**6, n * n + (0 if collapse_h else 1))
+        for j in range(inst.m):
+            kernel = _task_options(inst, disc, j, packer, collapse_h)
+            assert kernel == task_options_reference(inst, disc, j, packer, collapse_h)
+            assert all(type(x) is int for o in kernel for x in (o[0], o[3], *o[2]))
+            for agent, alpha, key, dh in kernel:
+                assert dh == disc.principal_units(inst, j, agent, alpha)
+                dv = packer.unpack_rows(np.array([key], dtype=np.int64))[0][-n * n :]
+                for i in range(n):
+                    assert dv[i * n + agent] == disc.agent_units(inst, i, j, alpha)
+
+
+# Agent 0 can never be paid on task 0 (p r = 0, c > 0); agent 1 does task 1
+# for free (p r = 0, c = 0).
+ZERO_PR = Instance(
+    r=(1, F(3, 4)), p=((0, F(1, 2)), (F(1, 3), 0)), c=((F(1, 4), F(1, 9)), (F(1, 7), 0))
+)
+
+
+class TestOptionKernel:
+    """The integer option kernel and the integer adaptive grid equal the
+    Fraction definitions they replace, option for option."""
+
+    def test_uniform_grids(self):
+        for inst in random_instances(12, 3, 4, seed0=4100) + [ZERO_PR]:
+            for steps in (1, 7, 12):
+                _options_match(inst, uniform_grid(inst, steps))
+
+    def test_adaptive_grids(self):
+        checked = 0
+        for inst in random_instances(12, 3, 4, seed0=4200) + [ZERO_PR]:
+            ladder = utility_guesses(inst, 2)
+            guesses = list(itertools.product(ladder, repeat=inst.n))
+            for guess in random.Random(inst.m).sample(guesses, min(4, len(guesses))):
+                for K in (5, 24):
+                    disc = adaptive_grid(inst, guess, F(1, K), K)
+                    assert disc.task_grids == adaptive_task_grids_reference(inst, guess, K)
+                    _options_match(inst, disc)
+                    checked += 1
+        assert checked > 60
+
+    def test_zero_guess(self, ex52):
+        for inst in (ex52, ZERO_PR, gen_partition_ef1([1])):
+            guess = (ZERO,) * inst.n
+            disc = adaptive_grid(inst, guess, F(1, 12), 12)
+            assert disc.task_grids == adaptive_task_grids_reference(inst, guess, 12)
+            _options_match(inst, disc)
+
+    def test_positive_utility_on_degenerate_grid_raises(self):
+        inst = Instance(r=(1,), p=((F(1, 2),), (1,)), c=((F(1, 8),), (F(1, 4),)))
+        disc = Discretization(
+            task_grids=((F(1, 4), F(1, 2)),),
+            agent_steps=(ZERO, F(1, 8)),
+            principal_step=F(1, 8),
+        )
+        packer = _Packer(100, 4)
+        # At alpha 1/2 agent 0 earns 1/8 but has no utility grid.
+        with pytest.raises(FairconError) as ref:
+            task_options_reference(inst, disc, 0, packer, True)
+        with pytest.raises(FairconError) as kernel:
+            _task_options(inst, disc, 0, packer, True)
+        assert str(kernel.value) == str(ref.value) == (
+            "agent 0 has positive utility 1/8 but a degenerate grid"
+        )
+
+
+# (instance, eps, f_bits) whose every guess's DP band the screen tests read:
+# partition-ef1 [1], the scan-bound benchmark solve, and seeded 2x4 and 3x3
+# instances.
+SCREEN_CASES = [
+    (gen_partition_ef1([1]), F(1, 6), 1),
+    (gen_random(2, 4, 21), F(1, 4), 3),
+    (gen_random(2, 4, 22, "sparse-ability"), F(1, 4), 3),
+    (gen_random(3, 3, 23), F(1, 4), 2),
+    (gen_random(3, 3, 24, "cost-heavy"), F(1, 4), 2),
+]
+
+
+class TestBandScreen:
+    """The numpy EF1 screen over a DP band may only drop positions whose
+    contracts fail EF1 exactly."""
+
+    @pytest.mark.parametrize("case", range(len(SCREEN_CASES)))
+    def test_never_drops_an_exact_passer(self, monkeypatch, case):
+        inst, eps, f_bits = SCREEN_CASES[case]
+        _, runs = _fptas_runs(monkeypatch, inst, eps, f_bits)
+        passers = dropped = 0
+        for dp in runs:
+            positions, _ = dp.band(None)
+            screened = _ef1_screen(inst, *dp.choices(positions), _screen_slack(inst.m))
+            for pos, ok in zip(positions.tolist(), screened.tolist()):
+                assignment, alphas = dp.reconstruct(pos)
+                k = Contract(Allocation(assignment, inst.n), alphas)
+                if verify_ef1(inst, k, tol=0)[0]:
+                    passers += 1
+                    assert ok, (assignment, alphas)
+                else:
+                    dropped += not ok
+                assert ok == _ef1_float_plausible(inst, k)
+        assert passers > 0
+        if case == 0:
+            # The partition bands are mostly clear failures; on the random
+            # instances every band contract here is EF1.
+            assert dropped > 1000
+
+    def test_band_revenue_error_bound(self, monkeypatch):
+        # The scan-bound instance: thousands of band positions per solve.
+        inst, eps, f_bits = SCREEN_CASES[0]
+        _, runs = _fptas_runs(monkeypatch, inst, eps, f_bits)
+        bound = _band_error(inst.m)
+        checked = 0
+        worst = 0.0
+        for dp in runs:
+            positions, frev = dp.band(None)
+            for pos, fr in zip(positions.tolist(), frev.tolist()):
+                assignment, alphas = dp.reconstruct(pos)
+                rev = revenue(inst, Contract(Allocation(assignment, inst.n), alphas))
+                worst = max(worst, abs(F(fr) - rev))
+                checked += 1
+        assert checked > 1000
+        assert worst <= bound
+        assert _band_margin(inst.m) == 1e-9 and _screen_slack(inst.m) == 1e-7
+
+    def test_scan_reconstructs_only_screen_passers(self, monkeypatch):
+        # 6,289 band positions count as verifier calls, but the screen
+        # rejects all but a few before any contract is rebuilt.
+        rebuilt = []
+        real = dp_module.DpResult.reconstruct
+        monkeypatch.setattr(
+            dp_module.DpResult, "reconstruct", lambda dp, i: rebuilt.append(i) or real(dp, i)
+        )
+        res = solve_ef1_fptas(gen_partition_ef1([1]), F(1, 6), f_bits=1)
+        assert (res.meta["exact_checks"], res.meta["states"]) == (6289, 8659)
+        assert res.revenue == F(7, 10)
+        assert 0 < len(rebuilt) < 100
+
+
+def test_state_budget_spans_all_guesses(monkeypatch, tmp_path):
+    # The README instance: every guess's DP fits in a budget one state short
+    # of the solve's total, so only a budget shared by all guesses stops it.
+    inst = gen_random(2, 4, 7, "sparse-ability")
+    res, runs = _fptas_runs(monkeypatch, inst, F(1, 4), 3)
+    total = res.meta["states"]
+    assert total == sum(dp.states_total for dp in runs)
+    budget = total - 1
+    assert max(dp.states_total for dp in runs) < budget
+    with pytest.raises(BudgetExceededError) as exc:
+        solve_ef1_fptas(inst, F(1, 4), budget_states=budget, f_bits=3)
+    assert exc.value.limit == budget and exc.value.needed > budget
+    path = tmp_path / "readme.json"
+    dump_json(instance_to_dict(inst, exact=True), str(path))
+    argv = ["solve", str(path), "--method", "dp-ef1", "--eps", "1/4", "--f-bits", "3"]
+    assert main(argv + ["--budget-states", str(budget)]) == 2
+    out = tmp_path / "sol.json"
+    assert main(argv + ["--budget-states", str(2 * total), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["meta"]["states"] == total

@@ -1,6 +1,7 @@
 """Byte-for-byte CLI snapshots: `solve --exact-arith` for every method and
 `verify --exact-arith` for every notion, on example 5.2 and a seeded 2x3
-random instance.
+random instance, plus two dp-ef1 solves that exercise the adaptive-grid
+option kernel and the candidate-band screen at scale.
 
 The snapshots pin whole fairness reports (IR and EF slacks, EF1 witnesses,
 the left-hand-side form) and solver meta, which the other tests only sample.
@@ -18,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from faircon.cli import SOLVERS, main
-from faircon.instances import gen_example, gen_random
+from faircon.instances import gen_example, gen_partition_ef1, gen_random
 from faircon.serialize import dump_json, instance_to_dict
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -26,12 +27,23 @@ GOLDEN = Path(__file__).parent / "golden"
 INSTANCES = {
     "ex52": lambda: gen_example("5.2", Fraction(1, 100)),
     "rand2x3s1": lambda: gen_random(2, 3, 1),
+    "pef1-1": lambda: gen_partition_ef1([1]),
+    "readme": lambda: gen_random(2, 4, 7, "sparse-ability"),
 }
 
 # Extra solve flags per method; eps methods share one eps, dp-ef1 gets a
 # coarse guess ladder so the snapshot stays quick.
 SOLVE_FLAGS = {m: (["--eps", "1/4"] if needs_eps else []) for m, (_, needs_eps) in SOLVERS.items()}
 SOLVE_FLAGS["dp-ef1"] = SOLVE_FLAGS["dp-ef1"] + ["--f-bits", "6"]
+
+# (instance, method, flags) solved on their own.  pef1-1 is scan-bound: its
+# band holds thousands of candidates for a handful of exact verifications
+# (meta pins exact_checks and states).  readme is the README's instance at a
+# short guess ladder.
+EXTRA_SOLVES = [
+    ("pef1-1", "dp-ef1", ["--eps", "1/6", "--f-bits", "1"]),
+    ("readme", "dp-ef1", ["--eps", "1/4", "--f-bits", "3"]),
+]
 
 # (instance, notion, contract, extra flags).  The rand2x3s1 ef, eps-ef and
 # ef1 contracts break IR, so their reports take the clamped left-hand side.
@@ -62,10 +74,10 @@ VERIFY_CASES = [
 def _cases():
     """(golden file name, instance name, argv template[, contract]) per snapshot."""
     out = []
-    for name in INSTANCES:
-        for method, flags in SOLVE_FLAGS.items():
-            argv = ["solve", "{inst}", "--method", method, "--exact-arith", *flags]
-            out.append((f"solve-{name}-{method}.json", name, argv))
+    solves = [(name, m, f) for name in ("ex52", "rand2x3s1") for m, f in SOLVE_FLAGS.items()]
+    for name, method, flags in solves + EXTRA_SOLVES:
+        argv = ["solve", "{inst}", "--method", method, "--exact-arith", *flags]
+        out.append((f"solve-{name}-{method}.json", name, argv))
     for name, notion, contract, flags in VERIFY_CASES:
         argv = ["verify", "{inst}", "{contract}", "--notion", notion, "--exact-arith", *flags]
         out.append((f"verify-{name}-{notion}.json", name, argv, contract))
