@@ -3,6 +3,30 @@
 Feasible at desk scale (n^m allocations, each solved as an LP); these are
 the oracles the approximate solvers are tested against.  Budgets count LP
 solves, not wall time, so runs are reproducible.
+
+One driver, `_best_lp`, runs a depth-first branch-and-bound that assigns
+tasks 0..m-1 in order, so it reaches allocations in lexicographic order.
+It returns exactly what plain enumeration returns, by three arguments:
+
+- *Bound.*  Every contract LP keeps the IR row alpha_j pr >= c for each
+  assigned pair, so task j adds (1 - alpha_j) pr <= pr - c, the pair's
+  welfare, to the objective; EFS subsidies only subtract.  A prefix of the
+  assignment is therefore worth at most its welfare plus, per remaining
+  task, the best welfare over the agents that admit an IR contract.
+- *Seed.*  Greedy EF is envy-free with zero subsidies, so it is also
+  eps-EF, EF1 and EFS; its revenue is a lower bound on every optimum here.
+  Its own allocation's bound equals that revenue, so only a bound strictly
+  below the seed is cut.  A bound at most the best LP objective so far is
+  cut too: allocations come in lexicographic order and only a strictly
+  better optimum replaces the incumbent, so the result is still the first
+  allocation, and its first model, that reaches the optimum.
+- *Symmetry.*  Agents with equal p and c rows are interchangeable:
+  swapping them maps fair contracts to fair contracts of equal revenue, so
+  an allocation and its image have the same optimum.  Only canonical
+  allocations are searched, where such an agent takes a task only once the
+  equal agent before it holds one.  The lexicographically first optimum is
+  the smallest allocation of its orbit, which is canonical, so it is never
+  cut.
 """
 
 from __future__ import annotations
@@ -18,6 +42,7 @@ from .core import (
     Contract,
     Instance,
     SolveResult,
+    greedy_ef,
     minimum_wage,
     revenue,
     verify_ef1,
@@ -35,7 +60,7 @@ from .lp import (
     build_efs_lp,
     solve_lp,
 )
-from .numeric import INF_WAGE, Num, ONE, ZERO, as_fraction
+from .numeric import Num, ONE, ZERO, as_fraction
 
 log = logging.getLogger("faircon")
 
@@ -43,68 +68,107 @@ DEFAULT_LP_BUDGET = 10**7
 _LOG_EVERY_LPS = 1_000  # DEBUG progress interval
 
 __all__ = [
-    "assignments",
     "solve_opt_ef",
     "solve_opt_ef1",
     "enumerate_case4_bounds",
     "solve_opt_efs",
 ]
 
-
-def assignments(n: int, m: int) -> Iterator[tuple[int, ...]]:
-    """All full allocations in lexicographic (mixed-radix) order."""
-    return itertools.product(range(n), repeat=m)
+_Best = tuple[Fraction, Allocation, LpModel, LpSolution]
 
 
-def _assignment_feasible(inst: Instance, assignment: tuple[int, ...]) -> bool:
-    """Every assigned pair must admit an IR contract (wage <= 1)."""
-    for j, i in enumerate(assignment):
-        w = minimum_wage(inst, i, j)
-        if w is INF_WAGE or w > 1:
-            return False
-    return True
+def _viable_welfare(inst: Instance) -> list[list[tuple[int, Fraction]]]:
+    """Per task, (agent, welfare) for each agent that admits an IR contract
+    (minimum wage <= 1), in agent order."""
+    return [
+        [(i, inst.welfare(i, j)) for i in range(inst.n) if minimum_wage(inst, i, j) <= 1]
+        for j in range(inst.m)
+    ]
+
+
+def _twin_before(inst: Instance) -> list[Optional[int]]:
+    """Per agent, the nearest earlier agent with equal p and c rows, if any."""
+    last: dict[tuple, int] = {}
+    out: list[Optional[int]] = []
+    for i in range(inst.n):
+        key = (inst.p[i], inst.c[i])
+        out.append(last.get(key))
+        last[key] = i
+    return out
 
 
 def _best_lp(
     inst: Instance,
     budget_lps: int,
     models: Callable[[Allocation], Iterable[LpModel]],
-) -> tuple[tuple[Fraction, Allocation, LpModel, LpSolution], int]:
-    """Best LP optimum over all IR-feasible allocations.
+) -> tuple[_Best, dict[str, int]]:
+    """Best LP optimum over all IR-feasible allocations, by branch-and-bound.
 
-    `models(alloc)` yields the LP models for one allocation.  Allocations
-    are visited in lexicographic order and the first strictly better
-    optimum wins, so ties resolve to the earliest allocation and model.
-    Every LP is charged to `budget_lps`; n^m above the budget fails before
-    any work.  Returns ((objective, allocation, model, solution), LP count).
-    Logs progress at DEBUG and a summary at INFO.
+    `models(alloc)` yields the LP models for one allocation.  The result is
+    the one plain enumeration gives: the first allocation in lexicographic
+    order, and its first model, that attains the best optimum.  The module
+    docstring argues why the welfare bound, the greedy-EF seed and the
+    twin-agent rule never cut that allocation.  Within an allocation the
+    model loop stops once an LP reaches the allocation's welfare, since no
+    later model can beat it.  Every LP is
+    charged to `budget_lps`; n^m above the budget fails before any work.
+    Returns ((objective, allocation, model, solution), counts) with counts
+    {"lp_solves", "allocations_solved"}, the latter the allocations that
+    reached an LP.  Logs progress at DEBUG and a summary at INFO.
     """
     count = inst.n**inst.m
     if count > budget_lps:
         raise BudgetExceededError("lps", budget_lps, count)
-    lps = feasible = 0
-    best = None
-    for visited, assignment in enumerate(assignments(inst.n, inst.m), 1):
-        if not _assignment_feasible(inst, assignment):
-            continue
-        feasible += 1
-        alloc = Allocation(assignment, inst.n)
+    viable = _viable_welfare(inst)
+    twin = _twin_before(inst)
+    rest = [ZERO] * (inst.m + 1)  # rest[d]: best welfare of tasks d..m-1
+    for j in reversed(range(inst.m)):
+        rest[j] = rest[j + 1] + max(w for _, w in viable[j])
+    seed = revenue(inst, greedy_ef(inst))
+    assignment = [0] * inst.m
+    held = [0] * inst.n
+    lps = solved = 0
+    best: Optional[_Best] = None
+
+    def solve_leaf(welfare: Fraction) -> None:
+        nonlocal best, lps, solved
+        solved += 1
+        alloc = Allocation(tuple(assignment), inst.n)
         for model in models(alloc):
             lps += 1
             if lps > budget_lps:
                 raise BudgetExceededError("lps", budget_lps)
             sol = solve_lp(model)
+            if lps % _LOG_EVERY_LPS == 0:
+                log.debug("exact: %d LPs, %d allocations solved", lps, solved)
             if sol.optimal and (best is None or sol.objective > best[0]):
                 best = (sol.objective, alloc, model, sol)
-            if lps % _LOG_EVERY_LPS == 0:
-                log.debug("exact: %d LPs, %d/%d allocations visited", lps, visited, count)
+            if sol.optimal and sol.objective == welfare:
+                return
+
+    def search(d: int, welfare: Fraction) -> None:
+        if d == inst.m:
+            solve_leaf(welfare)
+            return
+        for i, w in viable[d]:
+            if twin[i] is not None and not held[twin[i]]:
+                continue
+            bound = welfare + w + rest[d + 1]
+            if bound < seed or (best is not None and bound <= best[0]):
+                continue
+            assignment[d] = i
+            held[i] += 1
+            search(d + 1, welfare + w)
+            held[i] -= 1
+
+    search(0, ZERO)
     log.info(
-        "exact: %d allocations visited, %d feasible, %d LPs, best objective %s",
-        count, feasible, lps, None if best is None else best[0],
+        "exact: %d allocations, %d solved, %d LPs, best objective %s",
+        count, solved, lps, None if best is None else best[0],
     )
     if best is None:
         raise FairconError("no feasible allocation; Assumption 1 should prevent this")
-    return best, lps
+    return best, {"lp_solves": lps, "allocations_solved": solved}
 
 
 def _check_optimum(inst: Instance, contract: Contract, fair: bool, method: str) -> None:
@@ -119,7 +183,7 @@ def solve_opt_ef(
     """Optimal (eps-)envy-free contract by enumerating all allocations and
     solving the fixed-allocation LP for each."""
     eps = as_fraction(eps)
-    (value, alloc, model, sol), lps = _best_lp(
+    (value, alloc, model, sol), counts = _best_lp(
         inst, budget_lps, lambda alloc: [build_ef_lp(inst, alloc, eps)]
     )
     contract = Contract(alloc, alphas_from_solution(model, sol, inst.m))
@@ -129,7 +193,7 @@ def solve_opt_ef(
         contract,
         value,
         method,
-        {"eps": eps, "lp_solves": lps, "allocations": inst.n**inst.m},
+        {"eps": eps, **counts, "allocations": inst.n**inst.m},
     )
 
 
@@ -209,6 +273,10 @@ def solve_opt_ef1(inst: Instance, budget_lps: int = DEFAULT_LP_BUDGET) -> SolveR
         bound_options: list[list[dict[int, Fraction]]] = []
         if empty:
             for j in nonempty:
+                # Each task's cut list holds the empty agents and two sentinels.
+                size = (len(empty) + 2) ** len(bundles[j])
+                if size > budget_lps:
+                    raise BudgetExceededError("lps", budget_lps, size)
                 vectors = enumerate_case4_bounds(inst, bundles[j], empty)
                 # Equal wages can repeat a threshold map; one LP each suffices.
                 unique = list({tuple(sorted(v.items())): v for v in vectors}.values())
@@ -225,10 +293,10 @@ def solve_opt_ef1(inst: Instance, budget_lps: int = DEFAULT_LP_BUDGET) -> SolveR
                     upper.update(chunk)
                 yield build_ef1_lp(inst, alloc, witnesses, upper)
 
-    (value, alloc, model, sol), lps = _best_lp(inst, budget_lps, models)
+    (value, alloc, model, sol), counts = _best_lp(inst, budget_lps, models)
     contract = Contract(alloc, alphas_from_solution(model, sol, inst.m))
     _check_optimum(inst, contract, verify_ef1(inst, contract)[0], "exact-ef1")
-    return SolveResult(contract, value, "exact-ef1", {"lp_solves": lps})
+    return SolveResult(contract, value, "exact-ef1", counts)
 
 
 def solve_opt_efs(inst: Instance, budget_lps: int = DEFAULT_LP_BUDGET) -> SolveResult:
@@ -241,7 +309,7 @@ def solve_opt_efs(inst: Instance, budget_lps: int = DEFAULT_LP_BUDGET) -> SolveR
     materialized on the augmented instance and mapped back, which recovers
     the subsidies as the payments on added tasks.
     """
-    (value, alloc, model, sol), lps = _best_lp(
+    (value, alloc, model, sol), counts = _best_lp(
         inst, budget_lps, lambda alloc: [build_efs_lp(inst, alloc)]
     )
     subsidies = tuple(sol.values[f"s[{i}]"] for i in range(inst.n))
@@ -257,5 +325,5 @@ def solve_opt_efs(inst: Instance, budget_lps: int = DEFAULT_LP_BUDGET) -> SolveR
         contract,
         value,
         "exact-efs",
-        {"lp_solves": lps, "augmented_tasks": aug_inst.m},
+        {**counts, "augmented_tasks": aug_inst.m},
     )

@@ -265,3 +265,37 @@ def adaptive_task_grids_reference(inst: Instance, guess, K: int):
             points.update(w + Fraction(k, K) * (low - w) for k in range(K + 1))
         grids.append(tuple(sorted(points)))
     return tuple(grids)
+
+
+def best_lp_reference(inst: Instance, budget_lps: int, models):
+    """The exact solvers' driver as plain enumeration: every allocation in
+    `itertools.product` order whose pairs all admit an IR contract, every
+    model of it, and the first strictly better LP optimum wins.
+
+    A drop-in for `faircon.exact._best_lp` (same arguments, same return
+    shape) with no bound, seed or symmetry, so patching it in gives the
+    reference each branch-and-bound solve must match.  It reuses the
+    library's LP builders and simplex: it checks the search, not the LPs.
+    """
+    from faircon.core import minimum_wage
+    from faircon.errors import BudgetExceededError
+    from faircon.lp import solve_lp
+
+    if inst.n**inst.m > budget_lps:
+        raise BudgetExceededError("lps", budget_lps, inst.n**inst.m)
+    lps = solved = 0
+    best = None
+    for assignment in itertools.product(range(inst.n), repeat=inst.m):
+        if any(minimum_wage(inst, i, j) > 1 for j, i in enumerate(assignment)):
+            continue
+        solved += 1
+        alloc = Allocation(assignment, inst.n)
+        for model in models(alloc):
+            lps += 1
+            if lps > budget_lps:
+                raise BudgetExceededError("lps", budget_lps)
+            sol = solve_lp(model)
+            if sol.optimal and (best is None or sol.objective > best[0]):
+                best = (sol.objective, alloc, model, sol)
+    assert best is not None, "no feasible allocation"
+    return best, {"lp_solves": lps, "allocations_solved": solved}

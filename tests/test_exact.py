@@ -2,11 +2,15 @@
 
 import logging
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 
+from faircon.cli import main
 from faircon.core import (
     Allocation,
+    Instance,
+    greedy_ef,
     revenue,
     unconstrained_opt,
     verify_ef,
@@ -31,10 +35,12 @@ from faircon.instances import (
     gen_random,
     gen_two_agent_hard,
 )
+from faircon.lp import LpRow
 from faircon.numeric import ONE, ZERO
+from faircon.serialize import dump_json, instance_to_dict
 
 from conftest import random_instances
-from oracles import grid_ef1_opt, grid_efs_opt_two_agents, grid_ef_best
+from oracles import best_lp_reference, grid_ef1_opt, grid_efs_opt_two_agents, grid_ef_best
 
 
 class TestSolveOptEf:
@@ -99,13 +105,66 @@ class TestSolveOptEf:
             opt_ef1 = solve_opt_ef1(inst).revenue
             opt = unconstrained_opt(inst)
             assert opt_ef <= opt_ef1 <= opt
-            from faircon.core import greedy_ef
-
             assert revenue(inst, greedy_ef(inst)) <= opt_ef
 
     def test_budget_rejection(self, ex52):
         with pytest.raises(BudgetExceededError):
             solve_opt_ef(ex52, 0, budget_lps=1)
+
+    def test_partition_five_integers_under_300_lps(self):
+        # 729 allocations; the welfare bound, the greedy seed and the
+        # twin-agent rule leave fewer than 300 of them to an LP.
+        res = solve_opt_ef(gen_partition_ef([1, 2, 3, 4, 5]))
+        assert res.revenue == F(1, 5)
+        assert res.meta["lp_solves"] < 300
+
+
+class TestBranchAndBound:
+    # Agent 0 is cheap on task 0 and agent 1 on task 1, so greedy EF pays
+    # each its cost, keeps all welfare (8/5) and is the only optimum: every
+    # other allocation is worth at most 9/10.
+    GREEDY_ONLY = Instance(
+        r=(ONE, ONE), p=((ONE, ONE), (ONE, ONE)), c=((F(1, 5), F(9, 10)), (F(9, 10), F(1, 5)))
+    )
+
+    def test_greedy_only_optimum_is_found(self):
+        inst = self.GREEDY_ONLY
+        seed = revenue(inst, greedy_ef(inst))
+        assert seed == F(8, 5)
+        for solve in (solve_opt_ef, solve_opt_ef1, solve_opt_efs):
+            res = solve(inst)
+            assert res.contract.assignment == (0, 1)
+            assert res.contract.alpha == (F(1, 5), F(1, 5))
+            assert res.revenue == seed
+
+    def test_model_loop_stops_only_at_the_allocation_welfare(self):
+        # One pair of welfare 3/4.  A model that floors alpha at 1/2 is worth
+        # 1/4 less, so the loop must go on past it, and stop after the plain
+        # model, which reaches the welfare.
+        inst = Instance(r=(ONE,), p=((ONE,),), c=((F(1, 4),),))
+
+        def floored(alloc):
+            model = exact.build_ef_lp(inst, alloc)
+            model.rows.append(LpRow({0: ONE}, ">=", F(1, 2), "floor"))
+            return model
+
+        plain = lambda alloc: exact.build_ef_lp(inst, alloc)  # noqa: E731
+        (value, _, _, _), counts = exact._best_lp(inst, 10, lambda a: [floored(a), plain(a)])
+        assert value == F(3, 4) and counts["lp_solves"] == 2
+        (value, _, _, _), counts = exact._best_lp(inst, 10, lambda a: [plain(a), floored(a)])
+        assert value == F(3, 4) and counts["lp_solves"] == 1
+
+    def test_twin_agents_keep_the_first_optimum(self):
+        # Agents 1 and 2 are equal, so the optimum's orbit holds several
+        # allocations; the search must return the lexicographically first,
+        # as plain enumeration does.
+        inst = gen_partition_ef([1, 2])
+        for solve in (solve_opt_ef, solve_opt_ef1, solve_opt_efs):
+            got = solve(inst)
+            with mock.patch.object(exact, "_best_lp", best_lp_reference):
+                want = solve(inst)
+            assert got.contract == want.contract and got.revenue == want.revenue
+            assert got.meta["allocations_solved"] < want.meta["allocations_solved"]
 
 
 class TestCase4Bounds:
@@ -123,9 +182,6 @@ class TestCase4Bounds:
 
     def test_crossing_wages_match_definition(self):
         # Agent 1 is cheap on task 0, expensive on task 1; agent 2 crossed.
-        inst = gen_random(3, 2, 1)  # only shapes matter; wages overridden below
-        from faircon.core import Instance
-
         inst = Instance(
             r=(ONE, ONE),
             p=((ONE, ONE), (ONE, ONE), (ONE, ONE)),
@@ -152,6 +208,18 @@ class TestCase4Bounds:
 
 
 class TestSolveOptEf1:
+    def test_case4_bound_product_charged_before_it_is_built(self, tmp_path, capsys):
+        # partition-ef1 [1] has 3^3 = 27 allocations, but giving agent 0
+        # all three tasks leaves two empty agents: 4^3 = 64 bound vectors.
+        inst = gen_partition_ef1([1])
+        with pytest.raises(BudgetExceededError) as err:
+            solve_opt_ef1(inst, budget_lps=30)
+        assert (err.value.limit, err.value.needed) == (30, 64)
+        path = tmp_path / "pef1.json"
+        dump_json(instance_to_dict(inst, exact=True), str(path))
+        assert main(["solve", str(path), "--method", "exact-ef1", "--budget-lps", "30"]) == 2
+        assert "lps budget of 30 exceeded (needs ~64)" in capsys.readouterr().err
+
     def test_single_agent_equals_unconstrained(self):
         inst = gen_random(1, 3, 23)
         res = solve_opt_ef1(inst)
@@ -219,9 +287,7 @@ def test_exact_solve_logs_summary_at_info(caplog):
     inst = gen_partition_ef([1, 2])
     with caplog.at_level(logging.INFO, logger="faircon"):
         res = solve_opt_ef(inst)
-    lps = res.meta["lp_solves"]  # one LP per feasible allocation for EF
+    meta = res.meta
+    assert (meta["allocations"], meta["allocations_solved"], meta["lp_solves"]) == (27, 8, 8)
     summaries = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
-    assert summaries == [
-        f"exact: {inst.n ** inst.m} allocations visited, {lps} feasible, "
-        f"{lps} LPs, best objective {res.revenue}"
-    ]
+    assert summaries == [f"exact: 27 allocations, 8 solved, 8 LPs, best objective {res.revenue}"]
