@@ -148,16 +148,16 @@ class FairnessReport:
     """Verification results with slack values; slacks >= -tolerance pass."""
 
     tolerance: Fraction
-    epsilon: Fraction = ZERO
-    ir_ok: bool = True
-    ir_slacks: Mapping[tuple[int, int], Fraction] = field(default_factory=dict)
-    ef_ok: Optional[bool] = None
-    ef_slacks: Optional[tuple[tuple[Fraction, ...], ...]] = None
-    eps_ef_ok: Optional[bool] = None
-    ef1_ok: Optional[bool] = None
-    ef1_witnesses: Optional[Mapping[tuple[int, int], Optional[int]]] = None
-    efs_ok: Optional[bool] = None
-    lhs_form: str = "simplified"
+    epsilon: Fraction
+    ir_ok: bool
+    ir_slacks: Mapping[tuple[int, int], Fraction]
+    ef_ok: bool
+    ef_slacks: tuple[tuple[Fraction, ...], ...]
+    eps_ef_ok: bool
+    ef1_ok: bool
+    ef1_witnesses: Mapping[tuple[int, int], Optional[int]]
+    lhs_form: str
+    efs_ok: Optional[bool] = None  # only for contracts with subsidies
 
 
 @dataclass(frozen=True)

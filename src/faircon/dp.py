@@ -18,8 +18,7 @@ Option generation is integer arithmetic.  A task's grid points are put
 over one common denominator D and each agent's p*r and c over one
 denominator L, so the IR sign, the agent units and the principal units of
 every (grid point, agent) pair are one integer product and one floor
-division each; `agent_units` and `principal_units` remain the scalar
-definitions.  Adaptive grids are built the same way, as integer
+division each.  Adaptive grids are built the same way, as integer
 numerators over L*K, and each distinct point becomes a Fraction once.
 
 The FPTAS wrappers run the DP keyed on the cross-utility profile only,
@@ -85,23 +84,6 @@ class Discretization:
     agent_steps: tuple[Fraction, ...]
     principal_step: Fraction
 
-    def agent_units(self, inst: Instance, i: int, j: int, alpha: Fraction) -> int:
-        u = agent_task_utility(inst, i, j, alpha)
-        if u <= 0:
-            return 0
-        step = self.agent_steps[i]
-        if step == 0:
-            raise FairconError(
-                f"agent {i} has positive utility {u} but a degenerate grid"
-            )
-        return ceil_div(u, step)
-
-    def principal_units(self, inst: Instance, j: int, i: int, alpha: Fraction) -> int:
-        v = (1 - alpha) * inst.pr[i][j]
-        if v <= 0:
-            return 0
-        return ceil_div(v, self.principal_step)
-
 
 def uniform_grid(inst: Instance, steps: int) -> Discretization:
     """The eps-EF discretization: contracts and utilities on {0, 1/K, .., 1}."""
@@ -115,16 +97,14 @@ def uniform_grid(inst: Instance, steps: int) -> Discretization:
     )
 
 
-def adaptive_grid(
-    inst: Instance, guess: Sequence[Num], delta: Num, steps: Optional[int] = None
-) -> Discretization:
+def adaptive_grid(inst: Instance, guess: Sequence[Num], delta: Num) -> Discretization:
     """EF1 discretization for one vector of guessed agent utilities.
 
     For each task, each agent's candidate contracts run from its minimum
     wage up to the largest contract keeping *every* agent at or below its
-    guessed utility, in 1/delta uniform steps; the task's grid is the union
-    over agents.  Agent utility grids have step delta * guess; the
-    principal keeps a plain delta grid.
+    guessed utility, in K = ceil(1/delta) uniform steps; the task's grid is
+    the union over agents.  Agent utility grids have step guess / K; the
+    principal keeps a plain 1/K grid.
     """
     guess = [as_fraction(g) for g in guess]
     if len(guess) != inst.n or any(g < 0 for g in guess):
@@ -132,7 +112,7 @@ def adaptive_grid(
     delta = as_fraction(delta)
     if not (0 < delta <= 1):
         raise InvalidInstanceError("delta must be in (0, 1]")
-    K = steps if steps is not None else ceil_div(ONE, delta)
+    K = ceil_div(ONE, delta)
 
     grids: list[tuple[Fraction, ...]] = []
     for j in range(inst.m):
@@ -443,6 +423,22 @@ def dp_enumerate(
     for j in range(m - 1, -1, -1):
         future_h[j] = future_h[j + 1] + max((o[3] for o in options[j]), default=0)
 
+    def kept(need: int, vals: np.ndarray, hv: Optional[np.ndarray], gidx: np.ndarray):
+        """A deduplicated block without the states over a cap or below h
+        `need`.  Both tests read only the key, or the h of a collapsed
+        key's max-h representative, so pruning each block before the merge
+        keeps exactly the states that pruning the merged layer would."""
+        mask = np.ones(len(vals), dtype=bool)
+        if prune_caps is not None:
+            comps = packer.unpack_rows(vals)
+            v_comps = comps if collapse_h else comps[:, 1:]
+            for i in range(n):
+                if prune_caps[i] is not None:
+                    mask &= np.all(v_comps[:, i * n : (i + 1) * n] <= prune_caps[i], axis=1)
+        if need > 0:
+            mask &= (hv if collapse_h else packer.unpack_rows(vals)[:, 0]) >= need
+        return vals[mask], None if hv is None else hv[mask], gidx[mask]
+
     states = np.zeros((1, packer.n_words), dtype=np.int64)
     h_vals = np.zeros(1, dtype=np.int64)
     total = 0
@@ -452,6 +448,7 @@ def dp_enumerate(
             raise FairconError(f"task {j} has no IR grid contract")
         deltas = np.array([o[2] for o in opts], dtype=np.int64)
         dh = np.array([o[3] for o in opts], dtype=np.int64)
+        need = 0 if min_final_h is None else min_final_h - future_h[j + 1]
         n_prev = len(states)
         running = None  # rolling merge keeps memory at O(distinct states)
         block = max(1, _CHUNK // max(1, n_prev))
@@ -462,7 +459,7 @@ def dp_enumerate(
             cand_h = None
             if collapse_h:
                 cand_h = (h_vals[None, :] + dh[start : start + block][:, None]).ravel()
-            piece = _dedupe_block(cand, cand_h, gidx)
+            piece = kept(need, *_dedupe_block(cand, cand_h, gidx))
             if running is None:
                 running = piece
             else:
@@ -474,38 +471,14 @@ def dp_enumerate(
                 )
                 alli = np.concatenate([running[2], piece[2]])
                 running = _dedupe_block(allv, allh, alli)
-            if len(running[0]) > budget_states:
-                raise BudgetExceededError("states", budget_states, len(running[0]))
-        vals, hnew, gidx = running
+            # The running set only grows and ends as this layer's states.
+            if total + len(running[0]) > budget_states:
+                raise BudgetExceededError("states", budget_states, total + len(running[0]))
+        states, hnew, gidx = running
         parent = (gidx % n_prev).astype(np.int64)
         opt_id = (gidx // n_prev).astype(np.int64)
-        if not collapse_h:
-            hnew = None
-
-        mask = None
-        if prune_caps is not None:
-            comps = packer.unpack_rows(vals)
-            v_comps = comps if collapse_h else comps[:, 1:]
-            mask = np.ones(len(vals), dtype=bool)
-            for i in range(n):
-                cap = prune_caps[i]
-                if cap is not None:
-                    mask &= np.all(v_comps[:, i * n : (i + 1) * n] <= cap, axis=1)
-        if min_final_h is not None and min_final_h - future_h[j + 1] > 0:
-            need = min_final_h - future_h[j + 1]
-            h_now = hnew if collapse_h else packer.unpack_rows(vals)[:, 0]
-            hmask = h_now >= need
-            mask = hmask if mask is None else (mask & hmask)
-        if mask is not None:
-            vals, parent, opt_id = vals[mask], parent[mask], opt_id[mask]
-            if hnew is not None:
-                hnew = hnew[mask]
-
-        states = vals
-        h_vals = hnew if hnew is not None else np.zeros(len(states), dtype=np.int64)
+        h_vals = hnew if collapse_h else np.zeros(len(states), dtype=np.int64)
         total += len(states)
-        if total > budget_states:
-            raise BudgetExceededError("states", budget_states, total)
         result.layer_states.append(states)
         result.layer_h.append(h_vals if collapse_h else None)
         result.layer_parent.append(parent)
@@ -749,7 +722,7 @@ def solve_ef1_fptas(
     rev_floor = revenue(inst, greedy_ef(inst)) - 2 * nu
     for guess in itertools.product(*per_agent):
         guesses_run += 1
-        disc = adaptive_grid(inst, guess, delta, K)
+        disc = adaptive_grid(inst, guess, delta)
         caps = [(K + ceil_div(nu, step) + m) if guess[i] > 0 else 0 for i in range(n)]
         floor = rev_floor if best_rev is None else max(rev_floor, best_rev)
         h_floor = int(floor / step) if floor > 0 else None

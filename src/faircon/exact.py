@@ -36,7 +36,6 @@ import logging
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional
 
-from . import ext
 from .core import (
     Allocation,
     Contract,
@@ -54,10 +53,10 @@ from .errors import BudgetExceededError, FairconError
 from .lp import (
     LpModel,
     LpSolution,
-    alphas_from_solution,
     build_ef_lp,
     build_ef1_lp,
     build_efs_lp,
+    contract_from_solution,
     solve_lp,
 )
 from .numeric import Num, ONE, ZERO, as_fraction
@@ -74,7 +73,7 @@ __all__ = [
     "solve_opt_efs",
 ]
 
-_Best = tuple[Fraction, Allocation, LpModel, LpSolution]
+_Best = tuple[Fraction, Allocation, LpSolution]
 
 
 def _viable_welfare(inst: Instance) -> list[list[tuple[int, Fraction]]]:
@@ -112,7 +111,7 @@ def _best_lp(
     model loop stops once an LP reaches the allocation's welfare, since no
     later model can beat it.  Every LP is
     charged to `budget_lps`; n^m above the budget fails before any work.
-    Returns ((objective, allocation, model, solution), counts) with counts
+    Returns ((objective, allocation, solution), counts) with counts
     {"lp_solves", "allocations_solved"}, the latter the allocations that
     reached an LP.  Logs progress at DEBUG and a summary at INFO.
     """
@@ -142,7 +141,7 @@ def _best_lp(
             if lps % _LOG_EVERY_LPS == 0:
                 log.debug("exact: %d LPs, %d allocations solved", lps, solved)
             if sol.optimal and (best is None or sol.objective > best[0]):
-                best = (sol.objective, alloc, model, sol)
+                best = (sol.objective, alloc, sol)
             if sol.optimal and sol.objective == welfare:
                 return
 
@@ -183,10 +182,10 @@ def solve_opt_ef(
     """Optimal (eps-)envy-free contract by enumerating all allocations and
     solving the fixed-allocation LP for each."""
     eps = as_fraction(eps)
-    (value, alloc, model, sol), counts = _best_lp(
+    (value, alloc, sol), counts = _best_lp(
         inst, budget_lps, lambda alloc: [build_ef_lp(inst, alloc, eps)]
     )
-    contract = Contract(alloc, alphas_from_solution(model, sol, inst.m))
+    contract = contract_from_solution(sol, alloc)
     method = "exact-ef" if eps == 0 else "exact-eps-ef"
     _check_optimum(inst, contract, verify_eps_ef(inst, contract, eps), method)
     return SolveResult(
@@ -293,37 +292,26 @@ def solve_opt_ef1(inst: Instance, budget_lps: int = DEFAULT_LP_BUDGET) -> SolveR
                     upper.update(chunk)
                 yield build_ef1_lp(inst, alloc, witnesses, upper)
 
-    (value, alloc, model, sol), counts = _best_lp(inst, budget_lps, models)
-    contract = Contract(alloc, alphas_from_solution(model, sol, inst.m))
+    (value, alloc, sol), counts = _best_lp(inst, budget_lps, models)
+    contract = contract_from_solution(sol, alloc)
     _check_optimum(inst, contract, verify_ef1(inst, contract)[0], "exact-ef1")
     return SolveResult(contract, value, "exact-ef1", counts)
 
 
 def solve_opt_efs(inst: Instance, budget_lps: int = DEFAULT_LP_BUDGET) -> SolveResult:
-    """Optimal envy-free contract with subsidies, via the reduction that adds
-    unit tasks whose payments play the role of subsidies.
+    """Optimal envy-free contract with subsidies: per allocation, one LP
+    with a subsidy variable per agent.
 
-    The added tasks are identical for all agents, so allocations of the
-    original tasks are enumerated and the added-task placements are folded
-    into per-agent subsidy variables of one LP; the winning solution is then
-    materialized on the augmented instance and mapped back, which recovers
-    the subsidies as the payments on added tasks.
+    This is the subsidy-to-EF reduction solved directly: its added unit
+    tasks matter only through each agent's total payment on them, which the
+    LP models as that agent's subsidy (`faircon.ext` keeps the reduction
+    itself).
     """
-    (value, alloc, model, sol), counts = _best_lp(
+    (value, alloc, sol), counts = _best_lp(
         inst, budget_lps, lambda alloc: [build_efs_lp(inst, alloc)]
     )
-    subsidies = tuple(sol.values[f"s[{i}]"] for i in range(inst.n))
-    aug_inst, mapping = ext.efs_augment(inst)
-    aug_contract = ext.embed_subsidized(
-        Contract(alloc, alphas_from_solution(model, sol, inst.m), subsidies), mapping
-    )
-    contract = ext.extract_subsidies(aug_contract, mapping)
+    contract = contract_from_solution(sol, alloc)
     if revenue(inst, contract) != value:
-        raise FairconError("internal error: EFS reduction round-trip changed revenue")
+        raise FairconError("internal error: exact-efs revenue differs from its LP value")
     _check_optimum(inst, contract, verify_efs(inst, contract), "exact-efs")
-    return SolveResult(
-        contract,
-        value,
-        "exact-efs",
-        {**counts, "augmented_tasks": aug_inst.m},
-    )
+    return SolveResult(contract, value, "exact-efs", counts)

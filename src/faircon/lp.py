@@ -11,41 +11,40 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from . import simplex
-from .core import Allocation, Instance
+from .core import Allocation, Contract, Instance
 from .errors import InvalidInstanceError
 from .numeric import Num, ONE, ZERO, as_fraction
 
 
-@dataclass(frozen=True)
-class LpRow:
+class LpRow(NamedTuple):
+    """coeffs . x >= rhs."""
+
     coeffs: dict[int, Fraction]
-    sense: str  # '<=' or '>='
     rhs: Fraction
-    tag: str
 
 
 @dataclass
 class LpModel:
-    """maximize objective_const + objective . x  s.t. rows, 0 <= x (<= ub)."""
+    """maximize objective_const + objective . x  s.t. rows, 0 <= x (<= ub).
 
-    var_names: list[str]
+    Variables are indexed: alpha[j] at j, t[i,k] at m + i*m + k, then, in the
+    EFS model, the subsidy s[i] at m + n*m + i.
+    """
+
+    n_vars: int
     objective: dict[int, Fraction]
     objective_const: Fraction
     rows: list[LpRow]
     upper_bounds: dict[int, Fraction] = field(default_factory=dict)
 
-    @property
-    def n_vars(self) -> int:
-        return len(self.var_names)
-
 
 @dataclass(frozen=True)
 class LpSolution:
     status: str  # optimal | infeasible | unbounded
-    values: dict[str, Fraction]
+    x: tuple[Fraction, ...]
     objective: Optional[Fraction]
 
     @property
@@ -54,72 +53,57 @@ class LpSolution:
 
 
 class _Builder:
-    """Shared variable bookkeeping for the contract LPs."""
+    """The variable layout and the rows every contract LP shares: the
+    revenue objective, the IR rows and the t-definition rows."""
 
-    def __init__(self, inst: Instance, alloc: Allocation):
+    def __init__(self, inst: Instance, alloc: Allocation, subsidized: bool = False):
         if alloc.m != inst.m or alloc.n_agents != inst.n:
             raise InvalidInstanceError("allocation does not match instance")
+        n, m = inst.n, inst.m
         self.inst = inst
-        self.alloc = alloc
-        self.names: list[str] = [f"alpha[{j}]" for j in range(inst.m)]
-        self.names += [f"t[{i},{k}]" for i in range(inst.n) for k in range(inst.m)]
+        self.bundles = alloc.bundles()
+        self.subsidized = subsidized
+        self.ub: dict[int, Fraction] = {j: ONE for j in range(m)}
+        self.objective: dict[int, Fraction] = {}
+        self.const = ZERO
         self.rows: list[LpRow] = []
-        self.ub: dict[int, Fraction] = {j: ONE for j in range(inst.m)}
-
-    def alpha(self, j: int) -> int:
-        return j
+        for j, i in enumerate(alloc.assignment):
+            pr = inst.pr[i][j]
+            self.const += pr
+            self.objective[j] = -pr
+            self.rows.append(LpRow({j: pr}, inst.c[i][j]))
+        if subsidized:
+            for i in range(n):
+                self.objective[self.s(i)] = -ONE
+        for i in range(n):
+            for k in range(m):
+                self.rows.append(LpRow({self.t(i, k): ONE, k: -inst.pr[i][k]}, -inst.c[i][k]))
 
     def t(self, i: int, k: int) -> int:
         return self.inst.m + i * self.inst.m + k
 
-    def add_var(self, name: str) -> int:
-        self.names.append(name)
-        return len(self.names) - 1
+    def s(self, i: int) -> int:
+        return self.inst.m * (self.inst.n + 1) + i
 
-    def revenue_objective(self) -> tuple[dict[int, Fraction], Fraction]:
-        coeffs: dict[int, Fraction] = {}
-        const = ZERO
-        for j, i in enumerate(self.alloc.assignment):
-            pr = self.inst.pr[i][j]
-            const += pr
-            if pr:
-                coeffs[self.alpha(j)] = coeffs.get(self.alpha(j), ZERO) - pr
-        return coeffs, const
-
-    def add_ir_rows(self) -> None:
-        for j, i in enumerate(self.alloc.assignment):
-            self.rows.append(
-                LpRow({self.alpha(j): self.inst.pr[i][j]}, ">=", self.inst.c[i][j], f"ir[{i},{j}]")
-            )
-
-    def add_tdef_rows(self) -> None:
-        for i in range(self.inst.n):
-            for k in range(self.inst.m):
-                self.rows.append(
-                    LpRow(
-                        {self.t(i, k): ONE, self.alpha(k): -self.inst.pr[i][k]},
-                        ">=",
-                        -self.inst.c[i][k],
-                        f"tdef[{i},{k}]",
-                    )
-                )
-
-    def envy_row(self, i: int, j: int, exclude: Optional[int], relax: Fraction, tag: str) -> None:
+    def envy_row(self, i: int, j: int, exclude: Optional[int] = None, relax: Fraction = ZERO) -> None:
         """sum_{k in S_i} alpha_k p r - sum_{k in S_j minus exclude} t_{i,k}
-        >= sum_{k in S_i} c - relax."""
-        bundles = self.alloc.bundles()
+        (+ s_i - s_j when subsidized) >= sum_{k in S_i} c - relax."""
         coeffs: dict[int, Fraction] = {}
         rhs = -relax
-        for k in bundles[i]:
-            pr = self.inst.pr[i][k]
-            if pr:
-                coeffs[self.alpha(k)] = coeffs.get(self.alpha(k), ZERO) + pr
+        for k in self.bundles[i]:
+            coeffs[k] = self.inst.pr[i][k]
             rhs += self.inst.c[i][k]
-        for k in bundles[j]:
-            if k == exclude:
-                continue
-            coeffs[self.t(i, k)] = coeffs.get(self.t(i, k), ZERO) - ONE
-        self.rows.append(LpRow(coeffs, ">=", rhs, tag))
+        for k in self.bundles[j]:
+            if k != exclude:
+                coeffs[self.t(i, k)] = -ONE
+        if self.subsidized:
+            coeffs[self.s(i)] = ONE
+            coeffs[self.s(j)] = -ONE
+        self.rows.append(LpRow(coeffs, rhs))
+
+    def model(self) -> LpModel:
+        n_vars = self.s(0) + (self.inst.n if self.subsidized else 0)
+        return LpModel(n_vars, self.objective, self.const, self.rows, self.ub)
 
 
 def build_ef_lp(inst: Instance, alloc: Allocation, eps: Num = 0) -> LpModel:
@@ -129,14 +113,11 @@ def build_ef_lp(inst: Instance, alloc: Allocation, eps: Num = 0) -> LpModel:
     if eps < 0:
         raise InvalidInstanceError("eps must be nonnegative")
     b = _Builder(inst, alloc)
-    obj, const = b.revenue_objective()
-    b.add_ir_rows()
-    b.add_tdef_rows()
     for i in range(inst.n):
         for j in range(inst.n):
             if i != j:
-                b.envy_row(i, j, None, eps, f"ef[{i},{j}]")
-    return LpModel(b.names, obj, const, b.rows, b.ub)
+                b.envy_row(i, j, relax=eps)
+    return b.model()
 
 
 def build_ef1_lp(
@@ -153,10 +134,7 @@ def build_ef1_lp(
     and must lie in S_j; pairs with an empty side impose no row here.
     """
     b = _Builder(inst, alloc)
-    bundles = alloc.bundles()
-    obj, const = b.revenue_objective()
-    b.add_ir_rows()
-    b.add_tdef_rows()
+    bundles = b.bundles
     for i in range(inst.n):
         for j in range(inst.n):
             if i == j or not bundles[i] or not bundles[j]:
@@ -166,10 +144,10 @@ def build_ef1_lp(
                 raise InvalidInstanceError(
                     f"pair ({i},{j}) needs a witness task inside S_{j}, got {w}"
                 )
-            b.envy_row(i, j, w, ZERO, f"ef1[{i},{j}]")
+            b.envy_row(i, j, exclude=w)
     for k, bound in upper_bounds.items():
-        b.ub[b.alpha(k)] = min(ONE, as_fraction(bound))
-    return LpModel(b.names, obj, const, b.rows, b.ub)
+        b.ub[k] = min(ONE, as_fraction(bound))
+    return b.model()
 
 
 def build_efs_lp(inst: Instance, alloc: Allocation) -> LpModel:
@@ -180,22 +158,12 @@ def build_efs_lp(inst: Instance, alloc: Allocation) -> LpModel:
     added unit tasks of the reduction only ever matter through each agent's
     total payment on them, which this LP models directly as s_i.
     """
-    b = _Builder(inst, alloc)
-    s_vars = [b.add_var(f"s[{i}]") for i in range(inst.n)]
-    obj, const = b.revenue_objective()
-    for v in s_vars:
-        obj[v] = -ONE
-    b.add_ir_rows()
-    b.add_tdef_rows()
+    b = _Builder(inst, alloc, subsidized=True)
     for i in range(inst.n):
         for j in range(inst.n):
-            if i == j:
-                continue
-            b.envy_row(i, j, None, ZERO, f"efs[{i},{j}]")
-            row = b.rows[-1].coeffs
-            row[s_vars[i]] = row.get(s_vars[i], ZERO) + ONE
-            row[s_vars[j]] = row.get(s_vars[j], ZERO) - ONE
-    return LpModel(b.names, obj, const, b.rows, b.ub)
+            if i != j:
+                b.envy_row(i, j)
+    return b.model()
 
 
 def solve_lp(model: LpModel) -> LpSolution:
@@ -204,24 +172,23 @@ def solve_lp(model: LpModel) -> LpSolution:
     Models are built from Fractions, so the returned point must satisfy
     every row and every bound exactly; the self-check holds it to that.
     """
-    rows = [(r.coeffs, r.sense, r.rhs) for r in model.rows]
-    tags = [r.tag for r in model.rows]
-    for k, ub in sorted(model.upper_bounds.items()):
-        rows.append(({k: ONE}, "<=", ub))
-        tags.append(f"ub[{model.var_names[k]}]")
+    bounds = [LpRow({k: -ONE}, -ub) for k, ub in sorted(model.upper_bounds.items())]
+    rows = model.rows + bounds
     status, x, value = simplex.maximize(model.n_vars, model.objective, rows)
     if status != simplex.OPTIMAL:
-        return LpSolution(status, {}, None)
-    for (coeffs, sense, rhs), tag in zip(rows, tags):
-        lhs = sum((v * x[k] for k, v in coeffs.items()), ZERO)
-        if (lhs < rhs) if sense == ">=" else (lhs > rhs):
-            raise AssertionError(f"simplex returned infeasible point at {tag}")
+        return LpSolution(status, (), None)
+    for r, (coeffs, rhs) in enumerate(rows):
+        if sum((v * x[k] for k, v in coeffs.items()), ZERO) < rhs:
+            where = f"row {r}" if r < len(model.rows) else f"ub row {r - len(model.rows)}"
+            raise AssertionError(f"simplex returned infeasible point at {where}")
     if any(v < 0 for v in x):
         raise AssertionError("simplex returned a negative variable")
-    values = {name: x[k] for k, name in enumerate(model.var_names)}
-    return LpSolution(simplex.OPTIMAL, values, value + model.objective_const)
+    return LpSolution(simplex.OPTIMAL, tuple(x), value + model.objective_const)
 
 
-def alphas_from_solution(model: LpModel, sol: LpSolution, m: int) -> tuple[Fraction, ...]:
-    """Extract the per-task contract vector from an optimal solution."""
-    return tuple(sol.values[f"alpha[{j}]"] for j in range(m))
+def contract_from_solution(sol: LpSolution, alloc: Allocation) -> Contract:
+    """The optimal contract: alpha[0..m-1], plus the subsidies when the
+    solution has the EFS layout's subsidy variables."""
+    base = alloc.m * (alloc.n_agents + 1)
+    subsidies = sol.x[base:] if len(sol.x) > base else None
+    return Contract(alloc, sol.x[: alloc.m], subsidies)

@@ -70,17 +70,12 @@ def report_to_dict(rep: FairnessReport, exact: bool = False) -> dict:
         "ir_ok": rep.ir_ok,
         "ir_slacks": {f"{i},{j}": num(s) for (i, j), s in rep.ir_slacks.items()},
         "lhs_form": rep.lhs_form,
+        "ef_ok": rep.ef_ok,
+        "ef_slacks": [[num(s) for s in row] for row in rep.ef_slacks],
+        "eps_ef_ok": rep.eps_ef_ok,
+        "ef1_ok": rep.ef1_ok,
+        "ef1_witnesses": {f"{i},{j}": w for (i, j), w in rep.ef1_witnesses.items()},
     }
-    if rep.ef_slacks is not None:
-        out["ef_ok"] = rep.ef_ok
-        out["ef_slacks"] = [[num(s) for s in row] for row in rep.ef_slacks]
-    if rep.eps_ef_ok is not None:
-        out["eps_ef_ok"] = rep.eps_ef_ok
-    if rep.ef1_witnesses is not None:
-        out["ef1_ok"] = rep.ef1_ok
-        out["ef1_witnesses"] = {
-            f"{i},{j}": w for (i, j), w in rep.ef1_witnesses.items()
-        }
     if rep.efs_ok is not None:
         out["efs_ok"] = rep.efs_ok
     return out

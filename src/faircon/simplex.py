@@ -20,57 +20,53 @@ UNBOUNDED = "unbounded"
 def maximize(
     n_vars: int,
     objective: dict[int, Fraction],
-    rows: Sequence[tuple[dict[int, Fraction], str, Fraction]],
+    rows: Sequence[tuple[dict[int, Fraction], Fraction]],
 ) -> tuple[str, list[Fraction] | None, Fraction | None]:
-    """Maximize objective . x subject to rows and x >= 0.
+    """Maximize objective . x subject to coeffs . x >= rhs for every
+    (coeffs, rhs) in rows, and x >= 0.
 
-    Each row is (coeffs, sense, rhs) with sense '<=' or '>='.  Returns
-    (status, x, value); x and value are None unless status is 'optimal'.
+    Returns (status, x, value); x and value are None unless status is
+    'optimal'.
     """
-    # Normalize to a.x <= b.
-    norm: list[tuple[dict[int, Fraction], Fraction]] = []
-    for coeffs, sense, rhs in rows:
-        if sense == "<=":
-            norm.append((dict(coeffs), rhs))
-        elif sense == ">=":
-            norm.append(({k: -v for k, v in coeffs.items()}, -rhs))
-        else:
-            raise ValueError(f"unknown sense {sense!r}")
-
-    n_rows = len(norm)
-    n_slack = n_rows
+    n_rows = len(rows)
     art_cols: list[int] = []
-    width = n_vars + n_slack  # artificials appended later
+    width = n_vars + n_rows  # artificials appended later
     tableau: list[list[Fraction]] = []
     basis: list[int] = []
     rhs_col: list[Fraction] = []
 
-    for i, (coeffs, b) in enumerate(norm):
+    for i, (coeffs, rhs) in enumerate(rows):
+        # The row reads -coeffs . x + slack = -rhs.  Unless rhs > 0 the
+        # slack starts basic; otherwise the row is negated and starts on an
+        # artificial.
+        art = rhs > 0
         row = [ZERO] * width
         for k, v in coeffs.items():
-            row[k] = v
-        row[n_vars + i] = ONE
-        if b < 0:
-            row = [-v for v in row]
-            b = -b
+            row[k] = v if art else -v
+        row[n_vars + i] = -ONE if art else ONE
+        tableau.append(row)
+        rhs_col.append(rhs if art else -rhs)
+        if art:
             art_cols.append(i)
             basis.append(-1)  # placeholder, artificial assigned below
         else:
             basis.append(n_vars + i)
-        tableau.append(row)
-        rhs_col.append(b)
 
     n_art = len(art_cols)
+    art_start = width
     if n_art:
         for row in tableau:
             row.extend([ZERO] * n_art)
         for a_idx, i in enumerate(art_cols):
-            col = width + a_idx
-            tableau[i][col] = ONE
-            basis[i] = col
+            tableau[i][art_start + a_idx] = ONE
+            basis[i] = art_start + a_idx
         width += n_art
 
+    zrow: list[Fraction] = []
+    z = ZERO
+
     def pivot(prow: int, pcol: int) -> None:
+        nonlocal z
         row = tableau[prow]
         piv = row[pcol]
         if piv != 1:
@@ -92,10 +88,24 @@ def maximize(
         if f:
             for k in nz:
                 zrow[k] -= f * row[k]
-            zvals[0] -= f * b_p
+            z -= f * b_p
         basis[prow] = pcol
 
-    def run() -> str:
+    def run(cost: list[Fraction]) -> str:
+        """Price `cost` against the basis, then pivot to optimality.
+
+        zrow holds the reduced costs with "> 0 improves" signs, and z minus
+        the objective value.
+        """
+        nonlocal zrow, z
+        zrow, z = cost[:], ZERO
+        for r, bv in enumerate(basis):
+            f = cost[bv]
+            if f:
+                row = tableau[r]
+                for k in range(width):
+                    zrow[k] -= f * row[k]
+                z -= f * rhs_col[r]
         while True:
             # Bland: entering is the lowest-index improving column.
             pcol = -1
@@ -120,27 +130,12 @@ def maximize(
                 return UNBOUNDED
             pivot(prow, pcol)
 
-    # Phase 1: maximize -(sum of artificials).
+    # Phase 1: maximize -(sum of artificials); z is then the artificial sum.
     if n_art:
-        cost = [ZERO] * width
-        for a_idx in range(n_art):
-            cost[n_vars + n_slack + a_idx] = -ONE
-        zrow = cost[:]
-        zvals = [ZERO]
-        for r, bv in enumerate(basis):
-            f = cost[bv]
-            if f:
-                for k in range(width):
-                    zrow[k] -= f * tableau[r][k]
-                zvals[0] -= f * rhs_col[r]
-        # zrow currently holds c - c_B B^-1 A with sign flipped into our
-        # "reduced cost > 0 improves" convention.
-        status = run()
-        # zvals[0] is minus the phase-1 objective, i.e. the artificial sum.
-        if status != OPTIMAL or zvals[0] > 0:
+        status = run([ZERO] * art_start + [-ONE] * n_art)
+        if status != OPTIMAL or z > 0:
             return INFEASIBLE, None, None
         # Drive leftover artificials (basic at zero) out of the basis.
-        art_start = n_vars + n_slack
         for r in range(n_rows):
             if basis[r] >= art_start:
                 pcol = next(
@@ -157,20 +152,7 @@ def maximize(
     cost = [ZERO] * width
     for k, v in objective.items():
         cost[k] = v
-    zrow = cost[:]
-    zvals = [ZERO]
-    for r, bv in enumerate(basis):
-        f = cost[bv]
-        if f:
-            row = tableau[r]
-            for k in range(width):
-                zrow[k] -= f * row[k]
-            zvals[0] -= f * rhs_col[r]
-    if n_art:
-        art_start = n_vars + n_slack
-        for a_idx in range(n_art):
-            zrow[art_start + a_idx] = ZERO
-    status = run()
+    status = run(cost)
     if status != OPTIMAL:
         return status, None, None
 
@@ -178,5 +160,4 @@ def maximize(
     for r, bv in enumerate(basis):
         if bv < n_vars:
             x[bv] = rhs_col[r]
-    value = -zvals[0]
-    return OPTIMAL, x, value
+    return OPTIMAL, x, -z

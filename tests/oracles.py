@@ -296,6 +296,6 @@ def best_lp_reference(inst: Instance, budget_lps: int, models):
                 raise BudgetExceededError("lps", budget_lps)
             sol = solve_lp(model)
             if sol.optimal and (best is None or sol.objective > best[0]):
-                best = (sol.objective, alloc, model, sol)
+                best = (sol.objective, alloc, sol)
     assert best is not None, "no feasible allocation"
     return best, {"lp_solves": lps, "allocations_solved": solved}

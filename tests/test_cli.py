@@ -8,7 +8,7 @@ import pytest
 
 from faircon.cli import main
 from faircon.serialize import dump_json, instance_to_dict, load_json
-from faircon.instances import gen_example, gen_random
+from faircon.instances import gen_example, gen_partition_ef1, gen_random
 
 
 def run(argv):
@@ -95,6 +95,19 @@ class TestSolve:
 
     def test_budget_exit_code(self, ex52_path):
         assert run(["solve", ex52_path, "--method", "exact-ef", "--budget-lps", "1"]) == 2
+
+    def test_state_budget_equal_to_reported_states_suffices(self, tmp_path, capsys):
+        # Pruned states are never charged: a budget of exactly the states
+        # the solve reports succeeds, and one less fails needing that count.
+        path = tmp_path / "pef1.json"
+        dump_json(instance_to_dict(gen_partition_ef1([1]), exact=True), str(path))
+        out = tmp_path / "sol.json"
+        argv = ["solve", path, "--method", "dp-ef1", "--eps", "1/6", "--f-bits", 1]
+        assert run(argv + ["--budget-states", 8659, "--out", out]) == 0
+        assert load_json(str(out))["meta"]["states"] == 8659
+        capsys.readouterr()
+        assert run(argv + ["--budget-states", 8658]) == 2
+        assert "states budget of 8658 exceeded (needs ~8659)" in capsys.readouterr().err
 
     def test_bad_instance_file(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -56,19 +56,22 @@ from oracles import (
 
 class TestRounding:
     def test_unit_rounding_overshoot_bounded(self):
+        # Every option's units, decoded from its key, round the true
+        # utilities up by less than one step.
         inst = gen_random(2, 3, 123)
         disc = uniform_grid(inst, 10)
-        rng = random.Random(5)
-        for _ in range(40):
-            i, j = rng.randrange(2), rng.randrange(3)
-            alpha = F(rng.randint(0, 10), 10)
-            units = disc.agent_units(inst, i, j, alpha)
-            true = max(agent_task_utility(inst, i, j, alpha), ZERO)
-            rounded = units * F(1, 10)
-            assert true <= rounded <= true + F(1, 10)
-            hu = disc.principal_units(inst, j, i, alpha)
-            tru = (1 - alpha) * inst.p[i][j] * inst.r[j]
-            assert tru <= hu * F(1, 10) <= tru + F(1, 10)
+        n = inst.n
+        packer = _Packer(10**6, 1 + n * n)
+        for j in range(inst.m):
+            for agent, alpha, key, dh in _task_options(inst, disc, j, packer, False):
+                comps = packer.unpack_rows(np.array([key], dtype=np.int64))[0]
+                assert comps[0] == dh
+                tru = (1 - alpha) * inst.p[agent][j] * inst.r[j]
+                assert tru <= dh * F(1, 10) <= tru + F(1, 10)
+                for i in range(n):
+                    true = max(agent_task_utility(inst, i, j, alpha), ZERO)
+                    rounded = comps[1 + i * n + agent] * F(1, 10)
+                    assert true <= rounded <= true + F(1, 10)
 
 
 class TestDpEnumerate:
@@ -326,8 +329,7 @@ def _fptas_runs(monkeypatch, inst, eps, f_bits, budget_states=None):
 
 
 def _options_match(inst, disc):
-    """The kernel's options equal the Fraction reference's, and each one's
-    units equal the scalar `agent_units` / `principal_units`."""
+    """The kernel's options equal the Fraction reference's, with int units."""
     n = inst.n
     for collapse_h in (True, False):
         packer = _Packer(10**6, n * n + (0 if collapse_h else 1))
@@ -335,11 +337,6 @@ def _options_match(inst, disc):
             kernel = _task_options(inst, disc, j, packer, collapse_h)
             assert kernel == task_options_reference(inst, disc, j, packer, collapse_h)
             assert all(type(x) is int for o in kernel for x in (o[0], o[3], *o[2]))
-            for agent, alpha, key, dh in kernel:
-                assert dh == disc.principal_units(inst, j, agent, alpha)
-                dv = packer.unpack_rows(np.array([key], dtype=np.int64))[0][-n * n :]
-                for i in range(n):
-                    assert dv[i * n + agent] == disc.agent_units(inst, i, j, alpha)
 
 
 # Agent 0 can never be paid on task 0 (p r = 0, c > 0); agent 1 does task 1
@@ -365,7 +362,7 @@ class TestOptionKernel:
             guesses = list(itertools.product(ladder, repeat=inst.n))
             for guess in random.Random(inst.m).sample(guesses, min(4, len(guesses))):
                 for K in (5, 24):
-                    disc = adaptive_grid(inst, guess, F(1, K), K)
+                    disc = adaptive_grid(inst, guess, F(1, K))
                     assert disc.task_grids == adaptive_task_grids_reference(inst, guess, K)
                     _options_match(inst, disc)
                     checked += 1
@@ -374,7 +371,7 @@ class TestOptionKernel:
     def test_zero_guess(self, ex52):
         for inst in (ex52, ZERO_PR, gen_partition_ef1([1])):
             guess = (ZERO,) * inst.n
-            disc = adaptive_grid(inst, guess, F(1, 12), 12)
+            disc = adaptive_grid(inst, guess, F(1, 12))
             assert disc.task_grids == adaptive_task_grids_reference(inst, guess, 12)
             _options_match(inst, disc)
 

@@ -19,7 +19,7 @@ from faircon.core import (
     verify_eps_ef,
     verify_ir,
 )
-from faircon import exact
+from faircon import exact, ext, lp
 from faircon.errors import BudgetExceededError, FairconError
 from faircon.exact import (
     enumerate_case4_bounds,
@@ -79,14 +79,7 @@ class TestSolveOptEf:
     def test_unverified_optimum_raises(self, ex52, monkeypatch):
         # Without its envy rows the LP returns the envious unconstrained
         # optimum, which the solver's own tol-0 check must refuse.
-        build = exact.build_ef_lp
-
-        def without_envy_rows(inst, alloc, eps=0):
-            model = build(inst, alloc, eps)
-            model.rows = [r for r in model.rows if not r.tag.startswith("ef[")]
-            return model
-
-        monkeypatch.setattr(exact, "build_ef_lp", without_envy_rows)
+        monkeypatch.setattr(lp._Builder, "envy_row", lambda self, *args, **kwargs: None)
         with pytest.raises(FairconError, match="failed verification"):
             solve_opt_ef(ex52)
 
@@ -145,13 +138,13 @@ class TestBranchAndBound:
 
         def floored(alloc):
             model = exact.build_ef_lp(inst, alloc)
-            model.rows.append(LpRow({0: ONE}, ">=", F(1, 2), "floor"))
+            model.rows.append(LpRow({0: ONE}, F(1, 2)))
             return model
 
         plain = lambda alloc: exact.build_ef_lp(inst, alloc)  # noqa: E731
-        (value, _, _, _), counts = exact._best_lp(inst, 10, lambda a: [floored(a), plain(a)])
+        (value, _, _), counts = exact._best_lp(inst, 10, lambda a: [floored(a), plain(a)])
         assert value == F(3, 4) and counts["lp_solves"] == 2
-        (value, _, _, _), counts = exact._best_lp(inst, 10, lambda a: [plain(a), floored(a)])
+        (value, _, _), counts = exact._best_lp(inst, 10, lambda a: [plain(a), floored(a)])
         assert value == F(3, 4) and counts["lp_solves"] == 1
 
     def test_twin_agents_keep_the_first_optimum(self):
@@ -281,6 +274,18 @@ class TestSolveOptEfs:
         inst = gen_random(2, 2, 888)
         res = solve_opt_efs(inst)
         assert revenue(inst, res.contract) == res.revenue
+
+    def test_solves_without_the_reduction_helpers(self, ex52, monkeypatch):
+        # The subsidy LP is the reduction solved directly; the helpers that
+        # materialize it on the augmented instance are not part of a solve.
+        def refuse(*args, **kwargs):
+            raise AssertionError("reduction helper called")
+
+        for name in ("efs_augment", "embed_subsidized", "extract_subsidies"):
+            monkeypatch.setattr(ext, name, refuse)
+        res = solve_opt_efs(ex52)
+        assert res.revenue == F(3, 20) and res.contract.subsidies == (F(1, 20), 0)
+        assert "augmented_tasks" not in res.meta
 
 
 def test_exact_solve_logs_summary_at_info(caplog):

@@ -21,7 +21,7 @@ from faircon.ext import (
     extract_subsidies,
     round_robin_ef1,
 )
-from faircon.instances import gen_pof_sqrt, gen_random
+from faircon.instances import gen_example, gen_partition_ef, gen_pof_sqrt, gen_random
 from faircon.numeric import ONE, ZERO
 
 from conftest import random_instances
@@ -80,18 +80,30 @@ class TestSubsidyReduction:
             for i in range(aug.n):
                 assert aug.p[i][k] == 1 and aug.c[i][k] == 0 and aug.r[k] == 1
 
-    def test_embed_then_extract_roundtrip(self):
-        inst = gen_random(2, 2, 12)
+    def test_embed_then_extract_roundtrip(self, ex52):
+        # The optimal subsidized contract lifts to an EF contract of the
+        # augmented instance worth m + n more, and maps back unchanged.
         from faircon.exact import solve_opt_efs
 
-        res = solve_opt_efs(inst)
-        aug, mapping = efs_augment(inst)
-        lifted = embed_subsidized(res.contract, mapping)
-        assert verify_ef(aug, lifted, tol=0)[0]
-        assert revenue(aug, lifted) == res.revenue + inst.m + inst.n
-        back = extract_subsidies(lifted, mapping)
-        assert back == res.contract
-        assert verify_efs(inst, back, tol=0)
+        instances = [
+            gen_random(2, 2, 12),
+            ex52,
+            gen_example("5.7", F(1, 5)),
+            gen_partition_ef([1, 2]),
+            *random_instances(3, 3, 2, seed0=1200),
+        ]
+        subsidized = 0
+        for inst in instances:
+            res = solve_opt_efs(inst)
+            subsidized += any(res.contract.subsidies)
+            aug, mapping = efs_augment(inst)
+            lifted = embed_subsidized(res.contract, mapping)
+            assert verify_ef(aug, lifted, tol=0)[0]
+            assert revenue(aug, lifted) == res.revenue + inst.m + inst.n
+            back = extract_subsidies(lifted, mapping)
+            assert back == res.contract
+            assert verify_efs(inst, back, tol=0)
+        assert subsidized >= 2
 
     def test_extract_requires_matching_shape(self):
         inst = gen_random(2, 1, 13)

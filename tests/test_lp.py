@@ -12,10 +12,10 @@ from faircon.instances import gen_partition_ef, gen_partition_ef1, gen_random
 from faircon.lp import (
     LpModel,
     LpRow,
-    alphas_from_solution,
     build_ef1_lp,
     build_ef_lp,
     build_efs_lp,
+    contract_from_solution,
     solve_lp,
 )
 from faircon.numeric import ONE, ZERO
@@ -27,26 +27,24 @@ from oracles import grid_ef_best
 def test_solve_lp_single_variable():
     # maximize (1 - a) * 0.5 subject to a >= 0.5: optimum a = 1/2, 1/4.
     model = LpModel(
-        var_names=["a"],
+        n_vars=1,
         objective={0: -F(1, 2)},
         objective_const=F(1, 2),
-        rows=[LpRow({0: ONE}, ">=", F(1, 2), "floor")],
+        rows=[LpRow({0: ONE}, F(1, 2))],
         upper_bounds={0: ONE},
     )
     sol = solve_lp(model)
     assert sol.optimal
-    assert sol.values["a"] == F(1, 2)
+    assert sol.x == (F(1, 2),)
     assert sol.objective == F(1, 4)
 
 
 def test_solve_lp_infeasible():
     model = LpModel(
-        var_names=["a"],
+        n_vars=1,
         objective={0: ONE},
         objective_const=ZERO,
-        rows=[
-            LpRow({0: ONE}, ">=", F(2), "impossible"),
-        ],
+        rows=[LpRow({0: ONE}, F(2))],
         upper_bounds={0: ONE},
     )
     assert solve_lp(model).status == "infeasible"
@@ -54,10 +52,10 @@ def test_solve_lp_infeasible():
 
 def test_solve_lp_unbounded_guard():
     model = LpModel(
-        var_names=["x"],
+        n_vars=1,
         objective={0: ONE},
         objective_const=ZERO,
-        rows=[LpRow({0: ONE}, ">=", ZERO, "free")],
+        rows=[LpRow({0: ONE}, ZERO)],
         upper_bounds={},
     )
     assert solve_lp(model).status == "unbounded"
@@ -66,10 +64,10 @@ def test_solve_lp_unbounded_guard():
 def test_solve_lp_self_check_covers_upper_bounds(monkeypatch):
     # The row a >= 1/2 holds at a = 2; only the bound a <= 1 is broken.
     model = LpModel(
-        var_names=["a"],
+        n_vars=1,
         objective={0: -ONE},
         objective_const=ONE,
-        rows=[LpRow({0: ONE}, ">=", F(1, 2), "floor")],
+        rows=[LpRow({0: ONE}, F(1, 2))],
         upper_bounds={0: ONE},
     )
     monkeypatch.setattr(simplex, "maximize", lambda *args: (simplex.OPTIMAL, [F(2)], -F(2)))
@@ -79,10 +77,10 @@ def test_solve_lp_self_check_covers_upper_bounds(monkeypatch):
 
 class TestBuildEfLp:
     def test_example_52_both_allocations(self, ex52):
-        model = build_ef_lp(ex52, Allocation((0,), 2), 0)
-        sol = solve_lp(model)
+        alloc = Allocation((0,), 2)
+        sol = solve_lp(build_ef_lp(ex52, alloc, 0))
         assert sol.optimal and sol.objective == F(9, 100)
-        assert alphas_from_solution(model, sol, 1) == (F(1, 10),)
+        assert contract_from_solution(sol, alloc) == Contract(alloc, (F(1, 10),))
         # The strong agent cannot be used envy-freely at all.
         assert not solve_lp(build_ef_lp(ex52, Allocation((1,), 2), 0)).optimal
 
@@ -126,11 +124,10 @@ class TestBuildEfLp:
         # at the optimum every t equals max(alpha p r - c, 0).
         inst = gen_random(2, 3, 107)
         alloc = Allocation((0, 1, 1), 2)
-        model = build_ef_lp(inst, alloc, 0)
-        sol = solve_lp(model)
+        sol = solve_lp(build_ef_lp(inst, alloc, 0))
         if not sol.optimal:
             pytest.skip("allocation EF-infeasible for this draw")
-        alphas = alphas_from_solution(model, sol, 3)
+        alphas = contract_from_solution(sol, alloc).alpha
         bundles = alloc.bundles()
         for i in range(2):
             own = sum(
@@ -147,9 +144,7 @@ class TestBuildEfLp:
                     ),
                     ZERO,
                 )
-                t_sum = sum(
-                    (sol.values[f"t[{i},{k}]"] for k in bundles[j]), ZERO
-                )
+                t_sum = sum((sol.x[3 + i * 3 + k] for k in bundles[j]), ZERO)  # t[i,k]
                 assert own >= t_sum
                 assert t_sum >= clamped  # so the clamped program is satisfied too
 
@@ -207,23 +202,23 @@ class TestBuildEf1Lp:
         inst = gen_random(1, 2, 31)
         alloc = Allocation((0, 0), 1)
         bound = F(1, 3)
-        model = build_ef1_lp(inst, alloc, {}, {0: bound, 1: bound})
-        sol = solve_lp(model)
+        sol = solve_lp(build_ef1_lp(inst, alloc, {}, {0: bound, 1: bound}))
         if sol.optimal:
-            alphas = alphas_from_solution(model, sol, 2)
-            assert all(a <= bound for a in alphas)
+            assert all(a <= bound for a in contract_from_solution(sol, alloc).alpha)
 
 
 def test_build_efs_lp_example_54(ex52):
-    sol = solve_lp(build_efs_lp(ex52, Allocation((1,), 2)))
+    alloc = Allocation((1,), 2)
+    model = build_efs_lp(ex52, alloc)
+    assert model.n_vars == 1 + 2 + 2  # alpha, t[0,0], t[1,0], s[0], s[1]
+    sol = solve_lp(model)
     assert sol.optimal and sol.objective == F(3, 20)
-    assert sol.values["alpha[0]"] == F(3, 5)
-    assert sol.values["s[0]"] == F(1, 20) and sol.values["s[1]"] == 0
+    k = contract_from_solution(sol, alloc)
+    assert k.alpha == (F(3, 5),) and k.subsidies == (F(1, 20), 0)
 
 
 def test_lp_solutions_reverify_with_core(ex52):
-    model = build_ef_lp(ex52, Allocation((0,), 2), 0)
-    sol = solve_lp(model)
-    k = Contract(Allocation((0,), 2), alphas_from_solution(model, sol, 1))
+    alloc = Allocation((0,), 2)
+    k = contract_from_solution(solve_lp(build_ef_lp(ex52, alloc, 0)), alloc)
     assert verify_ir(ex52, k, tol=0)[0]
     assert verify_ef(ex52, k, tol=0)[0]
