@@ -142,22 +142,31 @@ def _parse_graph(text: str) -> list[list[int]]:
     return adj
 
 
+# The flags each generator family cannot do without.
+_REQUIRED_FLAGS = {
+    "partition-ef": ("set",),
+    "partition-ef1": ("set",),
+    "partition-eps-ef": ("set", "eps"),
+    "two-agent-hard": ("set",),
+    "independent-set": ("graph",),
+    "pof-sqrt": ("n",),
+    "example": ("eps",),
+    "random": ("n", "m"),
+}
+
+
 def cmd_generate(args) -> int:
+    required = _REQUIRED_FLAGS.get(args.family, ())
+    for flag in required:
+        if getattr(args, flag) in (None, ""):
+            print(f"--{flag} is required for {args.family}", file=sys.stderr)
+            return EXIT_INVALID
     params: dict = {}
-    if args.family in ("partition-ef", "partition-ef1", "partition-eps-ef", "two-agent-hard"):
-        if not args.set:
-            print("--set is required for partition families", file=sys.stderr)
-            return EXIT_INVALID
+    if "set" in required:
         params["set"] = _parse_int_set(args.set)
-    if args.family in ("partition-eps-ef", "example"):
-        if args.eps is None:
-            print("--eps is required for this family", file=sys.stderr)
-            return EXIT_INVALID
+    if "eps" in required:
         params["eps"] = as_fraction(args.eps)
     if args.family == "independent-set":
-        if not args.graph:
-            print("--graph is required (edges like 0-1,1-2)", file=sys.stderr)
-            return EXIT_INVALID
         params["adjacency"] = _parse_graph(args.graph)
         params["c_target"] = as_fraction(args.c_target)
     if args.family == "pof-sqrt":

@@ -1,13 +1,15 @@
 """Dynamic programming over discretized utility profiles, and the FPTAS
 solvers built on it.
 
-The DP walks the tasks in order and tracks every reachable profile
-(principal utility; for each ordered agent pair (i, j), agent i's rounded
-utility on agent j's bundle), keeping one representative (allocation,
-contract) per profile.  Profiles are radix-packed into one or more int64
-words (components never straddle a word), so a transition is a vectorized
-integer addition; all grids are uniform, so rounded utilities are exact
-integer unit counts.
+The DP walks the tasks in order and tracks every reachable cross-utility
+profile (for each ordered agent pair (i, j), agent i's rounded utility on
+agent j's bundle), keeping one representative (allocation, contract) per
+profile: the one with the most principal units.  The fairness argument for
+a representative depends only on its cross-utility profile, and the most
+principal units can only improve the revenue guarantee.  Profiles are
+radix-packed into one or more int64 words (components never straddle a
+word), so a transition is a vectorized integer addition; all grids are
+uniform, so rounded utilities are exact integer unit counts.
 
 Two instantiations: a uniform grid for eps-envy-free contracts, and
 per-guess adaptive grids for EF1 contracts, where the contract grid for
@@ -21,12 +23,11 @@ every (grid point, agent) pair are one integer product and one floor
 division each.  Adaptive grids are built the same way, as integer
 numerators over L*K, and each distinct point becomes a Fraction once.
 
-The FPTAS wrappers run the DP keyed on the cross-utility profile only,
-retaining the maximum-principal-units representative per profile: the
-fairness argument for the surviving representative depends only on the
-cross-utility profile, and taking the max principal units can only improve
-the revenue guarantee.  The full profile (principal units included) stays
-available for the completeness oracle.
+Both FPTAS solvers run through one guess loop (`_best_over_guesses`):
+per (guess, grid, caps) run it floors the DP at the revenue the answer
+must beat, hands on the state budget the earlier runs left, scans the
+final layer and keeps the best verified candidate.  dp-eps-ef passes one
+run on a uniform grid, dp-ef1 one run per vector of utility guesses.
 
 The candidate scan walks the final layer in descending float revenue.  For
 dp-ef1 it backtracks fixed-size blocks of the band into (N, m) agent and
@@ -161,6 +162,8 @@ def instance_bit_length(inst: Instance) -> int:
 def utility_guesses(inst: Instance, f_bits: Optional[int] = None) -> list[Fraction]:
     """The guess set {0} union {m 2^-i}: some element brackets each possible
     optimal utility within a factor of two (down to 2^-f_bits)."""
+    if f_bits is not None and f_bits < 0:
+        raise InvalidInstanceError("f_bits must be nonnegative")
     f = instance_bit_length(inst) if f_bits is None else f_bits
     top = f + max(0, math.ceil(math.log2(inst.m))) if inst.m > 1 else f
     out = [ZERO] + [Fraction(inst.m) * Fraction(1, 2**i) for i in range(top + 1)]
@@ -203,17 +206,12 @@ class _Packer:
 
 @dataclass
 class DpResult:
-    """Reachable profiles with one representative path per profile.
-
-    Full mode keys states by (principal units, cross utilities); collapsed
-    mode keys by cross utilities only and stores each profile's maximum
-    principal units alongside.
-    """
+    """Reachable cross-utility profiles, each with the representative path
+    of most principal units; `layer_h` holds those units."""
 
     inst: Instance
     disc: Discretization
     packer: _Packer
-    collapse_h: bool
     options: list[list[tuple[int, Fraction, tuple[int, ...], int]]]
     layer_states: list = field(default_factory=list)  # (N, n_words) arrays
     layer_h: list = field(default_factory=list)
@@ -221,25 +219,10 @@ class DpResult:
     layer_opt: list = field(default_factory=list)
     states_total: int = 0
 
-    def final_components(self) -> np.ndarray:
-        """Cross-utility components of the last layer, one row per state."""
-        return self.packer.unpack_rows(self.layer_states[-1])
-
-    def profiles(self) -> set[tuple[int, ...]]:
-        """Final-layer profiles as (h, v[0][0], v[0][1], ..) unit tuples.
-
-        Only the full mode enumerates profiles; the collapsed mode keeps one
-        principal value per cross-utility profile by design.
-        """
-        if self.collapse_h:
-            raise FairconError("profiles() needs a full-profile run")
-        comps = self.final_components()
-        return {tuple(int(x) for x in row) for row in comps}
-
-    def final_h(self) -> np.ndarray:
-        if self.collapse_h:
-            return self.layer_h[-1]
-        return self.final_components()[:, 0]
+    def profiles(self) -> dict[tuple[int, ...], int]:
+        """Final layer as {(v[0][0], v[0][1], ..): max principal units}."""
+        comps = self.packer.unpack_rows(self.layer_states[-1]).tolist()
+        return dict(zip(map(tuple, comps), self.layer_h[-1].tolist()))
 
     def reconstruct(self, index: int) -> tuple[tuple[int, ...], tuple[Fraction, ...]]:
         assignment = [0] * self.inst.m
@@ -278,7 +261,7 @@ class DpResult:
         """
         step = self.disc.principal_step
         h_min = 0 if min_rev is None else int(min_rev / step) + 1
-        positions = np.nonzero(self.final_h() >= h_min)[0].astype(np.int64)
+        positions = np.nonzero(self.layer_h[-1] >= h_min)[0].astype(np.int64)
         frev = np.zeros(len(positions), dtype=np.float64)
         pr = np.array([[float(x) for x in row] for row in self.inst.pr])
         for t, o in self._walk(positions):
@@ -298,7 +281,7 @@ class DpResult:
 
 
 def _task_options(
-    inst: Instance, disc: Discretization, j: int, packer: _Packer, collapse_h: bool
+    inst: Instance, disc: Discretization, j: int, packer: _Packer
 ) -> list[tuple[int, Fraction, tuple[int, ...], int]]:
     """IR (alpha, agent) choices for task j as (agent, alpha, packed cross
     deltas, principal units), deduplicated when they move the profile
@@ -351,54 +334,44 @@ def _task_options(
             seen.add(sig)
             dv = [0] * (n * n)
             dv[agent::n] = units  # agent i's units on the receiver's bundle
-            key_comps = dv if collapse_h else [dh, *dv]
-            out.append((agent, alpha, packer.pack(key_comps), dh))
+            out.append((agent, alpha, packer.pack(dv), dh))
     return out
 
 
-def _dedupe_block(rows: np.ndarray, h: Optional[np.ndarray], gidx: np.ndarray):
-    """First (or max-h-first) representative per distinct row.
+def _dedupe_block(rows: np.ndarray, h: np.ndarray, gidx: np.ndarray):
+    """The max-h representative per distinct row, rows in lexicographic order.
 
-    Rows are compared lexicographically; ties prefer larger h, then the
-    smallest original index, matching the task/contract/agent loop order.
+    Ties in h prefer the smallest original index, matching the
+    task/contract/agent loop order.
     """
-    keys = [gidx]
-    if h is not None:
-        keys.append(-h)
-    keys.extend(rows[:, w] for w in range(rows.shape[1] - 1, -1, -1))
-    order = np.lexsort(tuple(keys))
+    order = np.lexsort((gidx, -h, *(rows[:, w] for w in range(rows.shape[1] - 1, -1, -1))))
     srows = rows[order]
     keep = np.ones(len(srows), dtype=bool)
     if len(srows) > 1:
         keep[1:] = np.any(srows[1:] != srows[:-1], axis=1)
     picked = order[keep]
-    return (
-        srows[keep],
-        None if h is None else h[picked],
-        gidx[picked],
-    )
+    return srows[keep], h[picked], gidx[picked]
 
 
 def dp_enumerate(
     inst: Instance,
     disc: Discretization,
     budget_states: int = DEFAULT_STATE_BUDGET,
-    prune_caps: Optional[Sequence[Optional[int]]] = None,
-    collapse_h: bool = False,
+    prune_caps: Optional[Sequence[int]] = None,
     min_final_h: Optional[int] = None,
 ) -> DpResult:
-    """One representative IR (allocation, contract) per reachable profile.
+    """The max-principal-units IR (allocation, contract) per reachable
+    cross-utility profile.
 
     Every emitted contract is IR by construction (non-IR pairs are never
-    offered), and every IR contract on the grids shares its profile with
-    some representative.  prune_caps optionally drops states whose rounded
-    cross-utilities exceed a per-agent unit cap; soundness of a cap is the
-    caller's concern (the FPTAS wrappers derive theirs from their proofs).
-    With collapse_h the profile key omits the principal units and the
-    maximum-principal representative is kept per cross-utility profile.
-    min_final_h drops any state that cannot reach that many principal units
-    even with the best remaining tasks (the callers use it with a floor the
-    guaranteed candidate provably clears).
+    offered), and every IR contract on the grids shares its cross-utility
+    profile with some representative of at least its principal units.
+    prune_caps optionally drops states whose rounded cross-utilities exceed
+    a per-agent unit cap; soundness of a cap is the caller's concern (the
+    FPTAS wrappers derive theirs from their proofs).  min_final_h drops any
+    state that cannot reach that many principal units even with the best
+    remaining tasks (the callers use it with a floor the guaranteed
+    candidate provably clears).
     """
     n, m = inst.n, inst.m
     max_units = 0
@@ -408,36 +381,27 @@ def dp_enumerate(
             u = agent_task_utility(inst, i, j, top)
             if u > 0 and disc.agent_steps[i] > 0:
                 max_units = max(max_units, ceil_div(u, disc.agent_steps[i]))
-            max_units = max(
-                max_units, ceil_div(inst.pr[i][j], disc.principal_step)
-            )
-    radix = m * max(1, max_units) + 1
-    n_comp = n * n + (0 if collapse_h else 1)
-    packer = _Packer(radix, n_comp)
+    packer = _Packer(m * max(1, max_units) + 1, n * n)
 
-    options = [_task_options(inst, disc, j, packer, collapse_h) for j in range(m)]
-    result = DpResult(inst, disc, packer, collapse_h, options)
+    options = [_task_options(inst, disc, j, packer) for j in range(m)]
+    result = DpResult(inst, disc, packer, options)
 
     # Largest principal units still obtainable after each task.
     future_h = [0] * (m + 1)
     for j in range(m - 1, -1, -1):
         future_h[j] = future_h[j + 1] + max((o[3] for o in options[j]), default=0)
+    # Component i*n + j is agent i's units on agent j's bundle.
+    caps = None if prune_caps is None else np.repeat(np.array(prune_caps, dtype=np.int64), n)
 
-    def kept(need: int, vals: np.ndarray, hv: Optional[np.ndarray], gidx: np.ndarray):
+    def kept(need: int, vals: np.ndarray, hv: np.ndarray, gidx: np.ndarray):
         """A deduplicated block without the states over a cap or below h
-        `need`.  Both tests read only the key, or the h of a collapsed
-        key's max-h representative, so pruning each block before the merge
-        keeps exactly the states that pruning the merged layer would."""
-        mask = np.ones(len(vals), dtype=bool)
-        if prune_caps is not None:
-            comps = packer.unpack_rows(vals)
-            v_comps = comps if collapse_h else comps[:, 1:]
-            for i in range(n):
-                if prune_caps[i] is not None:
-                    mask &= np.all(v_comps[:, i * n : (i + 1) * n] <= prune_caps[i], axis=1)
-        if need > 0:
-            mask &= (hv if collapse_h else packer.unpack_rows(vals)[:, 0]) >= need
-        return vals[mask], None if hv is None else hv[mask], gidx[mask]
+        `need`.  Both tests read only the key, or the h of its max-h
+        representative, so pruning each block before the merge keeps
+        exactly the states that pruning the merged layer would."""
+        mask = hv >= need
+        if caps is not None:
+            mask &= np.all(packer.unpack_rows(vals) <= caps, axis=1)
+        return vals[mask], hv[mask], gidx[mask]
 
     states = np.zeros((1, packer.n_words), dtype=np.int64)
     h_vals = np.zeros(1, dtype=np.int64)
@@ -453,36 +417,23 @@ def dp_enumerate(
         running = None  # rolling merge keeps memory at O(distinct states)
         block = max(1, _CHUNK // max(1, n_prev))
         for start in range(0, len(opts), block):
-            sub = deltas[start : start + block]
-            cand = (states[None, :, :] + sub[:, None, :]).reshape(-1, packer.n_words)
+            sub = slice(start, start + block)
+            cand = (states[None, :, :] + deltas[sub][:, None, :]).reshape(-1, packer.n_words)
+            cand_h = (h_vals[None, :] + dh[sub][:, None]).ravel()
             gidx = np.arange(len(cand), dtype=np.int64) + start * n_prev
-            cand_h = None
-            if collapse_h:
-                cand_h = (h_vals[None, :] + dh[start : start + block][:, None]).ravel()
             piece = kept(need, *_dedupe_block(cand, cand_h, gidx))
-            if running is None:
-                running = piece
-            else:
-                allv = np.concatenate([running[0], piece[0]])
-                allh = (
-                    None
-                    if piece[1] is None
-                    else np.concatenate([running[1], piece[1]])
-                )
-                alli = np.concatenate([running[2], piece[2]])
-                running = _dedupe_block(allv, allh, alli)
+            running = piece if running is None else _dedupe_block(
+                *(np.concatenate(pair) for pair in zip(running, piece))
+            )
             # The running set only grows and ends as this layer's states.
             if total + len(running[0]) > budget_states:
                 raise BudgetExceededError("states", budget_states, total + len(running[0]))
-        states, hnew, gidx = running
-        parent = (gidx % n_prev).astype(np.int64)
-        opt_id = (gidx // n_prev).astype(np.int64)
-        h_vals = hnew if collapse_h else np.zeros(len(states), dtype=np.int64)
+        states, h_vals, gidx = running
         total += len(states)
         result.layer_states.append(states)
-        result.layer_h.append(h_vals if collapse_h else None)
-        result.layer_parent.append(parent)
-        result.layer_opt.append(opt_id)
+        result.layer_h.append(h_vals)
+        result.layer_parent.append(gidx % n_prev)
+        result.layer_opt.append(gidx // n_prev)
         log.debug("dp task %d: %d states", j, len(states))
     result.states_total = total
     return result
@@ -560,24 +511,16 @@ def _ef1_screen(inst: Instance, agents: np.ndarray, alphas: np.ndarray, slack: f
     return np.all(own[:, :, None] >= switch - drop - slack, axis=(1, 2))
 
 
-def _ef1_float_plausible(inst: Instance, k: Contract) -> bool:
-    """The float EF1 screen of one contract: certain EF1 failures are
-    skipped before the exact rational check; anything borderline passes."""
-    agents = np.array([k.assignment], dtype=np.int64)
-    alphas = np.array([[float(a) for a in k.alpha]], dtype=np.float64)
-    return bool(_ef1_screen(inst, agents, alphas, _screen_slack(inst.m))[0])
-
-
-def _scan_candidates(inst, dp: DpResult, best_rev, best, verify, screen=False):
+def _scan_candidates(inst, dp: DpResult, best_rev, best, verify, screen: bool):
     """Best-true-revenue verifier-passing candidate, scanned by descending
     float revenue; returns (revenue, contract, verifier calls).
 
-    Full verification runs only until the first passer; afterwards exact
-    revenue comparison gates it, and the scan stops once float revenue
-    falls the band margin below the incumbent.  With `screen`, the float
-    EF1 screen runs first over fixed-size blocks of the scan; a screen-failer
-    counts as one rejected verifier call whenever verify would have run, and
-    only a failer too close to the incumbent for floats to order gets
+    Once there is an incumbent, exact revenue comparison gates the
+    verifier, and the scan stops once float revenue falls the band margin
+    below the incumbent.  With `screen`, the float EF1 screen runs first
+    over fixed-size blocks of the scan; a screen-failer counts as one
+    rejected verifier call whenever verify would have run, and only a
+    failer too close to the incumbent for floats to order gets
     reconstructed, for its exact revenue.
     """
     positions, frev = dp.band(best_rev)
@@ -601,24 +544,48 @@ def _scan_candidates(inst, dp: DpResult, best_rev, best, verify, screen=False):
             fr = float(frev[q])
             if fr < fbest - margin:
                 return best_rev, best, checks
-            if not ok and (best_rev is None or fr > fbest + margin):
+            if not ok and fr > fbest + margin:
                 checks += 1  # verify would run, and reject
                 continue
             assignment, alphas = dp.reconstruct(int(positions[q]))
             contract = Contract(Allocation(assignment, inst.n), alphas)
-            if best_rev is not None:
-                rev = revenue(inst, contract)
-                if rev <= best_rev:
-                    continue
-                checks += 1
-                if ok and verify(contract):
-                    best_rev, best, fbest = rev, contract, float(rev)
-            else:
-                checks += 1
-                if verify(contract):
-                    best_rev = revenue(inst, contract)
-                    best, fbest = contract, float(best_rev)
+            rev = revenue(inst, contract)
+            if best_rev is not None and rev <= best_rev:
+                continue
+            checks += 1
+            if ok and verify(contract):
+                best_rev, best, fbest = rev, contract, float(rev)
     return best_rev, best, checks
+
+
+def _best_over_guesses(inst, runs, rev_floor, step, budget_states, verify, screen):
+    """The best verifier-passing candidate over the DP runs of
+    (guess, discretization, caps) triples, one run after another.
+
+    Each run drops the states that cannot reach `rev_floor` (a revenue the
+    guaranteed candidate provably clears) or beat the incumbent, and gets
+    what the earlier runs left of the state budget.  Returns (contract,
+    revenue, its guess, states, verifier calls, runs).
+    """
+    best_rev: Optional[Fraction] = None
+    best: Optional[Contract] = None
+    best_guess = None
+    states = checks = count = 0
+    for count, (guess, disc, caps) in enumerate(runs, 1):
+        floor = rev_floor if best_rev is None else max(rev_floor, best_rev)
+        h_floor = int(floor / step) if floor > 0 else None
+        try:
+            dp = dp_enumerate(inst, disc, budget_states - states, caps, h_floor)
+        except BudgetExceededError as exc:
+            raise BudgetExceededError("states", budget_states, states + exc.needed) from None
+        states += dp.states_total
+        new_rev, new_best, run_checks = _scan_candidates(inst, dp, best_rev, best, verify, screen)
+        checks += run_checks
+        if new_best is not best:
+            best_rev, best, best_guess = new_rev, new_best, guess
+    if best is None:
+        raise FairconError("no candidate passed verification; this contradicts the guarantee")
+    return best, best_rev, best_guess, states, checks, count
 
 
 def solve_eps_ef_fptas(
@@ -641,7 +608,6 @@ def solve_eps_ef_fptas(
     delta = eps_int / m
     K = ceil_div(ONE, delta)
     step = Fraction(1, K)
-    disc = uniform_grid(inst, K)
 
     # The rounded optimum's cross-utilities stay within 2m grid steps of
     # the true optimum's, which envy-freeness bounds by the agent's best
@@ -650,18 +616,10 @@ def solve_eps_ef_fptas(
     # The guaranteed candidate earns at least OPT-EF - 2 eps/3, and the
     # greedy EF contract lower-bounds OPT-EF, giving a sound revenue floor.
     floor = revenue(inst, greedy_ef(inst)) - 2 * eps_int
-    h_floor = int(floor / step) if floor > 0 else None
-    dp = dp_enumerate(inst, disc, budget_states, caps, collapse_h=True, min_final_h=h_floor)
-
-    best_rev, best, checked = _scan_candidates(
-        inst,
-        dp,
-        None,
-        None,
-        lambda contract: verify_eps_ef(inst, contract, eps, tol=0),
+    best, best_rev, _, states, checked, _ = _best_over_guesses(
+        inst, [(None, uniform_grid(inst, K), caps)], floor, step, budget_states,
+        lambda contract: verify_eps_ef(inst, contract, eps, tol=0), screen=False,
     )
-    if best is None:
-        raise FairconError("no eps-EF candidate found; this contradicts the guarantee")
     return SolveResult(
         best,
         best_rev,
@@ -671,7 +629,7 @@ def solve_eps_ef_fptas(
             "eps_internal": eps_int,
             "delta": step,
             "grid_points": K + 1,
-            "states": dp.states_total,
+            "states": states,
             "candidates_checked": checked,
         },
     )
@@ -710,40 +668,18 @@ def solve_ef1_fptas(
         cap = 2 * _max_bundle_utility(inst, i)
         per_agent.append([g for g in ladder if g <= cap] or [ZERO])
 
-    best_rev: Optional[Fraction] = None
-    best: Optional[Contract] = None
-    best_guess: Optional[tuple] = None
-    states_total = 0
-    exact_checks = 0
-    guesses_run = 0
-    # The correct guess's surviving candidate earns at least OPT-EF - 2 nu;
-    # greedy EF lower-bounds OPT-EF, so states that cannot reach this floor
-    # (or beat the incumbent) can never change the answer.
-    rev_floor = revenue(inst, greedy_ef(inst)) - 2 * nu
-    for guess in itertools.product(*per_agent):
-        guesses_run += 1
-        disc = adaptive_grid(inst, guess, delta)
-        caps = [(K + ceil_div(nu, step) + m) if guess[i] > 0 else 0 for i in range(n)]
-        floor = rev_floor if best_rev is None else max(rev_floor, best_rev)
-        h_floor = int(floor / step) if floor > 0 else None
-        # Each guess's DP gets what the earlier guesses left of the budget.
-        try:
-            dp = dp_enumerate(
-                inst, disc, budget_states - states_total, caps,
-                collapse_h=True, min_final_h=h_floor,
-            )
-        except BudgetExceededError as exc:
-            raise BudgetExceededError("states", budget_states, states_total + exc.needed) from None
-        states_total += dp.states_total
-
-        new_rev, new_best, checks = _scan_candidates(
-            inst, dp, best_rev, best, lambda k: verify_ef1(inst, k, tol=0)[0], screen=True
-        )
-        exact_checks += checks
-        if new_best is not best:
-            best_rev, best, best_guess = new_rev, new_best, guess
-    if best is None:
-        raise FairconError("no EF1 candidate found; this contradicts the guarantee")
+    unit_cap = K + ceil_div(nu, step) + m
+    runs = (
+        (guess, adaptive_grid(inst, guess, delta), [unit_cap if g > 0 else 0 for g in guess])
+        for guess in itertools.product(*per_agent)
+    )
+    # The correct guess's surviving candidate earns at least OPT-EF - 2 nu,
+    # and greedy EF lower-bounds OPT-EF.
+    floor = revenue(inst, greedy_ef(inst)) - 2 * nu
+    best, best_rev, best_guess, states, checks, guesses = _best_over_guesses(
+        inst, runs, floor, step, budget_states,
+        lambda k: verify_ef1(inst, k, tol=0)[0], screen=True,
+    )
     return SolveResult(
         best,
         best_rev,
@@ -754,9 +690,8 @@ def solve_ef1_fptas(
             "delta": step,
             "f_bits": instance_bit_length(inst) if f_bits is None else f_bits,
             "guess": best_guess,
-            "guesses": guesses_run,
-            "states": states_total,
-            "exact_checks": exact_checks,
+            "guesses": guesses,
+            "states": states,
+            "exact_checks": checks,
         },
     )
-

@@ -202,7 +202,16 @@ def exhaustive_profiles(inst: Instance, grids, agent_steps, principal_step):
     return profiles
 
 
-def task_options_reference(inst: Instance, disc, j: int, packer, collapse_h: bool):
+def best_h_per_profile(profiles) -> dict:
+    """Full (h, v...) profiles projected to {v: max h}: what the DP keeps,
+    the most principal units of each reachable cross-utility profile."""
+    best: dict = {}
+    for h, *v in profiles:
+        best[tuple(v)] = max(h, best.get(tuple(v), h))
+    return best
+
+
+def task_options_reference(inst: Instance, disc, j: int, packer):
     """IR (agent, alpha, packed cross deltas, principal units) choices for
     task j, in Fractions straight from the rounding definitions: the DP's
     option list before its integer kernel, kept as the kernel's reference.
@@ -236,7 +245,7 @@ def task_options_reference(inst: Instance, disc, j: int, packer, collapse_h: boo
             if sig in seen:
                 continue
             seen.add(sig)
-            out.append((agent, alpha, packer.pack(dv if collapse_h else [dh, *dv]), dh))
+            out.append((agent, alpha, packer.pack(dv), dh))
     return out
 
 

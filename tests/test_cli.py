@@ -8,7 +8,7 @@ import pytest
 
 from faircon.cli import main
 from faircon.serialize import dump_json, instance_to_dict, load_json
-from faircon.instances import gen_example, gen_partition_ef1, gen_random
+from faircon.instances import gen_example, gen_partition_ef1, gen_random, gen_two_agent_hard
 
 
 def run(argv):
@@ -46,7 +46,12 @@ class TestGenerate:
         assert a.read_bytes() == b.read_bytes()
 
     def test_missing_parameter(self, tmp_path):
-        assert run(["generate", "partition-ef", "--out", tmp_path / "x.json"]) == 3
+        out = ["--out", tmp_path / "x.json"]
+        assert run(["generate", "partition-ef", *out]) == 3
+        assert run(["generate", "pof-sqrt", *out]) == 3
+        assert run(["generate", "random", "--m", 2, *out]) == 3
+        assert run(["generate", "random", "--n", 2, *out]) == 3
+        assert not (tmp_path / "x.json").exists()
 
 
 class TestSolve:
@@ -91,6 +96,8 @@ class TestSolve:
     def test_usage_errors_exit_invalid(self, ex52_path):
         assert run(["solve", ex52_path, "--method", "nope"]) == 3
         assert run(["solve", ex52_path]) == 3
+        dp_ef1 = ["solve", ex52_path, "--method", "dp-ef1", "--eps", "1/4"]
+        assert run(dp_ef1 + ["--f-bits", -20]) == 3
         assert run(["solve", "--help"]) == 0
 
     def test_budget_exit_code(self, ex52_path):
@@ -98,16 +105,23 @@ class TestSolve:
 
     def test_state_budget_equal_to_reported_states_suffices(self, tmp_path, capsys):
         # Pruned states are never charged: a budget of exactly the states
-        # the solve reports succeeds, and one less fails needing that count.
-        path = tmp_path / "pef1.json"
-        dump_json(instance_to_dict(gen_partition_ef1([1]), exact=True), str(path))
-        out = tmp_path / "sol.json"
-        argv = ["solve", path, "--method", "dp-ef1", "--eps", "1/6", "--f-bits", 1]
-        assert run(argv + ["--budget-states", 8659, "--out", out]) == 0
-        assert load_json(str(out))["meta"]["states"] == 8659
-        capsys.readouterr()
-        assert run(argv + ["--budget-states", 8658]) == 2
-        assert "states budget of 8658 exceeded (needs ~8659)" in capsys.readouterr().err
+        # the solve reports succeeds, and one less fails needing that count,
+        # over dp-ef1's guesses and dp-eps-ef's single run alike.
+        cases = [
+            (gen_partition_ef1([1]), ["dp-ef1", "--eps", "1/6", "--f-bits", 1], 8659),
+            (gen_two_agent_hard([1, 2]), ["dp-eps-ef", "--eps", "1/10"], 39040),
+        ]
+        for inst, method, states in cases:
+            path = tmp_path / "inst.json"
+            dump_json(instance_to_dict(inst, exact=True), str(path))
+            out = tmp_path / "sol.json"
+            argv = ["solve", path, "--method", *method]
+            assert run(argv + ["--budget-states", states, "--out", out]) == 0
+            assert load_json(str(out))["meta"]["states"] == states
+            capsys.readouterr()
+            assert run(argv + ["--budget-states", states - 1]) == 2
+            err = capsys.readouterr().err
+            assert f"states budget of {states - 1} exceeded (needs ~{states})" in err
 
     def test_bad_instance_file(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -27,7 +27,6 @@ from faircon.dp import (
     _Packer,
     _band_error,
     _band_margin,
-    _ef1_float_plausible,
     _ef1_screen,
     _screen_slack,
     _task_options,
@@ -48,6 +47,7 @@ from faircon.serialize import dump_json, instance_to_dict
 from conftest import make_contract, random_instances
 from oracles import (
     adaptive_task_grids_reference,
+    best_h_per_profile,
     ef1_holds_exhaustive,
     exhaustive_profiles,
     task_options_reference,
@@ -61,16 +61,15 @@ class TestRounding:
         inst = gen_random(2, 3, 123)
         disc = uniform_grid(inst, 10)
         n = inst.n
-        packer = _Packer(10**6, 1 + n * n)
+        packer = _Packer(10**6, n * n)
         for j in range(inst.m):
-            for agent, alpha, key, dh in _task_options(inst, disc, j, packer, False):
+            for agent, alpha, key, dh in _task_options(inst, disc, j, packer):
                 comps = packer.unpack_rows(np.array([key], dtype=np.int64))[0]
-                assert comps[0] == dh
                 tru = (1 - alpha) * inst.p[agent][j] * inst.r[j]
                 assert tru <= dh * F(1, 10) <= tru + F(1, 10)
                 for i in range(n):
                     true = max(agent_task_utility(inst, i, j, alpha), ZERO)
-                    rounded = comps[1 + i * n + agent] * F(1, 10)
+                    rounded = comps[i * n + agent] * F(1, 10)
                     assert true <= rounded <= true + F(1, 10)
 
 
@@ -79,20 +78,23 @@ class TestDpEnumerate:
         inst = Instance(r=(1,), p=((1,),), c=((0,),))
         dp = dp_enumerate(inst, uniform_grid(inst, 1))
         # alpha = 0 gives the principal everything; alpha = 1 the agent.
-        assert dp.profiles() == {(1, 0), (0, 1)}
+        assert dp.profiles() == {(0,): 1, (1,): 0}
 
     def test_profiles_match_exhaustive_enumeration(self):
-        for seed, m in ((9, 2), (10, 3)):
-            inst = gen_random(2, m, seed)
+        # In the last instance neither agent earns anything at alpha = 0, so
+        # both assignments land on the all-zero profile: the weak agent comes
+        # first in the option order, the strong one leaves the principal more.
+        weak_first = Instance(r=(1,), p=((F(1, 2),), (1,)), c=((0,), (0,)))
+        for inst in (gen_random(2, 2, 9), gen_random(2, 3, 10), weak_first):
             disc = uniform_grid(inst, 4)  # five-point grids
             dp = dp_enumerate(inst, disc)
             expected = exhaustive_profiles(
                 inst,
-                grids=[disc.task_grids[j] for j in range(m)],
+                grids=disc.task_grids,
                 agent_steps=disc.agent_steps,
                 principal_step=disc.principal_step,
             )
-            assert dp.profiles() == expected
+            assert dp.profiles() == best_h_per_profile(expected)
 
     def test_every_representative_is_ir(self):
         inst = gen_random(2, 3, 77)
@@ -105,9 +107,10 @@ class TestDpEnumerate:
 
     def test_example_52_rounded_optimum_profile_present(self, ex52):
         # eps = 1/4 -> internal grid 1/12; the EF optimum alpha* = 1/10
-        # rounds to 2/12 and lands on profile (h=1, v00=1, 0, 0, 0).
+        # rounds to 2/12 and lands on profile v = (1, 0, 0, 0) with h = 1,
+        # the most principal units that profile reaches.
         dp = dp_enumerate(ex52, uniform_grid(ex52, 12))
-        assert (1, 1, 0, 0, 0) in dp.profiles()
+        assert dp.profiles()[(1, 0, 0, 0)] == 1
 
     def test_state_budget(self):
         inst = gen_random(2, 4, 3)
@@ -156,6 +159,8 @@ def test_guess_ladder_covers_every_utility():
         assert any(g / 2 <= u <= g for g in ladder) or u == 0
         if u == 0:
             assert F(0) in ladder
+    with pytest.raises(InvalidInstanceError):
+        utility_guesses(inst, -1)
 
 
 def test_instance_bit_length_counts_all_entries():
@@ -247,6 +252,13 @@ def _min_ef1_slack(inst, k):
     return min(slacks)
 
 
+def _ef1_float_plausible(inst, k):
+    """The float EF1 screen of one contract, as a one-row block."""
+    agents = np.array([k.assignment], dtype=np.int64)
+    alphas = np.array([[float(a) for a in k.alpha]], dtype=np.float64)
+    return bool(_ef1_screen(inst, agents, alphas, _screen_slack(inst.m))[0])
+
+
 class TestEf1FloatScreen:
     """The float screen may only drop contracts that fail EF1 exactly; a
     dropped true passer would silently cost the dp-ef1 solver revenue."""
@@ -330,13 +342,11 @@ def _fptas_runs(monkeypatch, inst, eps, f_bits, budget_states=None):
 
 def _options_match(inst, disc):
     """The kernel's options equal the Fraction reference's, with int units."""
-    n = inst.n
-    for collapse_h in (True, False):
-        packer = _Packer(10**6, n * n + (0 if collapse_h else 1))
-        for j in range(inst.m):
-            kernel = _task_options(inst, disc, j, packer, collapse_h)
-            assert kernel == task_options_reference(inst, disc, j, packer, collapse_h)
-            assert all(type(x) is int for o in kernel for x in (o[0], o[3], *o[2]))
+    packer = _Packer(10**6, inst.n * inst.n)
+    for j in range(inst.m):
+        kernel = _task_options(inst, disc, j, packer)
+        assert kernel == task_options_reference(inst, disc, j, packer)
+        assert all(type(x) is int for o in kernel for x in (o[0], o[3], *o[2]))
 
 
 # Agent 0 can never be paid on task 0 (p r = 0, c > 0); agent 1 does task 1
@@ -385,9 +395,9 @@ class TestOptionKernel:
         packer = _Packer(100, 4)
         # At alpha 1/2 agent 0 earns 1/8 but has no utility grid.
         with pytest.raises(FairconError) as ref:
-            task_options_reference(inst, disc, 0, packer, True)
+            task_options_reference(inst, disc, 0, packer)
         with pytest.raises(FairconError) as kernel:
-            _task_options(inst, disc, 0, packer, True)
+            _task_options(inst, disc, 0, packer)
         assert str(kernel.value) == str(ref.value) == (
             "agent 0 has positive utility 1/8 but a degenerate grid"
         )
