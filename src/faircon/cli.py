@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import logging
 import os
 import sys
@@ -84,12 +83,7 @@ def cmd_solve(args) -> int:
     eps = as_fraction(args.eps) if args.eps is not None else None
     res = _run(args.method, inst, eps, args.budget_lps, args.budget_states, args.f_bits)
     report = fairness_report(inst, res.contract, eps or 0, args.tol)
-    payload = serialize.result_to_dict(res, report, args.exact_arith)
-    if args.out:
-        serialize.dump_json(payload, args.out)
-    else:
-        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-        print()
+    serialize.dump_json(serialize.result_to_dict(res, report, args.exact_arith), args.out)
     print(
         f"method={res.method} revenue={format_scalar_text(res.revenue, args.exact_arith)}",
         file=sys.stderr,
@@ -115,12 +109,7 @@ def cmd_verify(args) -> int:
     ok = report.ir_ok and bool(getattr(report, NOTIONS[args.notion]))
     payload["notion"] = args.notion
     payload["ok"] = ok
-    out = json.dumps(payload, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(out + "\n")
-    else:
-        print(out)
+    serialize.dump_json(payload, args.out)
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 
@@ -142,39 +131,28 @@ def _parse_graph(text: str) -> list[list[int]]:
     return adj
 
 
-# The flags each generator family cannot do without.
-_REQUIRED_FLAGS = {
-    "partition-ef": ("set",),
-    "partition-ef1": ("set",),
-    "partition-eps-ef": ("set", "eps"),
-    "two-agent-hard": ("set",),
-    "independent-set": ("graph",),
-    "pof-sqrt": ("n",),
-    "example": ("eps",),
-    "random": ("n", "m"),
+# `generate` parameters whose flag or text form differs from the family
+# parameter name: parameter -> (argparse dest, text parser).
+_PARAM_FLAGS = {
+    "set": ("set", _parse_int_set),
+    "eps": ("eps", as_fraction),
+    "adjacency": ("graph", _parse_graph),
+    "c_target": ("c_target", as_fraction),
 }
 
 
 def cmd_generate(args) -> int:
-    required = _REQUIRED_FLAGS.get(args.family, ())
-    for flag in required:
-        if getattr(args, flag) in (None, ""):
-            print(f"--{flag} is required for {args.family}", file=sys.stderr)
-            return EXIT_INVALID
+    _, required, optional = instances.FAMILIES[args.family]
     params: dict = {}
-    if "set" in required:
-        params["set"] = _parse_int_set(args.set)
-    if "eps" in required:
-        params["eps"] = as_fraction(args.eps)
-    if args.family == "independent-set":
-        params["adjacency"] = _parse_graph(args.graph)
-        params["c_target"] = as_fraction(args.c_target)
-    if args.family == "pof-sqrt":
-        params["n"] = args.n
-    if args.family == "example":
-        params["id"] = args.id
-    if args.family == "random":
-        params.update(n=args.n, m=args.m, seed=args.seed, profile=args.profile)
+    for key in required + optional:
+        dest, parse = _PARAM_FLAGS.get(key, (key, None))
+        value = getattr(args, dest)
+        if value in (None, ""):
+            if key in required:
+                print(f"--{dest.replace('_', '-')} is required for {args.family}", file=sys.stderr)
+                return EXIT_INVALID
+            continue
+        params[key] = parse(value) if parse else value
     inst = instances.make(args.family, params)
     serialize.dump_json(serialize.instance_to_dict(inst, exact=True), args.out)
     manifest = {
@@ -282,13 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.set_defaults(func=cmd_verify)
 
     pg = sub.add_parser("generate", help="write an instance from a named family")
-    pg.add_argument(
-        "family",
-        choices=(
-            "partition-ef", "partition-ef1", "partition-eps-ef", "two-agent-hard",
-            "independent-set", "pof-sqrt", "example", "random",
-        ),
-    )
+    pg.add_argument("family", choices=tuple(instances.FAMILIES))
     pg.add_argument("--set", help="comma-separated integers for partition families")
     pg.add_argument("--eps")
     pg.add_argument("--graph", help="edge list like 0-1,1-2,2-0")
@@ -320,7 +292,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (InvalidInstanceError, FairconError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except (FairconError, OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

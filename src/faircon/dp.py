@@ -159,13 +159,18 @@ def instance_bit_length(inst: Instance) -> int:
     return total
 
 
-def utility_guesses(inst: Instance, f_bits: Optional[int] = None) -> list[Fraction]:
-    """The guess set {0} union {m 2^-i}: some element brackets each possible
-    optimal utility within a factor of two (down to 2^-f_bits)."""
+def _ladder_top(inst: Instance, f_bits: Optional[int]) -> int:
+    """The exponent of the guess ladder's smallest nonzero rung m 2^-top."""
     if f_bits is not None and f_bits < 0:
         raise InvalidInstanceError("f_bits must be nonnegative")
     f = instance_bit_length(inst) if f_bits is None else f_bits
-    top = f + max(0, math.ceil(math.log2(inst.m))) if inst.m > 1 else f
+    return f + max(0, math.ceil(math.log2(inst.m))) if inst.m > 1 else f
+
+
+def utility_guesses(inst: Instance, f_bits: Optional[int] = None) -> list[Fraction]:
+    """The guess set {0} union {m 2^-i}: some element brackets each possible
+    optimal utility within a factor of two (down to 2^-f_bits)."""
+    top = _ladder_top(inst, f_bits)
     out = [ZERO] + [Fraction(inst.m) * Fraction(1, 2**i) for i in range(top + 1)]
     return sorted(set(out))
 
@@ -662,6 +667,11 @@ def solve_ef1_fptas(
     K = ceil_div(ONE, delta)
     step = Fraction(1, K)
 
+    # The ladder has top + 2 rungs and every guess runs the DP, so charge
+    # the guess count before any rung is built.
+    guess_count = (_ladder_top(inst, f_bits) + 2) ** n
+    if guess_count > budget_states:
+        raise BudgetExceededError("states", budget_states, guess_count)
     ladder = utility_guesses(inst, f_bits)
     per_agent: list[list[Fraction]] = []
     for i in range(n):

@@ -20,80 +20,52 @@ RANDOM_DENOMINATOR = 64
 PROFILES = ("uniform", "sparse-ability", "cost-heavy")
 
 
-def gen_partition_ef(integers: Sequence[int]) -> Instance:
-    """Three-agent reduction from the partition problem for plain envy-
-    freeness: one high-value task only agent 1 can do well, plus one task
-    per integer that only agents 2 and 3 can do."""
+def _positive_ints(integers: Sequence[int]) -> list[int]:
     ints = [int(x) for x in integers]
     if not ints or any(x <= 0 for x in ints):
         raise InvalidInstanceError("need a nonempty list of positive integers")
-    big = 10 * sum(ints)
-    r = (ONE,) + tuple(Fraction(x, big) for x in ints)
-    p = (
-        (ONE,) + (ZERO,) * len(ints),
-        (Fraction(1, 10),) + (ONE,) * len(ints),
-        (Fraction(1, 10),) + (ONE,) * len(ints),
-    )
-    c = (
-        (Fraction(1, 2),) + (ZERO,) * len(ints),
-        (ZERO,) * (len(ints) + 1),
-        (ZERO,) * (len(ints) + 1),
-    )
-    return Instance(r, p, c)
+    return ints
+
+
+def _partition(integers: Sequence[int], heads: Sequence[Fraction]) -> Instance:
+    """Three-agent reduction from the partition problem: one high-value task
+    per entry of `heads` that only agent 1 does well (agents 2 and 3 succeed
+    on it with that entry's probability), plus one task per integer that
+    only agents 2 and 3 can do."""
+    ints = _positive_ints(integers)
+    k, big = len(heads), 10 * sum(ints)
+    r = (ONE,) * k + tuple(Fraction(x, big) for x in ints)
+    p_head = (ONE,) * k + (ZERO,) * len(ints)
+    p_rest = tuple(heads) + (ONE,) * len(ints)
+    c_head = (Fraction(1, 2),) * k + (ZERO,) * len(ints)
+    c_rest = (ZERO,) * (k + len(ints))
+    return Instance(r, (p_head, p_rest, p_rest), (c_head, c_rest, c_rest))
+
+
+def gen_partition_ef(integers: Sequence[int]) -> Instance:
+    """Partition reduction for plain envy-freeness: one high-value task."""
+    return _partition(integers, (Fraction(1, 10),))
 
 
 def gen_partition_ef1(integers: Sequence[int]) -> Instance:
     """Partition reduction for EF1: two high-value tasks for agent 1, so a
     single removal cannot neutralize both."""
-    ints = [int(x) for x in integers]
-    if not ints or any(x <= 0 for x in ints):
-        raise InvalidInstanceError("need a nonempty list of positive integers")
-    C = 10
-    big = C * sum(ints)
-    r = (ONE, ONE) + tuple(Fraction(x, big) for x in ints)
-    p = (
-        (ONE, ONE) + (ZERO,) * len(ints),
-        (Fraction(1, C), Fraction(1, C)) + (ONE,) * len(ints),
-        (Fraction(1, C), Fraction(1, C)) + (ONE,) * len(ints),
-    )
-    c = (
-        (Fraction(1, 2), Fraction(1, 2)) + (ZERO,) * len(ints),
-        (ZERO,) * (len(ints) + 2),
-        (ZERO,) * (len(ints) + 2),
-    )
-    return Instance(r, p, c)
+    return _partition(integers, (Fraction(1, 10), Fraction(1, 10)))
 
 
 def gen_partition_eps_ef(integers: Sequence[int], eps: Num) -> Instance:
     """Partition reduction for eps-envy-freeness: like the EF1 family but
     the second high-value task is worth only 2*eps to agents 2 and 3."""
-    ints = [int(x) for x in integers]
-    if not ints or any(x <= 0 for x in ints):
-        raise InvalidInstanceError("need a nonempty list of positive integers")
     eps = as_fraction(eps)
     if not (0 < eps < Fraction(1, 5)):
         raise InvalidInstanceError("eps must lie in (0, 1/5)")
-    big = 10 * sum(ints)
-    r = (ONE, ONE) + tuple(Fraction(x, big) for x in ints)
-    p = (
-        (ONE, ONE) + (ZERO,) * len(ints),
-        (Fraction(1, 10), 2 * eps) + (ONE,) * len(ints),
-        (Fraction(1, 10), 2 * eps) + (ONE,) * len(ints),
-    )
-    c = (
-        (Fraction(1, 2), Fraction(1, 2)) + (ZERO,) * len(ints),
-        (ZERO,) * (len(ints) + 2),
-        (ZERO,) * (len(ints) + 2),
-    )
-    return Instance(r, p, c)
+    return _partition(integers, (Fraction(1, 10), 2 * eps))
 
 
 def gen_two_agent_hard(integers: Sequence[int]) -> Instance:
     """Two-agent partition reduction: the optimum hits 1/2 + 1/10 exactly
     when an equal split of the integers exists."""
-    ints = [int(x) for x in integers]
-    if not ints or any(x <= 0 for x in ints):
-        raise InvalidInstanceError("need a nonempty list of positive integers")
+    ints = _positive_ints(integers)
     big = 5 * sum(ints)
     r = (ONE, ONE) + tuple(Fraction(x, big) for x in ints)
     p = (
@@ -153,6 +125,7 @@ def gen_pof_sqrt(n: int) -> Instance:
     high cost; the remaining agents can do anything cheaply but badly, and
     their low incentive wage makes them envy loaded specialists.
     """
+    n = int(n)
     if n < 9:
         raise InvalidInstanceError("construction needs n >= 9")
     root = math.isqrt(n)
@@ -179,7 +152,7 @@ def gen_pof_sqrt(n: int) -> Instance:
 def gen_example(example_id: str, eps: Num) -> Instance:
     """The worked single-task examples: '5.2'/'5.4' (two agents, price of
     envy-freeness 36 eps) and '5.7' (1/eps + 1 agents; subsidies fail)."""
-    eps = as_fraction(eps)
+    example_id, eps = str(example_id), as_fraction(eps)
     if eps <= 0:
         raise InvalidInstanceError("eps must be positive")
     if example_id in ("5.2", "5.4"):
@@ -200,7 +173,7 @@ def gen_example(example_id: str, eps: Num) -> Instance:
     raise InvalidInstanceError(f"unknown example id {example_id!r}")
 
 
-def gen_random(n: int, m: int, seed: int, profile: str = "uniform") -> Instance:
+def gen_random(n: int, m: int, seed: int = 0, profile: str = "uniform") -> Instance:
     """Reproducible random instance on a 1/64 rational grid.
 
     Profiles: 'uniform' draws everything uniformly; 'sparse-ability' zeroes
@@ -208,11 +181,12 @@ def gen_random(n: int, m: int, seed: int, profile: str = "uniform") -> Instance:
     half.  Tasks nobody can serve are repaired by re-drawing the cost of a
     random agent below its success value.
     """
+    n, m = int(n), int(m)
     if n < 1 or m < 1:
         raise InvalidInstanceError("need n, m >= 1")
     if profile not in PROFILES:
         raise InvalidInstanceError(f"unknown profile {profile!r}; pick from {PROFILES}")
-    rng = random.Random(seed)
+    rng = random.Random(int(seed))
     D = RANDOM_DENOMINATOR
 
     def draw() -> Fraction:
@@ -238,27 +212,27 @@ def gen_random(n: int, m: int, seed: int, profile: str = "uniform") -> Instance:
     return Instance(tuple(r), tuple(map(tuple, p)), tuple(map(tuple, c)))
 
 
+# Family -> (generator, required parameters in call order, optional keyword
+# parameters).  The parameter names are the keys of `make`'s params, of a
+# bench-pof config row and of the `faircon generate` manifest.
+FAMILIES = {
+    "partition-ef": (gen_partition_ef, ("set",), ()),
+    "partition-ef1": (gen_partition_ef1, ("set",), ()),
+    "partition-eps-ef": (gen_partition_eps_ef, ("set", "eps"), ()),
+    "two-agent-hard": (gen_two_agent_hard, ("set",), ()),
+    "independent-set": (gen_independent_set, ("adjacency",), ("c_target",)),
+    "pof-sqrt": (gen_pof_sqrt, ("n",), ()),
+    "example": (gen_example, ("id", "eps"), ()),
+    "random": (gen_random, ("n", "m"), ("seed", "profile")),
+}
+
+
 def make(family: str, params: dict) -> Instance:
-    """Dispatch used by the CLI and the benchmark config loader."""
-    if family == "partition-ef":
-        return gen_partition_ef(params["set"])
-    if family == "partition-ef1":
-        return gen_partition_ef1(params["set"])
-    if family == "partition-eps-ef":
-        return gen_partition_eps_ef(params["set"], params["eps"])
-    if family == "two-agent-hard":
-        return gen_two_agent_hard(params["set"])
-    if family == "independent-set":
-        return gen_independent_set(params["adjacency"], params.get("c_target", 1))
-    if family == "pof-sqrt":
-        return gen_pof_sqrt(int(params["n"]))
-    if family == "example":
-        return gen_example(str(params["id"]), params["eps"])
-    if family == "random":
-        return gen_random(
-            int(params["n"]),
-            int(params["m"]),
-            int(params.get("seed", 0)),
-            params.get("profile", "uniform"),
-        )
-    raise InvalidInstanceError(f"unknown family {family!r}")
+    """The instance of a FAMILIES entry named by its parameters."""
+    if family not in FAMILIES:
+        raise InvalidInstanceError(f"unknown family {family!r}")
+    gen, required, optional = FAMILIES[family]
+    for key in required:
+        if key not in params:
+            raise InvalidInstanceError(f"family {family} needs parameter {key!r}")
+    return gen(*(params[k] for k in required), **{k: params[k] for k in optional if k in params})

@@ -33,7 +33,10 @@ def as_fraction(x: Num) -> Fraction:
             raise ValueError(f"non-finite number: {x!r}")
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator: {x!r}") from None
     raise TypeError(f"cannot interpret {x!r} as a number")
 
 

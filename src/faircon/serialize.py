@@ -6,7 +6,9 @@ rounded to 12 significant digits; the loaders accept any of those.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import sys
 from typing import Any
 
 from .core import Allocation, Contract, FairnessReport, Instance, SolveResult
@@ -102,8 +104,9 @@ def result_to_dict(
     return out
 
 
-def dump_json(data: dict, path: str) -> None:
-    with open(path, "w") as fh:
+def dump_json(data: dict, path: str | None = None) -> None:
+    """Indented, key-sorted JSON and a newline, to `path` or else stdout."""
+    with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

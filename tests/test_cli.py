@@ -6,7 +6,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from faircon.cli import main
+from faircon import dp
+from faircon.cli import _bench_row, main
 from faircon.serialize import dump_json, instance_to_dict, load_json
 from faircon.instances import gen_example, gen_partition_ef1, gen_random, gen_two_agent_hard
 
@@ -53,6 +54,12 @@ class TestGenerate:
         assert run(["generate", "random", "--n", 2, *out]) == 3
         assert not (tmp_path / "x.json").exists()
 
+    def test_missing_example_id(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        assert run(["generate", "example", "--eps", "1/4", "--out", out]) == 3
+        assert "--id is required for example" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSolve:
     def test_exact_ef_example(self, tmp_path, ex52_path):
@@ -93,15 +100,34 @@ class TestSolve:
     def test_eps_method_requires_eps(self, ex52_path):
         assert run(["solve", ex52_path, "--method", "dp-eps-ef"]) == 3
 
-    def test_usage_errors_exit_invalid(self, ex52_path):
+    def test_usage_errors_exit_invalid(self, tmp_path, ex52_path):
         assert run(["solve", ex52_path, "--method", "nope"]) == 3
         assert run(["solve", ex52_path]) == 3
         dp_ef1 = ["solve", ex52_path, "--method", "dp-ef1", "--eps", "1/4"]
         assert run(dp_ef1 + ["--f-bits", -20]) == 3
         assert run(["solve", "--help"]) == 0
+        # A zero denominator is malformed input, not a failed verification.
+        assert run(["solve", ex52_path, "--method", "dp-eps-ef", "--eps", "1/0"]) == 3
+        assert run(["solve", ex52_path, "--method", "greedy", "--tol", "1/0"]) == 3
+        out = tmp_path / "x.json"
+        assert run(["generate", "partition-eps-ef", "--set", "1", "--eps", "1/0", "--out", out]) == 3
+        bad = tmp_path / "zero-den.json"
+        bad.write_text('{"r": ["1/0"], "p": [["1"]], "c": [["0"]]}')
+        assert run(["solve", bad, "--method", "greedy"]) == 3
 
     def test_budget_exit_code(self, ex52_path):
         assert run(["solve", ex52_path, "--method", "exact-ef", "--budget-lps", "1"]) == 2
+
+    def test_guess_count_charged_before_ladder(self, ex52_path, capsys, monkeypatch):
+        # m = 1 and f_bits 50 give 52 rungs per agent, 52^2 guesses for two
+        # agents; the budget fires before a single rung is built.
+        def no_ladder(*_):
+            raise AssertionError("guess ladder built before its count was charged")
+
+        monkeypatch.setattr(dp, "utility_guesses", no_ladder)
+        argv = ["solve", ex52_path, "--method", "dp-ef1", "--eps", "1/4", "--f-bits", 50]
+        assert run(argv + ["--budget-states", 100]) == 2
+        assert "states budget of 100 exceeded (needs ~2704)" in capsys.readouterr().err
 
     def test_state_budget_equal_to_reported_states_suffices(self, tmp_path, capsys):
         # Pruned states are never charged: a budget of exactly the states
@@ -147,6 +173,16 @@ class TestVerify:
             str(kpath),
         )
         assert run(["verify", ex52_path, kpath, "--notion", "efs", "--tol", "0"]) == 0
+
+    def test_stdout_matches_out_file(self, tmp_path, ex52_path, capsys):
+        kpath = tmp_path / "k.json"
+        dump_json({"assignment": [1], "alpha": ["1/2"]}, str(kpath))
+        out = tmp_path / "report.json"
+        argv = ["verify", ex52_path, kpath, "--notion", "ef", "--exact-arith"]
+        assert run(argv + ["--out", out]) == 1
+        capsys.readouterr()
+        assert run(argv) == 1
+        assert capsys.readouterr().out == out.read_text()
 
     def test_efs_without_subsidies_invalid(self, tmp_path, ex52_path):
         kpath = tmp_path / "k.json"
@@ -220,6 +256,11 @@ class TestBenchPof:
         # EF1 lower bound never falls below the EF optimum on these rows.
         for r in rows[:3]:
             assert float(r["ratio_ef1"]) >= float(r["ratio_ef"]) - 1e-12
+
+    def test_row_missing_parameter_names_it(self):
+        row = {"id": "no-set", "family": "partition-ef", "params": {}}
+        out = _bench_row(row, 10, 10)
+        assert out["error"] == "InvalidInstanceError: family partition-ef needs parameter 'set'"
 
     def test_deterministic_csv(self, tmp_path):
         config = {

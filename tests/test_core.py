@@ -35,7 +35,8 @@ from faircon.instances import (
     gen_random,
 )
 from faircon import core
-from faircon.numeric import INF_WAGE
+from faircon.numeric import INF_WAGE, as_fraction
+from faircon.serialize import instance_from_dict
 
 from conftest import make_contract, random_instances
 from oracles import ef1_holds_exhaustive
@@ -60,6 +61,12 @@ class TestInstanceValidation:
     def test_loader_accepts_mixed_number_forms(self):
         inst = Instance(r=("1/2",), p=((0.5,),), c=((0,),))
         assert inst.r[0] == F(1, 2) and inst.p[0][0] == F(1, 2)
+
+    def test_zero_denominator_is_a_value_error(self):
+        with pytest.raises(ValueError, match="zero denominator: '1/0'"):
+            as_fraction("1/0")
+        with pytest.raises(InvalidInstanceError):
+            instance_from_dict({"r": ["1/0"], "p": [[1]], "c": [[0]]})
 
 
 class TestAgentTaskUtility:

@@ -1,7 +1,8 @@
 """Byte-for-byte CLI snapshots: `solve --exact-arith` for every method and
 `verify --exact-arith` for every notion, on example 5.2 and a seeded 2x3
 random instance, plus two dp-ef1 solves that exercise the adaptive-grid
-option kernel and the candidate-band screen at scale.
+option kernel and the candidate-band screen at scale, and the instance file
+and manifest `generate` writes for every family.
 
 The snapshots pin whole fairness reports (IR and EF slacks, EF1 witnesses,
 the left-hand-side form) and solver meta, which the other tests only sample.
@@ -71,6 +72,24 @@ VERIFY_CASES = [
 ]
 
 
+# (snapshot name, `generate` argv): every family, with the optional flags
+# (--c-target, --seed, --profile) both left at their defaults and set.
+GENERATE_CASES = [
+    ("partition-ef", ["partition-ef", "--set", "3,1,2"]),
+    ("partition-ef1", ["partition-ef1", "--set", "1 2 3"]),
+    ("partition-eps-ef", ["partition-eps-ef", "--set", "1,2", "--eps", "1/10"]),
+    ("two-agent-hard", ["two-agent-hard", "--set", "1,1,2"]),
+    ("independent-set", ["independent-set", "--graph", "0-1,1-2,2-0"]),
+    ("independent-set-c2", ["independent-set", "--graph", "0-1,1-2,2-3", "--c-target", "3/2"]),
+    ("pof-sqrt", ["pof-sqrt", "--n", "10"]),
+    ("example-5.2", ["example", "--id", "5.2", "--eps", "1/100"]),
+    ("example-5.7", ["example", "--id", "5.7", "--eps", "0.25"]),
+    ("random", ["random", "--n", "2", "--m", "3"]),
+    ("random-sparse", ["random", "--n", "3", "--m", "2", "--seed", "5", "--profile", "sparse-ability"]),
+    ("random-cost", ["random", "--n", "2", "--m", "2", "--seed", "9", "--profile", "cost-heavy"]),
+]
+
+
 def _cases():
     """(golden file name, instance name, argv template[, contract]) per snapshot."""
     out = []
@@ -97,9 +116,24 @@ def _render(case, workdir: Path) -> bytes:
     return out.read_bytes()
 
 
+def _render_generate(name: str, argv: list[str], workdir: Path) -> dict[str, bytes]:
+    """The instance file and manifest for one `generate` case, by golden name."""
+    fname = f"generate-{name}.json"
+    out = workdir / fname
+    assert main(["generate", *argv, "--out", str(out)]) == 0
+    manifest = Path(str(out) + ".manifest.json")
+    return {fname: out.read_bytes(), manifest.name: manifest.read_bytes()}
+
+
 @pytest.mark.parametrize("case", _cases(), ids=lambda case: case[0])
 def test_cli_output_matches_golden(case, tmp_path):
     assert _render(case, tmp_path) == (GOLDEN / case[0]).read_bytes()
+
+
+@pytest.mark.parametrize("name,argv", GENERATE_CASES, ids=[c[0] for c in GENERATE_CASES])
+def test_generate_matches_golden(name, argv, tmp_path):
+    for fname, data in _render_generate(name, argv, tmp_path).items():
+        assert data == (GOLDEN / fname).read_bytes(), fname
 
 
 if __name__ == "__main__":
@@ -110,3 +144,7 @@ if __name__ == "__main__":
         for case in _cases():
             (GOLDEN / case[0]).write_bytes(_render(case, Path(tmp)))
             print(f"wrote {GOLDEN / case[0]}", file=sys.stderr)
+        for name, argv in GENERATE_CASES:
+            for fname, data in _render_generate(name, argv, Path(tmp)).items():
+                (GOLDEN / fname).write_bytes(data)
+                print(f"wrote {GOLDEN / fname}", file=sys.stderr)

@@ -173,3 +173,13 @@ def test_make_dispatch():
     assert inst.m == 2
     with pytest.raises(InvalidInstanceError):
         make("no-such-family", {})
+    # Generators coerce the text and float forms a config may hold.
+    assert make("pof-sqrt", {"n": "9"}) == gen_pof_sqrt(9)
+    assert make("example", {"id": 5.2, "eps": "1/100"}).n == 2
+
+
+def test_make_missing_parameter():
+    with pytest.raises(InvalidInstanceError, match="needs parameter 'set'"):
+        make("partition-ef", {})
+    with pytest.raises(InvalidInstanceError, match="needs parameter 'id'"):
+        make("example", {"eps": "1/4"})
