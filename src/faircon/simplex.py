@@ -1,16 +1,31 @@
-"""Dense two-phase simplex over exact rationals.
+"""Dense two-phase simplex over exact integers.
 
-Bland's rule guards against cycling; with Fraction arithmetic the optimum
-is exact, which the hardness-instance regressions rely on.  Problem sizes
-here are tiny (tens of variables), so a dense tableau is the right tool.
+The tableau is kept fraction-free.  Every row coefficient and right-hand
+side is scaled by one common denominator D (the lcm of their denominators),
+the slack and artificial columns stay +-1 (the slacks are s' = D*s), and the
+whole tableau stands over one positive denominator d.  Pivots are
+integer-preserving (Bareiss/Edmonds): on pivot p, a row with f in the pivot
+column becomes (p*row - f*pivot_row) // d, an exact division, and d becomes
+p.  A row with f = 0 becomes p*row // d; since those factors telescope to
+d_now / d_then over several pivots, that rescale is deferred until a pivot
+or the result reads the row.  The tableau over d is the rational one, so
+every sign and ratio ordering that Bland's rule reads is too: the pivot
+sequence and the returned vertex are those of a Fraction tableau, without a
+gcd per entry.
+
+Every optimum is certified before it is returned: the dual y is read from
+the final objective row at the slack columns and checked against the
+original rows in integers (`_certify`).  Problem sizes here are small (up to
+a few hundred rows), so a dense tableau is the right tool.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
-from .numeric import ZERO, ONE
+from .errors import FairconError
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -26,138 +41,179 @@ def maximize(
     (coeffs, rhs) in rows, and x >= 0.
 
     Returns (status, x, value); x and value are None unless status is
-    'optimal'.
+    'optimal'.  An optimum whose dual certificate fails raises FairconError.
     """
+    status, x, value, _ = _maximize(n_vars, objective, rows)
+    return status, x, value
+
+
+def _maximize(
+    n_vars: int,
+    objective: dict[int, Fraction],
+    rows: Sequence[tuple[dict[int, Fraction], Fraction]],
+) -> tuple[str, list[Fraction] | None, Fraction | None, int]:
+    """`maximize`, plus the number of pivots taken."""
     n_rows = len(rows)
-    art_cols: list[int] = []
-    width = n_vars + n_rows  # artificials appended later
-    tableau: list[list[Fraction]] = []
+    scale = math.lcm(
+        *(v.denominator for coeffs, _ in rows for v in coeffs.values()),
+        *(rhs.denominator for _, rhs in rows),
+    )
+    # The original rows over D, kept for the certificate.
+    int_rows = [
+        (
+            {k: v.numerator * (scale // v.denominator) for k, v in coeffs.items()},
+            rhs.numerator * (scale // rhs.denominator),
+        )
+        for coeffs, rhs in rows
+    ]
+
+    # Each tableau row holds its columns, then its rhs.  The row reads
+    # -coeffs . x + s' = -rhs.  Unless rhs > 0 the slack starts basic;
+    # otherwise the row is negated and starts on an artificial.
+    art_rows = [i for i, (_, rhs) in enumerate(int_rows) if rhs > 0]
+    art_start = n_vars + n_rows
+    width = art_start + len(art_rows)
+    tableau: list[list[int]] = []
     basis: list[int] = []
-    rhs_col: list[Fraction] = []
-
-    for i, (coeffs, rhs) in enumerate(rows):
-        # The row reads -coeffs . x + slack = -rhs.  Unless rhs > 0 the
-        # slack starts basic; otherwise the row is negated and starts on an
-        # artificial.
-        art = rhs > 0
-        row = [ZERO] * width
+    for i, (coeffs, rhs) in enumerate(int_rows):
+        row = [0] * (width + 1)
+        sign = 1 if rhs > 0 else -1
         for k, v in coeffs.items():
-            row[k] = v if art else -v
-        row[n_vars + i] = -ONE if art else ONE
+            row[k] = sign * v
+        row[n_vars + i] = -sign
+        row[width] = sign * rhs
         tableau.append(row)
-        rhs_col.append(rhs if art else -rhs)
-        if art:
-            art_cols.append(i)
-            basis.append(-1)  # placeholder, artificial assigned below
-        else:
-            basis.append(n_vars + i)
+        basis.append(n_vars + i)
+    for a_idx, i in enumerate(art_rows):
+        tableau[i][art_start + a_idx] = 1
+        basis[i] = art_start + a_idx
+    # The objective row (reduced costs, "> 0 improves", then z = minus the
+    # objective value), all times d and the cost denominator; it is the
+    # last row, so pivots update it like any other.
+    tableau.append([0] * (width + 1))
+    d = 1
+    # Row r is stored over den[r], the d of its last update: its Bareiss row
+    # is tableau[r] * d // den[r], an exact division.  The factor is
+    # positive, so a stored row has the signs and ratios that Bland's rule
+    # and the ratio test read.
+    den = [1] * (n_rows + 1)
+    pivots = 0
 
-    n_art = len(art_cols)
-    art_start = width
-    if n_art:
-        for row in tableau:
-            row.extend([ZERO] * n_art)
-        for a_idx, i in enumerate(art_cols):
-            tableau[i][art_start + a_idx] = ONE
-            basis[i] = art_start + a_idx
-        width += n_art
-
-    zrow: list[Fraction] = []
-    z = ZERO
+    def current(r: int) -> list[int]:
+        """Row r brought up to the common denominator d."""
+        if den[r] != d:
+            tableau[r] = [v * d // den[r] for v in tableau[r]]
+            den[r] = d
+        return tableau[r]
 
     def pivot(prow: int, pcol: int) -> None:
-        nonlocal z
-        row = tableau[prow]
-        piv = row[pcol]
-        if piv != 1:
-            inv = 1 / piv
-            tableau[prow] = row = [v * inv for v in row]
-            rhs_col[prow] *= inv
-        nz = [k for k, v in enumerate(row) if v]
-        b_p = rhs_col[prow]
-        for r in range(n_rows):
-            if r == prow:
-                continue
-            f = tableau[r][pcol]
-            if f:
-                trow = tableau[r]
-                for k in nz:
-                    trow[k] -= f * row[k]
-                rhs_col[r] -= f * b_p
-        f = zrow[pcol]
-        if f:
-            for k in nz:
-                zrow[k] -= f * row[k]
-            z -= f * b_p
+        nonlocal d, pivots
+        row = current(prow)
+        # Only a drive-out pivot can be negative; it negates every row it
+        # updates, so that d stays positive.
+        sign = 1 if row[pcol] > 0 else -1
+        p = sign * row[pcol]
+        for r, trow in enumerate(tableau):
+            f = sign * trow[pcol]
+            if f and r != prow:
+                # trow stands for trow * d / den[r], so divide by den[r].
+                tableau[r] = [(p * v - f * w) // den[r] for v, w in zip(trow, row)]
+                den[r] = p
+        if sign < 0:
+            tableau[prow] = [-v for v in row]
         basis[prow] = pcol
+        d = den[prow] = p
+        pivots += 1
 
-    def run(cost: list[Fraction]) -> str:
-        """Price `cost` against the basis, then pivot to optimality.
-
-        zrow holds the reduced costs with "> 0 improves" signs, and z minus
-        the objective value.
-        """
-        nonlocal zrow, z
-        zrow, z = cost[:], ZERO
+    def run(cost: list[int]) -> str:
+        """Price `cost` against the basis, then pivot to optimality."""
+        zrow = [d * c for c in cost] + [0]
         for r, bv in enumerate(basis):
-            f = cost[bv]
+            f = cost[bv] if bv < len(cost) else 0
             if f:
-                row = tableau[r]
-                for k in range(width):
-                    zrow[k] -= f * row[k]
-                z -= f * rhs_col[r]
+                zrow = [z - f * v for z, v in zip(zrow, current(r))]
+        tableau[n_rows] = zrow
+        den[n_rows] = d
         while True:
             # Bland: entering is the lowest-index improving column.
-            pcol = -1
-            for k in range(width):
-                if zrow[k] > 0:
-                    pcol = k
-                    break
+            zrow = tableau[n_rows]
+            pcol = next((k for k in range(width) if zrow[k] > 0), -1)
             if pcol < 0:
                 return OPTIMAL
-            prow, best_ratio = -1, None
+            # Ratio test b_r / a_r over a_r > 0, compared as cross products.
+            prow, best_b, best_a = -1, 0, 1
             for r in range(n_rows):
                 a = tableau[r][pcol]
                 if a > 0:
-                    ratio = rhs_col[r] / a
-                    if (
-                        best_ratio is None
-                        or ratio < best_ratio
-                        or (ratio == best_ratio and basis[r] < basis[prow])
-                    ):
-                        prow, best_ratio = r, ratio
+                    b = tableau[r][width]
+                    lhs, rhs = b * best_a, best_b * a
+                    if prow < 0 or lhs < rhs or (lhs == rhs and basis[r] < basis[prow]):
+                        prow, best_b, best_a = r, b, a
             if prow < 0:
                 return UNBOUNDED
             pivot(prow, pcol)
 
-    # Phase 1: maximize -(sum of artificials); z is then the artificial sum.
-    if n_art:
-        status = run([ZERO] * art_start + [-ONE] * n_art)
-        if status != OPTIMAL or z > 0:
-            return INFEASIBLE, None, None
+    # Phase 1: maximize -(sum of artificials); z is then their sum.
+    if art_rows:
+        status = run([0] * art_start + [-1] * len(art_rows))
+        if status != OPTIMAL or tableau[n_rows][width] > 0:
+            return INFEASIBLE, None, None, pivots
         # Drive leftover artificials (basic at zero) out of the basis.
         for r in range(n_rows):
             if basis[r] >= art_start:
-                pcol = next(
-                    (k for k in range(art_start) if tableau[r][k] != 0), None
-                )
+                pcol = next((k for k in range(art_start) if tableau[r][k]), None)
                 if pcol is not None:
                     pivot(r, pcol)
-        # Freeze artificials at zero by forbidding re-entry.
-        for r in range(n_rows):
-            for a_idx in range(n_art):
-                tableau[r][art_start + a_idx] = ZERO
+        # Freeze artificials at zero by dropping their columns.
+        for row in tableau:
+            del row[art_start:width]
+        width = art_start
 
     # Phase 2.
-    cost = [ZERO] * width
+    cden = math.lcm(*(v.denominator for v in objective.values()))
+    cost = [0] * width
     for k, v in objective.items():
-        cost[k] = v
+        cost[k] = v.numerator * (cden // v.denominator)
     status = run(cost)
     if status != OPTIMAL:
-        return status, None, None
+        return status, None, None, pivots
 
-    x = [ZERO] * n_vars
+    zrow = current(n_rows)
+    x = [0] * n_vars
     for r, bv in enumerate(basis):
         if bv < n_vars:
-            x[bv] = rhs_col[r]
-    return OPTIMAL, x, -z
+            x[bv] = current(r)[width]
+    y = [-z for z in zrow[n_vars:art_start]]
+    _certify(cost[:n_vars], int_rows, x, y, -zrow[width], d)
+    return OPTIMAL, [Fraction(v, d) for v in x], Fraction(-zrow[width], d * cden), pivots
+
+
+def _certify(
+    cost: Sequence[int],
+    rows: Sequence[tuple[dict[int, int], int]],
+    x: Sequence[int],
+    y: Sequence[int],
+    value: int,
+    d: int,
+) -> None:
+    """Check in integers that x/d is optimal with value value/d for:
+    maximize cost . x subject to coeffs . x >= rhs for every row, x >= 0.
+
+    y/d is the dual, one entry per row.  y >= 0 and cost + A^T y/d <= 0 give
+    cost . x' <= -sum_i y_i/d coeffs_i . x' <= -rhs . y/d for every feasible
+    x', so the bound -rhs . y/d = value/d = cost . x/d proves optimality
+    (the caller checks that x is feasible).  Raises FairconError otherwise.
+    """
+    if any(v < 0 for v in y):
+        raise FairconError("simplex certificate: negative dual")
+    reduced = [d * c for c in cost]
+    for yi, (coeffs, _) in zip(y, rows):
+        if yi:
+            for k, v in coeffs.items():
+                reduced[k] += yi * v
+    if any(v > 0 for v in reduced):
+        raise FairconError("simplex certificate: dual infeasible")
+    if -sum(yi * rhs for yi, (_, rhs) in zip(y, rows)) != value:
+        raise FairconError("simplex certificate: dual bound differs from the value")
+    if sum(c * v for c, v in zip(cost, x)) != value:
+        raise FairconError("simplex certificate: primal value differs from the value")

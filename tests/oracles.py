@@ -10,10 +10,13 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
 from faircon.core import Allocation, Contract, Instance
+from faircon.numeric import ONE, ZERO
+from faircon.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED
 
 
 def float_utilities(inst: Instance, alphas: np.ndarray) -> list[np.ndarray]:
@@ -308,3 +311,152 @@ def best_lp_reference(inst: Instance, budget_lps: int, models):
                 best = (sol.objective, alloc, sol)
     assert best is not None, "no feasible allocation"
     return best, {"lp_solves": lps, "allocations_solved": solved}
+
+
+def simplex_reference(
+    n_vars: int,
+    objective: dict[int, Fraction],
+    rows: Sequence[tuple[dict[int, Fraction], Fraction]],
+) -> tuple[str, list[Fraction] | None, Fraction | None, int]:
+    """The dense two-phase Fraction simplex with Bland's rule that
+    `faircon.simplex.maximize` replaced, kept as its reference.
+
+    Maximize objective . x subject to coeffs . x >= rhs for every
+    (coeffs, rhs) in rows, and x >= 0.  Returns (status, x, value, pivots);
+    x and value are None unless status is 'optimal'.
+    """
+    n_rows = len(rows)
+    art_cols: list[int] = []
+    width = n_vars + n_rows  # artificials appended later
+    tableau: list[list[Fraction]] = []
+    basis: list[int] = []
+    rhs_col: list[Fraction] = []
+
+    for i, (coeffs, rhs) in enumerate(rows):
+        # The row reads -coeffs . x + slack = -rhs.  Unless rhs > 0 the
+        # slack starts basic; otherwise the row is negated and starts on an
+        # artificial.
+        art = rhs > 0
+        row = [ZERO] * width
+        for k, v in coeffs.items():
+            row[k] = v if art else -v
+        row[n_vars + i] = -ONE if art else ONE
+        tableau.append(row)
+        rhs_col.append(rhs if art else -rhs)
+        if art:
+            art_cols.append(i)
+            basis.append(-1)  # placeholder, artificial assigned below
+        else:
+            basis.append(n_vars + i)
+
+    n_art = len(art_cols)
+    art_start = width
+    if n_art:
+        for row in tableau:
+            row.extend([ZERO] * n_art)
+        for a_idx, i in enumerate(art_cols):
+            tableau[i][art_start + a_idx] = ONE
+            basis[i] = art_start + a_idx
+        width += n_art
+
+    zrow: list[Fraction] = []
+    z = ZERO
+    pivots = 0
+
+    def pivot(prow: int, pcol: int) -> None:
+        nonlocal z, pivots
+        pivots += 1
+        row = tableau[prow]
+        piv = row[pcol]
+        if piv != 1:
+            inv = 1 / piv
+            tableau[prow] = row = [v * inv for v in row]
+            rhs_col[prow] *= inv
+        nz = [k for k, v in enumerate(row) if v]
+        b_p = rhs_col[prow]
+        for r in range(n_rows):
+            if r == prow:
+                continue
+            f = tableau[r][pcol]
+            if f:
+                trow = tableau[r]
+                for k in nz:
+                    trow[k] -= f * row[k]
+                rhs_col[r] -= f * b_p
+        f = zrow[pcol]
+        if f:
+            for k in nz:
+                zrow[k] -= f * row[k]
+            z -= f * b_p
+        basis[prow] = pcol
+
+    def run(cost: list[Fraction]) -> str:
+        """Price `cost` against the basis, then pivot to optimality.
+
+        zrow holds the reduced costs with "> 0 improves" signs, and z minus
+        the objective value.
+        """
+        nonlocal zrow, z
+        zrow, z = cost[:], ZERO
+        for r, bv in enumerate(basis):
+            f = cost[bv]
+            if f:
+                row = tableau[r]
+                for k in range(width):
+                    zrow[k] -= f * row[k]
+                z -= f * rhs_col[r]
+        while True:
+            # Bland: entering is the lowest-index improving column.
+            pcol = -1
+            for k in range(width):
+                if zrow[k] > 0:
+                    pcol = k
+                    break
+            if pcol < 0:
+                return OPTIMAL
+            prow, best_ratio = -1, None
+            for r in range(n_rows):
+                a = tableau[r][pcol]
+                if a > 0:
+                    ratio = rhs_col[r] / a
+                    if (
+                        best_ratio is None
+                        or ratio < best_ratio
+                        or (ratio == best_ratio and basis[r] < basis[prow])
+                    ):
+                        prow, best_ratio = r, ratio
+            if prow < 0:
+                return UNBOUNDED
+            pivot(prow, pcol)
+
+    # Phase 1: maximize -(sum of artificials); z is then the artificial sum.
+    if n_art:
+        status = run([ZERO] * art_start + [-ONE] * n_art)
+        if status != OPTIMAL or z > 0:
+            return INFEASIBLE, None, None, pivots
+        # Drive leftover artificials (basic at zero) out of the basis.
+        for r in range(n_rows):
+            if basis[r] >= art_start:
+                pcol = next(
+                    (k for k in range(art_start) if tableau[r][k] != 0), None
+                )
+                if pcol is not None:
+                    pivot(r, pcol)
+        # Freeze artificials at zero by forbidding re-entry.
+        for r in range(n_rows):
+            for a_idx in range(n_art):
+                tableau[r][art_start + a_idx] = ZERO
+
+    # Phase 2.
+    cost = [ZERO] * width
+    for k, v in objective.items():
+        cost[k] = v
+    status = run(cost)
+    if status != OPTIMAL:
+        return status, None, None, pivots
+
+    x = [ZERO] * n_vars
+    for r, bv in enumerate(basis):
+        if bv < n_vars:
+            x[bv] = rhs_col[r]
+    return OPTIMAL, x, -z, pivots
