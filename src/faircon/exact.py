@@ -207,6 +207,10 @@ def enumerate_case4_bounds(
     wage threshold.  A vector is feasible when no agent sits strictly below
     the cut in two lists (that agent would need two removable tasks).
     Returns the feasible vectors as task -> wage-threshold maps.
+
+    No solver calls it: `solve_opt_ef1` gives empty-bundle agents witness
+    rows, which impose the same caps.  It stays public because
+    `perfbench/tracing.py` wraps it by name.
     """
     tasks = list(tasks)
     agents = list(empty_agents)
@@ -254,43 +258,20 @@ def _witness_candidates(inst: Instance, i: int, bundle: list[int]) -> list[int]:
 
 
 def solve_opt_ef1(inst: Instance, budget_lps: int = DEFAULT_LP_BUDGET) -> SolveResult:
-    """Optimal EF1 contract: per allocation, enumerate removable-task
-    choices for nonempty pairs and wage upper-bound vectors for agents with
-    empty bundles, solving an LP per combination."""
+    """Optimal EF1 contract: per allocation, enumerate a removable task for
+    every pair (i, j) with S_j nonempty and solve one LP per choice.
+
+    An agent i with an empty bundle needs no second case: its witness row
+    for w in S_j forces alpha_t p_it r_t <= c_it on every other task t of
+    S_j, which is the paper's case-4 wage cap on that bundle.
+    """
 
     def models(alloc: Allocation) -> Iterator[LpModel]:
         bundles = alloc.bundles()
-        nonempty = [i for i in range(inst.n) if bundles[i]]
-        empty = [i for i in range(inst.n) if not bundles[i]]
-
-        pair_options: list[tuple[tuple[int, int], list[int]]] = []
-        for i in nonempty:
-            for j in nonempty:
-                if i != j:
-                    pair_options.append(((i, j), _witness_candidates(inst, i, bundles[j])))
-
-        bound_options: list[list[dict[int, Fraction]]] = []
-        if empty:
-            for j in nonempty:
-                # Each task's cut list holds the empty agents and two sentinels.
-                size = (len(empty) + 2) ** len(bundles[j])
-                if size > budget_lps:
-                    raise BudgetExceededError("lps", budget_lps, size)
-                vectors = enumerate_case4_bounds(inst, bundles[j], empty)
-                # Equal wages can repeat a threshold map; one LP each suffices.
-                unique = list({tuple(sorted(v.items())): v for v in vectors}.values())
-                bound_options.append(unique)
-
-        witness_product = itertools.product(*(opts for _, opts in pair_options))
-        for witness_choice in witness_product:
-            witnesses = {
-                pair: task for (pair, _), task in zip(pair_options, witness_choice)
-            }
-            for bound_choice in itertools.product(*bound_options):
-                upper: dict[int, Fraction] = {}
-                for chunk in bound_choice:
-                    upper.update(chunk)
-                yield build_ef1_lp(inst, alloc, witnesses, upper)
+        pairs = [(i, j) for i in range(inst.n) for j in range(inst.n) if i != j and bundles[j]]
+        options = [_witness_candidates(inst, i, bundles[j]) for i, j in pairs]
+        for choice in itertools.product(*options):
+            yield build_ef1_lp(inst, alloc, dict(zip(pairs, choice)))
 
     (value, alloc, sol), counts = _best_lp(inst, budget_lps, models)
     contract = contract_from_solution(sol, alloc)

@@ -3,8 +3,9 @@
 The envy constraints' inner max{alpha p r - c, 0} terms are linearized with
 auxiliary variables t[i,k] >= max(alpha_k p_ik r_k - c_ik, 0); at an optimum
 the t take exactly the clamped values, so the LP optimum matches the clamped
-program.  Variants: plain EF, EF relaxed by eps, EF1 with chosen removable
-tasks and per-task contract upper bounds, and EF-with-subsidies.
+program.  Variants: plain EF, EF relaxed by eps, EF1 with a chosen
+removable task per pair (an agent with an empty bundle included), and
+EF-with-subsidies.
 """
 
 from __future__ import annotations
@@ -121,23 +122,20 @@ def build_ef_lp(inst: Instance, alloc: Allocation, eps: Num = 0) -> LpModel:
 
 
 def build_ef1_lp(
-    inst: Instance,
-    alloc: Allocation,
-    witnesses: Mapping[tuple[int, int], int],
-    upper_bounds: Mapping[int, Num] = {},
+    inst: Instance, alloc: Allocation, witnesses: Mapping[tuple[int, int], int]
 ) -> LpModel:
-    """LP for the best EF1 revenue consistent with the given removable tasks
-    (for pairs of nonempty bundles) and contract upper bounds (covering the
-    empty-bundle agents).
+    """LP for the best EF1 revenue consistent with the given removable tasks.
 
-    witnesses[(i, j)] is the task dropped from S_j in agent i's comparison
-    and must lie in S_j; pairs with an empty side impose no row here.
+    A witness is required for every pair (i, j) whose envied bundle S_j is
+    nonempty, including an i with an empty bundle: witnesses[(i, j)] is the
+    task dropped from S_j in agent i's comparison and must lie in S_j.
+    Pairs with S_j empty impose no row.
     """
     b = _Builder(inst, alloc)
     bundles = b.bundles
     for i in range(inst.n):
         for j in range(inst.n):
-            if i == j or not bundles[i] or not bundles[j]:
+            if i == j or not bundles[j]:
                 continue
             w = witnesses.get((i, j))
             if w is None or w not in bundles[j]:
@@ -145,8 +143,6 @@ def build_ef1_lp(
                     f"pair ({i},{j}) needs a witness task inside S_{j}, got {w}"
                 )
             b.envy_row(i, j, exclude=w)
-    for k, bound in upper_bounds.items():
-        b.ub[k] = min(ONE, as_fraction(bound))
     return b.model()
 
 

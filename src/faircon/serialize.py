@@ -83,21 +83,25 @@ def report_to_dict(rep: FairnessReport, exact: bool = False) -> dict:
     return out
 
 
+def _meta_value(x: Any, exact: bool) -> Any:
+    """A meta value as JSON: a number as `format_number` writes it, a tuple
+    or list element by element, anything else as its str."""
+    if isinstance(x, (tuple, list)):
+        return [_meta_value(v, exact) for v in x]
+    try:
+        return format_number(x, exact)
+    except (TypeError, ValueError):
+        return str(x)
+
+
 def result_to_dict(
     res: SolveResult, report: FairnessReport | None = None, exact: bool = False
 ) -> dict:
-    num = lambda x: format_number(x, exact)  # noqa: E731
-    meta = {}
-    for key, value in res.meta.items():
-        try:
-            meta[key] = num(value)
-        except (TypeError, ValueError):
-            meta[key] = str(value)
     out = {
         "method": res.method,
-        "revenue": num(res.revenue),
+        "revenue": format_number(res.revenue, exact),
         "contract": contract_to_dict(res.contract, exact),
-        "meta": meta,
+        "meta": {key: _meta_value(value, exact) for key, value in res.meta.items()},
     }
     if report is not None:
         out["fairness"] = report_to_dict(report, exact)

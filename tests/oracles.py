@@ -313,6 +313,49 @@ def best_lp_reference(inst: Instance, budget_lps: int, models):
     return best, {"lp_solves": lps, "allocations_solved": solved}
 
 
+def ef1_case4_models(inst: Instance, alloc: Allocation):
+    """The EF1 models `faircon.exact.solve_opt_ef1` solved before agents
+    with empty bundles got witness rows, kept as its reference.
+
+    Witness rows only for pairs of nonempty bundles; every agent with an
+    empty bundle is covered instead by a wage-cap vector per nonempty
+    bundle from `enumerate_case4_bounds`, written into the model's upper
+    bounds, one LP per witness choice and cap combination.  Pass it to
+    `best_lp_reference` as `lambda alloc: ef1_case4_models(inst, alloc)`.
+    """
+    from faircon import exact, lp
+
+    bundles = alloc.bundles()
+    nonempty = [i for i in range(inst.n) if bundles[i]]
+    empty = [i for i in range(inst.n) if not bundles[i]]
+
+    pair_options = []
+    for i in nonempty:
+        for j in nonempty:
+            if i != j:
+                pair_options.append(((i, j), exact._witness_candidates(inst, i, bundles[j])))
+
+    bound_options = []
+    if empty:
+        for j in nonempty:
+            vectors = exact.enumerate_case4_bounds(inst, bundles[j], empty)
+            # Equal wages can repeat a threshold map; one LP each suffices.
+            unique = list({tuple(sorted(v.items())): v for v in vectors}.values())
+            bound_options.append(unique)
+
+    witness_product = itertools.product(*(opts for _, opts in pair_options))
+    for witness_choice in witness_product:
+        witnesses = {pair: task for (pair, _), task in zip(pair_options, witness_choice)}
+        for bound_choice in itertools.product(*bound_options):
+            b = lp._Builder(inst, alloc)
+            for (i, j), w in witnesses.items():
+                b.envy_row(i, j, exclude=w)
+            for chunk in bound_choice:
+                for k, bound in chunk.items():
+                    b.ub[k] = min(ONE, bound)
+            yield b.model()
+
+
 def simplex_reference(
     n_vars: int,
     objective: dict[int, Fraction],

@@ -97,6 +97,13 @@ class TestSolve:
         dump_json(sol["contract"], str(kpath))
         assert run(["verify", ipath, kpath, "--notion", "ef1", "--tol", "0"]) == 0
 
+    @pytest.mark.parametrize("exact,guess", [(True, ["1/16", 0]), (False, [0.0625, 0])])
+    def test_dp_ef1_guess_is_a_list_of_numbers(self, tmp_path, ex52_path, exact, guess):
+        out = tmp_path / "sol.json"
+        argv = ["solve", ex52_path, "--method", "dp-ef1", "--eps", "1/4", "--f-bits", 6, "--out", out]
+        assert run(argv + (["--exact-arith"] if exact else [])) == 0
+        assert load_json(str(out))["meta"]["guess"] == guess
+
     def test_eps_method_requires_eps(self, ex52_path):
         assert run(["solve", ex52_path, "--method", "dp-eps-ef"]) == 3
 

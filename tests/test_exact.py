@@ -1,5 +1,6 @@
 """Enumeration solvers: optimal EF / eps-EF / EF1 / EFS."""
 
+import json
 import logging
 from fractions import Fraction as F
 from unittest import mock
@@ -201,17 +202,15 @@ class TestCase4Bounds:
 
 
 class TestSolveOptEf1:
-    def test_case4_bound_product_charged_before_it_is_built(self, tmp_path, capsys):
-        # partition-ef1 [1] has 3^3 = 27 allocations, but giving agent 0
-        # all three tasks leaves two empty agents: 4^3 = 64 bound vectors.
-        inst = gen_partition_ef1([1])
-        with pytest.raises(BudgetExceededError) as err:
-            solve_opt_ef1(inst, budget_lps=30)
-        assert (err.value.limit, err.value.needed) == (30, 64)
+    def test_empty_agents_fit_the_allocation_budget(self, tmp_path, capsys):
+        # partition-ef1 [1] has 3^3 = 27 allocations.  Giving agent 0 all
+        # three tasks leaves two empty agents; their witness rows need no
+        # cap vectors, so the n^m budget suffices.
         path = tmp_path / "pef1.json"
-        dump_json(instance_to_dict(inst, exact=True), str(path))
-        assert main(["solve", str(path), "--method", "exact-ef1", "--budget-lps", "30"]) == 2
-        assert "lps budget of 30 exceeded (needs ~64)" in capsys.readouterr().err
+        dump_json(instance_to_dict(gen_partition_ef1([1]), exact=True), str(path))
+        argv = ["solve", str(path), "--method", "exact-ef1", "--budget-lps", "27", "--exact-arith"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["meta"]["lp_solves"] == 15
 
     def test_single_agent_equals_unconstrained(self):
         inst = gen_random(1, 3, 23)

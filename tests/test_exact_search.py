@@ -1,5 +1,6 @@
 """Property tests: the exact solvers' branch-and-bound returns what plain
-enumeration returns, and the optima keep their order across notions."""
+enumeration returns, the optima keep their order across notions, and
+exact-ef1's witness rows for empty-bundle agents match the case-4 wage caps."""
 
 from fractions import Fraction as F
 from unittest import mock
@@ -19,8 +20,9 @@ from faircon.instances import (  # noqa: E402
     gen_random,
     gen_two_agent_hard,
 )
+from faircon.lp import contract_from_solution  # noqa: E402
 
-from oracles import best_lp_reference  # noqa: E402
+from oracles import best_lp_reference, ef1_case4_models  # noqa: E402
 
 EPS = F(1, 10)
 SOLVERS = {
@@ -86,3 +88,37 @@ def test_search_matches_plain_enumeration(inst):
     assert opt_ef <= got["exact-ef1"].revenue
     assert opt_ef <= got["exact-efs"].revenue
     assert opt_ef <= got["exact-eps-ef"].revenue
+
+
+@st.composite
+def wide_instances(draw) -> Instance:
+    """Seeded 4-5-agent random instances with 1-3 tasks, so that most
+    allocations leave some agent with an empty bundle."""
+    n, m = draw(st.integers(4, 5)), draw(st.integers(1, 3))
+    return gen_random(n, m, draw(st.integers(0, 10**6)), draw(st.sampled_from(PROFILES)))
+
+
+@settings(
+    max_examples=60,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(st.one_of(small_instances(), wide_instances()))
+@example(gen_partition_ef1([1]))
+@example(gen_random(2, 2, 81))
+@example(gen_random(5, 3, 21))
+def test_ef1_witness_rows_match_case4_wage_caps(inst):
+    # An empty-bundle agent's witness row is the case-4 wage cap, so
+    # exact-ef1 returns what plain enumeration over the cap models returns.
+    # In the two seeded random examples the optimum needs an empty agent
+    # to drop a task other than the first of the envied bundle.
+    got = exact.solve_opt_ef1(inst)
+    (value, alloc, sol), _ = best_lp_reference(
+        inst, exact.DEFAULT_LP_BUDGET, lambda alloc: ef1_case4_models(inst, alloc)
+    )
+    want = contract_from_solution(sol, alloc)
+    assert (got.revenue, got.contract.assignment, got.contract.alpha) == (
+        value, want.assignment, want.alpha
+    )

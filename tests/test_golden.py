@@ -39,10 +39,12 @@ SOLVE_FLAGS["dp-ef1"] = SOLVE_FLAGS["dp-ef1"] + ["--f-bits", "6"]
 
 # (instance, method, flags) solved on their own.  pef1-1 is scan-bound: its
 # band holds thousands of candidates for a handful of exact verifications
-# (meta pins exact_checks and states).  readme is the README's instance at a
+# (meta pins exact_checks and states); its exact-ef1 solve reaches
+# allocations that leave agents empty.  readme is the README's instance at a
 # short guess ladder.
 EXTRA_SOLVES = [
     ("pef1-1", "dp-ef1", ["--eps", "1/6", "--f-bits", "1"]),
+    ("pef1-1", "exact-ef1", []),
     ("readme", "dp-ef1", ["--eps", "1/4", "--f-bits", "3"]),
 ]
 

@@ -197,14 +197,9 @@ class TestBuildEf1Lp:
         alloc = Allocation((0, 1), 2)
         with pytest.raises(InvalidInstanceError):
             build_ef1_lp(inst, alloc, {(0, 1): 0, (1, 0): 1})
-
-    def test_upper_bounds_are_enforced(self):
-        inst = gen_random(1, 2, 31)
-        alloc = Allocation((0, 0), 1)
-        bound = F(1, 3)
-        sol = solve_lp(build_ef1_lp(inst, alloc, {}, {0: bound, 1: bound}))
-        if sol.optimal:
-            assert all(a <= bound for a in contract_from_solution(sol, alloc).alpha)
+        # Agent 1 holds nothing but still needs a witness inside S_0.
+        with pytest.raises(InvalidInstanceError):
+            build_ef1_lp(inst, Allocation((0, 0), 2), {})
 
 
 def test_build_efs_lp_example_54(ex52):
