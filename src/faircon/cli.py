@@ -175,8 +175,10 @@ CSV_COLUMNS = [
 def _bench_row(row: dict, budget_lps: int, budget_states: int) -> dict:
     """One price-of-fairness row; exceptions are reported in the row."""
     out = dict.fromkeys(CSV_COLUMNS, "")
-    out["instance_id"] = row.get("id", "")
     try:
+        if not isinstance(row, dict):
+            raise InvalidInstanceError(f"row {row!r} is not an object")
+        out["instance_id"] = row.get("id", "")
         inst = instances.make(row["family"], row.get("params", {}))
         out["n"], out["m"] = inst.n, inst.m
         eps = as_fraction(row["eps"]) if row.get("eps") is not None else None
@@ -207,7 +209,9 @@ def _bench_row(row: dict, budget_lps: int, budget_states: int) -> dict:
 
 def cmd_bench_pof(args) -> int:
     config = serialize.load_json(args.config)
-    rows = config.get("rows", [])
+    rows = config.get("rows", []) if isinstance(config, dict) else None
+    if not isinstance(rows, list):
+        raise InvalidInstanceError("bench config must be an object whose rows are a list")
     budget_lps = int(config.get("budget_lps", exact.DEFAULT_LP_BUDGET))
     budget_states = int(config.get("budget_states", dp.DEFAULT_STATE_BUDGET))
     jobs = args.jobs or int(config.get("jobs", 1))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import DimensionMismatchError, InvalidInstanceError, NoViableAgentError
 from .numeric import INF_WAGE, Num, ZERO, as_fraction
@@ -88,6 +88,17 @@ def minimum_wage(inst: Instance, i: int, j: int) -> Fraction | float:
     return INF_WAGE
 
 
+def _agent_index(a) -> int:
+    """An integral agent index (1, 1.0, a numpy integer) as int.  A bool or a
+    non-integral value is rejected rather than truncated."""
+    try:
+        if not isinstance(a, bool) and int(a) == a:
+            return int(a)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InvalidInstanceError(f"agent index {a!r} is not an integer")
+
+
 @dataclass(frozen=True)
 class Allocation:
     """Full allocation: task j is assigned to agent assignment[j]."""
@@ -96,7 +107,7 @@ class Allocation:
     n_agents: int
 
     def __post_init__(self):
-        object.__setattr__(self, "assignment", tuple(int(a) for a in self.assignment))
+        object.__setattr__(self, "assignment", tuple(_agent_index(a) for a in self.assignment))
         if self.n_agents < 1:
             raise InvalidInstanceError("n_agents must be positive")
         for j, a in enumerate(self.assignment):
@@ -208,89 +219,58 @@ def utilities(inst: Instance, alpha: Sequence[Fraction]) -> tuple[tuple[Fraction
     )
 
 
-class _EnvyTerms(NamedTuple):
-    """What every verifier reads off one utility matrix.  own[i] sums
-    agent i's own bundle, clamping each task at 0 when IR fails (the general
-    envy form); switch[i][j] sums max(u, 0) of agent i over S_j; drop[i][j]
-    is (task, gain) for the first best task of S_j, or None if S_j is empty.
+def fairness_report(inst: Instance, k: Contract, eps: Num = 0, tol: Num = 0) -> FairnessReport:
+    """Every notion's verdict, with slacks, from one utility matrix.
+
+    Agent i's own sum is the plain sum over S_i under IR and clamps each
+    task at 0 otherwise (the general envy form, recorded in lhs_form); its
+    sum over another bundle S_j always clamps.  EF1 drops the first best
+    task of S_j (witness None for an empty S_j, which passes).  EFS adds
+    the subsidies to both sides.  A negative eps is rejected.
     """
-
-    ir_ok: bool
-    ir_slacks: dict
-    own: list
-    switch: list
-    drop: list
-
-
-def _envy_terms(u, k: Contract, tol, zero=ZERO) -> _EnvyTerms:
-    """IR slacks and envy sums from a utility matrix, exact or float alike
-    (zero is the additive identity of the entries)."""
-    ir_slacks = {(i, j): u[i][j] for j, i in enumerate(k.assignment)}
-    ir_ok = all(s >= -tol for s in ir_slacks.values())
-    gains = [[max(x, zero) for x in row] for row in u]
-    lhs = u if ir_ok else gains
-    bundles = k.allocation.bundles()
-    own = [sum((lhs[i][t] for t in bundles[i]), zero) for i in range(len(u))]
-    switch = [[sum((row[t] for t in b), zero) for b in bundles] for row in gains]
-    drop = [[_best_drop(row, b) for b in bundles] for row in gains]
-    return _EnvyTerms(ir_ok, ir_slacks, own, switch, drop)
-
-
-def _best_drop(gains, bundle):
-    if not bundle:
-        return None
-    task = max(bundle, key=gains.__getitem__)  # max keeps the first of ties
-    return task, gains[task]
-
-
-def _contract_terms(inst: Instance, k: Contract, tol: Fraction) -> _EnvyTerms:
     _check_dims(inst, k)
-    return _envy_terms(utilities(inst, k.alpha), k, tol)
-
-
-def _pairs(n: int):
-    return ((i, j) for i in range(n) for j in range(n) if i != j)
-
-
-def _ef_slacks(t: _EnvyTerms) -> tuple[tuple[Fraction, ...], ...]:
-    """slack[i][j] = LHS_i - RHS_{i->j}, with slack[i][i] = 0."""
-    n = len(t.own)
-    return tuple(
-        tuple(ZERO if i == j else t.own[i] - t.switch[i][j] for j in range(n))
-        for i in range(n)
-    )
-
-
-def _eps_ef_ok(slacks, eps: Fraction, tol: Fraction) -> bool:
+    tol, eps = as_fraction(tol), as_fraction(eps)
     if eps < 0:
         raise InvalidInstanceError("eps must be nonnegative")
-    return all(slacks[i][j] >= -eps - tol for i, j in _pairs(len(slacks)))
-
-
-def _ef1(t: _EnvyTerms, tol) -> tuple[bool, dict[tuple[int, int], Optional[int]]]:
-    """The EF1 comparison: dropping the best task of each envied bundle
-    must remove the envy (empty bundles pass with witness None)."""
-    ok = True
-    witnesses: dict[tuple[int, int], Optional[int]] = {}
-    for i, j in _pairs(len(t.own)):
-        if t.drop[i][j] is None:
-            witnesses[(i, j)] = None
-            continue
-        task, gain = t.drop[i][j]
-        witnesses[(i, j)] = task
-        if t.own[i] < t.switch[i][j] - gain - tol:
-            ok = False
-    return ok, witnesses
-
-
-def _efs_ok(t: _EnvyTerms, s: tuple[Fraction, ...], tol: Fraction) -> bool:
-    return all(t.own[i] + s[i] >= t.switch[i][j] + s[j] - tol for i, j in _pairs(len(t.own)))
+    u = utilities(inst, k.alpha)
+    n, bundles, s = inst.n, k.allocation.bundles(), k.subsidies
+    ir_slacks = {(i, j): u[i][j] for j, i in enumerate(k.assignment)}
+    ir_ok = all(x >= -tol for x in ir_slacks.values())
+    gains = [[max(x, ZERO) for x in row] for row in u]
+    lhs = u if ir_ok else gains
+    own = [sum((lhs[i][t] for t in bundles[i]), ZERO) for i in range(n)]
+    slacks = tuple(
+        tuple(
+            ZERO if i == j else own[i] - sum((gains[i][t] for t in bundles[j]), ZERO)
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    witnesses = {  # max keeps the first of ties
+        (i, j): max(bundles[j], key=gains[i].__getitem__) if bundles[j] else None for i, j in pairs
+    }
+    return FairnessReport(
+        tolerance=tol,
+        epsilon=eps,
+        ir_ok=ir_ok,
+        ir_slacks=ir_slacks,
+        ef_ok=all(slacks[i][j] >= -tol for i, j in pairs),
+        ef_slacks=slacks,
+        eps_ef_ok=all(slacks[i][j] >= -eps - tol for i, j in pairs),
+        ef1_ok=all(
+            w is None or slacks[i][j] + gains[i][w] >= -tol for (i, j), w in witnesses.items()
+        ),
+        ef1_witnesses=witnesses,
+        efs_ok=None if s is None else all(slacks[i][j] + s[i] - s[j] >= -tol for i, j in pairs),
+        lhs_form="simplified" if ir_ok else "clamped",
+    )
 
 
 def verify_ir(inst: Instance, k: Contract, tol: Num = 0) -> tuple[bool, dict[tuple[int, int], Fraction]]:
     """Check alpha_j p r - c >= 0 for every assigned pair; returns slacks."""
-    t = _contract_terms(inst, k, as_fraction(tol))
-    return t.ir_ok, t.ir_slacks
+    rep = fairness_report(inst, k, tol=tol)
+    return rep.ir_ok, rep.ir_slacks
 
 
 def verify_ef(
@@ -303,15 +283,13 @@ def verify_ef(
     report from fairness_report records which).  Returns (ok, slack
     matrix) with slack[i][j] = LHS_i - RHS_{i->j} and slack[i][i] = 0.
     """
-    tol = as_fraction(tol)
-    slacks = _ef_slacks(_contract_terms(inst, k, tol))
-    return _eps_ef_ok(slacks, ZERO, tol), slacks
+    rep = fairness_report(inst, k, tol=tol)
+    return rep.ef_ok, rep.ef_slacks
 
 
 def verify_eps_ef(inst: Instance, k: Contract, eps: Num, tol: Num = 0) -> bool:
     """Envy-freeness with the right side relaxed by eps >= 0."""
-    tol = as_fraction(tol)
-    return _eps_ef_ok(_ef_slacks(_contract_terms(inst, k, tol)), as_fraction(eps), tol)
+    return fairness_report(inst, k, eps, tol).eps_ef_ok
 
 
 def verify_ef1(
@@ -323,8 +301,8 @@ def verify_ef1(
     Empty envied bundles are vacuously fine (witness None).  Witnesses are
     the dropped tasks, always members of the envied bundle.
     """
-    tol = as_fraction(tol)
-    return _ef1(_contract_terms(inst, k, tol), tol)
+    rep = fairness_report(inst, k, tol=tol)
+    return rep.ef1_ok, rep.ef1_witnesses
 
 
 def verify_efs(inst: Instance, k: Contract, tol: Num = 0) -> bool:
@@ -332,33 +310,7 @@ def verify_efs(inst: Instance, k: Contract, tol: Num = 0) -> bool:
     _check_dims(inst, k)
     if k.subsidies is None:
         raise InvalidInstanceError("contract has no subsidies; EFS needs them")
-    tol = as_fraction(tol)
-    return _efs_ok(_contract_terms(inst, k, tol), k.subsidies, tol)
-
-
-def fairness_report(inst: Instance, k: Contract, eps: Num = 0, tol: Num = 0) -> FairnessReport:
-    """Every notion's verdict, with slacks, from one utility matrix.
-
-    A negative eps is rejected as in verify_eps_ef."""
-    tol = as_fraction(tol)
-    eps = as_fraction(eps)
-    t = _contract_terms(inst, k, tol)
-    slacks = _ef_slacks(t)
-    ef_ok = _eps_ef_ok(slacks, ZERO, tol)
-    ef1_ok, witnesses = _ef1(t, tol)
-    return FairnessReport(
-        tolerance=tol,
-        epsilon=eps,
-        ir_ok=t.ir_ok,
-        ir_slacks=t.ir_slacks,
-        ef_ok=ef_ok,
-        ef_slacks=slacks,
-        eps_ef_ok=_eps_ef_ok(slacks, eps, tol),
-        ef1_ok=ef1_ok,
-        ef1_witnesses=witnesses,
-        efs_ok=_efs_ok(t, k.subsidies, tol) if k.subsidies is not None else None,
-        lhs_form="simplified" if t.ir_ok else "clamped",
-    )
+    return fairness_report(inst, k, tol=tol).efs_ok
 
 
 def greedy_ef(inst: Instance) -> Contract:

@@ -498,7 +498,7 @@ def _ef1_screen(inst: Instance, agents: np.ndarray, alphas: np.ndarray, slack: f
     """Float EF1 screen of N contracts, given as (N, m) agent and contract
     arrays: False only where EF1 fails by more than `slack`.
 
-    It reads the terms of `core._envy_terms` over the (N, n, m) utility
+    It reads the terms of `core.fairness_report` over the (N, n, m) utility
     tensor: own sums, clamped switch sums and best drops.  The own sum is
     always the clamped one: at tolerance 0 the exact verifier's own sum is
     the clamped sum whether or not IR holds (under IR the clamp changes no
@@ -613,6 +613,10 @@ def solve_eps_ef_fptas(
     delta = eps_int / m
     K = ceil_div(ONE, delta)
     step = Fraction(1, K)
+    # Building the grid alone costs time linear in its K + 1 points, so
+    # charge them before it is built.
+    if K + 1 > budget_states:
+        raise BudgetExceededError("states", budget_states, K + 1)
 
     # The rounded optimum's cross-utilities stay within 2m grid steps of
     # the true optimum's, which envy-freeness bounds by the agent's best
@@ -667,11 +671,12 @@ def solve_ef1_fptas(
     K = ceil_div(ONE, delta)
     step = Fraction(1, K)
 
-    # The ladder has top + 2 rungs and every guess runs the DP, so charge
-    # the guess count before any rung is built.
-    guess_count = (_ladder_top(inst, f_bits) + 2) ** n
-    if guess_count > budget_states:
-        raise BudgetExceededError("states", budget_states, guess_count)
+    # The ladder has top + 2 rungs and every guess runs the DP, and an
+    # agent's subgrid of a task has up to K + 1 points: charge the larger
+    # count before any rung or grid is built.
+    need = max((_ladder_top(inst, f_bits) + 2) ** n, K + 1)
+    if need > budget_states:
+        raise BudgetExceededError("states", budget_states, need)
     ladder = utility_guesses(inst, f_bits)
     per_agent: list[list[Fraction]] = []
     for i in range(n):

@@ -55,7 +55,7 @@ def contract_to_dict(k: Contract, exact: bool = False) -> dict:
 
 def contract_from_dict(data: dict, n_agents: int) -> Contract:
     try:
-        assignment = tuple(int(a) for a in data["assignment"])
+        assignment = tuple(data["assignment"])
         alpha = tuple(as_fraction(x) for x in data["alpha"])
         subs = data.get("subsidies")
         subsidies = tuple(as_fraction(x) for x in subs) if subs is not None else None

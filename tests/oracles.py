@@ -170,6 +170,66 @@ def ef1_holds_exhaustive(inst: Instance, k: Contract) -> bool:
     return True
 
 
+def report_reference(inst: Instance, k: Contract, eps, tol) -> dict:
+    """Every `FairnessReport` field recomputed one pair at a time from the
+    definitions.
+
+    IR holds when every assigned pair's utility is at least -tol.  Agent
+    i's own sum is then the plain sum of its utilities over S_i, and
+    otherwise the clamped sum (each task at max(u, 0)); its value for
+    another bundle S_j is always the clamped sum.  EF1 may drop any one
+    task of a nonempty S_j; the witness is the first task of S_j whose
+    clamped utility is largest.
+    """
+    eps, tol = Fraction(eps), Fraction(tol)
+    n = inst.n
+    bundles = k.allocation.bundles()
+
+    def util(i, t):
+        return k.alpha[t] * inst.p[i][t] * inst.r[t] - inst.c[i][t]
+
+    def gain(i, t):
+        return max(util(i, t), ZERO)
+
+    ir_slacks = {(i, t): util(i, t) for t, i in enumerate(k.assignment)}
+    ir_ok = all(s >= -tol for s in ir_slacks.values())
+    own = [
+        sum(((util if ir_ok else gain)(i, t) for t in bundles[i]), ZERO) for i in range(n)
+    ]
+    slacks = [[ZERO] * n for _ in range(n)]
+    ef_ok = eps_ef_ok = ef1_ok = efs_ok = True
+    witnesses = {}
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            value = sum((gain(i, t) for t in bundles[j]), ZERO)
+            slacks[i][j] = own[i] - value
+            ef_ok &= own[i] >= value - tol
+            eps_ef_ok &= own[i] >= value - eps - tol
+            if k.subsidies is not None:
+                efs_ok &= own[i] + k.subsidies[i] >= value + k.subsidies[j] - tol
+            if not bundles[j]:
+                witnesses[(i, j)] = None
+                continue
+            best = max(gain(i, t) for t in bundles[j])
+            witnesses[(i, j)] = next(t for t in bundles[j] if gain(i, t) == best)
+            ef1_ok &= any(own[i] >= value - gain(i, t) - tol for t in bundles[j])
+    return {
+        "tolerance": tol,
+        "epsilon": eps,
+        "ir_ok": ir_ok,
+        "ir_slacks": ir_slacks,
+        "ef_ok": ef_ok,
+        "ef_slacks": tuple(tuple(row) for row in slacks),
+        "eps_ef_ok": eps_ef_ok,
+        "ef1_ok": ef1_ok,
+        "ef1_witnesses": witnesses,
+        "lhs_form": "simplified" if ir_ok else "clamped",
+        "efs_ok": efs_ok if k.subsidies is not None else None,
+    }
+
+
 def exhaustive_profiles(inst: Instance, grids, agent_steps, principal_step):
     """All reachable (h, v...) profiles by brute force over grid contracts
     and allocations, with rounding recomputed from the definitions."""

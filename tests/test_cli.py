@@ -3,6 +3,7 @@
 import csv
 import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,9 @@ from faircon import dp
 from faircon.cli import _bench_row, main
 from faircon.serialize import dump_json, instance_to_dict, load_json
 from faircon.instances import gen_example, gen_partition_ef1, gen_random, gen_two_agent_hard
+
+
+POF_CONFIG = Path(__file__).resolve().parents[1] / "bench" / "pof.json"
 
 
 def run(argv):
@@ -136,6 +140,18 @@ class TestSolve:
         assert run(argv + ["--budget-states", 100]) == 2
         assert "states budget of 100 exceeded (needs ~2704)" in capsys.readouterr().err
 
+    def test_grid_points_charged_before_grid(self, ex52_path, capsys, monkeypatch):
+        # At eps 1e-12 the grids would hold ~10^12 points; the budget fires
+        # on that count before either grid builder runs.
+        def no_grid(*_):
+            raise AssertionError("grid built before its points were charged")
+
+        monkeypatch.setattr(dp, "uniform_grid", no_grid)
+        monkeypatch.setattr(dp, "adaptive_grid", no_grid)
+        for method, need in (("dp-eps-ef", 3 * 10**12 + 1), ("dp-ef1", 2 * 10**12 + 1)):
+            assert run(["solve", ex52_path, "--method", method, "--eps", "1e-12"]) == 2
+            assert f"states budget of 5000000 exceeded (needs ~{need})" in capsys.readouterr().err
+
     def test_state_budget_equal_to_reported_states_suffices(self, tmp_path, capsys):
         # Pruned states are never charged: a budget of exactly the states
         # the solve reports succeeds, and one less fails needing that count,
@@ -190,6 +206,16 @@ class TestVerify:
         capsys.readouterr()
         assert run(argv) == 1
         assert capsys.readouterr().out == out.read_text()
+
+    def test_non_integral_agent_index_invalid(self, tmp_path, ex52_path, capsys):
+        # 0.7 used to be read as agent 0 and true as agent 1.
+        kpath = tmp_path / "k.json"
+        for bad in (0.7, True):
+            dump_json({"assignment": [bad], "alpha": ["1/10"]}, str(kpath))
+            assert run(["verify", ex52_path, kpath, "--notion", "ef"]) == 3
+            assert "is not an integer" in capsys.readouterr().err
+        dump_json({"assignment": [1.0], "alpha": ["3/5"]}, str(kpath))
+        assert run(["verify", ex52_path, kpath, "--notion", "ef1"]) == 0
 
     def test_efs_without_subsidies_invalid(self, tmp_path, ex52_path):
         kpath = tmp_path / "k.json"
@@ -263,6 +289,30 @@ class TestBenchPof:
         # EF1 lower bound never falls below the EF optimum on these rows.
         for r in rows[:3]:
             assert float(r["ratio_ef1"]) >= float(r["ratio_ef"]) - 1e-12
+
+    def test_readme_config(self, tmp_path):
+        # `faircon bench-pof bench/pof.json` from the README: the price of
+        # envy-freeness on example 5.2 is exactly 36 eps, of EF1 exactly 1.
+        out = tmp_path / "pof.csv"
+        assert run(["bench-pof", POF_CONFIG, "--out", out, "--jobs", 2]) == 0
+        rows = list(csv.DictReader(open(out)))
+        assert [r["instance_id"] for r in rows] == ["ex52-1e2", "ex52-1e3", "ex52-1e4"]
+        assert [F(r["ratio_ef"]) for r in rows] == [F(9, 25), F(9, 250), F(9, 2500)]
+        assert [F(r["ratio_ef1"]) for r in rows] == [1, 1, 1]
+        assert not any(r["error"] for r in rows)
+
+    def test_malformed_config(self, tmp_path, capsys):
+        cpath, out = tmp_path / "bench.json", tmp_path / "pof.csv"
+        for config in ([], {"rows": 5}):
+            cpath.write_text(json.dumps(config))
+            assert run(["bench-pof", cpath, "--out", out]) == 3
+            assert "rows are a list" in capsys.readouterr().err
+        good = {"id": "ok", "family": "example", "params": {"id": "5.2", "eps": "1/100"}}
+        cpath.write_text(json.dumps({"rows": [7, good]}))
+        assert run(["bench-pof", cpath, "--out", out]) == 0
+        rows = list(csv.DictReader(open(out)))
+        assert rows[0]["error"] == "InvalidInstanceError: row 7 is not an object"
+        assert rows[1]["instance_id"] == "ok" and not rows[1]["error"]
 
     def test_row_missing_parameter_names_it(self):
         row = {"id": "no-set", "family": "partition-ef", "params": {}}

@@ -39,7 +39,7 @@ from faircon.numeric import INF_WAGE, as_fraction
 from faircon.serialize import instance_from_dict
 
 from conftest import make_contract, random_instances
-from oracles import ef1_holds_exhaustive
+from oracles import ef1_holds_exhaustive, report_reference
 
 
 class TestInstanceValidation:
@@ -359,8 +359,9 @@ def _random_contract(rng, inst, t):
 
 
 def test_report_agrees_with_every_standalone_verifier():
-    """The report's one pass must give what the five verifiers give alone,
-    on IR and non-IR (clamped) contracts, with and without subsidies."""
+    """The report and the five verifiers must give what the definitions
+    give pair by pair (`report_reference`), on IR and non-IR (clamped)
+    contracts, with and without subsidies, at tol 0 and at the CLI's 1e-9."""
     rng = random.Random(5)
     seen = set()
     tol_flips = 0
@@ -371,12 +372,14 @@ def test_report_agrees_with_every_standalone_verifier():
         reports = []
         for tol in (F(0), F(1, 10**9)):
             rep = fairness_report(inst, k, eps, tol)
-            assert (rep.ir_ok, rep.ir_slacks) == verify_ir(inst, k, tol)
-            assert (rep.ef_ok, rep.ef_slacks) == verify_ef(inst, k, tol)
-            assert rep.eps_ef_ok == verify_eps_ef(inst, k, eps, tol)
-            assert (rep.ef1_ok, rep.ef1_witnesses) == verify_ef1(inst, k, tol)
-            assert rep.efs_ok == (verify_efs(inst, k, tol) if k.subsidies else None)
-            assert rep.lhs_form == ("simplified" if rep.ir_ok else "clamped")
+            ref = report_reference(inst, k, eps, tol)
+            assert vars(rep) == ref
+            assert verify_ir(inst, k, tol) == (ref["ir_ok"], ref["ir_slacks"])
+            assert verify_ef(inst, k, tol) == (ref["ef_ok"], ref["ef_slacks"])
+            assert verify_eps_ef(inst, k, eps, tol) == ref["eps_ef_ok"]
+            assert verify_ef1(inst, k, tol) == (ref["ef1_ok"], ref["ef1_witnesses"])
+            if k.subsidies:
+                assert verify_efs(inst, k, tol) == ref["efs_ok"]
             reports.append(rep)
             seen.add((rep.lhs_form, rep.ef1_ok, rep.efs_ok, eps > 0 and rep.eps_ef_ok != rep.ef_ok))
         assert reports[0].ef1_ok == ef1_holds_exhaustive(inst, k)
