@@ -24,7 +24,7 @@ from .core import (
     unconstrained_opt,
 )
 from .errors import BudgetExceededError, FairconError, InvalidInstanceError
-from .numeric import as_fraction, format_scalar_text
+from .numeric import as_fraction, as_int, format_scalar_text
 
 log = logging.getLogger("faircon")
 
@@ -212,9 +212,9 @@ def cmd_bench_pof(args) -> int:
     rows = config.get("rows", []) if isinstance(config, dict) else None
     if not isinstance(rows, list):
         raise InvalidInstanceError("bench config must be an object whose rows are a list")
-    budget_lps = int(config.get("budget_lps", exact.DEFAULT_LP_BUDGET))
-    budget_states = int(config.get("budget_states", dp.DEFAULT_STATE_BUDGET))
-    jobs = args.jobs or int(config.get("jobs", 1))
+    budget_lps = as_int(config.get("budget_lps", exact.DEFAULT_LP_BUDGET), "budget_lps")
+    budget_states = as_int(config.get("budget_states", dp.DEFAULT_STATE_BUDGET), "budget_states")
+    jobs = args.jobs or as_int(config.get("jobs", 1), "jobs")
     started = time.time()
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import DimensionMismatchError, InvalidInstanceError, NoViableAgentError
-from .numeric import INF_WAGE, Num, ZERO, as_fraction
+from .numeric import INF_WAGE, Num, ZERO, as_fraction, as_int
 
 
 def _rational_row(row: Iterable[Num]) -> tuple[Fraction, ...]:
@@ -88,17 +88,6 @@ def minimum_wage(inst: Instance, i: int, j: int) -> Fraction | float:
     return INF_WAGE
 
 
-def _agent_index(a) -> int:
-    """An integral agent index (1, 1.0, a numpy integer) as int.  A bool or a
-    non-integral value is rejected rather than truncated."""
-    try:
-        if not isinstance(a, bool) and int(a) == a:
-            return int(a)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise InvalidInstanceError(f"agent index {a!r} is not an integer")
-
-
 @dataclass(frozen=True)
 class Allocation:
     """Full allocation: task j is assigned to agent assignment[j]."""
@@ -107,7 +96,8 @@ class Allocation:
     n_agents: int
 
     def __post_init__(self):
-        object.__setattr__(self, "assignment", tuple(_agent_index(a) for a in self.assignment))
+        agents = tuple(as_int(a, "agent index") for a in self.assignment)
+        object.__setattr__(self, "assignment", agents)
         if self.n_agents < 1:
             raise InvalidInstanceError("n_agents must be positive")
         for j, a in enumerate(self.assignment):
@@ -226,12 +216,14 @@ def fairness_report(inst: Instance, k: Contract, eps: Num = 0, tol: Num = 0) -> 
     task at 0 otherwise (the general envy form, recorded in lhs_form); its
     sum over another bundle S_j always clamps.  EF1 drops the first best
     task of S_j (witness None for an empty S_j, which passes).  EFS adds
-    the subsidies to both sides.  A negative eps is rejected.
+    the subsidies to both sides.  A negative eps or tol is rejected.
     """
     _check_dims(inst, k)
     tol, eps = as_fraction(tol), as_fraction(eps)
     if eps < 0:
         raise InvalidInstanceError("eps must be nonnegative")
+    if tol < 0:
+        raise InvalidInstanceError("tol must be nonnegative")
     u = utilities(inst, k.alpha)
     n, bundles, s = inst.n, k.allocation.bundles(), k.subsidies
     ir_slacks = {(i, j): u[i][j] for j, i in enumerate(k.assignment)}

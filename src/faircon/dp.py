@@ -26,8 +26,10 @@ numerators over L*K, and each distinct point becomes a Fraction once.
 Both FPTAS solvers run through one guess loop (`_best_over_guesses`):
 per (guess, grid, caps) run it floors the DP at the revenue the answer
 must beat, hands on the state budget the earlier runs left, scans the
-final layer and keeps the best verified candidate.  dp-eps-ef passes one
-run on a uniform grid, dp-ef1 one run per vector of utility guesses.
+final layer and keeps the best verified candidate.  It stops once the
+incumbent earns the unconstrained optimum and skips a run whose principal
+units cannot beat the incumbent.  dp-eps-ef passes one run on a uniform
+grid, dp-ef1 one run per vector of utility guesses.
 
 The candidate scan walks the final layer in descending float revenue.  For
 dp-ef1 it backtracks fixed-size blocks of the band into (N, m) agent and
@@ -59,6 +61,7 @@ from .core import (
     greedy_ef,
     minimum_wage,
     revenue,
+    unconstrained_opt,
     verify_ef1,
     verify_eps_ef,
 )
@@ -218,6 +221,7 @@ class DpResult:
     disc: Discretization
     packer: _Packer
     options: list[list[tuple[int, Fraction, tuple[int, ...], int]]]
+    future_h: list[int]  # most principal units obtainable from task j on
     layer_states: list = field(default_factory=list)  # (N, n_words) arrays
     layer_h: list = field(default_factory=list)
     layer_parent: list = field(default_factory=list)
@@ -358,12 +362,32 @@ def _dedupe_block(rows: np.ndarray, h: np.ndarray, gidx: np.ndarray):
     return srows[keep], h[picked], gidx[picked]
 
 
+def _dp_setup(inst: Instance, disc: Discretization) -> DpResult:
+    """A DpResult before any transition: the profile packer, every task's
+    options and `future_h`."""
+    n, m = inst.n, inst.m
+    max_units = 0
+    for j in range(m):
+        top = disc.task_grids[j][-1]
+        for i in range(n):
+            u = agent_task_utility(inst, i, j, top)
+            if u > 0 and disc.agent_steps[i] > 0:
+                max_units = max(max_units, ceil_div(u, disc.agent_steps[i]))
+    packer = _Packer(m * max(1, max_units) + 1, n * n)
+    options = [_task_options(inst, disc, j, packer) for j in range(m)]
+    future_h = [0] * (m + 1)
+    for j in range(m - 1, -1, -1):
+        future_h[j] = future_h[j + 1] + max((o[3] for o in options[j]), default=0)
+    return DpResult(inst, disc, packer, options, future_h)
+
+
 def dp_enumerate(
     inst: Instance,
     disc: Discretization,
     budget_states: int = DEFAULT_STATE_BUDGET,
     prune_caps: Optional[Sequence[int]] = None,
     min_final_h: Optional[int] = None,
+    prepared: Optional[DpResult] = None,
 ) -> DpResult:
     """The max-principal-units IR (allocation, contract) per reachable
     cross-utility profile.
@@ -376,25 +400,12 @@ def dp_enumerate(
     FPTAS wrappers derive theirs from their proofs).  min_final_h drops any
     state that cannot reach that many principal units even with the best
     remaining tasks (the callers use it with a floor the guaranteed
-    candidate provably clears).
+    candidate provably clears).  `prepared` is `_dp_setup(inst, disc)`
+    when the caller has already built it.
     """
     n, m = inst.n, inst.m
-    max_units = 0
-    for j in range(m):
-        top = disc.task_grids[j][-1]
-        for i in range(n):
-            u = agent_task_utility(inst, i, j, top)
-            if u > 0 and disc.agent_steps[i] > 0:
-                max_units = max(max_units, ceil_div(u, disc.agent_steps[i]))
-    packer = _Packer(m * max(1, max_units) + 1, n * n)
-
-    options = [_task_options(inst, disc, j, packer) for j in range(m)]
-    result = DpResult(inst, disc, packer, options)
-
-    # Largest principal units still obtainable after each task.
-    future_h = [0] * (m + 1)
-    for j in range(m - 1, -1, -1):
-        future_h[j] = future_h[j + 1] + max((o[3] for o in options[j]), default=0)
+    result = _dp_setup(inst, disc) if prepared is None else prepared
+    packer, options, future_h = result.packer, result.options, result.future_h
     # Component i*n + j is agent i's units on agent j's bundle.
     caps = None if prune_caps is None else np.repeat(np.array(prune_caps, dtype=np.int64), n)
 
@@ -569,18 +580,30 @@ def _best_over_guesses(inst, runs, rev_floor, step, budget_states, verify, scree
 
     Each run drops the states that cannot reach `rev_floor` (a revenue the
     guaranteed candidate provably clears) or beat the incumbent, and gets
-    what the earlier runs left of the state budget.  Returns (contract,
-    revenue, its guess, states, verifier calls, runs).
+    what the earlier runs left of the state budget.  The scan replaces the
+    incumbent only on a strictly higher revenue, so two kinds of run could
+    change nothing and are not made: every run once the incumbent earns
+    `unconstrained_opt`, which no IR contract exceeds, and a run whose best
+    principal units (`future_h[0]`, which overestimate any of its revenues)
+    times the step do not exceed the incumbent's revenue; the latter count
+    as pruned.  Returns (contract, revenue, its guess, states, verifier
+    calls, runs made, runs pruned).
     """
+    ceiling = unconstrained_opt(inst)
     best_rev: Optional[Fraction] = None
     best: Optional[Contract] = None
     best_guess = None
-    states = checks = count = 0
-    for count, (guess, disc, caps) in enumerate(runs, 1):
+    states = checks = count = pruned = 0
+    for guess, disc, caps in runs:
+        prepared = _dp_setup(inst, disc)
+        if best_rev is not None and prepared.future_h[0] * step <= best_rev:
+            pruned += 1
+            continue
+        count += 1
         floor = rev_floor if best_rev is None else max(rev_floor, best_rev)
         h_floor = int(floor / step) if floor > 0 else None
         try:
-            dp = dp_enumerate(inst, disc, budget_states - states, caps, h_floor)
+            dp = dp_enumerate(inst, disc, budget_states - states, caps, h_floor, prepared)
         except BudgetExceededError as exc:
             raise BudgetExceededError("states", budget_states, states + exc.needed) from None
         states += dp.states_total
@@ -588,9 +611,11 @@ def _best_over_guesses(inst, runs, rev_floor, step, budget_states, verify, scree
         checks += run_checks
         if new_best is not best:
             best_rev, best, best_guess = new_rev, new_best, guess
+        if best_rev == ceiling:
+            break
     if best is None:
         raise FairconError("no candidate passed verification; this contradicts the guarantee")
-    return best, best_rev, best_guess, states, checks, count
+    return best, best_rev, best_guess, states, checks, count, pruned
 
 
 def solve_eps_ef_fptas(
@@ -625,7 +650,7 @@ def solve_eps_ef_fptas(
     # The guaranteed candidate earns at least OPT-EF - 2 eps/3, and the
     # greedy EF contract lower-bounds OPT-EF, giving a sound revenue floor.
     floor = revenue(inst, greedy_ef(inst)) - 2 * eps_int
-    best, best_rev, _, states, checked, _ = _best_over_guesses(
+    best, best_rev, _, states, checked, _, _ = _best_over_guesses(
         inst, [(None, uniform_grid(inst, K), caps)], floor, step, budget_states,
         lambda contract: verify_eps_ef(inst, contract, eps, tol=0), screen=False,
     )
@@ -657,8 +682,11 @@ def solve_ef1_fptas(
     per guess, task grids adapt so no agent can overshoot its guess, making
     rounded utilities multiplicatively faithful, which is what turns
     near-envy-freeness into exact EF1.  Candidates from all guesses are
-    filtered by the exact EF1 verifier; the best true revenue wins.
-    budget_states bounds the DP states of all guesses together.
+    filtered by the exact EF1 verifier; the best true revenue wins.  The
+    loop stops once the incumbent earns `unconstrained_opt` and skips the
+    guesses that cannot beat it (meta `guesses` counts the DP runs made,
+    `guesses_pruned` the skipped ones).  budget_states bounds the DP states
+    of all guesses together.
     """
     eps = as_fraction(eps)
     if eps <= 0:
@@ -691,7 +719,7 @@ def solve_ef1_fptas(
     # The correct guess's surviving candidate earns at least OPT-EF - 2 nu,
     # and greedy EF lower-bounds OPT-EF.
     floor = revenue(inst, greedy_ef(inst)) - 2 * nu
-    best, best_rev, best_guess, states, checks, guesses = _best_over_guesses(
+    best, best_rev, best_guess, states, checks, guesses, pruned = _best_over_guesses(
         inst, runs, floor, step, budget_states,
         lambda k: verify_ef1(inst, k, tol=0)[0], screen=True,
     )
@@ -706,6 +734,7 @@ def solve_ef1_fptas(
             "f_bits": instance_bit_length(inst) if f_bits is None else f_bits,
             "guess": best_guess,
             "guesses": guesses,
+            "guesses_pruned": pruned,
             "states": states,
             "exact_checks": checks,
         },

@@ -11,6 +11,8 @@ import math
 from fractions import Fraction
 from typing import Union
 
+from .errors import InvalidInstanceError
+
 Num = Union[int, float, str, Fraction]
 
 ZERO = Fraction(0)
@@ -38,6 +40,18 @@ def as_fraction(x: Num) -> Fraction:
         except ZeroDivisionError:
             raise ValueError(f"zero denominator: {x!r}") from None
     raise TypeError(f"cannot interpret {x!r} as a number")
+
+
+def as_int(x, what: str) -> int:
+    """An integral value (1, 1.0, a numpy integer) as int.  A bool or a
+    non-integral value is rejected rather than truncated; `what` names it
+    in the error."""
+    try:
+        if not isinstance(x, bool) and int(x) == x:
+            return int(x)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InvalidInstanceError(f"{what} {x!r} is not an integer")
 
 
 def ceil_div(a: Fraction, b: Fraction) -> int:

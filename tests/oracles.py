@@ -373,6 +373,39 @@ def best_lp_reference(inst: Instance, budget_lps: int, models):
     return best, {"lp_solves": lps, "allocations_solved": solved}
 
 
+def best_over_guesses_reference(
+    inst: Instance, runs, rev_floor, step, budget_states, verify, screen
+):
+    """The FPTAS guess driver before it stopped at the unconstrained optimum
+    or pruned a guess: every (guess, discretization, caps) run is made, in
+    order, and the first strictly better verified candidate wins.
+
+    A drop-in for `faircon.dp._best_over_guesses` (same arguments, same
+    return shape, no run pruned), so patching it in gives the reference each
+    dp-ef1 and dp-eps-ef solve must match.  It reuses the library's DP and
+    candidate scan: it checks the loop, not the runs.
+    """
+    from faircon.dp import _scan_candidates, dp_enumerate
+    from faircon.errors import BudgetExceededError
+
+    best_rev = best = best_guess = None
+    states = checks = count = 0
+    for count, (guess, disc, caps) in enumerate(runs, 1):
+        floor = rev_floor if best_rev is None else max(rev_floor, best_rev)
+        h_floor = int(floor / step) if floor > 0 else None
+        try:
+            dp = dp_enumerate(inst, disc, budget_states - states, caps, h_floor)
+        except BudgetExceededError as exc:
+            raise BudgetExceededError("states", budget_states, states + exc.needed) from None
+        states += dp.states_total
+        new_rev, new_best, run_checks = _scan_candidates(inst, dp, best_rev, best, verify, screen)
+        checks += run_checks
+        if new_best is not best:
+            best_rev, best, best_guess = new_rev, new_best, guess
+    assert best is not None, "no candidate passed verification"
+    return best, best_rev, best_guess, states, checks, count, 0
+
+
 def ef1_case4_models(inst: Instance, alloc: Allocation):
     """The EF1 models `faircon.exact.solve_opt_ef1` solved before agents
     with empty bundles got witness rows, kept as its reference.

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -172,6 +173,36 @@ class TestSolve:
             err = capsys.readouterr().err
             assert f"states budget of {states - 1} exceeded (needs ~{states})" in err
 
+    def test_readme_dp_ef1_command(self, tmp_path):
+        # The README's dp-ef1 command at the default f_bits (158 rungs per
+        # agent, 24,964 guesses): guess (0, 0) already earns
+        # unconstrained_opt, so the solve stops after that one DP run.
+        rand, sol = tmp_path / "rand.json", tmp_path / "sol.json"
+        gen = ["generate", "random", "--n", 2, "--m", 4, "--seed", 7, "--profile", "sparse-ability"]
+        assert run(gen + ["--out", rand]) == 0
+        started = time.time()
+        assert run(["solve", rand, "--method", "dp-ef1", "--eps", "0.25", "--out", sol]) == 0
+        elapsed = time.time() - started
+        out = load_json(str(sol))
+        assert F(out["revenue"]) == F(1937, 2048)
+        assert (out["meta"]["guesses"], out["meta"]["guesses_pruned"]) == (1, 0)
+        assert elapsed < 10
+
+    def test_negative_tol_invalid(self, tmp_path, ex52_path, capsys):
+        # The greedy contract is exactly EF; a negative tol used to fail it.
+        out = tmp_path / "sol.json"
+        argv = ["solve", ex52_path, "--method", "greedy", "--tol", "-1", "--out", out]
+        assert run(argv) == 3
+        assert "tol must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+        assert run(argv[:-4] + ["--tol", "0", "--exact-arith", "--out", out]) == 0
+        kpath = tmp_path / "k.json"
+        dump_json(load_json(str(out))["contract"], str(kpath))
+        verify = ["verify", ex52_path, kpath, "--notion", "ef"]
+        assert run(verify + ["--tol", "-1"]) == 3
+        assert "tol must be nonnegative" in capsys.readouterr().err
+        assert run(verify + ["--tol", "0"]) == 0
+
     def test_bad_instance_file(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{\"r\": [2], \"p\": [[1]], \"c\": [[0]]}")
@@ -313,6 +344,19 @@ class TestBenchPof:
         rows = list(csv.DictReader(open(out)))
         assert rows[0]["error"] == "InvalidInstanceError: row 7 is not an object"
         assert rows[1]["instance_id"] == "ok" and not rows[1]["error"]
+
+    @pytest.mark.parametrize("key", ["budget_lps", "budget_states", "jobs"])
+    def test_non_integral_setting_invalid(self, tmp_path, capsys, key):
+        # 1.5 used to run as 1, and true as 1.
+        cpath, out = tmp_path / "bench.json", tmp_path / "pof.csv"
+        row = {"id": "ok", "family": "example", "params": {"id": "5.2", "eps": "1/100"}}
+        for bad in (1.5, True):
+            cpath.write_text(json.dumps({key: bad, "rows": [row]}))
+            assert run(["bench-pof", cpath, "--out", out]) == 3
+            assert f"{key} {bad!r} is not an integer" in capsys.readouterr().err
+            assert not out.exists()
+        cpath.write_text(json.dumps({key: 1.0 if key == "jobs" else 1000.0, "rows": [row]}))
+        assert run(["bench-pof", cpath, "--out", out]) == 0
 
     def test_row_missing_parameter_names_it(self):
         row = {"id": "no-set", "family": "partition-ef", "params": {}}

@@ -395,3 +395,20 @@ def test_report_agrees_with_every_standalone_verifier():
 def test_report_rejects_negative_eps(ex52):
     with pytest.raises(InvalidInstanceError):
         fairness_report(ex52, greedy_ef(ex52), eps=-1)
+
+
+def test_report_rejects_negative_tol(ex52):
+    # A negative tolerance would demand a positive margin: the exactly-EF
+    # greedy contract would fail IR and EF.  Every verifier shares the guard.
+    k = greedy_ef(ex52)
+    efs = Contract(k.allocation, k.alpha, (F(0), F(0)))
+    for check in (
+        lambda: fairness_report(ex52, k, tol=-1),
+        lambda: verify_ir(ex52, k, tol=-1),
+        lambda: verify_ef(ex52, k, tol=F(-1, 10**9)),
+        lambda: verify_eps_ef(ex52, k, F(1, 10), tol=-1),
+        lambda: verify_ef1(ex52, k, tol=-1),
+        lambda: verify_efs(ex52, efs, tol=-1),
+    ):
+        with pytest.raises(InvalidInstanceError, match="tol must be nonnegative"):
+            check()

@@ -40,7 +40,7 @@ from faircon.dp import (
 )
 from faircon.errors import BudgetExceededError, FairconError, InvalidInstanceError
 from faircon.exact import solve_opt_ef
-from faircon.instances import gen_partition_ef1, gen_random
+from faircon.instances import PROFILES, gen_example, gen_partition_ef1, gen_random
 from faircon.numeric import ONE, ZERO
 from faircon.serialize import dump_json, instance_to_dict
 
@@ -48,6 +48,7 @@ from conftest import make_contract, random_instances
 from oracles import (
     adaptive_task_grids_reference,
     best_h_per_profile,
+    best_over_guesses_reference,
     ef1_holds_exhaustive,
     exhaustive_profiles,
     task_options_reference,
@@ -474,21 +475,127 @@ class TestBandScreen:
         assert 0 < len(rebuilt) < 100
 
 
+# (instance, eps, f_bits) the guess driver is checked on: the 20
+# criterion-5 solves, the four dp-ef1 golden solves, and seeded 2x2 and 2x3
+# draws over every profile.  The 2x2 draw at seed 48 holds an incumbent
+# within one step below unconstrained_opt until a later guess reaches it.
+DRIVER_CASES = (
+    [(gen_random(2, 4, 20_000 + t), F(1, 4), 8) for t in range(20)]
+    + [
+        (gen_example("5.2", F(1, 100)), F(1, 4), 6),
+        (gen_random(2, 3, 1), F(1, 4), 6),
+        (gen_partition_ef1([1]), F(1, 6), 1),
+        (gen_random(2, 4, 7, "sparse-ability"), F(1, 4), 3),
+    ]
+    + [(gen_random(2, 2 + s % 2, s, PROFILES[s % 3]), F(1, 4), 4) for s in range(40, 52)]
+)
+
+
+def _traced_guesses(monkeypatch, inst, eps, f_bits):
+    """solve_ef1_fptas's result and, for every guess it reached, in order:
+    (principal-unit bound, incumbent revenue before the guess, DP run made)."""
+    events, incumbent = [], [None]
+    real_setup, real_enum, real_scan = (
+        dp_module._dp_setup, dp_module.dp_enumerate, dp_module._scan_candidates
+    )
+
+    def setup(inst, disc):
+        prepared = real_setup(inst, disc)
+        events.append([prepared.future_h[0] * disc.principal_step, incumbent[0], False])
+        return prepared
+
+    def enumerate_(*args, **kwargs):
+        events[-1][2] = True
+        return real_enum(*args, **kwargs)
+
+    def scan(*args):
+        out = real_scan(*args)
+        incumbent[0] = out[0]
+        return out
+
+    monkeypatch.setattr(dp_module, "_dp_setup", setup)
+    monkeypatch.setattr(dp_module, "dp_enumerate", enumerate_)
+    monkeypatch.setattr(dp_module, "_scan_candidates", scan)
+    res = solve_ef1_fptas(inst, eps, f_bits=f_bits)
+    monkeypatch.undo()
+    return res, events
+
+
+class TestGuessDriver:
+    """The guess driver stops at unconstrained_opt and skips guesses whose
+    principal units cannot beat the incumbent, and so returns what running
+    every guess returns."""
+
+    @pytest.mark.parametrize("case", range(len(DRIVER_CASES)))
+    def test_matches_every_guess_reference(self, monkeypatch, case):
+        inst, eps, f_bits = DRIVER_CASES[case]
+        monkeypatch.setattr(dp_module, "_best_over_guesses", best_over_guesses_reference)
+        ref = solve_ef1_fptas(inst, eps, f_bits=f_bits)
+        monkeypatch.undo()
+        res, events = _traced_guesses(monkeypatch, inst, eps, f_bits)
+        assert res.contract == ref.contract
+        assert res.revenue == ref.revenue
+        assert res.meta["guess"] == ref.meta["guess"]
+        assert res.meta["guesses"] <= ref.meta["guesses"]
+        assert res.meta["states"] <= ref.meta["states"]
+
+        # A guess is run exactly when there is no incumbent yet or its bound
+        # beats the incumbent; the rest count as pruned.
+        made = [ran for _, _, ran in events]
+        assert made == [inc is None or bound > inc for bound, inc, _ in events]
+        assert res.meta["guesses"] == sum(made)
+        assert res.meta["guesses_pruned"] == len(events) - sum(made)
+        # The loop ends right after the incumbent first earns
+        # unconstrained_opt, and never before: below it, every guess is reached.
+        ceiling = unconstrained_opt(inst)
+        assert all(inc is None or inc < ceiling for _, inc, _ in events)
+        if res.revenue < ceiling:
+            assert len(events) == ref.meta["guesses"]
+
+    def test_rules_at_their_edges(self):
+        # One agent and one task worth 1 at cost 0: contract alpha earns
+        # 1 - alpha, exactly its principal units on a 1/4 step, and
+        # unconstrained_opt is 1.  Each run offers the listed contracts.
+        inst = Instance(r=(1,), p=((1,),), c=((0,),))
+        step = F(1, 4)
+
+        def run(name, *points):
+            return name, Discretization((tuple(map(F, points)),), (step,), step), None
+
+        def drive(*runs, rev_floor=ZERO):
+            _, rev, guess, _, _, made, pruned = dp_module._best_over_guesses(
+                inst, runs, rev_floor, step, 10**6, lambda k: True, screen=False
+            )
+            return rev, guess, made, pruned
+
+        # 3/4 is one step short of the ceiling, so "b" runs; its 1 ends the loop.
+        assert drive(run("a", F(1, 4), 1), run("b", 0, 1), run("c", 0)) == (1, "b", 2, 0)
+        # "b"'s bound ties the incumbent at 1/2 and is skipped; "c"'s bound,
+        # one step above it, runs.
+        a, b, c = run("a", F(1, 2), 1), run("b", F(1, 2), 1), run("c", F(1, 4), 1)
+        assert drive(a, b) == (F(1, 2), "a", 1, 1)
+        assert drive(a, b, c) == (F(3, 4), "c", 2, 1)
+        # With no incumbent a run is made even when its bound only ties the
+        # floor: its best contract earns exactly the floor.
+        assert drive(run("a", F(1, 4), 1), rev_floor=F(3, 4)) == (F(3, 4), "a", 1, 0)
+
+
 def test_state_budget_spans_all_guesses(monkeypatch, tmp_path):
-    # The README instance: every guess's DP fits in a budget one state short
-    # of the solve's total, so only a budget shared by all guesses stops it.
-    inst = gen_random(2, 4, 7, "sparse-ability")
-    res, runs = _fptas_runs(monkeypatch, inst, F(1, 4), 3)
+    # partition-ef1 [1] ends below unconstrained_opt (7/10 vs 11/10), so
+    # several guesses run: each one's DP fits in a budget one state short of
+    # the solve's total, so only a budget shared by all guesses stops it.
+    inst = gen_partition_ef1([1])
+    res, runs = _fptas_runs(monkeypatch, inst, F(1, 6), 1)
     total = res.meta["states"]
     assert total == sum(dp.states_total for dp in runs)
     budget = total - 1
     assert max(dp.states_total for dp in runs) < budget
     with pytest.raises(BudgetExceededError) as exc:
-        solve_ef1_fptas(inst, F(1, 4), budget_states=budget, f_bits=3)
+        solve_ef1_fptas(inst, F(1, 6), budget_states=budget, f_bits=1)
     assert exc.value.limit == budget and exc.value.needed > budget
-    path = tmp_path / "readme.json"
+    path = tmp_path / "pef1.json"
     dump_json(instance_to_dict(inst, exact=True), str(path))
-    argv = ["solve", str(path), "--method", "dp-ef1", "--eps", "1/4", "--f-bits", "3"]
+    argv = ["solve", str(path), "--method", "dp-ef1", "--eps", "1/6", "--f-bits", "1"]
     assert main(argv + ["--budget-states", str(budget)]) == 2
     out = tmp_path / "sol.json"
     assert main(argv + ["--budget-states", str(2 * total), "--out", str(out)]) == 0
