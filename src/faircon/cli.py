@@ -96,7 +96,6 @@ def cmd_verify(args) -> int:
     contract = serialize.contract_from_dict(
         serialize.load_json(args.contract), inst.n
     )
-    tol = as_fraction(args.tol)
     eps = as_fraction(args.eps) if args.eps is not None else None
     if args.notion == "eps-ef" and eps is None:
         print("eps-ef verification requires --eps", file=sys.stderr)
@@ -104,13 +103,21 @@ def cmd_verify(args) -> int:
     if args.notion == "efs" and contract.subsidies is None:
         print("contract has no subsidies", file=sys.stderr)
         return EXIT_INVALID
-    report = fairness_report(inst, contract, eps or 0, tol)
+    report = fairness_report(inst, contract, eps or 0, args.tol)
     payload = serialize.report_to_dict(report, args.exact_arith)
     ok = report.ir_ok and bool(getattr(report, NOTIONS[args.notion]))
     payload["notion"] = args.notion
     payload["ok"] = ok
     serialize.dump_json(payload, args.out)
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
+
+
+def tolerance(text: str) -> Fraction:
+    """--tol as a Fraction; a malformed or negative one is a usage error."""
+    tol = as_fraction(text)
+    if tol < 0:
+        raise argparse.ArgumentTypeError("tol must be nonnegative")
+    return tol
 
 
 def _parse_int_set(text: str) -> list[int]:
@@ -245,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("instance")
     ps.add_argument("--method", required=True, choices=tuple(SOLVERS))
     ps.add_argument("--eps", help="epsilon for eps-EF / DP methods")
-    ps.add_argument("--tol", default="1e-9")
+    ps.add_argument("--tol", type=tolerance, default="1e-9")
     ps.add_argument("--budget-lps", type=int, default=exact.DEFAULT_LP_BUDGET)
     ps.add_argument("--budget-states", type=int, default=dp.DEFAULT_STATE_BUDGET)
     ps.add_argument("--f-bits", type=int, default=None, help="override the EF1 guess resolution")
@@ -258,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("contract")
     pv.add_argument("--notion", required=True, choices=tuple(NOTIONS))
     pv.add_argument("--eps")
-    pv.add_argument("--tol", default="1e-9")
+    pv.add_argument("--tol", type=tolerance, default="1e-9")
     pv.add_argument("--exact-arith", action="store_true")
     pv.add_argument("--out")
     pv.set_defaults(func=cmd_verify)

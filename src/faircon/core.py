@@ -316,14 +316,10 @@ def greedy_ef(inst: Instance) -> Contract:
     assignment = []
     alphas = []
     for j in range(inst.m):
-        best_i, best_w = None, None
-        for i in inst.viable_agents(j):
-            w = minimum_wage(inst, i, j)
-            if best_w is None or w < best_w:
-                best_i, best_w = i, w
+        # Ties go to the lowest agent; a viable agent with p*r = 0 has c = 0, so wage 0.
+        best_w, best_i = min((minimum_wage(inst, i, j), i) for i in inst.viable_agents(j))
         assignment.append(best_i)
-        # p*r = 0 inside the viable set forces c = 0; alpha 0 maximizes revenue.
-        alphas.append(ZERO if inst.pr[best_i][j] == 0 else as_fraction(best_w))
+        alphas.append(best_w)
     alloc = Allocation(tuple(assignment), inst.n)
     return Contract(alloc, tuple(alphas))
 

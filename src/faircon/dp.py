@@ -42,7 +42,6 @@ m below (`_band_margin`, `_screen_slack`).
 
 from __future__ import annotations
 
-import functools
 import itertools
 import logging
 import math
@@ -215,51 +214,42 @@ class _Packer:
 @dataclass
 class DpResult:
     """Reachable cross-utility profiles, each with the representative path
-    of most principal units; `layer_h` holds those units."""
+    of most principal units.
+
+    Layer t's state g came from option gidx[t][g] // n_prev of task t
+    applied to state gidx[t][g] % n_prev of the layer before, which has
+    n_prev states (one before task 0).  `keys` and `h` are the final
+    layer's packed profiles and principal units.
+    """
 
     inst: Instance
     disc: Discretization
     packer: _Packer
     options: list[list[tuple[int, Fraction, tuple[int, ...], int]]]
+    # Per task: the agent, float contract, packed deltas and principal
+    # units of each option, as arrays.
+    tables: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
     future_h: list[int]  # most principal units obtainable from task j on
-    layer_states: list = field(default_factory=list)  # (N, n_words) arrays
-    layer_h: list = field(default_factory=list)
-    layer_parent: list = field(default_factory=list)
-    layer_opt: list = field(default_factory=list)
+    gidx: list = field(default_factory=list)
+    keys: Optional[np.ndarray] = None
+    h: Optional[np.ndarray] = None
     states_total: int = 0
-
-    def profiles(self) -> dict[tuple[int, ...], int]:
-        """Final layer as {(v[0][0], v[0][1], ..): max principal units}."""
-        comps = self.packer.unpack_rows(self.layer_states[-1]).tolist()
-        return dict(zip(map(tuple, comps), self.layer_h[-1].tolist()))
 
     def reconstruct(self, index: int) -> tuple[tuple[int, ...], tuple[Fraction, ...]]:
         assignment = [0] * self.inst.m
         alphas: list[Fraction] = [ZERO] * self.inst.m
-        for t in range(self.inst.m - 1, -1, -1):
-            opt = self.options[t][int(self.layer_opt[t][index])]
-            assignment[t], alphas[t] = opt[0], opt[1]
-            index = int(self.layer_parent[t][index])
+        for t, o in self._walk(index):
+            assignment[t], alphas[t] = self.options[t][o][:2]
         return tuple(assignment), tuple(alphas)
 
-    def _walk(self, positions: np.ndarray):
-        """(task, option index per position) for final-layer positions, last
-        task first."""
-        idx = positions
+    def _walk(self, positions):
+        """(task, option index) for final-layer positions, an int or an
+        array, last task first."""
         for t in range(self.inst.m - 1, -1, -1):
-            yield t, self.layer_opt[t][idx]
-            idx = self.layer_parent[t][idx]
-
-    @functools.cached_property
-    def _option_tables(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per task layer: the agent and the float contract of each option."""
-        return [
-            (
-                np.array([o[0] for o in opts], dtype=np.int64),
-                np.array([float(o[1]) for o in opts], dtype=np.float64),
-            )
-            for opts in self.options
-        ]
+            n_prev = len(self.gidx[t - 1]) if t else 1
+            g = self.gidx[t][positions]
+            yield t, g // n_prev
+            positions = g % n_prev
 
     def band(self, min_rev: Optional[Fraction]):
         """Final-layer positions whose principal units could still beat
@@ -270,11 +260,11 @@ class DpResult:
         """
         step = self.disc.principal_step
         h_min = 0 if min_rev is None else int(min_rev / step) + 1
-        positions = np.nonzero(self.layer_h[-1] >= h_min)[0].astype(np.int64)
+        positions = np.nonzero(self.h >= h_min)[0].astype(np.int64)
         frev = np.zeros(len(positions), dtype=np.float64)
         pr = np.array([[float(x) for x in row] for row in self.inst.pr])
         for t, o in self._walk(positions):
-            agents, alphas = self._option_tables[t]
+            agents, alphas = self.tables[t][:2]
             frev += ((1.0 - alphas) * pr[agents, t])[o]
         return positions, frev
 
@@ -283,7 +273,7 @@ class DpResult:
         agents = np.empty((len(positions), self.inst.m), dtype=np.int64)
         alphas = np.empty((len(positions), self.inst.m), dtype=np.float64)
         for t, o in self._walk(positions):
-            agent_of, alpha_of = self._option_tables[t]
+            agent_of, alpha_of = self.tables[t][:2]
             agents[:, t] = agent_of[o]
             alphas[:, t] = alpha_of[o]
         return agents, alphas
@@ -364,7 +354,7 @@ def _dedupe_block(rows: np.ndarray, h: np.ndarray, gidx: np.ndarray):
 
 def _dp_setup(inst: Instance, disc: Discretization) -> DpResult:
     """A DpResult before any transition: the profile packer, every task's
-    options and `future_h`."""
+    options, as tuples and as arrays, and `future_h`."""
     n, m = inst.n, inst.m
     max_units = 0
     for j in range(m):
@@ -375,10 +365,19 @@ def _dp_setup(inst: Instance, disc: Discretization) -> DpResult:
                 max_units = max(max_units, ceil_div(u, disc.agent_steps[i]))
     packer = _Packer(m * max(1, max_units) + 1, n * n)
     options = [_task_options(inst, disc, j, packer) for j in range(m)]
+    tables = [
+        (
+            np.array([o[0] for o in opts], dtype=np.int64),
+            np.array([float(o[1]) for o in opts], dtype=np.float64),
+            np.array([o[2] for o in opts], dtype=np.int64),
+            np.array([o[3] for o in opts], dtype=np.int64),
+        )
+        for opts in options
+    ]
     future_h = [0] * (m + 1)
     for j in range(m - 1, -1, -1):
         future_h[j] = future_h[j + 1] + max((o[3] for o in options[j]), default=0)
-    return DpResult(inst, disc, packer, options, future_h)
+    return DpResult(inst, disc, packer, options, tables, future_h)
 
 
 def dp_enumerate(
@@ -405,7 +404,7 @@ def dp_enumerate(
     """
     n, m = inst.n, inst.m
     result = _dp_setup(inst, disc) if prepared is None else prepared
-    packer, options, future_h = result.packer, result.options, result.future_h
+    packer, future_h = result.packer, result.future_h
     # Component i*n + j is agent i's units on agent j's bundle.
     caps = None if prune_caps is None else np.repeat(np.array(prune_caps, dtype=np.int64), n)
 
@@ -423,16 +422,14 @@ def dp_enumerate(
     h_vals = np.zeros(1, dtype=np.int64)
     total = 0
     for j in range(m):
-        opts = options[j]
-        if not opts:
+        _, _, deltas, dh = result.tables[j]
+        if not len(dh):
             raise FairconError(f"task {j} has no IR grid contract")
-        deltas = np.array([o[2] for o in opts], dtype=np.int64)
-        dh = np.array([o[3] for o in opts], dtype=np.int64)
         need = 0 if min_final_h is None else min_final_h - future_h[j + 1]
         n_prev = len(states)
         running = None  # rolling merge keeps memory at O(distinct states)
         block = max(1, _CHUNK // max(1, n_prev))
-        for start in range(0, len(opts), block):
+        for start in range(0, len(dh), block):
             sub = slice(start, start + block)
             cand = (states[None, :, :] + deltas[sub][:, None, :]).reshape(-1, packer.n_words)
             cand_h = (h_vals[None, :] + dh[sub][:, None]).ravel()
@@ -446,12 +443,9 @@ def dp_enumerate(
                 raise BudgetExceededError("states", budget_states, total + len(running[0]))
         states, h_vals, gidx = running
         total += len(states)
-        result.layer_states.append(states)
-        result.layer_h.append(h_vals)
-        result.layer_parent.append(gidx % n_prev)
-        result.layer_opt.append(gidx // n_prev)
+        result.gidx.append(gidx)
         log.debug("dp task %d: %d states", j, len(states))
-    result.states_total = total
+    result.keys, result.h, result.states_total = states, h_vals, total
     return result
 
 
@@ -574,7 +568,7 @@ def _scan_candidates(inst, dp: DpResult, best_rev, best, verify, screen: bool):
     return best_rev, best, checks
 
 
-def _best_over_guesses(inst, runs, rev_floor, step, budget_states, verify, screen):
+def _best_over_guesses(inst, runs, rev_floor, budget_states, verify, screen):
     """The best verifier-passing candidate over the DP runs of
     (guess, discretization, caps) triples, one run after another.
 
@@ -585,9 +579,9 @@ def _best_over_guesses(inst, runs, rev_floor, step, budget_states, verify, scree
     change nothing and are not made: every run once the incumbent earns
     `unconstrained_opt`, which no IR contract exceeds, and a run whose best
     principal units (`future_h[0]`, which overestimate any of its revenues)
-    times the step do not exceed the incumbent's revenue; the latter count
-    as pruned.  Returns (contract, revenue, its guess, states, verifier
-    calls, runs made, runs pruned).
+    times its principal step do not exceed the incumbent's revenue; the
+    latter count as pruned.  Returns (contract, revenue, its guess, states,
+    verifier calls, runs made, runs pruned).
     """
     ceiling = unconstrained_opt(inst)
     best_rev: Optional[Fraction] = None
@@ -595,6 +589,7 @@ def _best_over_guesses(inst, runs, rev_floor, step, budget_states, verify, scree
     best_guess = None
     states = checks = count = pruned = 0
     for guess, disc, caps in runs:
+        step = disc.principal_step
         prepared = _dp_setup(inst, disc)
         if best_rev is not None and prepared.future_h[0] * step <= best_rev:
             pruned += 1
@@ -651,7 +646,7 @@ def solve_eps_ef_fptas(
     # greedy EF contract lower-bounds OPT-EF, giving a sound revenue floor.
     floor = revenue(inst, greedy_ef(inst)) - 2 * eps_int
     best, best_rev, _, states, checked, _, _ = _best_over_guesses(
-        inst, [(None, uniform_grid(inst, K), caps)], floor, step, budget_states,
+        inst, [(None, uniform_grid(inst, K), caps)], floor, budget_states,
         lambda contract: verify_eps_ef(inst, contract, eps, tol=0), screen=False,
     )
     return SolveResult(
@@ -720,7 +715,7 @@ def solve_ef1_fptas(
     # and greedy EF lower-bounds OPT-EF.
     floor = revenue(inst, greedy_ef(inst)) - 2 * nu
     best, best_rev, best_guess, states, checks, guesses, pruned = _best_over_guesses(
-        inst, runs, floor, step, budget_states,
+        inst, runs, floor, budget_states,
         lambda k: verify_ef1(inst, k, tol=0)[0], screen=True,
     )
     return SolveResult(

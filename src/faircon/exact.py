@@ -112,8 +112,9 @@ def _best_lp(
     later model can beat it.  Every LP is
     charged to `budget_lps`; n^m above the budget fails before any work.
     Returns ((objective, allocation, solution), counts) with counts
-    {"lp_solves", "allocations_solved"}, the latter the allocations that
-    reached an LP.  Logs progress at DEBUG and a summary at INFO.
+    {"lp_solves", "pivots", "allocations_solved"}: the LPs, their simplex
+    pivots, and the allocations that reached an LP.  Logs progress at DEBUG
+    and a summary at INFO.
     """
     count = inst.n**inst.m
     if count > budget_lps:
@@ -126,11 +127,11 @@ def _best_lp(
     seed = revenue(inst, greedy_ef(inst))
     assignment = [0] * inst.m
     held = [0] * inst.n
-    lps = solved = 0
+    lps = pivots = solved = 0
     best: Optional[_Best] = None
 
     def solve_leaf(welfare: Fraction) -> None:
-        nonlocal best, lps, solved
+        nonlocal best, lps, pivots, solved
         solved += 1
         alloc = Allocation(tuple(assignment), inst.n)
         for model in models(alloc):
@@ -138,6 +139,7 @@ def _best_lp(
             if lps > budget_lps:
                 raise BudgetExceededError("lps", budget_lps)
             sol = solve_lp(model)
+            pivots += sol.pivots
             if lps % _LOG_EVERY_LPS == 0:
                 log.debug("exact: %d LPs, %d allocations solved", lps, solved)
             if sol.optimal and (best is None or sol.objective > best[0]):
@@ -167,13 +169,21 @@ def _best_lp(
     )
     if best is None:
         raise FairconError("no feasible allocation; Assumption 1 should prevent this")
-    return best, {"lp_solves": lps, "allocations_solved": solved}
+    return best, {"lp_solves": lps, "pivots": pivots, "allocations_solved": solved}
 
 
-def _check_optimum(inst: Instance, contract: Contract, fair: bool, method: str) -> None:
-    """Safety net: the returned contract must pass IR and its notion at tol 0."""
-    if not (fair and verify_ir(inst, contract)[0]):
+def _solve(
+    inst: Instance, budget_lps: int, models: Callable[[Allocation], Iterable[LpModel]],
+    method: str, fair: Callable[[Contract], bool], meta: Optional[dict] = None,
+) -> SolveResult:
+    """The contract of the best LP optimum (`_best_lp`), re-verified in
+    rationals: its revenue must equal the LP value, and it must pass IR and
+    `fair` (the notion) at tol 0.  `meta` leads the result's meta."""
+    (value, alloc, sol), counts = _best_lp(inst, budget_lps, models)
+    contract = contract_from_solution(sol, alloc)
+    if revenue(inst, contract) != value or not (verify_ir(inst, contract)[0] and fair(contract)):
         raise FairconError(f"internal error: {method} optimum failed verification")
+    return SolveResult(contract, value, method, {**(meta or {}), **counts})
 
 
 def solve_opt_ef(
@@ -182,17 +192,10 @@ def solve_opt_ef(
     """Optimal (eps-)envy-free contract by enumerating all allocations and
     solving the fixed-allocation LP for each."""
     eps = as_fraction(eps)
-    (value, alloc, sol), counts = _best_lp(
-        inst, budget_lps, lambda alloc: [build_ef_lp(inst, alloc, eps)]
-    )
-    contract = contract_from_solution(sol, alloc)
-    method = "exact-ef" if eps == 0 else "exact-eps-ef"
-    _check_optimum(inst, contract, verify_eps_ef(inst, contract, eps), method)
-    return SolveResult(
-        contract,
-        value,
-        method,
-        {"eps": eps, **counts, "allocations": inst.n**inst.m},
+    return _solve(
+        inst, budget_lps, lambda alloc: [build_ef_lp(inst, alloc, eps)],
+        "exact-ef" if eps == 0 else "exact-eps-ef", lambda k: verify_eps_ef(inst, k, eps),
+        {"eps": eps, "allocations": inst.n**inst.m},
     )
 
 
@@ -273,10 +276,7 @@ def solve_opt_ef1(inst: Instance, budget_lps: int = DEFAULT_LP_BUDGET) -> SolveR
         for choice in itertools.product(*options):
             yield build_ef1_lp(inst, alloc, dict(zip(pairs, choice)))
 
-    (value, alloc, sol), counts = _best_lp(inst, budget_lps, models)
-    contract = contract_from_solution(sol, alloc)
-    _check_optimum(inst, contract, verify_ef1(inst, contract)[0], "exact-ef1")
-    return SolveResult(contract, value, "exact-ef1", counts)
+    return _solve(inst, budget_lps, models, "exact-ef1", lambda k: verify_ef1(inst, k)[0])
 
 
 def solve_opt_efs(inst: Instance, budget_lps: int = DEFAULT_LP_BUDGET) -> SolveResult:
@@ -288,11 +288,7 @@ def solve_opt_efs(inst: Instance, budget_lps: int = DEFAULT_LP_BUDGET) -> SolveR
     LP models as that agent's subsidy (`faircon.ext` keeps the reduction
     itself).
     """
-    (value, alloc, sol), counts = _best_lp(
-        inst, budget_lps, lambda alloc: [build_efs_lp(inst, alloc)]
+    return _solve(
+        inst, budget_lps, lambda alloc: [build_efs_lp(inst, alloc)], "exact-efs",
+        lambda k: verify_efs(inst, k),
     )
-    contract = contract_from_solution(sol, alloc)
-    if revenue(inst, contract) != value:
-        raise FairconError("internal error: exact-efs revenue differs from its LP value")
-    _check_optimum(inst, contract, verify_efs(inst, contract), "exact-efs")
-    return SolveResult(contract, value, "exact-efs", counts)

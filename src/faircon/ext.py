@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .core import (
     Allocation,
     Contract,
     Instance,
     SolveResult,
+    greedy_ef,
     minimum_wage,
     revenue,
     utilities,
@@ -29,33 +29,29 @@ def round_robin_ef1(inst: Instance) -> SolveResult:
     """EF1 contract from round-robin picking.
 
     Contracts are fixed first: each task pays the most productive agent's
-    wage (the agent maximizing total welfare), or the cheapest viable wage
-    where that agent has negative welfare.  Agents then take turns picking
-    their favorite remaining task, most productive agent first, skipping
-    tasks that are not IR for them; ties go to the principal's revenue,
-    then to the lowest task index.
+    wage (the agent maximizing total welfare), or greedy EF's wage, the
+    cheapest viable one, where that agent has negative welfare.  Agents
+    then take turns picking their favorite remaining task, most productive
+    agent first, skipping tasks that are not IR for them; ties go to the
+    principal's revenue, then to the lowest task index.  Every task is IR,
+    at utility 0, for the agent whose wage it pays, so every round assigns
+    a task.
     """
     n, m = inst.n, inst.m
     star = max(range(n), key=lambda i: (sum((max(inst.welfare(i, j), ZERO) for j in range(m)), ZERO), -i))
-    alphas: list[Fraction] = []
-    for j in range(m):
-        if inst.welfare(star, j) >= 0:
-            w = minimum_wage(inst, star, j)
-            alphas.append(ZERO if inst.pr[star][j] == 0 else Fraction(w))
-        else:
-            viable = inst.viable_agents(j)
-            w = min(minimum_wage(inst, i, j) for i in viable)
-            alphas.append(Fraction(w))
+    cheapest = greedy_ef(inst).alpha
+    alphas = [
+        minimum_wage(inst, star, j) if inst.welfare(star, j) >= 0 else cheapest[j]
+        for j in range(m)
+    ]
 
     u = utilities(inst, alphas)
     order = [star] + [i for i in range(n) if i != star]
     assignment: list[int | None] = [None] * m
     remaining = set(range(m))
     while remaining:
-        progressed = False
+        left = len(remaining)
         for i in order:
-            if not remaining:
-                break
             candidates = [j for j in remaining if u[i][j] >= 0]
             if not candidates:
                 continue  # agent passes: nothing IR for it remains
@@ -65,18 +61,8 @@ def round_robin_ef1(inst: Instance) -> SolveResult:
             )
             assignment[best] = i
             remaining.discard(best)
-            progressed = True
-        if not progressed:
-            break
-    # Contract-setting guarantees every task is IR for some agent; the
-    # sweep is a safety net that assigns any straggler to such an agent.
-    for j in sorted(remaining):
-        for i in range(n):
-            if u[i][j] >= 0:
-                assignment[j] = i
-                break
-    if any(a is None for a in assignment):
-        raise FairconError("round robin failed to allocate every task")
+        if len(remaining) == left:
+            raise FairconError("round robin failed to allocate every task")
     contract = Contract(Allocation(tuple(assignment), n), tuple(alphas))
     return SolveResult(
         contract, revenue(inst, contract), "round-robin", {"first_agent": star}

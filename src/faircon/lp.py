@@ -10,7 +10,7 @@ EF-with-subsidies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Optional
 
@@ -29,17 +29,17 @@ class LpRow(NamedTuple):
 
 @dataclass
 class LpModel:
-    """maximize objective_const + objective . x  s.t. rows, 0 <= x (<= ub).
+    """maximize objective_const + objective . x  s.t. rows, 0 <= x.
 
     Variables are indexed: alpha[j] at j, t[i,k] at m + i*m + k, then, in the
-    EFS model, the subsidy s[i] at m + n*m + i.
+    EFS model, the subsidy s[i] at m + n*m + i.  The contract models end
+    with the m rows -alpha[j] >= -1.
     """
 
     n_vars: int
     objective: dict[int, Fraction]
     objective_const: Fraction
     rows: list[LpRow]
-    upper_bounds: dict[int, Fraction] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -47,6 +47,7 @@ class LpSolution:
     status: str  # optimal | infeasible | unbounded
     x: tuple[Fraction, ...]
     objective: Optional[Fraction]
+    pivots: int
 
     @property
     def optimal(self) -> bool:
@@ -64,7 +65,6 @@ class _Builder:
         self.inst = inst
         self.bundles = alloc.bundles()
         self.subsidized = subsidized
-        self.ub: dict[int, Fraction] = {j: ONE for j in range(m)}
         self.objective: dict[int, Fraction] = {}
         self.const = ZERO
         self.rows: list[LpRow] = []
@@ -104,7 +104,8 @@ class _Builder:
 
     def model(self) -> LpModel:
         n_vars = self.s(0) + (self.inst.n if self.subsidized else 0)
-        return LpModel(n_vars, self.objective, self.const, self.rows, self.ub)
+        bounds = [LpRow({j: -ONE}, -ONE) for j in range(self.inst.m)]
+        return LpModel(n_vars, self.objective, self.const, self.rows + bounds)
 
 
 def build_ef_lp(inst: Instance, alloc: Allocation, eps: Num = 0) -> LpModel:
@@ -166,20 +167,17 @@ def solve_lp(model: LpModel) -> LpSolution:
     """Solve with the exact simplex; deterministic given the model.
 
     Models are built from Fractions, so the returned point must satisfy
-    every row and every bound exactly; the self-check holds it to that.
+    every row exactly; the self-check holds it to that.
     """
-    bounds = [LpRow({k: -ONE}, -ub) for k, ub in sorted(model.upper_bounds.items())]
-    rows = model.rows + bounds
-    status, x, value = simplex.maximize(model.n_vars, model.objective, rows)
+    status, x, value, pivots = simplex.maximize(model.n_vars, model.objective, model.rows)
     if status != simplex.OPTIMAL:
-        return LpSolution(status, (), None)
-    for r, (coeffs, rhs) in enumerate(rows):
+        return LpSolution(status, (), None, pivots)
+    for r, (coeffs, rhs) in enumerate(model.rows):
         if sum((v * x[k] for k, v in coeffs.items()), ZERO) < rhs:
-            where = f"row {r}" if r < len(model.rows) else f"ub row {r - len(model.rows)}"
-            raise AssertionError(f"simplex returned infeasible point at {where}")
+            raise AssertionError(f"simplex returned infeasible point at row {r}")
     if any(v < 0 for v in x):
         raise AssertionError("simplex returned a negative variable")
-    return LpSolution(simplex.OPTIMAL, tuple(x), value + model.objective_const)
+    return LpSolution(simplex.OPTIMAL, tuple(x), value + model.objective_const, pivots)
 
 
 def contract_from_solution(sol: LpSolution, alloc: Allocation) -> Contract:

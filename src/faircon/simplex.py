@@ -36,23 +36,14 @@ def maximize(
     n_vars: int,
     objective: dict[int, Fraction],
     rows: Sequence[tuple[dict[int, Fraction], Fraction]],
-) -> tuple[str, list[Fraction] | None, Fraction | None]:
+) -> tuple[str, list[Fraction] | None, Fraction | None, int]:
     """Maximize objective . x subject to coeffs . x >= rhs for every
     (coeffs, rhs) in rows, and x >= 0.
 
-    Returns (status, x, value); x and value are None unless status is
-    'optimal'.  An optimum whose dual certificate fails raises FairconError.
+    Returns (status, x, value, pivots); x and value are None unless status
+    is 'optimal', and pivots counts the pivots of both phases.  An optimum
+    whose dual certificate fails raises FairconError.
     """
-    status, x, value, _ = _maximize(n_vars, objective, rows)
-    return status, x, value
-
-
-def _maximize(
-    n_vars: int,
-    objective: dict[int, Fraction],
-    rows: Sequence[tuple[dict[int, Fraction], Fraction]],
-) -> tuple[str, list[Fraction] | None, Fraction | None, int]:
-    """`maximize`, plus the number of pivots taken."""
     n_rows = len(rows)
     scale = math.lcm(
         *(v.denominator for coeffs, _ in rows for v in coeffs.values()),

@@ -265,6 +265,12 @@ def exhaustive_profiles(inst: Instance, grids, agent_steps, principal_step):
     return profiles
 
 
+def dp_profiles(dp) -> dict[tuple[int, ...], int]:
+    """A DP's final layer as {(v[0][0], v[0][1], ..): max principal units}."""
+    comps = dp.packer.unpack_rows(dp.keys).tolist()
+    return dict(zip(map(tuple, comps), dp.h.tolist()))
+
+
 def best_h_per_profile(profiles) -> dict:
     """Full (h, v...) profiles projected to {v: max h}: what the DP keeps,
     the most principal units of each reachable cross-utility profile."""
@@ -355,7 +361,7 @@ def best_lp_reference(inst: Instance, budget_lps: int, models):
 
     if inst.n**inst.m > budget_lps:
         raise BudgetExceededError("lps", budget_lps, inst.n**inst.m)
-    lps = solved = 0
+    lps = pivots = solved = 0
     best = None
     for assignment in itertools.product(range(inst.n), repeat=inst.m):
         if any(minimum_wage(inst, i, j) > 1 for j, i in enumerate(assignment)):
@@ -367,15 +373,14 @@ def best_lp_reference(inst: Instance, budget_lps: int, models):
             if lps > budget_lps:
                 raise BudgetExceededError("lps", budget_lps)
             sol = solve_lp(model)
+            pivots += sol.pivots
             if sol.optimal and (best is None or sol.objective > best[0]):
                 best = (sol.objective, alloc, sol)
     assert best is not None, "no feasible allocation"
-    return best, {"lp_solves": lps, "allocations_solved": solved}
+    return best, {"lp_solves": lps, "pivots": pivots, "allocations_solved": solved}
 
 
-def best_over_guesses_reference(
-    inst: Instance, runs, rev_floor, step, budget_states, verify, screen
-):
+def best_over_guesses_reference(inst: Instance, runs, rev_floor, budget_states, verify, screen):
     """The FPTAS guess driver before it stopped at the unconstrained optimum
     or pruned a guess: every (guess, discretization, caps) run is made, in
     order, and the first strictly better verified candidate wins.
@@ -392,7 +397,7 @@ def best_over_guesses_reference(
     states = checks = count = 0
     for count, (guess, disc, caps) in enumerate(runs, 1):
         floor = rev_floor if best_rev is None else max(rev_floor, best_rev)
-        h_floor = int(floor / step) if floor > 0 else None
+        h_floor = int(floor / disc.principal_step) if floor > 0 else None
         try:
             dp = dp_enumerate(inst, disc, budget_states - states, caps, h_floor)
         except BudgetExceededError as exc:
@@ -412,9 +417,10 @@ def ef1_case4_models(inst: Instance, alloc: Allocation):
 
     Witness rows only for pairs of nonempty bundles; every agent with an
     empty bundle is covered instead by a wage-cap vector per nonempty
-    bundle from `enumerate_case4_bounds`, written into the model's upper
-    bounds, one LP per witness choice and cap combination.  Pass it to
-    `best_lp_reference` as `lambda alloc: ef1_case4_models(inst, alloc)`.
+    bundle from `enumerate_case4_bounds`, written over the model's
+    alpha <= 1 bound rows, one LP per witness choice and cap combination.
+    Pass it to `best_lp_reference` as
+    `lambda alloc: ef1_case4_models(inst, alloc)`.
     """
     from faircon import exact, lp
 
@@ -443,10 +449,12 @@ def ef1_case4_models(inst: Instance, alloc: Allocation):
             b = lp._Builder(inst, alloc)
             for (i, j), w in witnesses.items():
                 b.envy_row(i, j, exclude=w)
+            model = b.model()
+            rows = model.rows
             for chunk in bound_choice:
                 for k, bound in chunk.items():
-                    b.ub[k] = min(ONE, bound)
-            yield b.model()
+                    rows[len(rows) - inst.m + k] = lp.LpRow({k: -ONE}, -min(ONE, bound))
+            yield model
 
 
 def simplex_reference(

@@ -29,7 +29,13 @@ from faircon.instances import (
 )
 
 from conftest import make_contract, random_instances
-from oracles import best_h_per_profile, exhaustive_profiles, grid_ef1_opt, grid_efs_opt_two_agents
+from oracles import (
+    best_h_per_profile,
+    dp_profiles,
+    exhaustive_profiles,
+    grid_ef1_opt,
+    grid_efs_opt_two_agents,
+)
 
 TOL = F(1, 10**9)
 
@@ -128,7 +134,7 @@ def test_criterion_6_dp_completeness_oracle():
             agent_steps=disc.agent_steps,
             principal_step=disc.principal_step,
         )
-        assert dp.profiles() == best_h_per_profile(expected)
+        assert dp_profiles(dp) == best_h_per_profile(expected)
     elapsed = time.time() - started
     print(f"PASS criterion 6: dp profile completeness on {len(cases)} instances ({elapsed:.1f}s)")
 

@@ -203,6 +203,21 @@ class TestSolve:
         assert "tol must be nonnegative" in capsys.readouterr().err
         assert run(verify + ["--tol", "0"]) == 0
 
+    def test_bad_tol_fails_before_the_solve(self, tmp_path, ex52_path, capsys):
+        # One LP exceeds --budget-lps 1, so a solve that started would exit
+        # 2; a rejected --tol exits 3 before it.
+        part = tmp_path / "part.json"
+        assert run(["generate", "partition-ef", "--set", "1,2,3", "--out", part]) == 0
+        solve = ["solve", part, "--method", "exact-ef", "--budget-lps", 1]
+        assert run(solve) == 2
+        for tol in ("-1", "abc"):
+            assert run(solve + ["--tol", tol]) == 3
+            assert "argument --tol" in capsys.readouterr().err
+        kpath = tmp_path / "k.json"
+        dump_json({"assignment": [0], "alpha": ["1/10"]}, str(kpath))
+        assert run(["verify", ex52_path, kpath, "--notion", "ef", "--tol", "abc"]) == 3
+        assert "argument --tol" in capsys.readouterr().err
+
     def test_bad_instance_file(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{\"r\": [2], \"p\": [[1]], \"c\": [[0]]}")

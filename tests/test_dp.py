@@ -27,6 +27,7 @@ from faircon.dp import (
     _Packer,
     _band_error,
     _band_margin,
+    _dedupe_block,
     _ef1_screen,
     _screen_slack,
     _task_options,
@@ -40,7 +41,7 @@ from faircon.dp import (
 )
 from faircon.errors import BudgetExceededError, FairconError, InvalidInstanceError
 from faircon.exact import solve_opt_ef
-from faircon.instances import PROFILES, gen_example, gen_partition_ef1, gen_random
+from faircon.instances import PROFILES, gen_example, gen_partition_ef, gen_partition_ef1, gen_random
 from faircon.numeric import ONE, ZERO
 from faircon.serialize import dump_json, instance_to_dict
 
@@ -49,6 +50,7 @@ from oracles import (
     adaptive_task_grids_reference,
     best_h_per_profile,
     best_over_guesses_reference,
+    dp_profiles,
     ef1_holds_exhaustive,
     exhaustive_profiles,
     task_options_reference,
@@ -79,7 +81,7 @@ class TestDpEnumerate:
         inst = Instance(r=(1,), p=((1,),), c=((0,),))
         dp = dp_enumerate(inst, uniform_grid(inst, 1))
         # alpha = 0 gives the principal everything; alpha = 1 the agent.
-        assert dp.profiles() == {(0,): 1, (1,): 0}
+        assert dp_profiles(dp) == {(0,): 1, (1,): 0}
 
     def test_profiles_match_exhaustive_enumeration(self):
         # In the last instance neither agent earns anything at alpha = 0, so
@@ -95,12 +97,12 @@ class TestDpEnumerate:
                 agent_steps=disc.agent_steps,
                 principal_step=disc.principal_step,
             )
-            assert dp.profiles() == best_h_per_profile(expected)
+            assert dp_profiles(dp) == best_h_per_profile(expected)
 
     def test_every_representative_is_ir(self):
         inst = gen_random(2, 3, 77)
         dp = dp_enumerate(inst, uniform_grid(inst, 5))
-        for pos in range(len(dp.layer_states[-1])):
+        for pos in range(len(dp.h)):
             assignment, alphas = dp.reconstruct(pos)
             k = Contract(Allocation(assignment, inst.n), alphas)
             ok, _ = verify_ir(inst, k, tol=0)
@@ -111,7 +113,39 @@ class TestDpEnumerate:
         # rounds to 2/12 and lands on profile v = (1, 0, 0, 0) with h = 1,
         # the most principal units that profile reaches.
         dp = dp_enumerate(ex52, uniform_grid(ex52, 12))
-        assert dp.profiles()[(1, 0, 0, 0)] == 1
+        assert dp_profiles(dp)[(1, 0, 0, 0)] == 1
+
+    def test_dedupe_keeps_the_smallest_gidx_of_a_tie(self):
+        # Key 5 ties on h = 2 in both blocks; the second block's gidx 4 is
+        # the smaller and must win the merge, as a sort-merge must keep it.
+        # Key 3 keeps its larger h whatever its gidx.
+        first = _dedupe_block(
+            np.array([[5], [3], [5]]), np.array([2, 1, 1]), np.array([10, 11, 3])
+        )
+        second = _dedupe_block(np.array([[5], [3]]), np.array([2, 0]), np.array([4, 2]))
+        rows, h, gidx = _dedupe_block(*(np.concatenate(pair) for pair in zip(first, second)))
+        assert rows.tolist() == [[3], [5]]
+        assert h.tolist() == [1, 2]
+        assert gidx.tolist() == [11, 4]
+
+    def test_backtracking_rebuilds_every_final_state(self):
+        # dp-eps-ef's grid at eps 1/15 (K = 180) packs partition-ef
+        # [1, 2, 3]'s profiles into two words.  At every final position the
+        # path's option deltas and principal units sum to the state's key
+        # and h, and choices() and reconstruct() name the same path.
+        inst = gen_partition_ef([1, 2, 3])
+        dp = dp_enumerate(inst, uniform_grid(inst, 180))
+        assert dp.packer.n_words == 2
+        positions = np.arange(len(dp.h))
+        keys, h = np.zeros_like(dp.keys), np.zeros_like(dp.h)
+        for t, o in dp._walk(positions):
+            keys += dp.tables[t][2][o]
+            h += dp.tables[t][3][o]
+        assert np.array_equal(keys, dp.keys) and np.array_equal(h, dp.h)
+        agents, alphas = dp.choices(positions)
+        paths = [dp.reconstruct(pos) for pos in range(len(positions))]
+        assert agents.tolist() == [list(a) for a, _ in paths]
+        assert alphas.tolist() == [[float(x) for x in al] for _, al in paths]
 
     def test_state_budget(self):
         inst = gen_random(2, 4, 3)
@@ -564,7 +598,7 @@ class TestGuessDriver:
 
         def drive(*runs, rev_floor=ZERO):
             _, rev, guess, _, _, made, pruned = dp_module._best_over_guesses(
-                inst, runs, rev_floor, step, 10**6, lambda k: True, screen=False
+                inst, runs, rev_floor, 10**6, lambda k: True, screen=False
             )
             return rev, guess, made, pruned
 

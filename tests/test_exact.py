@@ -10,6 +10,7 @@ import pytest
 from faircon.cli import main
 from faircon.core import (
     Allocation,
+    Contract,
     Instance,
     greedy_ef,
     revenue,
@@ -20,7 +21,7 @@ from faircon.core import (
     verify_eps_ef,
     verify_ir,
 )
-from faircon import exact, ext, lp
+from faircon import exact, ext, lp, simplex
 from faircon.errors import BudgetExceededError, FairconError
 from faircon.exact import (
     enumerate_case4_bounds,
@@ -295,3 +296,64 @@ def test_exact_solve_logs_summary_at_info(caplog):
     assert (meta["allocations"], meta["allocations_solved"], meta["lp_solves"]) == (27, 8, 8)
     summaries = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
     assert summaries == [f"exact: 27 allocations, 8 solved, 8 LPs, best objective {res.revenue}"]
+
+
+def test_meta_counts_every_simplex_pivot(monkeypatch):
+    pivots = []
+    maximize = simplex.maximize
+
+    def record(*lp):
+        res = maximize(*lp)
+        pivots.append(res[3])
+        return res
+
+    monkeypatch.setattr(simplex, "maximize", record)
+    inst = gen_partition_ef1([1])
+    for solve in (solve_opt_ef, solve_opt_ef1, solve_opt_efs):
+        pivots.clear()
+        res = solve(inst)
+        assert res.meta["lp_solves"] == len(pivots)
+        assert res.meta["pivots"] == sum(pivots) > 0
+
+
+# Each exact solver with the verifier of its notion, as `exact` names it.
+TAIL_CASES = [
+    (solve_opt_ef, "verify_eps_ef"),
+    (solve_opt_ef1, "verify_ef1"),
+    (solve_opt_efs, "verify_efs"),
+]
+
+
+class TestVerifiedTail:
+    """Every exact solve re-verifies its contract in rationals: revenue
+    equal to the LP value, IR and the notion at tol 0."""
+
+    @pytest.mark.parametrize("solve,notion", TAIL_CASES)
+    def test_contract_off_the_vertex_raises(self, ex52, monkeypatch, solve, notion):
+        real = exact.contract_from_solution
+
+        def moved(sol, alloc):
+            k = real(sol, alloc)
+            return Contract(k.allocation, (k.alpha[0] + F(1, 1000),) + k.alpha[1:], k.subsidies)
+
+        monkeypatch.setattr(exact, "contract_from_solution", moved)
+        with pytest.raises(FairconError, match="failed verification"):
+            solve(ex52)
+
+    @pytest.mark.parametrize("solve,notion", TAIL_CASES)
+    def test_each_check_refuses_the_optimum(self, ex52, monkeypatch, solve, notion):
+        # One check at a time fails on the true optimum.  A lower revenue
+        # only lowers the greedy seed, which cuts nothing the optimum needs.
+        real = exact.revenue
+        fails = (False, {}) if notion == "verify_ef1" else False
+        fakes = {
+            "revenue": lambda inst, k: real(inst, k) - 1,
+            "verify_ir": lambda *args, **kwargs: (False, {}),
+            notion: lambda *args, **kwargs: fails,
+        }
+        assert solve(ex52).revenue > 0
+        for name, fake in fakes.items():
+            with monkeypatch.context() as patched:
+                patched.setattr(exact, name, fake)
+                with pytest.raises(FairconError, match="failed verification"):
+                    solve(ex52)

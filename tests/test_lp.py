@@ -30,8 +30,7 @@ def test_solve_lp_single_variable():
         n_vars=1,
         objective={0: -F(1, 2)},
         objective_const=F(1, 2),
-        rows=[LpRow({0: ONE}, F(1, 2))],
-        upper_bounds={0: ONE},
+        rows=[LpRow({0: ONE}, F(1, 2)), LpRow({0: -ONE}, -ONE)],
     )
     sol = solve_lp(model)
     assert sol.optimal
@@ -44,8 +43,7 @@ def test_solve_lp_infeasible():
         n_vars=1,
         objective={0: ONE},
         objective_const=ZERO,
-        rows=[LpRow({0: ONE}, F(2))],
-        upper_bounds={0: ONE},
+        rows=[LpRow({0: ONE}, F(2)), LpRow({0: -ONE}, -ONE)],
     )
     assert solve_lp(model).status == "infeasible"
 
@@ -56,23 +54,32 @@ def test_solve_lp_unbounded_guard():
         objective={0: ONE},
         objective_const=ZERO,
         rows=[LpRow({0: ONE}, ZERO)],
-        upper_bounds={},
     )
     assert solve_lp(model).status == "unbounded"
 
 
 def test_solve_lp_self_check_covers_upper_bounds(monkeypatch):
-    # The row a >= 1/2 holds at a = 2; only the bound a <= 1 is broken.
+    # The row a >= 1/2 holds at a = 2; only the bound row a <= 1 is broken.
     model = LpModel(
         n_vars=1,
         objective={0: -ONE},
         objective_const=ONE,
-        rows=[LpRow({0: ONE}, F(1, 2))],
-        upper_bounds={0: ONE},
+        rows=[LpRow({0: ONE}, F(1, 2)), LpRow({0: -ONE}, -ONE)],
     )
-    monkeypatch.setattr(simplex, "maximize", lambda *args: (simplex.OPTIMAL, [F(2)], -F(2)))
-    with pytest.raises(AssertionError, match="ub"):
+    monkeypatch.setattr(simplex, "maximize", lambda *args: (simplex.OPTIMAL, [F(2)], -F(2), 0))
+    with pytest.raises(AssertionError, match="row 1"):
         solve_lp(model)
+
+
+def test_contract_models_end_with_the_alpha_bound_rows():
+    inst = gen_random(2, 3, 1)
+    alloc = Allocation((0, 1, 0), 2)
+    for model in (
+        build_ef_lp(inst, alloc, 0),
+        build_ef1_lp(inst, alloc, {(0, 1): 1, (1, 0): 0}),
+        build_efs_lp(inst, alloc),
+    ):
+        assert model.rows[-3:] == [LpRow({j: -ONE}, -ONE) for j in range(3)]
 
 
 class TestBuildEfLp:

@@ -59,7 +59,7 @@ class TestCertify:
         # Without the degenerate x >= 3 row the dual is unique.
         objective = {k: F(v) for k, v in enumerate(COST)}
         rows = [({k: F(v) for k, v in coeffs.items()}, F(rhs)) for coeffs, rhs in ROWS[:3]]
-        assert simplex.maximize(2, objective, rows) == (simplex.OPTIMAL, [3, 1], 11)
+        assert simplex.maximize(2, objective, rows)[:3] == (simplex.OPTIMAL, [3, 1], 11)
         [(_, _, x, y, value, d)] = seen
         assert [F(v, d) for v in x] == [3, 1] and F(value, d) == 11
         assert [F(v, d) for v in y] == [2, 0, 1]
@@ -101,7 +101,7 @@ def lps(draw):
 )
 @given(lps())
 def test_matches_reference_on_drawn_lps(lp):
-    assert simplex._maximize(*lp) == simplex_reference(*lp)
+    assert simplex.maximize(*lp) == simplex_reference(*lp)
 
 
 REPLAYS = [
@@ -132,7 +132,7 @@ def test_matches_reference_on_solver_lps(monkeypatch, inst, solve):
     solve(inst)
     assert lps
     for lp in lps:
-        assert simplex._maximize(*lp) == simplex_reference(*lp)
+        assert maximize(*lp) == simplex_reference(*lp)
 
 
 def test_agrees_with_highs():
@@ -152,7 +152,7 @@ def test_agrees_with_highs():
         if rng.random() < 0.6:
             rows += [({j: F(-1)}, -F(rng.randint(1, 5))) for j in range(n_vars)]
         objective = {j: coef() for j in range(n_vars)}
-        status, _, value = simplex.maximize(n_vars, objective, rows)
+        status, _, value, _ = simplex.maximize(n_vars, objective, rows)
         res = linprog(
             [-float(objective[j]) for j in range(n_vars)],
             A_ub=[[-float(c.get(j, 0)) for j in range(n_vars)] for c, _ in rows],
