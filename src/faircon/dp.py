@@ -11,6 +11,16 @@ radix-packed into one or more int64 words (components never straddle a
 word), so a transition is a vectorized integer addition; all grids are
 uniform, so rounded utilities are exact integer unit counts.
 
+A task layer's transition keeps each packed word as one contiguous int64
+column.  Candidates (state plus option delta) whose principal units cannot
+reach the run's floor are dropped before any sort.  One stable sort on the
+key alone (`_sort_keys`) then brings equal profiles together, and one
+linear pass keeps each one's max h and, among its rows with that h, the
+smallest backtrack index (`_dedupe_block`).  A layer too large for one
+block is built block by block and merged into a running set the same way.
+The per-agent cap test runs only when some component can reach its cap at
+all.
+
 Two instantiations: a uniform grid for eps-envy-free contracts, and
 per-guess adaptive grids for EF1 contracts, where the contract grid for
 each task spans exactly the range that keeps every agent at or below its
@@ -337,19 +347,62 @@ def _task_options(
     return out
 
 
-def _dedupe_block(rows: np.ndarray, h: np.ndarray, gidx: np.ndarray):
-    """The max-h representative per distinct row, rows in lexicographic order.
+def _sort_keys(cols: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The stable order of the rows by key (`cols` holds the key's int64
+    words as columns, the most significant first), and the sorted key as
+    one int64 per row that orders and separates the rows as the key does.
 
-    Ties in h prefer the smallest original index, matching the
-    task/contract/agent loop order.
+    The first word is argsorted as it is.  Each later word joins the key as
+    rank * top + word, where rank is the dense rank of the key so far and
+    top exceeds the word; a word too wide for that product joins by its own
+    dense rank.  Every argsort is stable, so a block made of sorted runs
+    (one option's `states + delta`, or the two halves of a rolling merge)
+    is merged rather than sorted from scratch.  Each row-sized temporary is
+    freed as soon as it is read: on the largest layers they set peak memory.
     """
-    order = np.lexsort((gidx, -h, *(rows[:, w] for w in range(rows.shape[1] - 1, -1, -1))))
-    srows = rows[order]
-    keep = np.ones(len(srows), dtype=bool)
-    if len(srows) > 1:
-        keep[1:] = np.any(srows[1:] != srows[:-1], axis=1)
-    picked = order[keep]
-    return srows[keep], h[picked], gidx[picked]
+    order = np.argsort(cols[0], kind="stable")
+    key = cols[0][order]
+    for word in cols[1:]:
+        word = word[order]
+        if (int(word.max(initial=0)) + 1) * len(word) >= 2**63:
+            word = np.unique(word, return_inverse=True)[1]
+        top = int(word.max(initial=0)) + 1
+        rank = np.zeros(len(key), dtype=np.int64)
+        np.cumsum(key[1:] != key[:-1], out=rank[1:])
+        del key
+        rank *= top
+        rank += word
+        del word
+        sub = np.argsort(rank, kind="stable")
+        order, key = order[sub], rank[sub]
+        del rank, sub
+    return order, key
+
+
+def _dedupe_block(cols: list[np.ndarray], h: np.ndarray, gidx: np.ndarray):
+    """The max-h representative per distinct key, keys in lexicographic order.
+
+    `cols` holds the key's int64 words as separate columns, the most
+    significant first.  One stable sort reads the key alone (`_sort_keys`),
+    not h or gidx.  One linear pass over the sorted key then finds where
+    each key's group starts and keeps the group's largest h and, among its
+    rows with that h, the smallest gidx, matching the task/contract/agent
+    loop order.  It reads gidx itself, not the row's sorted position: the
+    rows of a tie need not arrive in gidx order.
+    """
+    order, key = _sort_keys(cols)
+    first = np.ones(len(key), dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    del key
+    if first.all():  # every key distinct
+        return [c[order] for c in cols], h[order], gidx[order]
+    starts = np.flatnonzero(first)
+    del first
+    h, gidx, order = h[order], gidx[order], order[starts]
+    best = np.maximum.reduceat(h, starts)
+    # gidx is this function's own copy: mask the rows below their group's max.
+    np.putmask(gidx, h != np.repeat(best, np.diff(starts, append=len(h))), np.iinfo(np.int64).max)
+    return [c[order] for c in cols], best, np.minimum.reduceat(gidx, starts)
 
 
 def _dp_setup(inst: Instance, disc: Discretization) -> DpResult:
@@ -405,20 +458,28 @@ def dp_enumerate(
     n, m = inst.n, inst.m
     result = _dp_setup(inst, disc) if prepared is None else prepared
     packer, future_h = result.packer, result.future_h
-    # Component i*n + j is agent i's units on agent j's bundle.
+    # Component i*n + j is agent i's units on agent j's bundle.  No state
+    # exceeds the sum over tasks of each component's largest option delta,
+    # so the cap test runs only when that sum passes some cap.
     caps = None if prune_caps is None else np.repeat(np.array(prune_caps, dtype=np.int64), n)
+    if caps is not None:
+        reach = sum(packer.unpack_rows(t[2]).max(axis=0) for t in result.tables if len(t[3]))
+        if np.all(reach <= caps):
+            caps = None
 
-    def kept(need: int, vals: np.ndarray, hv: np.ndarray, gidx: np.ndarray):
-        """A deduplicated block without the states over a cap or below h
-        `need`.  Both tests read only the key, or the h of its max-h
-        representative, so pruning each block before the merge keeps
-        exactly the states that pruning the merged layer would."""
-        mask = hv >= need
-        if caps is not None:
-            mask &= np.all(packer.unpack_rows(vals) <= caps, axis=1)
-        return vals[mask], hv[mask], gidx[mask]
+    def kept(cols: list[np.ndarray], hv: np.ndarray, gidx: np.ndarray):
+        """A deduplicated block, as word columns, without the states over a
+        cap.  The cap test reads only the key, so pruning each block before
+        the merge keeps exactly the states that pruning the merged layer
+        would.  The h floor is not tested here: it reads only a key's max h,
+        so the candidates below it were dropped before the sort."""
+        if caps is None:
+            return cols, hv, gidx
+        mask = np.all(packer.unpack_rows(np.array(cols).T) <= caps, axis=1)
+        return [c[mask] for c in cols], hv[mask], gidx[mask]
 
-    states = np.zeros((1, packer.n_words), dtype=np.int64)
+    # Profiles are kept as one contiguous int64 column per packed word.
+    cols = [np.zeros(1, dtype=np.int64) for _ in range(packer.n_words)]
     h_vals = np.zeros(1, dtype=np.int64)
     total = 0
     for j in range(m):
@@ -426,26 +487,41 @@ def dp_enumerate(
         if not len(dh):
             raise FairconError(f"task {j} has no IR grid contract")
         need = 0 if min_final_h is None else min_final_h - future_h[j + 1]
-        n_prev = len(states)
+        n_prev = len(h_vals)
+        # A candidate's h is h_vals[s] + dh[o]: when the smallest clears
+        # `need`, so does every one and the filter is skipped.
+        filter_h = n_prev > 0 and h_vals.min() + dh.min() < need
+        delta_cols = [np.ascontiguousarray(deltas[:, w]) for w in range(packer.n_words)]
         running = None  # rolling merge keeps memory at O(distinct states)
         block = max(1, _CHUNK // max(1, n_prev))
         for start in range(0, len(dh), block):
             sub = slice(start, start + block)
-            cand = (states[None, :, :] + deltas[sub][:, None, :]).reshape(-1, packer.n_words)
             cand_h = (h_vals[None, :] + dh[sub][:, None]).ravel()
-            gidx = np.arange(len(cand), dtype=np.int64) + start * n_prev
-            piece = kept(need, *_dedupe_block(cand, cand_h, gidx))
+            cand = ((c[None, :] + d[sub][:, None]).ravel() for c, d in zip(cols, delta_cols))
+            if filter_h:
+                # Drop h < need before the sort, one key word at a time: a
+                # key's group keeps exactly its rows of max h, which all
+                # clear need or none do.
+                gidx = np.flatnonzero(cand_h >= need)
+                cand, cand_h = [c[gidx] for c in cand], cand_h[gidx]
+            else:
+                gidx = np.arange(len(cand_h), dtype=np.int64)
+                cand = list(cand)
+            gidx += start * n_prev
+            piece = kept(*_dedupe_block(cand, cand_h, gidx))
             running = piece if running is None else _dedupe_block(
-                *(np.concatenate(pair) for pair in zip(running, piece))
+                [np.concatenate(pair) for pair in zip(running[0], piece[0])],
+                np.concatenate((running[1], piece[1])),
+                np.concatenate((running[2], piece[2])),
             )
             # The running set only grows and ends as this layer's states.
-            if total + len(running[0]) > budget_states:
-                raise BudgetExceededError("states", budget_states, total + len(running[0]))
-        states, h_vals, gidx = running
-        total += len(states)
+            if total + len(running[1]) > budget_states:
+                raise BudgetExceededError("states", budget_states, total + len(running[1]))
+        cols, h_vals, gidx = running
+        total += len(h_vals)
         result.gidx.append(gidx)
-        log.debug("dp task %d: %d states", j, len(states))
-    result.keys, result.h, result.states_total = states, h_vals, total
+        log.debug("dp task %d: %d states", j, len(h_vals))
+    result.keys, result.h, result.states_total = np.stack(cols, axis=1), h_vals, total
     return result
 
 

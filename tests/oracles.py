@@ -44,51 +44,66 @@ def _revenues(inst: Instance, assignment, alphas: np.ndarray) -> np.ndarray:
     return rev
 
 
-def _ir_mask(inst: Instance, assignment, utils) -> np.ndarray:
-    mask = np.ones(len(utils[0]), dtype=bool)
+def _grid_terms(inst: Instance, step: float):
+    """An instance's alpha grid and what every allocation reads from it:
+    per-agent (G, m) utilities, the same gains clipped at zero, and per
+    (agent, task) the grid points where that utility is IR (>= -1e-12)."""
+    alphas = alpha_grid(inst.m, step)
+    utils = float_utilities(inst, alphas)
+    gains = [np.clip(u, 0.0, None) for u in utils]
+    ir = [[u[:, j] >= -1e-12 for j in range(inst.m)] for u in utils]
+    return alphas, utils, gains, ir
+
+
+def _ir_mask(assignment, ir) -> np.ndarray:
+    mask = np.ones(len(ir[0][0]), dtype=bool)
     for j, i in enumerate(assignment):
-        mask &= utils[i][:, j] >= -1e-12
+        mask &= ir[i][j]
     return mask
+
+
+def _own_sums(inst: Instance, bundles, alphas, utils) -> list[np.ndarray]:
+    return [
+        utils[i][:, bundles[i]].sum(axis=1) if bundles[i] else np.zeros(len(alphas))
+        for i in range(inst.n)
+    ]
 
 
 def grid_ef_best(inst: Instance, assignment, eps: float, step: float) -> float:
     """Best (eps-)EF revenue on a fixed allocation over an alpha grid;
     -inf when no grid point is feasible."""
-    alphas = alpha_grid(inst.m, step)
-    utils = float_utilities(inst, alphas)
+    alphas, utils, gains, ir = _grid_terms(inst, step)
     bundles = Allocation(tuple(assignment), inst.n).bundles()
-    mask = _ir_mask(inst, assignment, utils)
-    own = [
-        utils[i][:, bundles[i]].sum(axis=1) if bundles[i] else np.zeros(len(alphas))
-        for i in range(inst.n)
-    ]
+    mask = _ir_mask(assignment, ir)
+    if not mask.any():
+        return -np.inf
+    own = _own_sums(inst, bundles, alphas, utils)
     for i in range(inst.n):
         for j in range(inst.n):
             if i == j or not bundles[j]:
                 continue
-            switch = np.clip(utils[i][:, bundles[j]], 0.0, None).sum(axis=1)
+            switch = gains[i][:, bundles[j]].sum(axis=1)
             mask &= own[i] >= switch - eps - 1e-12
     if not mask.any():
         return -np.inf
     return float(_revenues(inst, assignment, alphas)[mask].max())
 
 
-def grid_ef1_best(inst: Instance, assignment, step: float) -> float:
-    """Best EF1 revenue on a fixed allocation over an alpha grid."""
-    alphas = alpha_grid(inst.m, step)
-    utils = float_utilities(inst, alphas)
+def grid_ef1_best(inst: Instance, assignment, terms) -> float:
+    """Best EF1 revenue on a fixed allocation over the alpha grid of
+    `terms = _grid_terms(inst, step)`."""
+    alphas, utils, gains, ir = terms
     bundles = Allocation(tuple(assignment), inst.n).bundles()
-    mask = _ir_mask(inst, assignment, utils)
-    own = [
-        utils[i][:, bundles[i]].sum(axis=1) if bundles[i] else np.zeros(len(alphas))
-        for i in range(inst.n)
-    ]
+    mask = _ir_mask(assignment, ir)
+    if not mask.any():
+        return -np.inf
+    own = _own_sums(inst, bundles, alphas, utils)
     for i in range(inst.n):
         for j in range(inst.n):
             if i == j or not bundles[j]:
                 continue
-            gains = np.clip(utils[i][:, bundles[j]], 0.0, None)
-            mask &= own[i] >= gains.sum(axis=1) - gains.max(axis=1) - 1e-12
+            g = gains[i][:, bundles[j]]
+            mask &= own[i] >= g.sum(axis=1) - g.max(axis=1) - 1e-12
     if not mask.any():
         return -np.inf
     return float(_revenues(inst, assignment, alphas)[mask].max())
@@ -96,30 +111,28 @@ def grid_ef1_best(inst: Instance, assignment, step: float) -> float:
 
 def grid_ef1_opt(inst: Instance, step: float) -> float:
     """EF1 optimum over all allocations by grid search."""
+    terms = _grid_terms(inst, step)
     best = -np.inf
     for assignment in itertools.product(range(inst.n), repeat=inst.m):
-        best = max(best, grid_ef1_best(inst, assignment, step))
+        best = max(best, grid_ef1_best(inst, assignment, terms))
     return best
 
 
-def grid_efs_best_two_agents(inst: Instance, assignment, step: float) -> float:
-    """Best EFS revenue for two agents: alpha on a grid, subsidies solved
-    in closed form (min s1+s2 with s1-s2 >= a, s2-s1 >= b, s >= 0)."""
+def grid_efs_best_two_agents(inst: Instance, assignment, terms) -> float:
+    """Best EFS revenue for two agents: alpha on the grid of
+    `terms = _grid_terms(inst, step)`, subsidies solved in closed form
+    (min s1+s2 with s1-s2 >= a, s2-s1 >= b, s >= 0)."""
     assert inst.n == 2
-    alphas = alpha_grid(inst.m, step)
-    utils = float_utilities(inst, alphas)
+    alphas, utils, gains, ir = terms
     bundles = Allocation(tuple(assignment), inst.n).bundles()
-    mask = _ir_mask(inst, assignment, utils)
-    own = [
-        utils[i][:, bundles[i]].sum(axis=1) if bundles[i] else np.zeros(len(alphas))
-        for i in range(2)
-    ]
+    mask = _ir_mask(assignment, ir)
+    if not mask.any():
+        return -np.inf
+    own = _own_sums(inst, bundles, alphas, utils)
     switch = {}
     for i, j in ((0, 1), (1, 0)):
         switch[(i, j)] = (
-            np.clip(utils[i][:, bundles[j]], 0.0, None).sum(axis=1)
-            if bundles[j]
-            else np.zeros(len(alphas))
+            gains[i][:, bundles[j]].sum(axis=1) if bundles[j] else np.zeros(len(alphas))
         )
     a = switch[(0, 1)] - own[0]
     b = switch[(1, 0)] - own[1]
@@ -132,9 +145,10 @@ def grid_efs_best_two_agents(inst: Instance, assignment, step: float) -> float:
 
 
 def grid_efs_opt_two_agents(inst: Instance, step: float) -> float:
+    terms = _grid_terms(inst, step)
     best = -np.inf
     for assignment in itertools.product(range(2), repeat=inst.m):
-        best = max(best, grid_efs_best_two_agents(inst, assignment, step))
+        best = max(best, grid_efs_best_two_agents(inst, assignment, terms))
     return best
 
 
@@ -269,6 +283,53 @@ def dp_profiles(dp) -> dict[tuple[int, ...], int]:
     """A DP's final layer as {(v[0][0], v[0][1], ..): max principal units}."""
     comps = dp.packer.unpack_rows(dp.keys).tolist()
     return dict(zip(map(tuple, comps), dp.h.tolist()))
+
+
+def dedupe_reference(rows: np.ndarray, h: np.ndarray, gidx: np.ndarray):
+    """The max-h representative per distinct row, rows in lexicographic order.
+
+    Ties in h prefer the smallest original index, matching the
+    task/contract/agent loop order.
+    """
+    order = np.lexsort((gidx, -h, *(rows[:, w] for w in range(rows.shape[1] - 1, -1, -1))))
+    srows = rows[order]
+    keep = np.ones(len(srows), dtype=bool)
+    if len(srows) > 1:
+        keep[1:] = np.any(srows[1:] != srows[:-1], axis=1)
+    picked = order[keep]
+    return srows[keep], h[picked], gidx[picked]
+
+
+def dp_enumerate_reference(inst: Instance, disc, prune_caps=None, min_final_h=None):
+    """The profile DP's transitions from their definition: per task layer,
+    every candidate (state plus option delta) in one (N, n_words) array, one
+    `dedupe_reference` over (key, -h, gidx), then the states over a cap or
+    below the layer's h floor dropped.  No chunks, no merge, no budget.
+
+    Returns (gidx per layer, final keys, final h, states over all layers),
+    the fields of `faircon.dp.DpResult` that `dp_enumerate` fills in.
+    """
+    from faircon.dp import _dp_setup
+
+    setup = _dp_setup(inst, disc)
+    packer = setup.packer
+    caps = None if prune_caps is None else np.repeat(np.array(prune_caps, dtype=np.int64), inst.n)
+    states = np.zeros((1, packer.n_words), dtype=np.int64)
+    h = np.zeros(1, dtype=np.int64)
+    layers, total = [], 0
+    for j in range(inst.m):
+        _, _, deltas, dh = setup.tables[j]
+        cand = (states[None, :, :] + deltas[:, None, :]).reshape(-1, packer.n_words)
+        cand_h = (h[None, :] + dh[:, None]).ravel()
+        states, h, gidx = dedupe_reference(cand, cand_h, np.arange(len(cand), dtype=np.int64))
+        need = 0 if min_final_h is None else min_final_h - setup.future_h[j + 1]
+        mask = h >= need
+        if caps is not None:
+            mask &= np.all(packer.unpack_rows(states) <= caps, axis=1)
+        states, h, gidx = states[mask], h[mask], gidx[mask]
+        layers.append(gidx)
+        total += len(h)
+    return layers, states, h, total
 
 
 def best_h_per_profile(profiles) -> dict:

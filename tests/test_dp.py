@@ -50,6 +50,8 @@ from oracles import (
     adaptive_task_grids_reference,
     best_h_per_profile,
     best_over_guesses_reference,
+    dedupe_reference,
+    dp_enumerate_reference,
     dp_profiles,
     ef1_holds_exhaustive,
     exhaustive_profiles,
@@ -119,11 +121,14 @@ class TestDpEnumerate:
         # Key 5 ties on h = 2 in both blocks; the second block's gidx 4 is
         # the smaller and must win the merge, as a sort-merge must keep it.
         # Key 3 keeps its larger h whatever its gidx.
-        first = _dedupe_block(
-            np.array([[5], [3], [5]]), np.array([2, 1, 1]), np.array([10, 11, 3])
+        first = _dedupe_block([np.array([5, 3, 5])], np.array([2, 1, 1]), np.array([10, 11, 3]))
+        second = _dedupe_block([np.array([5, 3])], np.array([2, 0]), np.array([4, 2]))
+        cols, h, gidx = _dedupe_block(
+            [np.concatenate(first[0] + second[0])],
+            np.concatenate((first[1], second[1])),
+            np.concatenate((first[2], second[2])),
         )
-        second = _dedupe_block(np.array([[5], [3]]), np.array([2, 0]), np.array([4, 2]))
-        rows, h, gidx = _dedupe_block(*(np.concatenate(pair) for pair in zip(first, second)))
+        rows = np.stack(cols, axis=1)
         assert rows.tolist() == [[3], [5]]
         assert h.tolist() == [1, 2]
         assert gidx.tolist() == [11, 4]
@@ -151,6 +156,77 @@ class TestDpEnumerate:
         inst = gen_random(2, 4, 3)
         with pytest.raises(BudgetExceededError):
             dp_enumerate(inst, uniform_grid(inst, 30), budget_states=10)
+
+
+def _drawn_block(rng, words: int):
+    """A dedupe block as the DP makes them, or harder: key words drawn from
+    a small pool (dense key ties), narrow or near 2^62 wide, h in {0, 1, 2}
+    (dense h ties), gidx distinct but shuffled, so ties arrive out of gidx
+    order; half the blocks are sorted runs, like one option's states plus
+    its delta, laid end to end."""
+    n = int(rng.choice([0, 1, 2, int(rng.integers(3, 80))]))
+    top = 2**62 if rng.random() < 0.3 else 4
+    pool = rng.integers(0, top, size=(int(rng.integers(1, 6)), words), dtype=np.int64)
+    rows = pool[rng.integers(0, len(pool), size=n)]
+    if rng.random() < 0.5:
+        cut = np.sort(rng.integers(0, n + 1, size=2))
+        runs = np.split(rows, cut)
+        rows = np.concatenate([r[np.lexsort(r.T[::-1])] for r in runs]).reshape(n, words)
+    h = rng.integers(0, 3, size=n).astype(np.int64)
+    gidx = rng.permutation(3 * n)[:n].astype(np.int64)
+    return rows, h, gidx
+
+
+# partition-ef [1, 2, 3] on dp-eps-ef's eps 1/15 grid (K = 180): two key
+# words, tasks of 309, 18, 33 and 48 options, 10 the floor's h and
+# future_h[0] = 108.  Caps (100, 30, 30) bind agents 1 and 2 only (each
+# component reaches 90 or 36), (98, 44, 44) are dp-eps-ef's own caps, which
+# no state reaches, and 109 prunes task 0's layer, and so every later one,
+# to zero states.
+PEF_123_RUNS = [
+    (None, None),
+    (None, 10),
+    ((100, 30, 30), None),
+    ((30, 12, 12), 10),
+    ((98, 44, 44), 10),
+    (None, 109),
+]
+
+
+class TestSortOnceDedupe:
+    """The key-only sort and its tie pass keep what a sort over (key, -h,
+    gidx) keeps, and the DP built on them equals the reference DP."""
+
+    @pytest.mark.parametrize("words", [1, 2, 3])
+    def test_matches_reference_on_drawn_blocks(self, words):
+        rng = np.random.default_rng(words)
+        for _ in range(300):
+            rows, h, gidx = _drawn_block(rng, words)
+            want = dedupe_reference(rows, h, gidx)
+            cols, got_h, got_gidx = _dedupe_block(list(rows.T.copy()), h, gidx)
+            got = (np.stack(cols, axis=1), got_h, got_gidx)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype == np.int64
+                assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("caps, min_final_h", PEF_123_RUNS)
+    def test_dp_matches_reference_at_every_chunk(self, monkeypatch, caps, min_final_h):
+        inst = gen_partition_ef([1, 2, 3])
+        disc = uniform_grid(inst, 180)
+        layers, keys, h, total = dp_enumerate_reference(inst, disc, caps, min_final_h)
+        # 5,000 candidates a block forces the rolling merge on tasks 1-3.
+        for chunk in (dp_module._CHUNK, 5_000):
+            monkeypatch.setattr(dp_module, "_CHUNK", chunk)
+            dp = dp_enumerate(inst, disc, prune_caps=caps, min_final_h=min_final_h)
+            assert dp.packer.n_words == 2
+            assert [g.tolist() for g in dp.gidx] == [g.tolist() for g in layers]
+            assert all(g.dtype == np.int64 for g in dp.gidx)
+            assert dp.keys.dtype == keys.dtype and dp.keys.shape == keys.shape
+            assert np.array_equal(dp.keys, keys)
+            assert dp.h.dtype == h.dtype and np.array_equal(dp.h, h)
+            assert dp.states_total == total
+        if min_final_h == 109:
+            assert total == 0
 
 
 class TestAdaptiveGrid:
