@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import logging
 import os
 import sys
@@ -241,7 +242,11 @@ def cmd_bench_pof(args) -> int:
     return EXIT_OK if ok_rows else EXIT_INVALID
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and shared by every later `main`
+    call (building it costs about a millisecond).  It holds each command's
+    `cmd_*` function as of that first build."""
     parser = argparse.ArgumentParser(
         prog="faircon",
         description="Revenue-optimal fair contracts: solvers, verifiers, generators.",

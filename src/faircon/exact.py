@@ -1,12 +1,12 @@
 """Globally optimal solvers by enumeration over allocations.
 
-Feasible at desk scale (n^m allocations, each solved as an LP); these are
-the oracles the approximate solvers are tested against.  Budgets count LP
-solves, not wall time, so runs are reproducible.
+Feasible at desk scale (up to n^m allocations, each solved as an LP);
+these are the oracles the approximate solvers are tested against.  Budgets
+count search nodes and LP solves, not wall time, so runs are reproducible.
 
 One driver, `_best_lp`, runs a depth-first branch-and-bound that assigns
 tasks 0..m-1 in order, so it reaches allocations in lexicographic order.
-It returns exactly what plain enumeration returns, by three arguments:
+It returns exactly what plain enumeration returns, by four arguments:
 
 - *Bound.*  Every contract LP keeps the IR row alpha_j pr >= c for each
   assigned pair, so task j adds (1 - alpha_j) pr <= pr - c, the pair's
@@ -27,6 +27,19 @@ It returns exactly what plain enumeration returns, by three arguments:
   equal agent before it holds one.  The lexicographically first optimum is
   the smallest allocation of its orbit, which is canonical, so it is never
   cut.
+- *Screen.*  IR forces alpha_j >= mw_ij, the minimum wage of task j's
+  holder i, so an agent k with an empty bundle values task j of S_i at
+  least at its envy floor f_ijk = max(0, mw_ij pr_kj - c_kj).  k's envy
+  row for S_i then fails under every contract when the floors of S_i rule
+  it out: any positive floor under EF, a sum above eps under eps-EF, two
+  or more positive floors under EF1 (a witness drops only one), never
+  under EFS (subsidies repair any envy).  Floors only grow with S_i, so an
+  agent ruled out at a prefix must still take a task, and each remaining
+  task makes at most one agent nonempty: a prefix is cut when more
+  ruled-out agents hold nothing than tasks remain (at a leaf, when any
+  does).  A cut allocation has no feasible LP, so it could never have
+  changed the incumbent: every other cut, and the first optimum, are the
+  same as without the screen.
 """
 
 from __future__ import annotations
@@ -76,13 +89,55 @@ __all__ = [
 _Best = tuple[Fraction, Allocation, LpSolution]
 
 
-def _viable_welfare(inst: Instance) -> list[list[tuple[int, Fraction]]]:
-    """Per task, (agent, welfare) for each agent that admits an IR contract
-    (minimum wage <= 1), in agent order."""
-    return [
-        [(i, inst.welfare(i, j)) for i in range(inst.n) if minimum_wage(inst, i, j) <= 1]
-        for j in range(inst.m)
-    ]
+_Floors = tuple[tuple[int, Fraction], ...]
+# Whether an empty agent whose positive floors on one bundle number `count`
+# and sum to `total` has no fair contract (the module docstring's *Screen*).
+_RulesOut = Callable[[int, Fraction], bool]
+
+
+def _viable_pairs(inst: Instance) -> list[list[tuple[int, Fraction, _Floors]]]:
+    """Per task j, (i, welfare, floors) for each agent i that admits an IR
+    contract (minimum wage <= 1), in agent order.  `floors` holds (k, f_ijk)
+    for each other agent k whose envy floor f_ijk = mw_ij pr_kj - c_kj on
+    the task is positive; the others are clamped to 0 and add nothing."""
+    out = []
+    for j in range(inst.m):
+        row = []
+        for i in range(inst.n):
+            wage = minimum_wage(inst, i, j)
+            if wage <= 1:
+                floors = tuple(
+                    (k, f) for k in range(inst.n)
+                    if k != i and (f := wage * inst.pr[k][j] - inst.c[k][j]) > 0
+                )
+                row.append((i, inst.welfare(i, j), floors))
+        out.append(row)
+    return out
+
+
+class _EnvyScreen:
+    """The screen's state along one search path: per (k, i), the count and
+    sum of agent k's positive envy floors on S_i so far, and per agent k,
+    the bundles whose floors rule k out while it holds nothing."""
+
+    def __init__(self, n: int, rules_out: _RulesOut):
+        self.rules_out = rules_out
+        self.tally = [[(0, ZERO)] * n for _ in range(n)]
+        self.ruled = [0] * n
+
+    def add(self, i: int, floors: _Floors, sign: int = 1) -> None:
+        """Add (sign 1) or remove (sign -1) one task of S_i's floors."""
+        for k, f in floors:
+            count, total = self.tally[k][i]
+            before = self.rules_out(count, total)
+            count, total = count + sign, total + sign * f
+            self.tally[k][i] = (count, total)
+            self.ruled[k] += self.rules_out(count, total) - before
+
+    def cuts(self, held: list[int], tasks_left: int) -> bool:
+        """More agents hold nothing yet are ruled out than tasks remain."""
+        forced = sum(1 for k, ruled in enumerate(self.ruled) if ruled and not held[k])
+        return forced > tasks_left
 
 
 def _twin_before(inst: Instance) -> list[Optional[int]]:
@@ -100,34 +155,36 @@ def _best_lp(
     inst: Instance,
     budget_lps: int,
     models: Callable[[Allocation], Iterable[LpModel]],
+    rules_out: _RulesOut,
 ) -> tuple[_Best, dict[str, int]]:
     """Best LP optimum over all IR-feasible allocations, by branch-and-bound.
 
-    `models(alloc)` yields the LP models for one allocation.  The result is
-    the one plain enumeration gives: the first allocation in lexicographic
-    order, and its first model, that attains the best optimum.  The module
-    docstring argues why the welfare bound, the greedy-EF seed and the
-    twin-agent rule never cut that allocation.  Within an allocation the
-    model loop stops once an LP reaches the allocation's welfare, since no
-    later model can beat it.  Every LP is
-    charged to `budget_lps`; n^m above the budget fails before any work.
-    Returns ((objective, allocation, solution), counts) with counts
-    {"lp_solves", "pivots", "allocations_solved"}: the LPs, their simplex
-    pivots, and the allocations that reached an LP.  Logs progress at DEBUG
-    and a summary at INFO.
+    `models(alloc)` yields the LP models for one allocation; `rules_out` is
+    the notion's screen rule (`_RulesOut`).  The result is the one plain
+    enumeration gives: the first allocation in lexicographic order, and its
+    first model, that attains the best optimum.  The module docstring
+    argues why the welfare bound, the greedy-EF seed, the twin-agent rule
+    and the envy-floor screen never cut that allocation.  Within an
+    allocation the model loop stops once an LP reaches the allocation's
+    welfare, since no later model can beat it.  Every search node (a prefix
+    the bound lets through, screened or not) and every LP is charged to
+    `budget_lps`, each count on its own, so the search fails once either
+    passes it.  Returns ((objective, allocation, solution), counts) with
+    counts {"lp_solves", "pivots", "allocations_solved", "nodes",
+    "screened"}: the LPs, their simplex pivots, the allocations that
+    reached an LP, the search nodes and those the screen cut.  Logs
+    progress at DEBUG and a summary at INFO.
     """
-    count = inst.n**inst.m
-    if count > budget_lps:
-        raise BudgetExceededError("lps", budget_lps, count)
-    viable = _viable_welfare(inst)
+    viable = _viable_pairs(inst)
     twin = _twin_before(inst)
     rest = [ZERO] * (inst.m + 1)  # rest[d]: best welfare of tasks d..m-1
     for j in reversed(range(inst.m)):
-        rest[j] = rest[j + 1] + max(w for _, w in viable[j])
+        rest[j] = rest[j + 1] + max(w for _, w, _ in viable[j])
     seed = revenue(inst, greedy_ef(inst))
+    screen = _EnvyScreen(inst.n, rules_out)
     assignment = [0] * inst.m
     held = [0] * inst.n
-    lps = pivots = solved = 0
+    lps = pivots = solved = nodes = screened = 0
     best: Optional[_Best] = None
 
     def solve_leaf(welfare: Fraction) -> None:
@@ -148,38 +205,66 @@ def _best_lp(
                 return
 
     def search(d: int, welfare: Fraction) -> None:
+        nonlocal nodes, screened
         if d == inst.m:
             solve_leaf(welfare)
             return
-        for i, w in viable[d]:
+        for i, w, floors in viable[d]:
             if twin[i] is not None and not held[twin[i]]:
                 continue
             bound = welfare + w + rest[d + 1]
             if bound < seed or (best is not None and bound <= best[0]):
                 continue
+            nodes += 1
+            if nodes > budget_lps:
+                raise BudgetExceededError("search node", budget_lps)
             assignment[d] = i
             held[i] += 1
-            search(d + 1, welfare + w)
+            screen.add(i, floors)
+            if screen.cuts(held, inst.m - d - 1):
+                screened += 1
+            else:
+                search(d + 1, welfare + w)
+            screen.add(i, floors, -1)
             held[i] -= 1
 
     search(0, ZERO)
     log.info(
-        "exact: %d allocations, %d solved, %d LPs, best objective %s",
-        count, solved, lps, None if best is None else best[0],
+        "exact: %d allocations, %d nodes, %d screened, %d solved, %d LPs, best objective %s",
+        inst.n**inst.m, nodes, screened, solved, lps, None if best is None else best[0],
     )
     if best is None:
         raise FairconError("no feasible allocation; Assumption 1 should prevent this")
-    return best, {"lp_solves": lps, "pivots": pivots, "allocations_solved": solved}
+    return best, {
+        "lp_solves": lps, "pivots": pivots, "allocations_solved": solved,
+        "nodes": nodes, "screened": screened,
+    }
+
+
+def _ef_rule(eps: Fraction) -> _RulesOut:
+    """eps-EF, and EF at eps 0: the floors on one bundle sum above eps."""
+    return lambda count, total: total > eps
+
+
+def _ef1_rule(count: int, total: Fraction) -> bool:
+    """EF1: two or more positive floors on one bundle; a witness drops one."""
+    return count > 1
+
+
+def _efs_rule(count: int, total: Fraction) -> bool:
+    """EFS: never, since subsidies repair any envy."""
+    return False
 
 
 def _solve(
     inst: Instance, budget_lps: int, models: Callable[[Allocation], Iterable[LpModel]],
-    method: str, fair: Callable[[Contract], bool], meta: Optional[dict] = None,
+    rules_out: _RulesOut, method: str, fair: Callable[[Contract], bool],
+    meta: Optional[dict] = None,
 ) -> SolveResult:
     """The contract of the best LP optimum (`_best_lp`), re-verified in
     rationals: its revenue must equal the LP value, and it must pass IR and
     `fair` (the notion) at tol 0.  `meta` leads the result's meta."""
-    (value, alloc, sol), counts = _best_lp(inst, budget_lps, models)
+    (value, alloc, sol), counts = _best_lp(inst, budget_lps, models, rules_out)
     contract = contract_from_solution(sol, alloc)
     if revenue(inst, contract) != value or not (verify_ir(inst, contract)[0] and fair(contract)):
         raise FairconError(f"internal error: {method} optimum failed verification")
@@ -193,7 +278,7 @@ def solve_opt_ef(
     solving the fixed-allocation LP for each."""
     eps = as_fraction(eps)
     return _solve(
-        inst, budget_lps, lambda alloc: [build_ef_lp(inst, alloc, eps)],
+        inst, budget_lps, lambda alloc: [build_ef_lp(inst, alloc, eps)], _ef_rule(eps),
         "exact-ef" if eps == 0 else "exact-eps-ef", lambda k: verify_eps_ef(inst, k, eps),
         {"eps": eps, "allocations": inst.n**inst.m},
     )
@@ -276,7 +361,9 @@ def solve_opt_ef1(inst: Instance, budget_lps: int = DEFAULT_LP_BUDGET) -> SolveR
         for choice in itertools.product(*options):
             yield build_ef1_lp(inst, alloc, dict(zip(pairs, choice)))
 
-    return _solve(inst, budget_lps, models, "exact-ef1", lambda k: verify_ef1(inst, k)[0])
+    return _solve(
+        inst, budget_lps, models, _ef1_rule, "exact-ef1", lambda k: verify_ef1(inst, k)[0]
+    )
 
 
 def solve_opt_efs(inst: Instance, budget_lps: int = DEFAULT_LP_BUDGET) -> SolveResult:
@@ -289,6 +376,6 @@ def solve_opt_efs(inst: Instance, budget_lps: int = DEFAULT_LP_BUDGET) -> SolveR
     itself).
     """
     return _solve(
-        inst, budget_lps, lambda alloc: [build_efs_lp(inst, alloc)], "exact-efs",
+        inst, budget_lps, lambda alloc: [build_efs_lp(inst, alloc)], _efs_rule, "exact-efs",
         lambda k: verify_efs(inst, k),
     )

@@ -180,9 +180,18 @@ def test_criterion_9_sqrt_price_of_fairness():
     rr_rev = round_robin_ef1(inst).revenue
     assert greedy_rev <= 2 + TOL
     assert rr_rev <= 2 + TOL
+    # The exact EF optimum at the default budget, though n^m = 9^9 exceeds
+    # it: the envy-floor screen cuts nearly every allocation before its LP.
+    started = time.time()
+    opt_ef = solve_opt_ef(inst)
+    elapsed = time.time() - started
+    assert opt_ef.revenue == F(13, 9)
+    assert opt_ef.meta["lp_solves"] <= 137
+    assert elapsed < 90, f"exact-ef took {elapsed:.1f}s"
     print(
         "PASS criterion 9: sqrt-n family OPT=3, "
-        f"greedy={float(greedy_rev):.3f}, round-robin={float(rr_rev):.3f} <= 2"
+        f"greedy={float(greedy_rev):.3f}, round-robin={float(rr_rev):.3f} <= 2, "
+        f"OPT_EF=13/9 in {opt_ef.meta['lp_solves']} LPs ({elapsed:.1f}s)"
     )
 
 

@@ -204,7 +204,7 @@ class TestSolve:
         assert run(verify + ["--tol", "0"]) == 0
 
     def test_bad_tol_fails_before_the_solve(self, tmp_path, ex52_path, capsys):
-        # One LP exceeds --budget-lps 1, so a solve that started would exit
+        # The search exceeds --budget-lps 1, so a solve that started would exit
         # 2; a rejected --tol exits 3 before it.
         part = tmp_path / "part.json"
         assert run(["generate", "partition-ef", "--set", "1,2,3", "--out", part]) == 0

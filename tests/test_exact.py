@@ -78,12 +78,15 @@ class TestSolveOptEf:
             assert verify_ef(inst, res.contract, tol=0)[0]
             assert revenue(inst, res.contract) == res.revenue
 
-    def test_unverified_optimum_raises(self, ex52, monkeypatch):
+    def test_unverified_optimum_raises(self, monkeypatch):
         # Without its envy rows the LP returns the envious unconstrained
-        # optimum, which the solver's own tol-0 check must refuse.
+        # optimum, which the solver's own tol-0 check must refuse.  Both
+        # agents hold a task there, so the envy runs between two nonempty
+        # bundles and the envy-floor screen cannot cut the allocation.
+        inst = gen_random(2, 2, 11)
         monkeypatch.setattr(lp._Builder, "envy_row", lambda self, *args, **kwargs: None)
         with pytest.raises(FairconError, match="failed verification"):
-            solve_opt_ef(ex52)
+            solve_opt_ef(inst)
 
     def test_eps_relaxation_monotone(self):
         inst = gen_random(2, 3, 71)
@@ -144,10 +147,32 @@ class TestBranchAndBound:
             return model
 
         plain = lambda alloc: exact.build_ef_lp(inst, alloc)  # noqa: E731
-        (value, _, _), counts = exact._best_lp(inst, 10, lambda a: [floored(a), plain(a)])
+        ef = exact._ef_rule(ZERO)
+        (value, _, _), counts = exact._best_lp(inst, 10, lambda a: [floored(a), plain(a)], ef)
         assert value == F(3, 4) and counts["lp_solves"] == 2
-        (value, _, _), counts = exact._best_lp(inst, 10, lambda a: [plain(a), floored(a)])
+        (value, _, _), counts = exact._best_lp(inst, 10, lambda a: [plain(a), floored(a)], ef)
         assert value == F(3, 4) and counts["lp_solves"] == 1
+
+    def test_budget_charges_search_nodes_and_lps_each(self):
+        # partition-ef [1, 2] takes 12 search nodes and 4 LPs: a budget of
+        # 12 covers both counts, 11 stops the search.
+        inst = gen_partition_ef([1, 2])
+        res = solve_opt_ef(inst)
+        assert (res.meta["nodes"], res.meta["lp_solves"]) == (12, 4)
+        assert solve_opt_ef(inst, budget_lps=12).revenue == res.revenue
+        with pytest.raises(BudgetExceededError, match="search node budget of 11 exceeded"):
+            solve_opt_ef(inst, budget_lps=11)
+        # One search node whose first model falls short of the welfare, so
+        # its second LP runs and passes a budget of 1.
+        inst = Instance(r=(ONE,), p=((ONE,),), c=((F(1, 4),),))
+
+        def floored_then_plain(alloc):
+            floored = exact.build_ef_lp(inst, alloc)
+            floored.rows.append(LpRow({0: ONE}, F(1, 2)))
+            return [floored, exact.build_ef_lp(inst, alloc)]
+
+        with pytest.raises(BudgetExceededError, match="lps budget of 1 exceeded"):
+            exact._best_lp(inst, 1, floored_then_plain, exact._ef_rule(ZERO))
 
     def test_twin_agents_keep_the_first_optimum(self):
         # Agents 1 and 2 are equal, so the optimum's orbit holds several
@@ -204,14 +229,15 @@ class TestCase4Bounds:
 
 class TestSolveOptEf1:
     def test_empty_agents_fit_the_allocation_budget(self, tmp_path, capsys):
-        # partition-ef1 [1] has 3^3 = 27 allocations.  Giving agent 0 all
-        # three tasks leaves two empty agents; their witness rows need no
-        # cap vectors, so the n^m budget suffices.
+        # partition-ef1 [1] has 3^3 = 27 allocations.  An allocation that
+        # leaves agents empty gives them witness rows, with no cap vectors,
+        # so the n^m budget covers the search nodes and the LPs.  The
+        # envy-floor screen leaves two allocations to an LP.
         path = tmp_path / "pef1.json"
         dump_json(instance_to_dict(gen_partition_ef1([1]), exact=True), str(path))
         argv = ["solve", str(path), "--method", "exact-ef1", "--budget-lps", "27", "--exact-arith"]
         assert main(argv) == 0
-        assert json.loads(capsys.readouterr().out)["meta"]["lp_solves"] == 15
+        assert json.loads(capsys.readouterr().out)["meta"]["lp_solves"] == 2
 
     def test_single_agent_equals_unconstrained(self):
         inst = gen_random(1, 3, 23)
@@ -293,9 +319,13 @@ def test_exact_solve_logs_summary_at_info(caplog):
     with caplog.at_level(logging.INFO, logger="faircon"):
         res = solve_opt_ef(inst)
     meta = res.meta
-    assert (meta["allocations"], meta["allocations_solved"], meta["lp_solves"]) == (27, 8, 8)
+    counts = ("allocations", "nodes", "screened", "allocations_solved", "lp_solves")
+    assert tuple(meta[key] for key in counts) == (27, 12, 3, 4, 4)
     summaries = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
-    assert summaries == [f"exact: 27 allocations, 8 solved, 8 LPs, best objective {res.revenue}"]
+    assert summaries == [
+        "exact: 27 allocations, 12 nodes, 3 screened, 4 solved, 4 LPs, "
+        f"best objective {res.revenue}"
+    ]
 
 
 def test_meta_counts_every_simplex_pivot(monkeypatch):

@@ -1,7 +1,9 @@
 """Property tests: the exact solvers' branch-and-bound returns what plain
-enumeration returns, the optima keep their order across notions, and
-exact-ef1's witness rows for empty-bundle agents match the case-4 wage caps."""
+enumeration returns, the optima keep their order across notions,
+exact-ef1's witness rows for empty-bundle agents match the case-4 wage caps,
+and the envy-floor screen cuts only allocations with no fair contract."""
 
+import itertools
 from fractions import Fraction as F
 from unittest import mock
 
@@ -12,15 +14,22 @@ from hypothesis import HealthCheck, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from faircon import exact  # noqa: E402
-from faircon.core import Instance  # noqa: E402
+from faircon.core import Allocation, Instance  # noqa: E402
 from faircon.instances import (  # noqa: E402
     PROFILES,
     gen_partition_ef,
     gen_partition_ef1,
+    gen_partition_eps_ef,
     gen_random,
     gen_two_agent_hard,
 )
-from faircon.lp import contract_from_solution  # noqa: E402
+from faircon.lp import (  # noqa: E402
+    build_ef1_lp,
+    build_ef_lp,
+    build_efs_lp,
+    contract_from_solution,
+    solve_lp,
+)
 
 from oracles import best_lp_reference, ef1_case4_models  # noqa: E402
 
@@ -122,3 +131,119 @@ def test_ef1_witness_rows_match_case4_wage_caps(inst):
     assert (got.revenue, got.contract.assignment, got.contract.alpha) == (
         value, want.assignment, want.alpha
     )
+
+
+def ef_every_model(eps):
+    return lambda inst, alloc: [build_ef_lp(inst, alloc, eps)]
+
+
+def ef1_every_witness(inst: Instance, alloc):
+    """One EF1 model per choice of removable task for each pair (i, j)
+    with S_j nonempty."""
+    bundles = alloc.bundles()
+    pairs = [(i, j) for i in range(inst.n) for j in range(inst.n) if i != j and bundles[j]]
+    for choice in itertools.product(*(bundles[j] for _, j in pairs)):
+        yield build_ef1_lp(inst, alloc, dict(zip(pairs, choice)))
+
+
+# Per notion: the screen rule `_best_lp` gets, and every LP model of an
+# allocation.  EF is eps-EF at eps 0.
+SCREENED_NOTIONS = {
+    **{
+        f"eps-ef {eps}": (exact._ef_rule(eps), ef_every_model(eps))
+        for eps in (F(0), F(1, 100), F(1, 20), F(1, 4))
+    },
+    "ef1": (exact._ef1_rule, ef1_every_witness),
+    "efs": (exact._efs_rule, lambda inst, alloc: [build_efs_lp(inst, alloc)]),
+}
+
+
+def screen_cuts(inst: Instance, rules_out, assignment) -> list[bool]:
+    """Per prefix assignment[:d], d = 1..m, whether the search's screen cuts
+    it, with the screen driven as `_best_lp` drives it."""
+    floors = {(j, i): f for j, row in enumerate(exact._viable_pairs(inst)) for i, _, f in row}
+    screen = exact._EnvyScreen(inst.n, rules_out)
+    held = [0] * inst.n
+    out = []
+    for d, i in enumerate(assignment):
+        held[i] += 1
+        screen.add(i, floors[d, i])
+        out.append(screen.cuts(held, inst.m - d - 1))
+    return out
+
+
+def ir_allocations(inst: Instance):
+    """Every allocation whose pairs all admit an IR contract: the leaves the
+    search can reach."""
+    viable = [[i for i, _, _ in row] for row in exact._viable_pairs(inst)]
+    for assignment in itertools.product(*viable):
+        yield Allocation(assignment, inst.n)
+
+
+@st.composite
+def screen_instances(draw) -> Instance:
+    """Seeded 2-4-agent, 1-4-task random instances in every profile, and
+    the partition and two-agent hardness families."""
+    families = ("random", "partition-ef", "partition-ef1", "partition-eps-ef", "two-agent-hard")
+    family = draw(st.sampled_from(families))
+    integers = st.lists(st.integers(1, 3), min_size=1, max_size=2)
+    if family == "random":
+        n, m = draw(st.integers(2, 4)), draw(st.integers(1, 4))
+        return gen_random(n, m, draw(st.integers(0, 10**6)), draw(st.sampled_from(PROFILES)))
+    if family == "partition-ef":
+        return gen_partition_ef(draw(integers))
+    if family == "partition-ef1":
+        return gen_partition_ef1(draw(integers)[:1])
+    if family == "partition-eps-ef":
+        return gen_partition_eps_ef(draw(integers)[:1], F(1, 20))
+    return gen_two_agent_hard(draw(integers))
+
+
+def assert_screen_sound(inst: Instance, at_leaf: bool) -> int:
+    """Every allocation the screen cuts (at the leaf, or at a shorter
+    prefix) has no feasible LP model; returns the cut allocations."""
+    cut = 0
+    for name, (rules_out, models) in SCREENED_NOTIONS.items():
+        for alloc in ir_allocations(inst):
+            cuts = screen_cuts(inst, rules_out, alloc.assignment)
+            if not (cuts[-1] if at_leaf else any(cuts[:-1])):
+                continue
+            cut += 1
+            for model in models(inst, alloc):
+                assert not solve_lp(model).optimal, (name, alloc.assignment)
+    return cut
+
+
+SCREEN_SETTINGS = settings(
+    max_examples=40,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@SCREEN_SETTINGS
+@given(screen_instances())
+@example(gen_partition_ef([1, 2]))
+@example(gen_partition_ef1([1]))
+@example(gen_random(4, 3, 7, "sparse-ability"))
+def test_screen_leaf_rule_cuts_only_allocations_without_a_fair_contract(inst):
+    assert_screen_sound(inst, at_leaf=True)
+
+
+@SCREEN_SETTINGS
+@given(screen_instances())
+@example(gen_partition_ef([1, 2]))
+@example(gen_partition_ef1([1]))
+@example(gen_random(4, 3, 7, "sparse-ability"))
+def test_screen_prefix_rule_cuts_only_prefixes_without_a_fair_completion(inst):
+    assert_screen_sound(inst, at_leaf=False)
+
+
+def test_screen_rules_fire_on_the_seeded_examples():
+    # Both soundness tests above check something: each rule cuts at least
+    # one allocation on the hardness families.
+    for inst in (gen_partition_ef([1, 2]), gen_partition_ef1([1])):
+        assert assert_screen_sound(inst, at_leaf=True) > 0
+        assert assert_screen_sound(inst, at_leaf=False) > 0
