@@ -41,20 +41,14 @@ from .errors import (
     InvalidInstanceError,
     NoViableAgentError,
 )
-from .exact import (
-    enumerate_case4_bounds,
-    solve_opt_ef,
-    solve_opt_ef1,
-    solve_opt_efs,
-)
-from .ext import AugmentMap, efs_augment, embed_subsidized, extract_subsidies, round_robin_ef1
+from .exact import solve_opt_ef, solve_opt_ef1, solve_opt_efs
+from .ext import round_robin_ef1
 from .lp import LpModel, LpSolution, build_ef1_lp, build_ef_lp, build_efs_lp, solve_lp
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Allocation",
-    "AugmentMap",
     "BudgetExceededError",
     "Contract",
     "DimensionMismatchError",
@@ -73,10 +67,6 @@ __all__ = [
     "build_ef_lp",
     "build_efs_lp",
     "dp_enumerate",
-    "efs_augment",
-    "embed_subsidized",
-    "enumerate_case4_bounds",
-    "extract_subsidies",
     "fairness_report",
     "greedy_ef",
     "minimum_wage",

@@ -25,7 +25,7 @@ from .core import (
     unconstrained_opt,
 )
 from .errors import BudgetExceededError, FairconError, InvalidInstanceError
-from .numeric import as_fraction, as_int, format_scalar_text
+from .numeric import as_count, as_fraction, format_scalar_text
 
 log = logging.getLogger("faircon")
 
@@ -81,9 +81,8 @@ def _run(method: str, inst, eps, budget_lps: int, budget_states: int, f_bits) ->
 
 def cmd_solve(args) -> int:
     inst = _load_instance(args.instance)
-    eps = as_fraction(args.eps) if args.eps is not None else None
-    res = _run(args.method, inst, eps, args.budget_lps, args.budget_states, args.f_bits)
-    report = fairness_report(inst, res.contract, eps or 0, args.tol)
+    res = _run(args.method, inst, args.eps, args.budget_lps, args.budget_states, args.f_bits)
+    report = fairness_report(inst, res.contract, args.eps or 0, args.tol)
     serialize.dump_json(serialize.result_to_dict(res, report, args.exact_arith), args.out)
     print(
         f"method={res.method} revenue={format_scalar_text(res.revenue, args.exact_arith)}",
@@ -94,17 +93,17 @@ def cmd_solve(args) -> int:
 
 def cmd_verify(args) -> int:
     inst = _load_instance(args.instance)
-    contract = serialize.contract_from_dict(
-        serialize.load_json(args.contract), inst.n
-    )
-    eps = as_fraction(args.eps) if args.eps is not None else None
-    if args.notion == "eps-ef" and eps is None:
+    data = serialize.load_json(args.contract)
+    if isinstance(data, dict) and "contract" in data:  # a solve result
+        data = data["contract"]
+    contract = serialize.contract_from_dict(data, inst.n)
+    if args.notion == "eps-ef" and args.eps is None:
         print("eps-ef verification requires --eps", file=sys.stderr)
         return EXIT_INVALID
     if args.notion == "efs" and contract.subsidies is None:
         print("contract has no subsidies", file=sys.stderr)
         return EXIT_INVALID
-    report = fairness_report(inst, contract, eps or 0, args.tol)
+    report = fairness_report(inst, contract, args.eps or 0, args.tol)
     payload = serialize.report_to_dict(report, args.exact_arith)
     ok = report.ir_ok and bool(getattr(report, NOTIONS[args.notion]))
     payload["notion"] = args.notion
@@ -121,11 +120,21 @@ def tolerance(text: str) -> Fraction:
     return tol
 
 
-def _parse_int_set(text: str) -> list[int]:
+def number(text: str) -> Fraction:
+    """--eps or --c-target as a Fraction; a malformed one is a usage error."""
+    return as_fraction(text)
+
+
+def count(text: str) -> int:
+    """--budget-lps, --budget-states or --jobs: an integer of at least 1."""
+    return as_count(int(text), "count")
+
+
+def integers(text: str) -> list[int]:
     return [int(x) for x in text.replace(",", " ").split()]
 
 
-def _parse_graph(text: str) -> list[list[int]]:
+def edge_list(text: str) -> list[list[int]]:
     """Edges like '0-1,1-2,2-0' into an adjacency list."""
     edges = []
     for part in text.replace(",", " ").split():
@@ -139,28 +148,22 @@ def _parse_graph(text: str) -> list[list[int]]:
     return adj
 
 
-# `generate` parameters whose flag or text form differs from the family
-# parameter name: parameter -> (argparse dest, text parser).
-_PARAM_FLAGS = {
-    "set": ("set", _parse_int_set),
-    "eps": ("eps", as_fraction),
-    "adjacency": ("graph", _parse_graph),
-    "c_target": ("c_target", as_fraction),
-}
+# `generate` parameters whose flag differs from the family parameter name.
+_PARAM_FLAGS = {"adjacency": "graph"}
 
 
 def cmd_generate(args) -> int:
     _, required, optional = instances.FAMILIES[args.family]
     params: dict = {}
     for key in required + optional:
-        dest, parse = _PARAM_FLAGS.get(key, (key, None))
+        dest = _PARAM_FLAGS.get(key, key)
         value = getattr(args, dest)
-        if value in (None, ""):
+        if value is None:
             if key in required:
                 print(f"--{dest.replace('_', '-')} is required for {args.family}", file=sys.stderr)
                 return EXIT_INVALID
             continue
-        params[key] = parse(value) if parse else value
+        params[key] = value
     inst = instances.make(args.family, params)
     serialize.dump_json(serialize.instance_to_dict(inst, exact=True), args.out)
     manifest = {
@@ -220,9 +223,9 @@ def cmd_bench_pof(args) -> int:
     rows = config.get("rows", []) if isinstance(config, dict) else None
     if not isinstance(rows, list):
         raise InvalidInstanceError("bench config must be an object whose rows are a list")
-    budget_lps = as_int(config.get("budget_lps", exact.DEFAULT_LP_BUDGET), "budget_lps")
-    budget_states = as_int(config.get("budget_states", dp.DEFAULT_STATE_BUDGET), "budget_states")
-    jobs = args.jobs or as_int(config.get("jobs", 1), "jobs")
+    budget_lps = as_count(config.get("budget_lps", exact.DEFAULT_LP_BUDGET), "budget_lps")
+    budget_states = as_count(config.get("budget_states", dp.DEFAULT_STATE_BUDGET), "budget_states")
+    jobs = args.jobs or as_count(config.get("jobs", 1), "jobs")
     started = time.time()
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -256,10 +259,10 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("solve", help="solve an instance file")
     ps.add_argument("instance")
     ps.add_argument("--method", required=True, choices=tuple(SOLVERS))
-    ps.add_argument("--eps", help="epsilon for eps-EF / DP methods")
+    ps.add_argument("--eps", type=number, help="epsilon for eps-EF / DP methods")
     ps.add_argument("--tol", type=tolerance, default="1e-9")
-    ps.add_argument("--budget-lps", type=int, default=exact.DEFAULT_LP_BUDGET)
-    ps.add_argument("--budget-states", type=int, default=dp.DEFAULT_STATE_BUDGET)
+    ps.add_argument("--budget-lps", type=count, default=exact.DEFAULT_LP_BUDGET)
+    ps.add_argument("--budget-states", type=count, default=dp.DEFAULT_STATE_BUDGET)
     ps.add_argument("--f-bits", type=int, default=None, help="override the EF1 guess resolution")
     ps.add_argument("--exact-arith", action="store_true", help="print rationals as num/den")
     ps.add_argument("--out")
@@ -269,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("instance")
     pv.add_argument("contract")
     pv.add_argument("--notion", required=True, choices=tuple(NOTIONS))
-    pv.add_argument("--eps")
+    pv.add_argument("--eps", type=number)
     pv.add_argument("--tol", type=tolerance, default="1e-9")
     pv.add_argument("--exact-arith", action="store_true")
     pv.add_argument("--out")
@@ -277,10 +280,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     pg = sub.add_parser("generate", help="write an instance from a named family")
     pg.add_argument("family", choices=tuple(instances.FAMILIES))
-    pg.add_argument("--set", help="comma-separated integers for partition families")
-    pg.add_argument("--eps")
-    pg.add_argument("--graph", help="edge list like 0-1,1-2,2-0")
-    pg.add_argument("--c-target", default="1")
+    pg.add_argument("--set", type=integers, help="comma-separated integers for partition families")
+    pg.add_argument("--eps", type=number)
+    pg.add_argument("--graph", type=edge_list, help="edge list like 0-1,1-2,2-0")
+    pg.add_argument("--c-target", type=number, default="1")
     pg.add_argument("--n", type=int)
     pg.add_argument("--m", type=int)
     pg.add_argument("--id", help="example id: 5.2, 5.4, or 5.7")
@@ -292,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     pb = sub.add_parser("bench-pof", help="price-of-fairness sweep to CSV")
     pb.add_argument("config")
     pb.add_argument("--out", required=True)
-    pb.add_argument("--jobs", type=int, default=None)
+    pb.add_argument("--jobs", type=count, default=None)
     pb.set_defaults(func=cmd_bench_pof)
     return parser
 

@@ -75,7 +75,7 @@ from .core import (
     verify_eps_ef,
 )
 from .errors import BudgetExceededError, FairconError, InvalidInstanceError
-from .numeric import INF_WAGE, Num, ONE, ZERO, as_fraction, ceil_div
+from .numeric import Num, ONE, ZERO, as_fraction, ceil_div
 
 log = logging.getLogger("faircon")
 
@@ -137,11 +137,7 @@ def adaptive_grid(inst: Instance, guess: Sequence[Num], delta: Num) -> Discretiz
             else:
                 cap_alpha.append(min(ONE, (guess[i] + inst.c[i][j]) / pr))
         low_alpha = min(cap_alpha)
-        wages = []
-        for i in range(inst.n):
-            w = minimum_wage(inst, i, j)
-            if w is not INF_WAGE and w <= low_alpha:
-                wages.append(w)
+        wages = [w for i in inst.viable_agents(j) if (w := minimum_wage(inst, i, j)) <= low_alpha]
         if not wages:
             raise FairconError(f"no contract grid for task {j}; Assumption 1 broken?")
         # Point k of agent i's subgrid is w + k/K (low - w): over the common
@@ -448,8 +444,8 @@ def dp_enumerate(
     offered), and every IR contract on the grids shares its cross-utility
     profile with some representative of at least its principal units.
     prune_caps optionally drops states whose rounded cross-utilities exceed
-    a per-agent unit cap; soundness of a cap is the caller's concern (the
-    FPTAS wrappers derive theirs from their proofs).  min_final_h drops any
+    a per-agent unit cap; soundness of a cap is the caller's concern (dp-ef1
+    derives its caps from its proof).  min_final_h drops any
     state that cannot reach that many principal units even with the best
     remaining tasks (the callers use it with a floor the guaranteed
     candidate provably clears).  `prepared` is `_dp_setup(inst, disc)`
@@ -523,10 +519,6 @@ def dp_enumerate(
         log.debug("dp task %d: %d states", j, len(h_vals))
     result.keys, result.h, result.states_total = np.stack(cols, axis=1), h_vals, total
     return result
-
-
-def _max_bundle_utility(inst: Instance, i: int) -> Fraction:
-    return sum((max(inst.welfare(i, j), ZERO) for j in range(inst.m)), ZERO)
 
 
 # Float margins.  Entries a, p*r, c lie in [0, 1] and round to the nearest
@@ -610,8 +602,6 @@ def _scan_candidates(inst, dp: DpResult, best_rev, best, verify, screen: bool):
     reconstructed, for its exact revenue.
     """
     positions, frev = dp.band(best_rev)
-    if len(positions) == 0:
-        return best_rev, best, 0
     order = np.argsort(-frev, kind="stable")
     margin = _band_margin(inst.m)
     slack = _screen_slack(inst.m)
@@ -704,9 +694,8 @@ def solve_eps_ef_fptas(
     eps = as_fraction(eps)
     if eps <= 0:
         raise InvalidInstanceError("eps must be positive")
-    n, m = inst.n, inst.m
     eps_int = eps / 3
-    delta = eps_int / m
+    delta = eps_int / inst.m
     K = ceil_div(ONE, delta)
     step = Fraction(1, K)
     # Building the grid alone costs time linear in its K + 1 points, so
@@ -714,15 +703,11 @@ def solve_eps_ef_fptas(
     if K + 1 > budget_states:
         raise BudgetExceededError("states", budget_states, K + 1)
 
-    # The rounded optimum's cross-utilities stay within 2m grid steps of
-    # the true optimum's, which envy-freeness bounds by the agent's best
-    # possible bundle utility.
-    caps = [ceil_div(_max_bundle_utility(inst, i), step) + 2 * m for i in range(n)]
     # The guaranteed candidate earns at least OPT-EF - 2 eps/3, and the
     # greedy EF contract lower-bounds OPT-EF, giving a sound revenue floor.
     floor = revenue(inst, greedy_ef(inst)) - 2 * eps_int
     best, best_rev, _, states, checked, _, _ = _best_over_guesses(
-        inst, [(None, uniform_grid(inst, K), caps)], floor, budget_states,
+        inst, [(None, uniform_grid(inst, K), None)], floor, budget_states,
         lambda contract: verify_eps_ef(inst, contract, eps, tol=0), screen=False,
     )
     return SolveResult(
@@ -779,7 +764,7 @@ def solve_ef1_fptas(
     ladder = utility_guesses(inst, f_bits)
     per_agent: list[list[Fraction]] = []
     for i in range(n):
-        cap = 2 * _max_bundle_utility(inst, i)
+        cap = 2 * sum((max(inst.welfare(i, j), ZERO) for j in range(m)), ZERO)
         per_agent.append([g for g in ladder if g <= cap] or [ZERO])
 
     unit_cap = K + ceil_div(nu, step) + m

@@ -79,12 +79,7 @@ log = logging.getLogger("faircon")
 DEFAULT_LP_BUDGET = 10**7
 _LOG_EVERY_LPS = 1_000  # DEBUG progress interval
 
-__all__ = [
-    "solve_opt_ef",
-    "solve_opt_ef1",
-    "enumerate_case4_bounds",
-    "solve_opt_efs",
-]
+__all__ = ["solve_opt_ef", "solve_opt_ef1", "solve_opt_efs"]
 
 _Best = tuple[Fraction, Allocation, LpSolution]
 
@@ -97,20 +92,20 @@ _RulesOut = Callable[[int, Fraction], bool]
 
 def _viable_pairs(inst: Instance) -> list[list[tuple[int, Fraction, _Floors]]]:
     """Per task j, (i, welfare, floors) for each agent i that admits an IR
-    contract (minimum wage <= 1), in agent order.  `floors` holds (k, f_ijk)
-    for each other agent k whose envy floor f_ijk = mw_ij pr_kj - c_kj on
-    the task is positive; the others are clamped to 0 and add nothing."""
+    contract (`Instance.viable_agents`), in agent order.  `floors` holds
+    (k, f_ijk) for each other agent k whose envy floor f_ijk = mw_ij pr_kj -
+    c_kj on the task is positive; the others are clamped to 0 and add
+    nothing."""
     out = []
     for j in range(inst.m):
         row = []
-        for i in range(inst.n):
+        for i in inst.viable_agents(j):
             wage = minimum_wage(inst, i, j)
-            if wage <= 1:
-                floors = tuple(
-                    (k, f) for k in range(inst.n)
-                    if k != i and (f := wage * inst.pr[k][j] - inst.c[k][j]) > 0
-                )
-                row.append((i, inst.welfare(i, j), floors))
+            floors = tuple(
+                (k, f) for k in range(inst.n)
+                if k != i and (f := wage * inst.pr[k][j] - inst.c[k][j]) > 0
+            )
+            row.append((i, inst.welfare(i, j), floors))
         out.append(row)
     return out
 
@@ -296,9 +291,10 @@ def enumerate_case4_bounds(
     the cut in two lists (that agent would need two removable tasks).
     Returns the feasible vectors as task -> wage-threshold maps.
 
-    No solver calls it: `solve_opt_ef1` gives empty-bundle agents witness
-    rows, which impose the same caps.  It stays public because
-    `perfbench/tracing.py` wraps it by name.
+    No solver calls it, and the package does not export it:
+    `solve_opt_ef1` gives empty-bundle agents witness rows, which impose the
+    same caps.  It stays in this module because `perfbench/tracing.py`
+    wraps it by name, and the tests use it as the reference for those rows.
     """
     tasks = list(tasks)
     agents = list(empty_agents)

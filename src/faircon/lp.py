@@ -16,7 +16,7 @@ from typing import Mapping, NamedTuple, Optional
 
 from . import simplex
 from .core import Allocation, Contract, Instance
-from .errors import InvalidInstanceError
+from .errors import FairconError, InvalidInstanceError
 from .numeric import Num, ONE, ZERO, as_fraction
 
 
@@ -174,9 +174,9 @@ def solve_lp(model: LpModel) -> LpSolution:
         return LpSolution(status, (), None, pivots)
     for r, (coeffs, rhs) in enumerate(model.rows):
         if sum((v * x[k] for k, v in coeffs.items()), ZERO) < rhs:
-            raise AssertionError(f"simplex returned infeasible point at row {r}")
+            raise FairconError(f"simplex returned infeasible point at row {r}")
     if any(v < 0 for v in x):
-        raise AssertionError("simplex returned a negative variable")
+        raise FairconError("simplex returned a negative variable")
     return LpSolution(simplex.OPTIMAL, tuple(x), value + model.objective_const, pivots)
 
 

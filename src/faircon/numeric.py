@@ -54,6 +54,13 @@ def as_int(x, what: str) -> int:
     raise InvalidInstanceError(f"{what} {x!r} is not an integer")
 
 
+def as_count(x, what: str) -> int:
+    """An integral value of at least 1 (a budget or a worker count) as int."""
+    if (value := as_int(x, what)) < 1:
+        raise InvalidInstanceError(f"{what} {x!r} is not a positive integer")
+    return value
+
+
 def ceil_div(a: Fraction, b: Fraction) -> int:
     """ceil(a / b) for positive b, exact."""
     return -((-a) // b)

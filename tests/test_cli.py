@@ -2,19 +2,21 @@
 
 import csv
 import json
+import shlex
 import time
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
-from faircon import dp
+from faircon import dp, simplex
 from faircon.cli import _bench_row, main
 from faircon.serialize import dump_json, instance_to_dict, load_json
 from faircon.instances import gen_example, gen_partition_ef1, gen_random, gen_two_agent_hard
 
 
-POF_CONFIG = Path(__file__).resolve().parents[1] / "bench" / "pof.json"
+REPO = Path(__file__).resolve().parents[1]
+POF_CONFIG = REPO / "bench" / "pof.json"
 
 
 def run(argv):
@@ -218,6 +220,15 @@ class TestSolve:
         assert run(["verify", ex52_path, kpath, "--notion", "ef", "--tol", "abc"]) == 3
         assert "argument --tol" in capsys.readouterr().err
 
+    def test_infeasible_lp_point_exits_invalid(self, ex52_path, capsys, monkeypatch):
+        # The LP self-check's failure is an error exit, not a traceback.
+        def broken(n_vars, objective, rows):
+            return simplex.OPTIMAL, [F(-1)] + [F(0)] * (n_vars - 1), F(0), 0
+
+        monkeypatch.setattr(simplex, "maximize", broken)
+        assert run(["solve", ex52_path, "--method", "exact-ef"]) == 3
+        assert "error: simplex returned infeasible point at row 0" in capsys.readouterr().err
+
     def test_bad_instance_file(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{\"r\": [2], \"p\": [[1]], \"c\": [[0]]}")
@@ -362,16 +373,33 @@ class TestBenchPof:
 
     @pytest.mark.parametrize("key", ["budget_lps", "budget_states", "jobs"])
     def test_non_integral_setting_invalid(self, tmp_path, capsys, key):
-        # 1.5 used to run as 1, and true as 1.
+        # 1.5 used to run as 1, and true as 1; a budget of 0 or -1 failed
+        # every row instead of the run.
         cpath, out = tmp_path / "bench.json", tmp_path / "pof.csv"
         row = {"id": "ok", "family": "example", "params": {"id": "5.2", "eps": "1/100"}}
-        for bad in (1.5, True):
+        for bad, why in ((1.5, "an integer"), (True, "an integer"), (0, "a positive integer"),
+                         (-1, "a positive integer")):
             cpath.write_text(json.dumps({key: bad, "rows": [row]}))
             assert run(["bench-pof", cpath, "--out", out]) == 3
-            assert f"{key} {bad!r} is not an integer" in capsys.readouterr().err
+            assert f"{key} {bad!r} is not {why}" in capsys.readouterr().err
             assert not out.exists()
         cpath.write_text(json.dumps({key: 1.0 if key == "jobs" else 1000.0, "rows": [row]}))
         assert run(["bench-pof", cpath, "--out", out]) == 0
+
+    @pytest.mark.parametrize("bad", ["0", "-1", "1.5"])
+    def test_count_flag_below_one_invalid(self, tmp_path, ex52_path, capsys, bad):
+        # --budget-lps -3 used to exit 2 ("budget of -3 exceeded"), --jobs 0
+        # fell back to the config's jobs, and --jobs -2 ran serially.
+        out = tmp_path / "out"
+        solve = ["solve", ex52_path, "--method", "exact-ef", "--out", out]
+        for argv in (
+            solve + ["--budget-lps", bad],
+            solve + ["--budget-states", bad],
+            ["bench-pof", POF_CONFIG, "--out", out, "--jobs", bad],
+        ):
+            assert run(argv) == 3
+            assert f"invalid count value: '{bad}'" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_row_missing_parameter_names_it(self):
         row = {"id": "no-set", "family": "partition-ef", "params": {}}
@@ -396,3 +424,16 @@ class TestBenchPof:
         assert run(["bench-pof", cpath, "--out", out1]) == 0
         assert run(["bench-pof", cpath, "--out", out2]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch):
+    # The README's CLI block as written, in a fresh directory, with
+    # bench-pof reading the repo's config: every command exits 0.
+    block = (REPO / "README.md").read_text().split("## CLI", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("faircon ")]
+    assert [argv[0] for argv in commands] == ["generate"] * 3 + ["solve"] * 3 + ["verify", "bench-pof"]
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        argv = [str(POF_CONFIG) if a == "bench/pof.json" else a for a in argv]
+        assert main(argv) == 0, argv

@@ -4,6 +4,7 @@ import itertools
 import json
 import random
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -41,8 +42,16 @@ from faircon.dp import (
 )
 from faircon.errors import BudgetExceededError, FairconError, InvalidInstanceError
 from faircon.exact import solve_opt_ef
-from faircon.instances import PROFILES, gen_example, gen_partition_ef, gen_partition_ef1, gen_random
-from faircon.numeric import ONE, ZERO
+from faircon.instances import (
+    PROFILES,
+    gen_example,
+    gen_partition_ef,
+    gen_partition_ef1,
+    gen_partition_eps_ef,
+    gen_random,
+    gen_two_agent_hard,
+)
+from faircon.numeric import ONE, ZERO, ceil_div
 from faircon.serialize import dump_json, instance_to_dict
 
 from conftest import make_contract, random_instances
@@ -227,6 +236,42 @@ class TestSortOnceDedupe:
             assert dp.states_total == total
         if min_final_h == 109:
             assert total == 0
+
+
+def test_eps_ef_grid_needs_no_caps():
+    # dp-eps-ef used to pass agent i the cap ceil(B_i / step) + 2m, with
+    # B_i its best possible bundle utility.  Its grid ends at alpha = 1, so
+    # agent i's units on any bundle are at most sum_t ceil(w+_it / step) <=
+    # ceil(B_i / step) + m: no state reaches the cap, and dropping it
+    # changes no state.  116 runs: random 2-4 agents x 2-4 tasks, two seeds
+    # in every profile, and four partition and two-agent instances, each at
+    # eps 1/4 and 1/10.
+    insts = [
+        gen_random(n, m, seed, profile)
+        for n in (2, 3, 4) for m in (2, 3, 4) for profile in PROFILES for seed in (1, 2)
+    ]
+    insts += [
+        gen_partition_ef([1, 2]), gen_partition_ef1([1]),
+        gen_partition_eps_ef([1], F(1, 10)), gen_two_agent_hard([1, 1]),
+    ]
+    for inst, eps in itertools.product(insts, (F(1, 4), F(1, 10))):
+        K = ceil_div(ONE, eps / 3 / inst.m)  # as solve_eps_ef_fptas builds it
+        disc = uniform_grid(inst, K)
+        best = [sum((max(inst.welfare(i, j), ZERO) for j in range(inst.m)), ZERO) for i in range(inst.n)]
+        caps = [ceil_div(b * K, ONE) + 2 * inst.m for b in best]
+        setup = dp_module._dp_setup(inst, disc)
+        reach = sum(setup.packer.unpack_rows(t[2]).max(axis=0) for t in setup.tables)
+        assert np.all(reach < np.repeat(caps, inst.n))
+        floor = revenue(inst, greedy_ef(inst)) - 2 * eps / 3
+        h_floor = int(floor * K) if floor > 0 else None
+        plain = dp_enumerate(inst, disc, min_final_h=h_floor)
+        capped = dp_enumerate(inst, disc, prune_caps=caps, min_final_h=h_floor)
+        # The reference tests every state against the caps, with no reach
+        # pre-check to skip the test.
+        layers, keys, h, _ = dp_enumerate_reference(inst, disc, caps, h_floor)
+        for dp in (capped, SimpleNamespace(gidx=layers, keys=keys, h=h)):
+            assert [g.tolist() for g in plain.gidx] == [g.tolist() for g in dp.gidx]
+            assert np.array_equal(plain.keys, dp.keys) and np.array_equal(plain.h, dp.h)
 
 
 class TestAdaptiveGrid:

@@ -7,7 +7,7 @@ import pytest
 
 from faircon import simplex
 from faircon.core import Allocation, Contract, Instance, greedy_ef, verify_ef, verify_ir
-from faircon.errors import InvalidInstanceError
+from faircon.errors import FairconError, InvalidInstanceError
 from faircon.instances import gen_partition_ef, gen_partition_ef1, gen_random
 from faircon.lp import (
     LpModel,
@@ -67,7 +67,7 @@ def test_solve_lp_self_check_covers_upper_bounds(monkeypatch):
         rows=[LpRow({0: ONE}, F(1, 2)), LpRow({0: -ONE}, -ONE)],
     )
     monkeypatch.setattr(simplex, "maximize", lambda *args: (simplex.OPTIMAL, [F(2)], -F(2), 0))
-    with pytest.raises(AssertionError, match="row 1"):
+    with pytest.raises(FairconError, match="row 1"):
         solve_lp(model)
 
 
