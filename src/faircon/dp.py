@@ -18,8 +18,8 @@ key alone (`_sort_keys`) then brings equal profiles together, and one
 linear pass keeps each one's max h and, among its rows with that h, the
 smallest backtrack index (`_dedupe_block`).  A layer too large for one
 block is built block by block and merged into a running set the same way.
-The per-agent cap test runs only when some component can reach its cap at
-all.
+dp-ef1's unit cap, one number for every component, is tested only when
+some component can reach it at all.
 
 Two instantiations: a uniform grid for eps-envy-free contracts, and
 per-guess adaptive grids for EF1 contracts, where the contract grid for
@@ -34,9 +34,9 @@ division each.  Adaptive grids are built the same way, as integer
 numerators over L*K, and each distinct point becomes a Fraction once.
 
 Both FPTAS solvers run through one guess loop (`_best_over_guesses`):
-per (guess, grid, caps) run it floors the DP at the revenue the answer
-must beat, hands on the state budget the earlier runs left, scans the
-final layer and keeps the best verified candidate.  It stops once the
+per (guess, grid) run it floors the DP at the revenue the answer must
+beat, hands on the state budget the earlier runs left, scans the final
+layer and keeps the best verified candidate.  It stops once the
 incumbent earns the unconstrained optimum and skips a run whose principal
 units cannot beat the incumbent.  dp-eps-ef passes one run on a uniform
 grid, dp-ef1 one run per vector of utility guesses.
@@ -433,8 +433,8 @@ def dp_enumerate(
     inst: Instance,
     disc: Discretization,
     budget_states: int = DEFAULT_STATE_BUDGET,
-    prune_caps: Optional[Sequence[int]] = None,
-    min_final_h: Optional[int] = None,
+    unit_cap: Optional[int] = None,
+    min_final_h: int = 0,
     prepared: Optional[DpResult] = None,
 ) -> DpResult:
     """The max-principal-units IR (allocation, contract) per reachable
@@ -443,35 +443,33 @@ def dp_enumerate(
     Every emitted contract is IR by construction (non-IR pairs are never
     offered), and every IR contract on the grids shares its cross-utility
     profile with some representative of at least its principal units.
-    prune_caps optionally drops states whose rounded cross-utilities exceed
-    a per-agent unit cap; soundness of a cap is the caller's concern (dp-ef1
-    derives its caps from its proof).  min_final_h drops any
-    state that cannot reach that many principal units even with the best
-    remaining tasks (the callers use it with a floor the guaranteed
-    candidate provably clears).  `prepared` is `_dp_setup(inst, disc)`
-    when the caller has already built it.
+    unit_cap optionally drops states with a rounded cross-utility above it;
+    soundness of the cap is the caller's concern (dp-ef1 derives it from
+    its proof).  min_final_h drops any state that cannot reach that many
+    principal units even with the best remaining tasks (the callers use it
+    with a floor the guaranteed candidate provably clears; 0 or less drops
+    nothing).  `prepared` is `_dp_setup(inst, disc)` when the caller has
+    already built it.
     """
-    n, m = inst.n, inst.m
+    m = inst.m
     result = _dp_setup(inst, disc) if prepared is None else prepared
     packer, future_h = result.packer, result.future_h
-    # Component i*n + j is agent i's units on agent j's bundle.  No state
-    # exceeds the sum over tasks of each component's largest option delta,
-    # so the cap test runs only when that sum passes some cap.
-    caps = None if prune_caps is None else np.repeat(np.array(prune_caps, dtype=np.int64), n)
-    if caps is not None:
+    # No state exceeds the sum over tasks of each component's largest
+    # option delta, so the cap test runs only when that sum passes the cap.
+    if unit_cap is not None:
         reach = sum(packer.unpack_rows(t[2]).max(axis=0) for t in result.tables if len(t[3]))
-        if np.all(reach <= caps):
-            caps = None
+        if np.all(reach <= unit_cap):
+            unit_cap = None
 
     def kept(cols: list[np.ndarray], hv: np.ndarray, gidx: np.ndarray):
-        """A deduplicated block, as word columns, without the states over a
-        cap.  The cap test reads only the key, so pruning each block before
-        the merge keeps exactly the states that pruning the merged layer
-        would.  The h floor is not tested here: it reads only a key's max h,
-        so the candidates below it were dropped before the sort."""
-        if caps is None:
+        """A deduplicated block, as word columns, without the states over
+        the cap.  The cap test reads only the key, so pruning each block
+        before the merge keeps exactly the states that pruning the merged
+        layer would.  The h floor is not tested here: it reads only a key's
+        max h, so the candidates below it were dropped before the sort."""
+        if unit_cap is None:
             return cols, hv, gidx
-        mask = np.all(packer.unpack_rows(np.array(cols).T) <= caps, axis=1)
+        mask = np.all(packer.unpack_rows(np.array(cols).T) <= unit_cap, axis=1)
         return [c[mask] for c in cols], hv[mask], gidx[mask]
 
     # Profiles are kept as one contiguous int64 column per packed word.
@@ -482,7 +480,7 @@ def dp_enumerate(
         _, _, deltas, dh = result.tables[j]
         if not len(dh):
             raise FairconError(f"task {j} has no IR grid contract")
-        need = 0 if min_final_h is None else min_final_h - future_h[j + 1]
+        need = min_final_h - future_h[j + 1]
         n_prev = len(h_vals)
         # A candidate's h is h_vals[s] + dh[o]: when the smallest clears
         # `need`, so does every one and the filter is skipped.
@@ -634,9 +632,10 @@ def _scan_candidates(inst, dp: DpResult, best_rev, best, verify, screen: bool):
     return best_rev, best, checks
 
 
-def _best_over_guesses(inst, runs, rev_floor, budget_states, verify, screen):
+def _best_over_guesses(inst, runs, unit_cap, rev_floor, budget_states, verify, screen):
     """The best verifier-passing candidate over the DP runs of
-    (guess, discretization, caps) triples, one run after another.
+    (guess, discretization) pairs, one run after another, each capped at
+    `unit_cap` units per cross-utility (None for no cap).
 
     Each run drops the states that cannot reach `rev_floor` (a revenue the
     guaranteed candidate provably clears) or beat the incumbent, and gets
@@ -654,7 +653,7 @@ def _best_over_guesses(inst, runs, rev_floor, budget_states, verify, screen):
     best: Optional[Contract] = None
     best_guess = None
     states = checks = count = pruned = 0
-    for guess, disc, caps in runs:
+    for guess, disc in runs:
         step = disc.principal_step
         prepared = _dp_setup(inst, disc)
         if best_rev is not None and prepared.future_h[0] * step <= best_rev:
@@ -662,9 +661,9 @@ def _best_over_guesses(inst, runs, rev_floor, budget_states, verify, screen):
             continue
         count += 1
         floor = rev_floor if best_rev is None else max(rev_floor, best_rev)
-        h_floor = int(floor / step) if floor > 0 else None
+        h_floor = int(floor / step)
         try:
-            dp = dp_enumerate(inst, disc, budget_states - states, caps, h_floor, prepared)
+            dp = dp_enumerate(inst, disc, budget_states - states, unit_cap, h_floor, prepared)
         except BudgetExceededError as exc:
             raise BudgetExceededError("states", budget_states, states + exc.needed) from None
         states += dp.states_total
@@ -707,7 +706,7 @@ def solve_eps_ef_fptas(
     # greedy EF contract lower-bounds OPT-EF, giving a sound revenue floor.
     floor = revenue(inst, greedy_ef(inst)) - 2 * eps_int
     best, best_rev, _, states, checked, _, _ = _best_over_guesses(
-        inst, [(None, uniform_grid(inst, K), None)], floor, budget_states,
+        inst, [(None, uniform_grid(inst, K))], None, floor, budget_states,
         lambda contract: verify_eps_ef(inst, contract, eps, tol=0), screen=False,
     )
     return SolveResult(
@@ -767,16 +766,17 @@ def solve_ef1_fptas(
         cap = 2 * sum((max(inst.welfare(i, j), ZERO) for j in range(m)), ZERO)
         per_agent.append([g for g in ladder if g <= cap] or [ZERO])
 
-    unit_cap = K + ceil_div(nu, step) + m
     runs = (
-        (guess, adaptive_grid(inst, guess, delta), [unit_cap if g > 0 else 0 for g in guess])
-        for guess in itertools.product(*per_agent)
+        (guess, adaptive_grid(inst, guess, delta)) for guess in itertools.product(*per_agent)
     )
+    # The cap is the same for every guess: an agent guessed at 0 gets a grid
+    # at or below its minimum wage on every task, so it holds no unit anyway.
+    unit_cap = K + ceil_div(nu, step) + m
     # The correct guess's surviving candidate earns at least OPT-EF - 2 nu,
     # and greedy EF lower-bounds OPT-EF.
     floor = revenue(inst, greedy_ef(inst)) - 2 * nu
     best, best_rev, best_guess, states, checks, guesses, pruned = _best_over_guesses(
-        inst, runs, floor, budget_states,
+        inst, runs, unit_cap, floor, budget_states,
         lambda k: verify_ef1(inst, k, tol=0)[0], screen=True,
     )
     return SolveResult(

@@ -14,14 +14,14 @@ from typing import Sequence
 
 from .core import Instance
 from .errors import InvalidInstanceError
-from .numeric import Num, ONE, ZERO, as_fraction
+from .numeric import Num, ONE, ZERO, as_fraction, as_int
 
 RANDOM_DENOMINATOR = 64
 PROFILES = ("uniform", "sparse-ability", "cost-heavy")
 
 
 def _positive_ints(integers: Sequence[int]) -> list[int]:
-    ints = [int(x) for x in integers]
+    ints = [as_int(x, "set entry") for x in integers]
     if not ints or any(x <= 0 for x in ints):
         raise InvalidInstanceError("need a nonempty list of positive integers")
     return ints
@@ -87,6 +87,7 @@ def gen_independent_set(adjacency: Sequence[Sequence[int]], c_target: Num = 1) -
     one per vertex, then one per edge.  delta = 1/(8 c k^2) with k the max
     degree; c is the approximation constant the family targets.
     """
+    adjacency = [[as_int(v, "vertex") for v in nbrs] for nbrs in adjacency]
     n_v = len(adjacency)
     edges = sorted(
         {(min(u, v), max(u, v)) for u, nbrs in enumerate(adjacency) for v in nbrs}
@@ -125,7 +126,7 @@ def gen_pof_sqrt(n: int) -> Instance:
     high cost; the remaining agents can do anything cheaply but badly, and
     their low incentive wage makes them envy loaded specialists.
     """
-    n = int(n)
+    n = as_int(n, "n")
     if n < 9:
         raise InvalidInstanceError("construction needs n >= 9")
     root = math.isqrt(n)
@@ -181,12 +182,12 @@ def gen_random(n: int, m: int, seed: int = 0, profile: str = "uniform") -> Insta
     half.  Tasks nobody can serve are repaired by re-drawing the cost of a
     random agent below its success value.
     """
-    n, m = int(n), int(m)
+    n, m = as_int(n, "n"), as_int(m, "m")
     if n < 1 or m < 1:
         raise InvalidInstanceError("need n, m >= 1")
     if profile not in PROFILES:
         raise InvalidInstanceError(f"unknown profile {profile!r}; pick from {PROFILES}")
-    rng = random.Random(int(seed))
+    rng = random.Random(as_int(seed, "seed"))
     D = RANDOM_DENOMINATOR
 
     def draw() -> Fraction:

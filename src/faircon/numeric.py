@@ -43,13 +43,14 @@ def as_fraction(x: Num) -> Fraction:
 
 
 def as_int(x, what: str) -> int:
-    """An integral value (1, 1.0, a numpy integer) as int.  A bool or a
-    non-integral value is rejected rather than truncated; `what` names it
+    """An integral value (1, 1.0, "1", a numpy integer) as int.  A bool or
+    a non-integral value is rejected rather than truncated; `what` names it
     in the error."""
     try:
-        if not isinstance(x, bool) and int(x) == x:
-            return int(x)
-    except (TypeError, ValueError, OverflowError):
+        value = Fraction(x) if isinstance(x, str) else x
+        if not isinstance(x, bool) and int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
         pass
     raise InvalidInstanceError(f"{what} {x!r} is not an integer")
 

@@ -13,7 +13,7 @@ from typing import Any
 
 from .core import Allocation, Contract, FairnessReport, Instance, SolveResult
 from .errors import InvalidInstanceError
-from .numeric import as_fraction, format_number
+from .numeric import as_fraction, as_int, format_number
 
 
 def instance_to_dict(inst: Instance, exact: bool = False) -> dict:
@@ -35,9 +35,9 @@ def instance_from_dict(data: dict) -> Instance:
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInstanceError(f"bad instance JSON: {exc}") from exc
     inst = Instance(r, p, c)
-    if "n" in data and int(data["n"]) != inst.n:
+    if "n" in data and as_int(data["n"], "declared n") != inst.n:
         raise InvalidInstanceError("declared n does not match p/c rows")
-    if "m" in data and int(data["m"]) != inst.m:
+    if "m" in data and as_int(data["m"], "declared m") != inst.m:
         raise InvalidInstanceError("declared m does not match r length")
     return inst
 

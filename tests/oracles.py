@@ -300,11 +300,13 @@ def dedupe_reference(rows: np.ndarray, h: np.ndarray, gidx: np.ndarray):
     return srows[keep], h[picked], gidx[picked]
 
 
-def dp_enumerate_reference(inst: Instance, disc, prune_caps=None, min_final_h=None):
+def dp_enumerate_reference(inst: Instance, disc, prune_caps=None, min_final_h=0):
     """The profile DP's transitions from their definition: per task layer,
     every candidate (state plus option delta) in one (N, n_words) array, one
     `dedupe_reference` over (key, -h, gidx), then the states over a cap or
     below the layer's h floor dropped.  No chunks, no merge, no budget.
+    The caps are per agent: prune_caps[i] bounds agent i's units on every
+    bundle, the form dp-ef1 passed before its cap became one number.
 
     Returns (gidx per layer, final keys, final h, states over all layers),
     the fields of `faircon.dp.DpResult` that `dp_enumerate` fills in.
@@ -322,8 +324,7 @@ def dp_enumerate_reference(inst: Instance, disc, prune_caps=None, min_final_h=No
         cand = (states[None, :, :] + deltas[:, None, :]).reshape(-1, packer.n_words)
         cand_h = (h[None, :] + dh[:, None]).ravel()
         states, h, gidx = dedupe_reference(cand, cand_h, np.arange(len(cand), dtype=np.int64))
-        need = 0 if min_final_h is None else min_final_h - setup.future_h[j + 1]
-        mask = h >= need
+        mask = h >= min_final_h - setup.future_h[j + 1]
         if caps is not None:
             mask &= np.all(packer.unpack_rows(states) <= caps, axis=1)
         states, h, gidx = states[mask], h[mask], gidx[mask]
@@ -442,10 +443,12 @@ def best_lp_reference(inst: Instance, budget_lps: int, models, rules_out=None):
     return best, {"lp_solves": lps, "pivots": pivots, "allocations_solved": solved}
 
 
-def best_over_guesses_reference(inst: Instance, runs, rev_floor, budget_states, verify, screen):
+def best_over_guesses_reference(
+    inst: Instance, runs, unit_cap, rev_floor, budget_states, verify, screen
+):
     """The FPTAS guess driver before it stopped at the unconstrained optimum
-    or pruned a guess: every (guess, discretization, caps) run is made, in
-    order, and the first strictly better verified candidate wins.
+    or pruned a guess: every (guess, discretization) run is made, in order,
+    and the first strictly better verified candidate wins.
 
     A drop-in for `faircon.dp._best_over_guesses` (same arguments, same
     return shape, no run pruned), so patching it in gives the reference each
@@ -457,11 +460,11 @@ def best_over_guesses_reference(inst: Instance, runs, rev_floor, budget_states, 
 
     best_rev = best = best_guess = None
     states = checks = count = 0
-    for count, (guess, disc, caps) in enumerate(runs, 1):
+    for count, (guess, disc) in enumerate(runs, 1):
         floor = rev_floor if best_rev is None else max(rev_floor, best_rev)
-        h_floor = int(floor / disc.principal_step) if floor > 0 else None
+        h_floor = int(floor / disc.principal_step)
         try:
-            dp = dp_enumerate(inst, disc, budget_states - states, caps, h_floor)
+            dp = dp_enumerate(inst, disc, budget_states - states, unit_cap, h_floor)
         except BudgetExceededError as exc:
             raise BudgetExceededError("states", budget_states, states + exc.needed) from None
         states += dp.states_total

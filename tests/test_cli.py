@@ -12,7 +12,7 @@ import pytest
 from faircon import dp, simplex
 from faircon.cli import _bench_row, main
 from faircon.serialize import dump_json, instance_to_dict, load_json
-from faircon.instances import gen_example, gen_partition_ef1, gen_random, gen_two_agent_hard
+from faircon.instances import gen_example, gen_partition_ef1, gen_random, gen_two_agent_hard, make
 
 
 REPO = Path(__file__).resolve().parents[1]
@@ -229,6 +229,16 @@ class TestSolve:
         assert run(["solve", ex52_path, "--method", "exact-ef"]) == 3
         assert "error: simplex returned infeasible point at row 0" in capsys.readouterr().err
 
+    def test_non_integral_declared_size_invalid(self, tmp_path, ex52, capsys):
+        # A file declaring n 2.9 used to load as 2 agents, and m 1.5 as 1 task.
+        path, out = tmp_path / "inst.json", tmp_path / "sol.json"
+        for key, bad in (("n", 2.9), ("m", 1.5)):
+            dump_json(instance_to_dict(ex52, exact=True) | {key: bad}, str(path))
+            assert run(["solve", path, "--method", "greedy"]) == 3
+            assert f"error: declared {key} {bad!r} is not an integer" in capsys.readouterr().err
+        dump_json(instance_to_dict(ex52, exact=True) | {"n": 2.0, "m": 1.0}, str(path))
+        assert run(["solve", path, "--method", "greedy", "--out", out]) == 0
+
     def test_bad_instance_file(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{\"r\": [2], \"p\": [[1]], \"c\": [[0]]}")
@@ -400,6 +410,30 @@ class TestBenchPof:
             assert run(argv) == 3
             assert f"invalid count value: '{bad}'" in capsys.readouterr().err
             assert not out.exists()
+
+    def test_non_integral_family_parameter_is_a_row_error(self):
+        # Each used to be truncated: n 2.5 ran 2 agents, set [1.5, 2] built
+        # partition-ef on {1, 2}, and adjacency [[1.5], [0]] a 3-agent
+        # instance on a vertex "1.5".  2.0 still reads as 2.
+        for family, params, what in (
+            ("random", {"n": 2.5, "m": 2}, "n 2.5"),
+            ("random", {"n": 2, "m": 2.5}, "m 2.5"),
+            ("random", {"n": 2, "m": 2, "seed": 1.5}, "seed 1.5"),
+            ("pof-sqrt", {"n": 9.5}, "n 9.5"),
+            ("partition-ef", {"set": [1.5, 2]}, "set entry 1.5"),
+            ("independent-set", {"adjacency": [[1.5], [0]]}, "vertex 1.5"),
+        ):
+            out = _bench_row({"family": family, "params": params}, 100, 100)
+            assert out["error"] == f"InvalidInstanceError: {what} is not an integer"
+        for family, params, ints in (
+            ("random", {"n": 2.0, "m": 2.0, "seed": 1.0}, {"n": 2, "m": 2, "seed": 1}),
+            ("pof-sqrt", {"n": 9.0}, {"n": 9}),
+            ("partition-ef", {"set": [1.0, 2]}, {"set": [1, 2]}),
+            ("independent-set", {"adjacency": [[1.0], [0.0]]}, {"adjacency": [[1], [0]]}),
+        ):
+            assert make(family, params) == make(family, ints)
+        out = _bench_row({"family": "random", "params": {"n": 2.0, "m": 2}}, 100, 100)
+        assert not out["error"] and out["n"] == 2
 
     def test_row_missing_parameter_names_it(self):
         row = {"id": "no-set", "family": "partition-ef", "params": {}}

@@ -4,7 +4,6 @@ import itertools
 import json
 import random
 from fractions import Fraction as F
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -188,16 +187,16 @@ def _drawn_block(rng, words: int):
 
 # partition-ef [1, 2, 3] on dp-eps-ef's eps 1/15 grid (K = 180): two key
 # words, tasks of 309, 18, 33 and 48 options, 10 the floor's h and
-# future_h[0] = 108.  Caps (100, 30, 30) bind agents 1 and 2 only (each
-# component reaches 90 or 36), (98, 44, 44) are dp-eps-ef's own caps, which
-# no state reaches, and 109 prunes task 0's layer, and so every later one,
-# to zero states.
+# future_h[0] = 108.  Agent 0's components reach 90 units and those of
+# agents 1 and 2 reach 36, so a unit cap of 40 binds agent 0 only and 12
+# binds every agent; 90, the largest reach, is a cap no state passes; and
+# 109 prunes task 0's layer, and so every later one, to zero states.
 PEF_123_RUNS = [
-    (None, None),
+    (None, 0),
     (None, 10),
-    ((100, 30, 30), None),
-    ((30, 12, 12), 10),
-    ((98, 44, 44), 10),
+    (40, 0),
+    (12, 10),
+    (90, 10),
     (None, 109),
 ]
 
@@ -218,15 +217,16 @@ class TestSortOnceDedupe:
                 assert g.dtype == w.dtype == np.int64
                 assert np.array_equal(g, w)
 
-    @pytest.mark.parametrize("caps, min_final_h", PEF_123_RUNS)
-    def test_dp_matches_reference_at_every_chunk(self, monkeypatch, caps, min_final_h):
+    @pytest.mark.parametrize("cap, min_final_h", PEF_123_RUNS)
+    def test_dp_matches_reference_at_every_chunk(self, monkeypatch, cap, min_final_h):
         inst = gen_partition_ef([1, 2, 3])
         disc = uniform_grid(inst, 180)
+        caps = None if cap is None else [cap] * inst.n
         layers, keys, h, total = dp_enumerate_reference(inst, disc, caps, min_final_h)
         # 5,000 candidates a block forces the rolling merge on tasks 1-3.
         for chunk in (dp_module._CHUNK, 5_000):
             monkeypatch.setattr(dp_module, "_CHUNK", chunk)
-            dp = dp_enumerate(inst, disc, prune_caps=caps, min_final_h=min_final_h)
+            dp = dp_enumerate(inst, disc, unit_cap=cap, min_final_h=min_final_h)
             assert dp.packer.n_words == 2
             assert [g.tolist() for g in dp.gidx] == [g.tolist() for g in layers]
             assert all(g.dtype == np.int64 for g in dp.gidx)
@@ -262,16 +262,13 @@ def test_eps_ef_grid_needs_no_caps():
         setup = dp_module._dp_setup(inst, disc)
         reach = sum(setup.packer.unpack_rows(t[2]).max(axis=0) for t in setup.tables)
         assert np.all(reach < np.repeat(caps, inst.n))
-        floor = revenue(inst, greedy_ef(inst)) - 2 * eps / 3
-        h_floor = int(floor * K) if floor > 0 else None
+        h_floor = int((revenue(inst, greedy_ef(inst)) - 2 * eps / 3) * K)
         plain = dp_enumerate(inst, disc, min_final_h=h_floor)
-        capped = dp_enumerate(inst, disc, prune_caps=caps, min_final_h=h_floor)
-        # The reference tests every state against the caps, with no reach
-        # pre-check to skip the test.
+        # The reference tests every state against the per-agent caps, with
+        # no reach pre-check to skip the test.
         layers, keys, h, _ = dp_enumerate_reference(inst, disc, caps, h_floor)
-        for dp in (capped, SimpleNamespace(gidx=layers, keys=keys, h=h)):
-            assert [g.tolist() for g in plain.gidx] == [g.tolist() for g in dp.gidx]
-            assert np.array_equal(plain.keys, dp.keys) and np.array_equal(plain.h, dp.h)
+        assert [g.tolist() for g in plain.gidx] == [g.tolist() for g in layers]
+        assert np.array_equal(plain.keys, keys) and np.array_equal(plain.h, h)
 
 
 class TestAdaptiveGrid:
@@ -512,6 +509,17 @@ ZERO_PR = Instance(
 )
 
 
+def _seeded_adaptive_grids():
+    """(instance, guess, K, adaptive grid) for seeded 1-3 x 1-4 instances
+    and ZERO_PR: four sampled ladder guesses each, at K = 5 and 24."""
+    for inst in random_instances(12, 3, 4, seed0=4200) + [ZERO_PR]:
+        ladder = utility_guesses(inst, 2)
+        guesses = list(itertools.product(ladder, repeat=inst.n))
+        for guess in random.Random(inst.m).sample(guesses, min(4, len(guesses))):
+            for K in (5, 24):
+                yield inst, guess, K, adaptive_grid(inst, guess, F(1, K))
+
+
 class TestOptionKernel:
     """The integer option kernel and the integer adaptive grid equal the
     Fraction definitions they replace, option for option."""
@@ -523,16 +531,30 @@ class TestOptionKernel:
 
     def test_adaptive_grids(self):
         checked = 0
-        for inst in random_instances(12, 3, 4, seed0=4200) + [ZERO_PR]:
-            ladder = utility_guesses(inst, 2)
-            guesses = list(itertools.product(ladder, repeat=inst.n))
-            for guess in random.Random(inst.m).sample(guesses, min(4, len(guesses))):
-                for K in (5, 24):
-                    disc = adaptive_grid(inst, guess, F(1, K))
-                    assert disc.task_grids == adaptive_task_grids_reference(inst, guess, K)
-                    _options_match(inst, disc)
-                    checked += 1
+        for inst, guess, K, disc in _seeded_adaptive_grids():
+            assert disc.task_grids == adaptive_task_grids_reference(inst, guess, K)
+            _options_match(inst, disc)
+            checked += 1
         assert checked > 60
+
+    def test_zero_guess_agents_hold_no_units(self):
+        # dp-ef1 caps every agent at one unit count, though an agent guessed
+        # at 0 must hold no unit: its adaptive grid ends at or below the
+        # agent's minimum wage on every task, so no option gives it a unit
+        # on any bundle and a cap of 0 would never bind.
+        zero_agents = 0
+        for inst, guess, _, disc in _seeded_adaptive_grids():
+            n = inst.n
+            packer = _Packer(10**6, n * n)
+            zeros = [i for i in range(n) if guess[i] == 0]
+            zero_agents += len(zeros)
+            for j in range(inst.m):
+                for i in zeros:
+                    assert all(agent_task_utility(inst, i, j, a) <= 0 for a in disc.task_grids[j])
+                for _, _, key, _ in _task_options(inst, disc, j, packer):
+                    units = packer.unpack_rows(np.array([key]))[0]
+                    assert not any(units[i * n + k] for i in zeros for k in range(n))
+        assert zero_agents >= 50
 
     def test_zero_guess(self, ex52):
         for inst in (ex52, ZERO_PR, gen_partition_ef1([1])):
@@ -715,11 +737,11 @@ class TestGuessDriver:
         step = F(1, 4)
 
         def run(name, *points):
-            return name, Discretization((tuple(map(F, points)),), (step,), step), None
+            return name, Discretization((tuple(map(F, points)),), (step,), step)
 
         def drive(*runs, rev_floor=ZERO):
             _, rev, guess, _, _, made, pruned = dp_module._best_over_guesses(
-                inst, runs, rev_floor, 10**6, lambda k: True, screen=False
+                inst, runs, None, rev_floor, 10**6, lambda k: True, screen=False
             )
             return rev, guess, made, pruned
 
@@ -733,6 +755,38 @@ class TestGuessDriver:
         # With no incumbent a run is made even when its bound only ties the
         # floor: its best contract earns exactly the floor.
         assert drive(run("a", F(1, 4), 1), rev_floor=F(3, 4)) == (F(3, 4), "a", 1, 0)
+
+
+@pytest.mark.parametrize("case", range(20, 24), ids=["ex52", "rand2x3s1", "pef1-1", "readme"])
+def test_unit_cap_prunes_as_per_agent_caps(monkeypatch, case):
+    # dp-ef1 used to cap agent i at K + ceil(nu / step) + m units when its
+    # guess was positive and at 0 when it was 0; it now passes the one
+    # number.  On every DP run of the four golden dp-ef1 solves, the DP
+    # keeps exactly the states the reference keeps under the old vector.
+    # Guess i is 0 exactly when agent i's utility step guess_i / K is 0.
+    inst, eps, f_bits = DRIVER_CASES[case]
+    calls = []
+    real = dp_module.dp_enumerate
+
+    def recording(*args):
+        calls.append((args, real(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(dp_module, "dp_enumerate", recording)
+    res = solve_ef1_fptas(inst, eps, f_bits=f_bits)
+    monkeypatch.undo()
+    step = res.meta["delta"]
+    cap = 1 / step + ceil_div(res.meta["nu"], step) + inst.m
+    zero_runs = 0
+    for (_, disc, _, unit_cap, h_floor, _), dp in calls:
+        assert unit_cap == cap and type(unit_cap) is int
+        caps = [cap if s > 0 else 0 for s in disc.agent_steps]
+        zero_runs += 0 in caps
+        layers, keys, h, total = dp_enumerate_reference(inst, disc, caps, h_floor)
+        assert [g.tolist() for g in dp.gidx] == [g.tolist() for g in layers]
+        assert np.array_equal(dp.keys, keys) and np.array_equal(dp.h, h)
+        assert dp.states_total == total
+    assert zero_runs > 0
 
 
 def test_state_budget_spans_all_guesses(monkeypatch, tmp_path):
