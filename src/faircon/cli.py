@@ -25,7 +25,7 @@ from .core import (
     unconstrained_opt,
 )
 from .errors import BudgetExceededError, FairconError, InvalidInstanceError
-from .numeric import as_count, as_fraction, format_scalar_text
+from .numeric import as_count, as_fraction, as_int, format_scalar_text
 
 log = logging.getLogger("faircon")
 
@@ -127,7 +127,12 @@ def number(text: str) -> Fraction:
 
 def count(text: str) -> int:
     """--budget-lps, --budget-states or --jobs: an integer of at least 1."""
-    return as_count(int(text), "count")
+    return as_count(text, "count")
+
+
+def integer(text: str) -> int:
+    """An integral flag value, written as `2` or `2.0`."""
+    return as_int(text, "integer")
 
 
 def integers(text: str) -> list[int]:
@@ -200,7 +205,7 @@ def _bench_row(row: dict, budget_lps: int, budget_states: int) -> dict:
             raise InvalidInstanceError(f"unknown ef_method {ef_method!r}")
         if ef1_method not in BENCH_EF1_METHODS:
             raise InvalidInstanceError(f"unknown ef1_method {ef1_method!r}")
-        f_bits = row.get("f_bits")
+        f_bits = as_int(row["f_bits"], "f_bits") if row.get("f_bits") is not None else None
         ef_res = _run(ef_method, inst, eps, budget_lps, budget_states, f_bits)
         ef1_res = _run(ef1_method, inst, eps, budget_lps, budget_states, f_bits)
         out.update(
@@ -263,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--tol", type=tolerance, default="1e-9")
     ps.add_argument("--budget-lps", type=count, default=exact.DEFAULT_LP_BUDGET)
     ps.add_argument("--budget-states", type=count, default=dp.DEFAULT_STATE_BUDGET)
-    ps.add_argument("--f-bits", type=int, default=None, help="override the EF1 guess resolution")
+    ps.add_argument("--f-bits", type=integer, default=None, help="override the EF1 guess resolution")
     ps.add_argument("--exact-arith", action="store_true", help="print rationals as num/den")
     ps.add_argument("--out")
     ps.set_defaults(func=cmd_solve)
@@ -284,10 +289,10 @@ def build_parser() -> argparse.ArgumentParser:
     pg.add_argument("--eps", type=number)
     pg.add_argument("--graph", type=edge_list, help="edge list like 0-1,1-2,2-0")
     pg.add_argument("--c-target", type=number, default="1")
-    pg.add_argument("--n", type=int)
-    pg.add_argument("--m", type=int)
+    pg.add_argument("--n", type=integer)
+    pg.add_argument("--m", type=integer)
     pg.add_argument("--id", help="example id: 5.2, 5.4, or 5.7")
-    pg.add_argument("--seed", type=int, default=0)
+    pg.add_argument("--seed", type=integer, default=0)
     pg.add_argument("--profile", default="uniform", choices=instances.PROFILES)
     pg.add_argument("--out", required=True)
     pg.set_defaults(func=cmd_generate)

@@ -30,8 +30,11 @@ Option generation is integer arithmetic.  A task's grid points are put
 over one common denominator D and each agent's p*r and c over one
 denominator L, so the IR sign, the agent units and the principal units of
 every (grid point, agent) pair are one integer product and one floor
-division each.  Adaptive grids are built the same way, as integer
-numerators over L*K, and each distinct point becomes a Fraction once.
+division each.  The kernel emits integer units and a grid index per
+option; each task is then packed once, in numpy, into one table that the
+transitions, the scan and the backtrack all read.  Adaptive grids are built
+the same way, as integer numerators over L*K, and each distinct point
+becomes a Fraction once.
 
 Both FPTAS solvers run through one guess loop (`_best_over_guesses`):
 per (guess, grid) run it floors the DP at the revenue the answer must
@@ -66,7 +69,7 @@ from .core import (
     Contract,
     Instance,
     SolveResult,
-    agent_task_utility,
+    agent_task_utility,  # unused here; perfbench/tracing.py wraps dp.agent_task_utility
     greedy_ef,
     minimum_wage,
     revenue,
@@ -195,15 +198,14 @@ class _Packer:
         self.per_word = max(1, int(62 // math.log2(max(2, radix))))
         self.n_words = -(-n_comp // self.per_word)
 
-    def pack(self, comps: Sequence[int]) -> tuple[int, ...]:
-        words = []
-        for w in range(self.n_words):
-            chunk = comps[w * self.per_word : (w + 1) * self.per_word]
-            key = 0
-            for c in chunk:
-                key = key * self.radix + c
-            words.append(key)
-        return tuple(words)
+    def pack_rows(self, comps: np.ndarray) -> np.ndarray:
+        """(N, n_comp) int64 component matrix -> (N, n_words) int64."""
+        out = np.zeros((len(comps), self.n_words), dtype=np.int64)
+        for pos in range(self.n_comp):
+            word = out[:, pos // self.per_word]
+            word *= self.radix
+            word += comps[:, pos]
+        return out
 
     def unpack_rows(self, rows: np.ndarray) -> np.ndarray:
         """(N, n_words) int64 -> (N, n_comp) int64 component matrix."""
@@ -231,10 +233,9 @@ class DpResult:
     inst: Instance
     disc: Discretization
     packer: _Packer
-    options: list[list[tuple[int, Fraction, tuple[int, ...], int]]]
-    # Per task: the agent, float contract, packed deltas and principal
-    # units of each option, as arrays.
-    tables: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
+    # Per task: the agent, float contract, packed deltas, principal units
+    # and contract grid index of each option, as arrays.
+    tables: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
     future_h: list[int]  # most principal units obtainable from task j on
     gidx: list = field(default_factory=list)
     keys: Optional[np.ndarray] = None
@@ -242,11 +243,9 @@ class DpResult:
     states_total: int = 0
 
     def reconstruct(self, index: int) -> tuple[tuple[int, ...], tuple[Fraction, ...]]:
-        assignment = [0] * self.inst.m
-        alphas: list[Fraction] = [ZERO] * self.inst.m
-        for t, o in self._walk(index):
-            assignment[t], alphas[t] = self.options[t][o][:2]
-        return tuple(assignment), tuple(alphas)
+        path = sorted(self._walk(index))  # (task, option index), task 0 first
+        assignment = tuple(int(self.tables[t][0][o]) for t, o in path)
+        return assignment, tuple(self.disc.task_grids[t][self.tables[t][4][o]] for t, o in path)
 
     def _walk(self, positions):
         """(task, option index) for final-layer positions, an int or an
@@ -286,11 +285,12 @@ class DpResult:
 
 
 def _task_options(
-    inst: Instance, disc: Discretization, j: int, packer: _Packer
-) -> list[tuple[int, Fraction, tuple[int, ...], int]]:
-    """IR (alpha, agent) choices for task j as (agent, alpha, packed cross
-    deltas, principal units), deduplicated when they move the profile
-    identically.
+    inst: Instance, disc: Discretization, j: int
+) -> list[tuple[int, int, tuple[int, ...], int]]:
+    """IR (alpha, agent) choices for task j as (agent, grid index of alpha,
+    every agent's units, principal units), deduplicated when they move the
+    profile identically.  An agent's units are the same on any receiver's
+    bundle.
 
     Exact integer kernel: with the grid point alpha = A/D and agent i's
     p*r = P_i/L_i and c = C_i/L_i, utility u_i = (A P_i - D C_i)/(D L_i), so
@@ -314,12 +314,12 @@ def _task_options(
         h_den.append(D * L[i] * h_step.numerator)
         h_mul.append(P[i] * h_step.denominator)
 
-    out: list[tuple[int, Fraction, tuple[int, ...], int]] = []
+    out: list[tuple[int, int, tuple[int, ...], int]] = []
     seen: set[tuple[int, ...]] = set()
-    for alpha in grid:
+    for k, alpha in enumerate(grid):
         A = alpha.numerator * (D // alpha.denominator)
         u = [A * P[i] - DC[i] for i in range(n)]  # D L_i times the utility
-        units = [0] * n  # the same for any receiver
+        units = [0] * n
         for i in range(n):
             if u[i] > 0:
                 if unit_den[i] == 0:
@@ -337,9 +337,7 @@ def _task_options(
             if sig in seen:
                 continue
             seen.add(sig)
-            dv = [0] * (n * n)
-            dv[agent::n] = units  # agent i's units on the receiver's bundle
-            out.append((agent, alpha, packer.pack(dv), dh))
+            out.append((agent, k, units, dh))
     return out
 
 
@@ -403,30 +401,24 @@ def _dedupe_block(cols: list[np.ndarray], h: np.ndarray, gidx: np.ndarray):
 
 def _dp_setup(inst: Instance, disc: Discretization) -> DpResult:
     """A DpResult before any transition: the profile packer, every task's
-    options, as tuples and as arrays, and `future_h`."""
+    options as one table, and `future_h`."""
     n, m = inst.n, inst.m
-    max_units = 0
+    unpacked = []
     for j in range(m):
-        top = disc.task_grids[j][-1]
-        for i in range(n):
-            u = agent_task_utility(inst, i, j, top)
-            if u > 0 and disc.agent_steps[i] > 0:
-                max_units = max(max_units, ceil_div(u, disc.agent_steps[i]))
-    packer = _Packer(m * max(1, max_units) + 1, n * n)
-    options = [_task_options(inst, disc, j, packer) for j in range(m)]
-    tables = [
-        (
-            np.array([o[0] for o in opts], dtype=np.int64),
-            np.array([float(o[1]) for o in opts], dtype=np.float64),
-            np.array([o[2] for o in opts], dtype=np.int64),
-            np.array([o[3] for o in opts], dtype=np.int64),
-        )
-        for opts in options
-    ]
-    future_h = [0] * (m + 1)
-    for j in range(m - 1, -1, -1):
-        future_h[j] = future_h[j + 1] + max((o[3] for o in options[j]), default=0)
-    return DpResult(inst, disc, packer, options, tables, future_h)
+        if not (opts := _task_options(inst, disc, j)):
+            raise FairconError(f"task {j} has no IR grid contract")
+        agents, points, units, dh = (np.array(col, dtype=np.int64) for col in zip(*opts))
+        alphas = np.array([float(disc.task_grids[j][k]) for k in points.tolist()])
+        unpacked.append((agents, alphas, units, dh, points))
+    # No profile component exceeds m times the largest unit of one option.
+    packer = _Packer(m * max(1, max(int(t[2].max()) for t in unpacked)) + 1, n * n)
+    tables = []
+    for agents, alphas, units, dh, points in unpacked:
+        deltas = np.zeros((len(dh), n, n), dtype=np.int64)
+        deltas[np.arange(len(dh)), :, agents] = units  # agent i's units on the receiver's bundle
+        tables.append((agents, alphas, packer.pack_rows(deltas.reshape(len(dh), -1)), dh, points))
+    future_h = list(itertools.accumulate((int(t[3].max()) for t in reversed(tables)), initial=0))
+    return DpResult(inst, disc, packer, tables, future_h[::-1])
 
 
 def dp_enumerate(
@@ -457,7 +449,7 @@ def dp_enumerate(
     # No state exceeds the sum over tasks of each component's largest
     # option delta, so the cap test runs only when that sum passes the cap.
     if unit_cap is not None:
-        reach = sum(packer.unpack_rows(t[2]).max(axis=0) for t in result.tables if len(t[3]))
+        reach = sum(packer.unpack_rows(t[2]).max(axis=0) for t in result.tables)
         if np.all(reach <= unit_cap):
             unit_cap = None
 
@@ -477,9 +469,7 @@ def dp_enumerate(
     h_vals = np.zeros(1, dtype=np.int64)
     total = 0
     for j in range(m):
-        _, _, deltas, dh = result.tables[j]
-        if not len(dh):
-            raise FairconError(f"task {j} has no IR grid contract")
+        deltas, dh = result.tables[j][2:4]
         need = min_final_h - future_h[j + 1]
         n_prev = len(h_vals)
         # A candidate's h is h_vals[s] + dh[o]: when the smallest clears

@@ -233,6 +233,8 @@ def make(family: str, params: dict) -> Instance:
     if family not in FAMILIES:
         raise InvalidInstanceError(f"unknown family {family!r}")
     gen, required, optional = FAMILIES[family]
+    if unknown := [key for key in params if key not in required + optional]:
+        raise InvalidInstanceError(f"family {family} takes no parameter {unknown[0]!r}")
     for key in required:
         if key not in params:
             raise InvalidInstanceError(f"family {family} needs parameter {key!r}")

@@ -320,7 +320,7 @@ def dp_enumerate_reference(inst: Instance, disc, prune_caps=None, min_final_h=0)
     h = np.zeros(1, dtype=np.int64)
     layers, total = [], 0
     for j in range(inst.m):
-        _, _, deltas, dh = setup.tables[j]
+        deltas, dh = setup.tables[j][2], setup.tables[j][3]
         cand = (states[None, :, :] + deltas[:, None, :]).reshape(-1, packer.n_words)
         cand_h = (h[None, :] + dh[:, None]).ravel()
         states, h, gidx = dedupe_reference(cand, cand_h, np.arange(len(cand), dtype=np.int64))
@@ -342,10 +342,11 @@ def best_h_per_profile(profiles) -> dict:
     return best
 
 
-def task_options_reference(inst: Instance, disc, j: int, packer):
-    """IR (agent, alpha, packed cross deltas, principal units) choices for
-    task j, in Fractions straight from the rounding definitions: the DP's
-    option list before its integer kernel, kept as the kernel's reference.
+def task_options_reference(inst: Instance, disc, j: int):
+    """IR (agent, grid index of alpha, every agent's units, principal units)
+    choices for task j, in Fractions straight from the rounding definitions:
+    the DP's option list before its integer kernel, kept as the kernel's
+    reference.
 
     Units are ceil(u / step) for u > 0 and 0 otherwise; a positive utility
     on a degenerate (step 0) grid raises FairconError.
@@ -362,21 +363,18 @@ def task_options_reference(inst: Instance, disc, j: int, packer):
     n = inst.n
     out = []
     seen = set()
-    for alpha in disc.task_grids[j]:
+    for k, alpha in enumerate(disc.task_grids[j]):
         u = [alpha * inst.p[i][j] * inst.r[j] - inst.c[i][j] for i in range(n)]
-        du = [units(x, disc.agent_steps[i], i) for i, x in enumerate(u)]
+        du = tuple(units(x, disc.agent_steps[i], i) for i, x in enumerate(u))
         for agent in range(n):
             if u[agent] < 0:
                 continue
-            dv = [0] * (n * n)
-            for i in range(n):
-                dv[i * n + agent] = du[i]
             dh = units((1 - alpha) * inst.p[agent][j] * inst.r[j], disc.principal_step, agent)
-            sig = (agent, dh, *dv)
+            sig = (agent, dh, du)
             if sig in seen:
                 continue
             seen.add(sig)
-            out.append((agent, alpha, packer.pack(dv), dh))
+            out.append((agent, k, du, dh))
     return out
 
 

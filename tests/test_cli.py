@@ -411,6 +411,43 @@ class TestBenchPof:
             assert f"invalid count value: '{bad}'" in capsys.readouterr().err
             assert not out.exists()
 
+    def test_integral_flags_take_the_config_forms(self, tmp_path, ex52_path, capsys):
+        # --budget-lps 4.0, --jobs 4.0 and --f-bits 2.0 used to exit 3,
+        # though a bench-pof config takes 4.0; true and 1.5 still exit 3.
+        out = tmp_path / "out"
+        solve = ["solve", ex52_path, "--method", "dp-ef1", "--eps", "1/4", "--out", out]
+        assert run(solve + ["--f-bits", "2.0", "--budget-lps", "4.0", "--budget-states", "1e6"]) == 0
+        assert load_json(str(out))["meta"]["f_bits"] == 2
+        assert run(["bench-pof", POF_CONFIG, "--out", out, "--jobs", "2.0"]) == 0
+        out.unlink()
+        for bad in ("true", "1.5"):
+            for argv, kind in (
+                (solve + ["--f-bits", bad], "integer"),
+                (solve + ["--budget-lps", bad], "count"),
+                (["bench-pof", POF_CONFIG, "--out", out, "--jobs", bad], "count"),
+            ):
+                assert run(argv) == 3
+                assert f"invalid {kind} value: '{bad}'" in capsys.readouterr().err
+                assert not out.exists()
+
+    def test_row_f_bits_is_read_as_an_integer(self):
+        # Example 5.2 at eps 1/20 by dp-ef1 at eps 1/4: f_bits true used to
+        # run as 1 bit, and 2.0 and "2" failed the row with a TypeError.
+        row = {"family": "example", "params": {"id": "5.2", "eps": "1/20"}, "eps": "1/4",
+               "ef1_method": "dp-ef1"}
+        good = _bench_row({**row, "f_bits": 2}, 1000, 10**6)
+        assert not good["error"]
+        for f_bits in (2.0, "2"):
+            assert _bench_row({**row, "f_bits": f_bits}, 1000, 10**6) == good
+        for f_bits in (True, 1.5):
+            out = _bench_row({**row, "f_bits": f_bits}, 1000, 10**6)
+            assert out["error"] == f"InvalidInstanceError: f_bits {f_bits!r} is not an integer"
+
+    def test_unknown_family_parameter_is_a_row_error(self):
+        # The misspelled seed used to run seed 0 and report ok.
+        out = _bench_row({"family": "random", "params": {"n": 2, "m": 3, "sed": 5}}, 100, 100)
+        assert out["error"] == "InvalidInstanceError: family random takes no parameter 'sed'"
+
     def test_non_integral_family_parameter_is_a_row_error(self):
         # Each used to be truncated: n 2.5 ran 2 agents, set [1.5, 2] built
         # partition-ef on {1, 2}, and adjacency [[1.5], [0]] a 3-agent

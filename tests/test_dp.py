@@ -69,20 +69,18 @@ from oracles import (
 
 class TestRounding:
     def test_unit_rounding_overshoot_bounded(self):
-        # Every option's units, decoded from its key, round the true
-        # utilities up by less than one step.
+        # Every option's units round the true utilities up by less than one
+        # step.
         inst = gen_random(2, 3, 123)
         disc = uniform_grid(inst, 10)
-        n = inst.n
-        packer = _Packer(10**6, n * n)
         for j in range(inst.m):
-            for agent, alpha, key, dh in _task_options(inst, disc, j, packer):
-                comps = packer.unpack_rows(np.array([key], dtype=np.int64))[0]
+            for agent, k, units, dh in _task_options(inst, disc, j):
+                alpha = disc.task_grids[j][k]
                 tru = (1 - alpha) * inst.p[agent][j] * inst.r[j]
                 assert tru <= dh * F(1, 10) <= tru + F(1, 10)
-                for i in range(n):
+                for i in range(inst.n):
                     true = max(agent_task_utility(inst, i, j, alpha), ZERO)
-                    rounded = comps[i * n + agent] * F(1, 10)
+                    rounded = units[i] * F(1, 10)
                     assert true <= rounded <= true + F(1, 10)
 
 
@@ -159,6 +157,19 @@ class TestDpEnumerate:
         paths = [dp.reconstruct(pos) for pos in range(len(positions))]
         assert agents.tolist() == [list(a) for a, _ in paths]
         assert alphas.tolist() == [[float(x) for x in al] for _, al in paths]
+
+    def test_pack_rows_inverts_unpack_rows(self):
+        packer = _Packer(1000, 7)  # six components in the first word, one in the second
+        assert packer.n_words == 2
+        comps = np.random.default_rng(0).integers(0, 1000, size=(50, 7))
+        assert np.array_equal(packer.unpack_rows(packer.pack_rows(comps)), comps)
+
+    def test_task_without_ir_contract_raises(self):
+        # No agent is IR at the task's one grid point, alpha = 0.
+        inst = Instance(r=(1,), p=((F(1, 2),),), c=((F(1, 4),),))
+        disc = Discretization(task_grids=((ZERO,),), agent_steps=(F(1, 4),), principal_step=F(1, 4))
+        with pytest.raises(FairconError, match="task 0 has no IR grid contract"):
+            dp_enumerate(inst, disc)
 
     def test_state_budget(self):
         inst = gen_random(2, 4, 3)
@@ -495,11 +506,10 @@ def _fptas_runs(monkeypatch, inst, eps, f_bits, budget_states=None):
 
 def _options_match(inst, disc):
     """The kernel's options equal the Fraction reference's, with int units."""
-    packer = _Packer(10**6, inst.n * inst.n)
     for j in range(inst.m):
-        kernel = _task_options(inst, disc, j, packer)
-        assert kernel == task_options_reference(inst, disc, j, packer)
-        assert all(type(x) is int for o in kernel for x in (o[0], o[3], *o[2]))
+        kernel = _task_options(inst, disc, j)
+        assert kernel == task_options_reference(inst, disc, j)
+        assert all(type(x) is int for o in kernel for x in (o[0], o[1], o[3], *o[2]))
 
 
 # Agent 0 can never be paid on task 0 (p r = 0, c > 0); agent 1 does task 1
@@ -544,17 +554,34 @@ class TestOptionKernel:
         # on any bundle and a cap of 0 would never bind.
         zero_agents = 0
         for inst, guess, _, disc in _seeded_adaptive_grids():
-            n = inst.n
-            packer = _Packer(10**6, n * n)
-            zeros = [i for i in range(n) if guess[i] == 0]
+            zeros = [i for i in range(inst.n) if guess[i] == 0]
             zero_agents += len(zeros)
             for j in range(inst.m):
                 for i in zeros:
                     assert all(agent_task_utility(inst, i, j, a) <= 0 for a in disc.task_grids[j])
-                for _, _, key, _ in _task_options(inst, disc, j, packer):
-                    units = packer.unpack_rows(np.array([key]))[0]
-                    assert not any(units[i * n + k] for i in zeros for k in range(n))
+                for _, _, units, _ in _task_options(inst, disc, j):
+                    # An agent's units are the same on every receiver's bundle.
+                    assert not any(units[i] for i in zeros)
         assert zero_agents >= 50
+
+    def test_radix_is_the_largest_grid_top_unit(self):
+        # _dp_setup reads the packer's radix off the option table.  It must
+        # be m * max(1, U) + 1, with U the largest ceil(u / step) over the
+        # agents at each task's grid top, as the utilities give it.
+        cases = [(inst, disc) for inst, _, _, disc in _seeded_adaptive_grids()]
+        cases += [
+            (inst, uniform_grid(inst, steps))
+            for inst in random_instances(12, 3, 4, seed0=4100) + [ZERO_PR]
+            for steps in (1, 7, 12)
+        ]
+        for inst, disc in cases:
+            top_units = [0]
+            for j, i in itertools.product(range(inst.m), range(inst.n)):
+                u = agent_task_utility(inst, i, j, disc.task_grids[j][-1])
+                if u > 0:
+                    top_units.append(ceil_div(u, disc.agent_steps[i]))
+            radix = dp_module._dp_setup(inst, disc).packer.radix
+            assert radix == inst.m * max(1, max(top_units)) + 1
 
     def test_zero_guess(self, ex52):
         for inst in (ex52, ZERO_PR, gen_partition_ef1([1])):
@@ -570,12 +597,11 @@ class TestOptionKernel:
             agent_steps=(ZERO, F(1, 8)),
             principal_step=F(1, 8),
         )
-        packer = _Packer(100, 4)
         # At alpha 1/2 agent 0 earns 1/8 but has no utility grid.
         with pytest.raises(FairconError) as ref:
-            task_options_reference(inst, disc, 0, packer)
+            task_options_reference(inst, disc, 0)
         with pytest.raises(FairconError) as kernel:
-            _task_options(inst, disc, 0, packer)
+            _task_options(inst, disc, 0)
         assert str(kernel.value) == str(ref.value) == (
             "agent 0 has positive utility 1/8 but a degenerate grid"
         )

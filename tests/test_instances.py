@@ -178,6 +178,14 @@ def test_make_dispatch():
     assert make("example", {"id": 5.2, "eps": "1/100"}).n == 2
 
 
+def test_make_rejects_unknown_parameter():
+    # A misspelled parameter used to be ignored: "sed" ran seed 0.
+    with pytest.raises(InvalidInstanceError, match="family random takes no parameter 'sed'"):
+        make("random", {"n": 2, "m": 3, "sed": 5})
+    with pytest.raises(InvalidInstanceError, match="family pof-sqrt takes no parameter 'seed'"):
+        make("pof-sqrt", {"n": 9, "seed": 1})
+
+
 def test_make_missing_parameter():
     with pytest.raises(InvalidInstanceError, match="needs parameter 'set'"):
         make("partition-ef", {})
