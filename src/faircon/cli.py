@@ -70,6 +70,9 @@ NOTIONS = {"ef": "ef_ok", "eps-ef": "eps_ef_ok", "ef1": "ef1_ok", "efs": "efs_ok
 # The methods bench-pof accepts for its EF and EF1 columns.
 BENCH_EF_METHODS = ("exact-ef", "dp-eps-ef", "greedy")
 BENCH_EF1_METHODS = ("exact-ef1", "dp-ef1", "round-robin")
+# The keys a bench-pof config and each of its rows may set.
+BENCH_KEYS = ("rows", "budget_lps", "budget_states", "jobs")
+BENCH_ROW_KEYS = ("id", "family", "params", "eps", "ef_method", "ef1_method", "f_bits")
 
 
 def _run(method: str, inst, eps, budget_lps: int, budget_states: int, f_bits) -> SolveResult:
@@ -136,7 +139,7 @@ def integer(text: str) -> int:
 
 
 def integers(text: str) -> list[int]:
-    return [int(x) for x in text.replace(",", " ").split()]
+    return [as_int(x, "integer") for x in text.replace(",", " ").split()]
 
 
 def edge_list(text: str) -> list[list[int]]:
@@ -144,7 +147,7 @@ def edge_list(text: str) -> list[list[int]]:
     edges = []
     for part in text.replace(",", " ").split():
         u, v = part.split("-")
-        edges.append((int(u), int(v)))
+        edges.append((as_int(u, "vertex"), as_int(v, "vertex")))
     n = max(max(e) for e in edges) + 1
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
@@ -195,6 +198,8 @@ def _bench_row(row: dict, budget_lps: int, budget_states: int) -> dict:
         if not isinstance(row, dict):
             raise InvalidInstanceError(f"row {row!r} is not an object")
         out["instance_id"] = row.get("id", "")
+        if unknown := [key for key in row if key not in BENCH_ROW_KEYS]:
+            raise InvalidInstanceError(f"row takes no key {unknown[0]!r}")
         inst = instances.make(row["family"], row.get("params", {}))
         out["n"], out["m"] = inst.n, inst.m
         eps = as_fraction(row["eps"]) if row.get("eps") is not None else None
@@ -228,6 +233,8 @@ def cmd_bench_pof(args) -> int:
     rows = config.get("rows", []) if isinstance(config, dict) else None
     if not isinstance(rows, list):
         raise InvalidInstanceError("bench config must be an object whose rows are a list")
+    if unknown := [key for key in config if key not in BENCH_KEYS]:
+        raise InvalidInstanceError(f"bench config takes no key {unknown[0]!r}")
     budget_lps = as_count(config.get("budget_lps", exact.DEFAULT_LP_BUDGET), "budget_lps")
     budget_states = as_count(config.get("budget_states", dp.DEFAULT_STATE_BUDGET), "budget_states")
     jobs = args.jobs or as_count(config.get("jobs", 1), "jobs")

@@ -3,16 +3,19 @@
 The envy constraints' inner max{alpha p r - c, 0} terms are linearized with
 auxiliary variables t[i,k] >= max(alpha_k p_ik r_k - c_ik, 0); at an optimum
 the t take exactly the clamped values, so the LP optimum matches the clamped
-program.  Variants: plain EF, EF relaxed by eps, EF1 with a chosen
-removable task per pair (an agent with an empty bundle included), and
-EF-with-subsidies.
+program.  One function emits every contract LP (plain EF, EF relaxed by
+eps, EF1 with a chosen removable task per pair, EF-with-subsidies) with its
+rows in one order: an IR row per task, the t-definition rows agent-major,
+the envy rows, then the m alpha <= 1 rows.  Slack indices drive the
+simplex's Bland tie-breaks, so that order is part of every result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Optional
+from itertools import permutations
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from . import simplex
 from .core import Allocation, Contract, Instance
@@ -32,8 +35,15 @@ class LpModel:
     """maximize objective_const + objective . x  s.t. rows, 0 <= x.
 
     Variables are indexed: alpha[j] at j, t[i,k] at m + i*m + k, then, in the
-    EFS model, the subsidy s[i] at m + n*m + i.  The contract models end
-    with the m rows -alpha[j] >= -1.
+    EFS model, the subsidy s[i] at m + n*m + i.  With a_j the agent of task
+    j and pr = p r, a contract model maximizes sum_j pr_{a_j j} (1 - alpha_j)
+    (minus sum_i s_i in EFS) over these rows, in order:
+      - per task j: pr_{a_j j} alpha_j >= c_{a_j j};
+      - per agent i, then task k: t[i,k] - pr_ik alpha_k >= -c_ik;
+      - per pair (i, j), i-major: sum_{S_i} pr_ik alpha_k - sum_{S_j} t[i,k]
+        (+ s_i - s_j in EFS) >= sum_{S_i} c_ik - eps (eps-EF only); EF1 drops
+        its witness task from S_j and has no row when S_j is empty;
+      - per task j: -alpha[j] >= -1.
     """
 
     n_vars: int
@@ -54,58 +64,38 @@ class LpSolution:
         return self.status == simplex.OPTIMAL
 
 
-class _Builder:
-    """The variable layout and the rows every contract LP shares: the
-    revenue objective, the IR rows and the t-definition rows."""
-
-    def __init__(self, inst: Instance, alloc: Allocation, subsidized: bool = False):
-        if alloc.m != inst.m or alloc.n_agents != inst.n:
-            raise InvalidInstanceError("allocation does not match instance")
-        n, m = inst.n, inst.m
-        self.inst = inst
-        self.bundles = alloc.bundles()
-        self.subsidized = subsidized
-        self.objective: dict[int, Fraction] = {}
-        self.const = ZERO
-        self.rows: list[LpRow] = []
-        for j, i in enumerate(alloc.assignment):
-            pr = inst.pr[i][j]
-            self.const += pr
-            self.objective[j] = -pr
-            self.rows.append(LpRow({j: pr}, inst.c[i][j]))
+def _contract_lp(
+    inst: Instance,
+    alloc: Allocation,
+    envy: Iterable[tuple[int, int, Optional[int]]],
+    relax: Fraction = ZERO,
+    subsidized: bool = False,
+) -> LpModel:
+    """The contract LP of `alloc` with one envy row per (i, j, w) in `envy`
+    (w is the task dropped from S_j, or None), in the `LpModel` row order."""
+    if alloc.m != inst.m or alloc.n_agents != inst.n:
+        raise InvalidInstanceError("allocation does not match instance")
+    n, m, pr, c = inst.n, inst.m, inst.pr, inst.c
+    bundles = alloc.bundles()
+    s = m * (n + 1)
+    objective = {s + i: -ONE for i in range(n)} if subsidized else {}
+    const = ZERO
+    rows: list[LpRow] = []
+    for j, i in enumerate(alloc.assignment):
+        const += pr[i][j]
+        objective[j] = -pr[i][j]
+        rows.append(LpRow({j: pr[i][j]}, c[i][j]))
+    for i in range(n):
+        for k in range(m):
+            rows.append(LpRow({m + i * m + k: ONE, k: -pr[i][k]}, -c[i][k]))
+    for i, j, w in envy:
+        coeffs = {k: pr[i][k] for k in bundles[i]}
+        coeffs.update((m + i * m + k, -ONE) for k in bundles[j] if k != w)
         if subsidized:
-            for i in range(n):
-                self.objective[self.s(i)] = -ONE
-        for i in range(n):
-            for k in range(m):
-                self.rows.append(LpRow({self.t(i, k): ONE, k: -inst.pr[i][k]}, -inst.c[i][k]))
-
-    def t(self, i: int, k: int) -> int:
-        return self.inst.m + i * self.inst.m + k
-
-    def s(self, i: int) -> int:
-        return self.inst.m * (self.inst.n + 1) + i
-
-    def envy_row(self, i: int, j: int, exclude: Optional[int] = None, relax: Fraction = ZERO) -> None:
-        """sum_{k in S_i} alpha_k p r - sum_{k in S_j minus exclude} t_{i,k}
-        (+ s_i - s_j when subsidized) >= sum_{k in S_i} c - relax."""
-        coeffs: dict[int, Fraction] = {}
-        rhs = -relax
-        for k in self.bundles[i]:
-            coeffs[k] = self.inst.pr[i][k]
-            rhs += self.inst.c[i][k]
-        for k in self.bundles[j]:
-            if k != exclude:
-                coeffs[self.t(i, k)] = -ONE
-        if self.subsidized:
-            coeffs[self.s(i)] = ONE
-            coeffs[self.s(j)] = -ONE
-        self.rows.append(LpRow(coeffs, rhs))
-
-    def model(self) -> LpModel:
-        n_vars = self.s(0) + (self.inst.n if self.subsidized else 0)
-        bounds = [LpRow({j: -ONE}, -ONE) for j in range(self.inst.m)]
-        return LpModel(n_vars, self.objective, self.const, self.rows + bounds)
+            coeffs.update({s + i: ONE, s + j: -ONE})
+        rows.append(LpRow(coeffs, sum((c[i][k] for k in bundles[i]), -relax)))
+    rows += [LpRow({j: -ONE}, -ONE) for j in range(m)]
+    return LpModel(s + n if subsidized else s, objective, const, rows)
 
 
 def build_ef_lp(inst: Instance, alloc: Allocation, eps: Num = 0) -> LpModel:
@@ -114,12 +104,8 @@ def build_ef_lp(inst: Instance, alloc: Allocation, eps: Num = 0) -> LpModel:
     eps = as_fraction(eps)
     if eps < 0:
         raise InvalidInstanceError("eps must be nonnegative")
-    b = _Builder(inst, alloc)
-    for i in range(inst.n):
-        for j in range(inst.n):
-            if i != j:
-                b.envy_row(i, j, relax=eps)
-    return b.model()
+    envy = [(i, j, None) for i, j in permutations(range(inst.n), 2)]
+    return _contract_lp(inst, alloc, envy, eps)
 
 
 def build_ef1_lp(
@@ -132,19 +118,16 @@ def build_ef1_lp(
     task dropped from S_j in agent i's comparison and must lie in S_j.
     Pairs with S_j empty impose no row.
     """
-    b = _Builder(inst, alloc)
-    bundles = b.bundles
-    for i in range(inst.n):
-        for j in range(inst.n):
-            if i == j or not bundles[j]:
-                continue
-            w = witnesses.get((i, j))
-            if w is None or w not in bundles[j]:
+    bundles = alloc.bundles()
+    envy = []
+    for i, j in permutations(range(alloc.n_agents), 2):
+        if bundles[j]:
+            if (w := witnesses.get((i, j))) not in bundles[j]:
                 raise InvalidInstanceError(
                     f"pair ({i},{j}) needs a witness task inside S_{j}, got {w}"
                 )
-            b.envy_row(i, j, exclude=w)
-    return b.model()
+            envy.append((i, j, w))
+    return _contract_lp(inst, alloc, envy)
 
 
 def build_efs_lp(inst: Instance, alloc: Allocation) -> LpModel:
@@ -155,12 +138,8 @@ def build_efs_lp(inst: Instance, alloc: Allocation) -> LpModel:
     added unit tasks of the reduction only ever matter through each agent's
     total payment on them, which this LP models directly as s_i.
     """
-    b = _Builder(inst, alloc, subsidized=True)
-    for i in range(inst.n):
-        for j in range(inst.n):
-            if i != j:
-                b.envy_row(i, j)
-    return b.model()
+    envy = [(i, j, None) for i, j in permutations(range(inst.n), 2)]
+    return _contract_lp(inst, alloc, envy, subsidized=True)
 
 
 def solve_lp(model: LpModel) -> LpSolution:

@@ -509,15 +509,67 @@ def ef1_case4_models(inst: Instance, alloc: Allocation):
     for witness_choice in witness_product:
         witnesses = {pair: task for (pair, _), task in zip(pair_options, witness_choice)}
         for bound_choice in itertools.product(*bound_options):
-            b = lp._Builder(inst, alloc)
-            for (i, j), w in witnesses.items():
-                b.envy_row(i, j, exclude=w)
-            model = b.model()
+            model = lp._contract_lp(inst, alloc, [(i, j, w) for (i, j), w in witnesses.items()])
             rows = model.rows
             for chunk in bound_choice:
                 for k, bound in chunk.items():
                     rows[len(rows) - inst.m + k] = lp.LpRow({k: -ONE}, -min(ONE, bound))
             yield model
+
+
+def contract_lp_reference(
+    inst: Instance, alloc: Allocation, notion: str, eps=ZERO, witnesses=None
+) -> tuple:
+    """The contract LP of `faircon.lp`, written densely from the row
+    formulas of the `LpModel` docstring: (n_vars, objective,
+    objective_const, rows), each row a (coefficient list, rhs) pair.
+
+    notion is 'ef' (relaxed by eps), 'ef1' (witnesses[(i, j)] dropped from
+    S_j; no row when S_j is empty) or 'efs' (a subsidy per agent).
+    """
+    n, m, owner = inst.n, inst.m, alloc.assignment
+    subsidized = notion == "efs"
+    n_vars = m + n * m + (n if subsidized else 0)
+
+    def pr(i, k):
+        return inst.p[i][k] * inst.r[k]
+
+    def t(i, k):
+        return m + i * m + k
+
+    def s(i):
+        return m + n * m + i
+
+    def dense(terms):
+        out = [ZERO] * n_vars
+        for var, coeff in terms:
+            out[var] += coeff
+        return out
+
+    objective = dense(
+        [(j, -pr(owner[j], j)) for j in range(m)]
+        + [(s(i), -ONE) for i in range(n) if subsidized]
+    )
+    const = sum((pr(owner[j], j) for j in range(m)), ZERO)
+    rows = [(dense([(j, pr(owner[j], j))]), inst.c[owner[j]][j]) for j in range(m)]
+    for i in range(n):
+        for k in range(m):
+            rows.append((dense([(t(i, k), ONE), (k, -pr(i, k))]), -inst.c[i][k]))
+    for i in range(n):
+        own = [k for k in range(m) if owner[k] == i]
+        for j in range(n):
+            envied = [k for k in range(m) if owner[k] == j]
+            if i == j or (notion == "ef1" and not envied):
+                continue
+            if notion == "ef1":
+                envied.remove(witnesses[i, j])
+            terms = [(k, pr(i, k)) for k in own] + [(t(i, k), -ONE) for k in envied]
+            if subsidized:
+                terms += [(s(i), ONE), (s(j), -ONE)]
+            rhs = sum((inst.c[i][k] for k in own), ZERO) - (eps if notion == "ef" else ZERO)
+            rows.append((dense(terms), rhs))
+    rows += [(dense([(j, -ONE)]), -ONE) for j in range(m)]
+    return n_vars, objective, const, rows
 
 
 def simplex_reference(

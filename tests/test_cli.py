@@ -61,6 +61,26 @@ class TestGenerate:
         assert run(["generate", "random", "--n", 2, *out]) == 3
         assert not (tmp_path / "x.json").exists()
 
+    def test_set_and_graph_read_integers_like_the_other_flags(self, tmp_path, capsys):
+        # --set 1,2.0 used to exit 3 though make() and a bench-pof row take
+        # 2.0 as 2; 1.5 and true still exit 3.
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        for family, flag, ints, floats, bads, kind in (
+            ("partition-ef", "--set", "1,2", "1,2.0", ("1,1.5", "1,true"), "integers"),
+            ("independent-set", "--graph", "0-1,1-2", "0-1.0,1-2", ("0-1.5", "0-true"),
+             "edge_list"),
+        ):
+            assert run(["generate", family, flag, ints, "--out", a]) == 0
+            assert run(["generate", family, flag, floats, "--out", b]) == 0
+            assert a.read_bytes() == b.read_bytes()
+            manifests = [Path(f"{path}.manifest.json").read_bytes() for path in (a, b)]
+            assert manifests[0] == manifests[1]
+            b.unlink()
+            for bad in bads:
+                assert run(["generate", family, flag, bad, "--out", b]) == 3
+                assert f"{flag}: invalid {kind} value: '{bad}'" in capsys.readouterr().err
+                assert not b.exists()
+
     def test_missing_example_id(self, tmp_path, capsys):
         out = tmp_path / "x.json"
         assert run(["generate", "example", "--eps", "1/4", "--out", out]) == 3
@@ -471,6 +491,24 @@ class TestBenchPof:
             assert make(family, params) == make(family, ints)
         out = _bench_row({"family": "random", "params": {"n": 2.0, "m": 2}}, 100, 100)
         assert not out["error"] and out["n"] == 2
+
+    def test_unknown_config_key_invalid(self, tmp_path, capsys):
+        # {"budget_lp": 1, "jobz": 4} used to run at the default LP budget,
+        # serially.
+        cpath, out = tmp_path / "bench.json", tmp_path / "pof.csv"
+        row = {"id": "ok", "family": "example", "params": {"id": "5.2", "eps": "1/100"}}
+        cpath.write_text(json.dumps({"budget_lp": 1, "jobz": 4, "rows": [row]}))
+        assert run(["bench-pof", cpath, "--out", out]) == 3
+        assert "bench config takes no key 'budget_lp'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_row_key_is_a_row_error(self):
+        # The misspelled ef_method used to solve the row by exact-ef.
+        row = {"id": "x", "family": "example", "params": {"id": "5.2", "eps": "1/100"},
+               "ef_metod": "greedy"}
+        out = _bench_row(row, 100, 100)
+        assert out["instance_id"] == "x"
+        assert out["error"] == "InvalidInstanceError: row takes no key 'ef_metod'"
 
     def test_row_missing_parameter_names_it(self):
         row = {"id": "no-set", "family": "partition-ef", "params": {}}

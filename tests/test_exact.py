@@ -84,7 +84,8 @@ class TestSolveOptEf:
         # agents hold a task there, so the envy runs between two nonempty
         # bundles and the envy-floor screen cannot cut the allocation.
         inst = gen_random(2, 2, 11)
-        monkeypatch.setattr(lp._Builder, "envy_row", lambda self, *args, **kwargs: None)
+        no_envy_rows = lambda inst, alloc, eps: lp._contract_lp(inst, alloc, [])  # noqa: E731
+        monkeypatch.setattr(exact, "build_ef_lp", no_envy_rows)
         with pytest.raises(FairconError, match="failed verification"):
             solve_opt_ef(inst)
 

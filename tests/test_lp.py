@@ -1,5 +1,6 @@
 """Fixed-allocation LPs: builders, the exact simplex, and cross-checks."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -8,7 +9,7 @@ import pytest
 from faircon import simplex
 from faircon.core import Allocation, Contract, Instance, greedy_ef, verify_ef, verify_ir
 from faircon.errors import FairconError, InvalidInstanceError
-from faircon.instances import gen_partition_ef, gen_partition_ef1, gen_random
+from faircon.instances import PROFILES, gen_partition_ef, gen_partition_ef1, gen_random
 from faircon.lp import (
     LpModel,
     LpRow,
@@ -21,7 +22,7 @@ from faircon.lp import (
 from faircon.numeric import ONE, ZERO
 
 from conftest import make_contract
-from oracles import grid_ef_best
+from oracles import contract_lp_reference, grid_ef_best
 
 
 def test_solve_lp_single_variable():
@@ -224,3 +225,37 @@ def test_lp_solutions_reverify_with_core(ex52):
     k = contract_from_solution(solve_lp(build_ef_lp(ex52, alloc, 0)), alloc)
     assert verify_ir(ex52, k, tol=0)[0]
     assert verify_ef(ex52, k, tol=0)[0]
+
+
+def _dense(model: LpModel) -> tuple:
+    def vec(coeffs):
+        return [coeffs.get(k, ZERO) for k in range(model.n_vars)]
+
+    rows = [(vec(coeffs), rhs) for coeffs, rhs in model.rows]
+    return model.n_vars, vec(model.objective), model.objective_const, rows
+
+
+def test_builders_match_the_docstring_formulas():
+    # Every allocation of seeded 1-3 agent x 1-4 task instances, one per
+    # profile: EF at eps 0 and 1/10, EFS, and EF1 under every witness choice.
+    # Rows compare in order, since slack indices drive Bland's tie-breaks.
+    models = 0
+    for n, m, profile in itertools.product((1, 2, 3), (1, 2, 3, 4), PROFILES):
+        inst = gen_random(n, m, 10 * n + m, profile)
+        for assignment in itertools.product(range(n), repeat=m):
+            alloc = Allocation(assignment, n)
+            for eps in (ZERO, F(1, 10)):
+                assert _dense(build_ef_lp(inst, alloc, eps)) == contract_lp_reference(
+                    inst, alloc, "ef", eps
+                )
+            assert _dense(build_efs_lp(inst, alloc)) == contract_lp_reference(inst, alloc, "efs")
+            bundles = alloc.bundles()
+            pairs = [(i, j) for i, j in itertools.permutations(range(n), 2) if bundles[j]]
+            for choice in itertools.product(*(bundles[j] for _, j in pairs)):
+                witnesses = dict(zip(pairs, choice))
+                assert _dense(build_ef1_lp(inst, alloc, witnesses)) == contract_lp_reference(
+                    inst, alloc, "ef1", witnesses=witnesses
+                )
+                models += 1
+            models += 3
+    assert models == 4110

@@ -3,9 +3,14 @@ its method and notion tables match the CLI's."""
 
 import importlib.util
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
-from faircon import cli
+from faircon import cli, exact, ext
+from faircon.core import greedy_ef
+from faircon.instances import gen_random
+
+from conftest import make_contract
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -43,3 +48,17 @@ def test_workload_tables_match_the_cli():
     assert set(workloads.NOTIONS) == set(cli.SOLVERS)
     assert set(workloads.NOTIONS.values()) <= set(cli.NOTIONS)
     assert gate.FLAGS == cli.NOTIONS
+
+
+def test_gate_reverify_reads_the_verifier_return_shapes(ex52):
+    # gate.py takes [0] of verify_ir, verify_ef and verify_ef1 and reads
+    # verify_eps_ef and verify_efs as bools; a change to those shapes would
+    # fail every benchmark operation while the rest of the suite stays green.
+    gate = _load("gate")
+    for inst in (ex52, gen_random(3, 3, 5)):
+        assert gate.reverify(inst, greedy_ef(inst), "ef", None)
+        eps_ef = exact.solve_opt_ef(inst, F(1, 10)).contract
+        assert gate.reverify(inst, eps_ef, "eps-ef", F(1, 10))
+        assert gate.reverify(inst, ext.round_robin_ef1(inst).contract, "ef1", None)
+        assert gate.reverify(inst, exact.solve_opt_efs(inst).contract, "efs", None)
+    assert not gate.reverify(ex52, make_contract(ex52, [1], [F(1, 2)]), "ef", None)
