@@ -71,7 +71,7 @@ NOTIONS = {"ef": "ef_ok", "eps-ef": "eps_ef_ok", "ef1": "ef1_ok", "efs": "efs_ok
 BENCH_EF_METHODS = ("exact-ef", "dp-eps-ef", "greedy")
 BENCH_EF1_METHODS = ("exact-ef1", "dp-ef1", "round-robin")
 # The keys a bench-pof config and each of its rows may set.
-BENCH_KEYS = ("rows", "budget_lps", "budget_states", "jobs")
+BENCH_KEYS = ("rows", "budget_lps", "budget_states")
 BENCH_ROW_KEYS = ("id", "family", "params", "eps", "ef_method", "ef1_method", "f_bits")
 
 
@@ -158,22 +158,24 @@ def edge_list(text: str) -> list[list[int]]:
 
 # `generate` parameters whose flag differs from the family parameter name.
 _PARAM_FLAGS = {"adjacency": "graph"}
+# The `generate` flags without a default; a family that does not take one rejects it.
+_FAMILY_FLAGS = ("set", "eps", "graph", "n", "m", "id")
 
 
 def cmd_generate(args) -> int:
     _, required, optional = instances.FAMILIES[args.family]
-    params: dict = {}
-    for key in required + optional:
-        dest = _PARAM_FLAGS.get(key, key)
-        value = getattr(args, dest)
-        if value is None:
-            if key in required:
-                print(f"--{dest.replace('_', '-')} is required for {args.family}", file=sys.stderr)
-                return EXIT_INVALID
-            continue
-        params[key] = value
+    flags = {key: _PARAM_FLAGS.get(key, key) for key in required + optional}
+    given = [f for f in _FAMILY_FLAGS if getattr(args, f) is not None]
+    if extra := [f for f in given if f not in flags.values()]:
+        print(f"--{extra[0]} is not a parameter of {args.family}", file=sys.stderr)
+        return EXIT_INVALID
+    if missing := [flags[key] for key in required if flags[key] not in given]:
+        print(f"--{missing[0]} is required for {args.family}", file=sys.stderr)
+        return EXIT_INVALID
+    # Every other parameter has a flag default.
+    params = {key: getattr(args, f) for key, f in flags.items()}
     inst = instances.make(args.family, params)
-    serialize.dump_json(serialize.instance_to_dict(inst, exact=True), args.out)
+    serialize.dump_json(serialize.instance_to_dict(inst), args.out)
     manifest = {
         "generator": args.family,
         "params": {
@@ -237,10 +239,9 @@ def cmd_bench_pof(args) -> int:
         raise InvalidInstanceError(f"bench config takes no key {unknown[0]!r}")
     budget_lps = as_count(config.get("budget_lps", exact.DEFAULT_LP_BUDGET), "budget_lps")
     budget_states = as_count(config.get("budget_states", dp.DEFAULT_STATE_BUDGET), "budget_states")
-    jobs = args.jobs or as_count(config.get("jobs", 1), "jobs")
     started = time.time()
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    if args.jobs > 1:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(
                 pool.map(_bench_row, rows, [budget_lps] * len(rows), [budget_states] * len(rows))
             )
@@ -307,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     pb = sub.add_parser("bench-pof", help="price-of-fairness sweep to CSV")
     pb.add_argument("config")
     pb.add_argument("--out", required=True)
-    pb.add_argument("--jobs", type=count, default=None)
+    pb.add_argument("--jobs", type=count, default=1)
     pb.set_defaults(func=cmd_bench_pof)
     return parser
 

@@ -11,14 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .errors import DimensionMismatchError, InvalidInstanceError, NoViableAgentError
-from .numeric import INF_WAGE, Num, ZERO, as_fraction, as_int
-
-
-def _rational_row(row: Iterable[Num]) -> tuple[Fraction, ...]:
-    return tuple(as_fraction(x) for x in row)
+from .numeric import INF_WAGE, Num, ZERO, as_fraction, as_int, as_vector
 
 
 @dataclass(frozen=True)
@@ -37,9 +33,9 @@ class Instance:
     pr: tuple[tuple[Fraction, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "r", _rational_row(self.r))
-        object.__setattr__(self, "p", tuple(_rational_row(row) for row in self.p))
-        object.__setattr__(self, "c", tuple(_rational_row(row) for row in self.c))
+        object.__setattr__(self, "r", as_vector(self.r, as_fraction))
+        object.__setattr__(self, "p", tuple(as_vector(row, as_fraction) for row in self.p))
+        object.__setattr__(self, "c", tuple(as_vector(row, as_fraction) for row in self.c))
         n, m = len(self.p), len(self.r)
         if n < 1 or m < 1:
             raise InvalidInstanceError("need at least one agent and one task")
@@ -96,7 +92,7 @@ class Allocation:
     n_agents: int
 
     def __post_init__(self):
-        agents = tuple(as_int(a, "agent index") for a in self.assignment)
+        agents = as_vector(self.assignment, lambda a: as_int(a, "agent index"))
         object.__setattr__(self, "assignment", agents)
         if self.n_agents < 1:
             raise InvalidInstanceError("n_agents must be positive")
@@ -125,14 +121,14 @@ class Contract:
     subsidies: Optional[tuple[Fraction, ...]] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", _rational_row(self.alpha))
+        object.__setattr__(self, "alpha", as_vector(self.alpha, as_fraction))
         if len(self.alpha) != self.allocation.m:
             raise DimensionMismatchError("alpha length must equal task count")
         for j, a in enumerate(self.alpha):
             if not (0 <= a <= 1):
                 raise InvalidInstanceError(f"alpha[{j}]={a} outside [0, 1]")
         if self.subsidies is not None:
-            subs = _rational_row(self.subsidies)
+            subs = as_vector(self.subsidies, as_fraction)
             object.__setattr__(self, "subsidies", subs)
             if len(subs) != self.allocation.n_agents:
                 raise DimensionMismatchError("subsidies length must equal agent count")

@@ -14,14 +14,14 @@ from typing import Sequence
 
 from .core import Instance
 from .errors import InvalidInstanceError
-from .numeric import Num, ONE, ZERO, as_fraction, as_int
+from .numeric import Num, ONE, ZERO, as_fraction, as_int, as_vector
 
 RANDOM_DENOMINATOR = 64
 PROFILES = ("uniform", "sparse-ability", "cost-heavy")
 
 
-def _positive_ints(integers: Sequence[int]) -> list[int]:
-    ints = [as_int(x, "set entry") for x in integers]
+def _positive_ints(integers: Sequence[int]) -> tuple[int, ...]:
+    ints = as_vector(integers, lambda x: as_int(x, "set entry"))
     if not ints or any(x <= 0 for x in ints):
         raise InvalidInstanceError("need a nonempty list of positive integers")
     return ints
@@ -87,7 +87,7 @@ def gen_independent_set(adjacency: Sequence[Sequence[int]], c_target: Num = 1) -
     one per vertex, then one per edge.  delta = 1/(8 c k^2) with k the max
     degree; c is the approximation constant the family targets.
     """
-    adjacency = [[as_int(v, "vertex") for v in nbrs] for nbrs in adjacency]
+    adjacency = [as_vector(nbrs, lambda v: as_int(v, "vertex")) for nbrs in adjacency]
     n_v = len(adjacency)
     edges = sorted(
         {(min(u, v), max(u, v)) for u, nbrs in enumerate(adjacency) for v in nbrs}

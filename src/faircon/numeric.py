@@ -42,6 +42,13 @@ def as_fraction(x: Num) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as a number")
 
 
+def as_vector(values, read) -> tuple:
+    """read(x) for each x in `values`, which may not be a str."""
+    if isinstance(values, str):
+        raise InvalidInstanceError(f"expected a list, got the string {values!r}")
+    return tuple(read(x) for x in values)
+
+
 def as_int(x, what: str) -> int:
     """An integral value (1, 1.0, "1", a numpy integer) as int.  A bool or
     a non-integral value is rejected rather than truncated; `what` names it

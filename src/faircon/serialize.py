@@ -12,12 +12,12 @@ import sys
 from typing import Any
 
 from .core import Allocation, Contract, FairnessReport, Instance, SolveResult
-from .errors import InvalidInstanceError
-from .numeric import as_fraction, as_int, format_number
+from .errors import FairconError, InvalidInstanceError
+from .numeric import as_int, format_number
 
 
-def instance_to_dict(inst: Instance, exact: bool = False) -> dict:
-    num = lambda x: format_number(x, exact)  # noqa: E731
+def instance_to_dict(inst: Instance) -> dict:
+    num = lambda x: format_number(x, True)  # noqa: E731
     return {
         "n": inst.n,
         "m": inst.m,
@@ -29,12 +29,11 @@ def instance_to_dict(inst: Instance, exact: bool = False) -> dict:
 
 def instance_from_dict(data: dict) -> Instance:
     try:
-        r = tuple(as_fraction(x) for x in data["r"])
-        p = tuple(tuple(as_fraction(x) for x in row) for row in data["p"])
-        c = tuple(tuple(as_fraction(x) for x in row) for row in data["c"])
+        inst = Instance(data["r"], data["p"], data["c"])
+    except FairconError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInstanceError(f"bad instance JSON: {exc}") from exc
-    inst = Instance(r, p, c)
     if "n" in data and as_int(data["n"], "declared n") != inst.n:
         raise InvalidInstanceError("declared n does not match p/c rows")
     if "m" in data and as_int(data["m"], "declared m") != inst.m:
@@ -55,13 +54,12 @@ def contract_to_dict(k: Contract, exact: bool = False) -> dict:
 
 def contract_from_dict(data: dict, n_agents: int) -> Contract:
     try:
-        assignment = tuple(data["assignment"])
-        alpha = tuple(as_fraction(x) for x in data["alpha"])
-        subs = data.get("subsidies")
-        subsidies = tuple(as_fraction(x) for x in subs) if subs is not None else None
+        alloc = Allocation(data["assignment"], n_agents)
+        return Contract(alloc, data["alpha"], data.get("subsidies"))
+    except FairconError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInstanceError(f"bad contract JSON: {exc}") from exc
-    return Contract(Allocation(assignment, n_agents), alpha, subsidies)
 
 
 def report_to_dict(rep: FairnessReport, exact: bool = False) -> dict:

@@ -13,10 +13,10 @@ every sign and ratio ordering that Bland's rule reads is too: the pivot
 sequence and the returned vertex are those of a Fraction tableau, without a
 gcd per entry.
 
-Every optimum is certified before it is returned: the dual y is read from
-the final objective row at the slack columns and checked against the
-original rows in integers (`_certify`).  Problem sizes here are small (up to
-a few hundred rows), so a dense tableau is the right tool.
+Every optimum is certified in integers before it is returned: `_certify`
+checks the point against every row and x >= 0, and the dual (read from the
+final objective row at the slack columns) against the same rows.  Problems
+here are small (up to a few hundred rows), so a dense tableau is the right tool.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ def maximize(
 
     Returns (status, x, value, pivots); x and value are None unless status
     is 'optimal', and pivots counts the pivots of both phases.  An optimum
-    whose dual certificate fails raises FairconError.
+    whose certificate fails raises FairconError.
     """
     n_rows = len(rows)
     scale = math.lcm(
@@ -190,11 +190,16 @@ def _certify(
     """Check in integers that x/d is optimal with value value/d for:
     maximize cost . x subject to coeffs . x >= rhs for every row, x >= 0.
 
-    y/d is the dual, one entry per row.  y >= 0 and cost + A^T y/d <= 0 give
+    x/d is feasible when x >= 0 and coeffs . x >= rhs * d on every row.  y/d
+    is the dual, one entry per row: y >= 0 and cost + A^T y/d <= 0 give
     cost . x' <= -sum_i y_i/d coeffs_i . x' <= -rhs . y/d for every feasible
-    x', so the bound -rhs . y/d = value/d = cost . x/d proves optimality
-    (the caller checks that x is feasible).  Raises FairconError otherwise.
+    x', so the bound -rhs . y/d = value/d = cost . x/d proves optimality.
     """
+    if any(v < 0 for v in x):
+        raise FairconError("simplex certificate: negative variable")
+    for r, (coeffs, rhs) in enumerate(rows):
+        if sum(v * x[k] for k, v in coeffs.items()) < rhs * d:
+            raise FairconError(f"simplex certificate: infeasible point at row {r}")
     if any(v < 0 for v in y):
         raise FairconError("simplex certificate: negative dual")
     reduced = [d * c for c in cost]

@@ -11,6 +11,7 @@ import pytest
 
 from faircon import dp, simplex
 from faircon.cli import _bench_row, main
+from faircon.errors import InvalidInstanceError
 from faircon.serialize import dump_json, instance_to_dict, load_json
 from faircon.instances import gen_example, gen_partition_ef1, gen_random, gen_two_agent_hard, make
 
@@ -26,7 +27,7 @@ def run(argv):
 @pytest.fixture
 def ex52_path(tmp_path, ex52):
     path = tmp_path / "ex52.json"
-    dump_json(instance_to_dict(ex52, exact=True), str(path))
+    dump_json(instance_to_dict(ex52), str(path))
     return path
 
 
@@ -81,6 +82,18 @@ class TestGenerate:
                 assert f"{flag}: invalid {kind} value: '{bad}'" in capsys.readouterr().err
                 assert not b.exists()
 
+    def test_flag_the_family_does_not_take_invalid(self, tmp_path, capsys):
+        # Each used to exit 0, leaving the flag out of instance and manifest.
+        out = tmp_path / "x.json"
+        for family, args, flag in (
+            ("partition-ef", ["--set", "1,2", "--eps", "1/10"], "--eps"),
+            ("random", ["--n", 2, "--m", 2, "--id", "5.2"], "--id"),
+            ("example", ["--id", "5.2", "--eps", "1/4", "--set", "3"], "--set"),
+        ):
+            assert run(["generate", family, *args, "--out", out]) == 3
+            assert f"{flag} is not a parameter of {family}" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_missing_example_id(self, tmp_path, capsys):
         out = tmp_path / "x.json"
         assert run(["generate", "example", "--eps", "1/4", "--out", out]) == 3
@@ -101,7 +114,7 @@ class TestSolve:
     def test_greedy_single_agent_equals_opt(self, tmp_path):
         inst = gen_random(1, 4, 77)
         path = tmp_path / "single.json"
-        dump_json(instance_to_dict(inst, exact=True), str(path))
+        dump_json(instance_to_dict(inst), str(path))
         out = tmp_path / "sol.json"
         assert run(["solve", path, "--method", "greedy", "--out", out]) == 0
         sol = load_json(str(out))
@@ -112,7 +125,7 @@ class TestSolve:
     def test_dp_ef1_roundtrips_through_verify(self, tmp_path):
         inst = gen_random(2, 3, 88)
         ipath = tmp_path / "inst.json"
-        dump_json(instance_to_dict(inst, exact=True), str(ipath))
+        dump_json(instance_to_dict(inst), str(ipath))
         out = tmp_path / "sol.json"
         code = run([
             "solve", ipath, "--method", "dp-ef1", "--eps", "0.25",
@@ -185,7 +198,7 @@ class TestSolve:
         ]
         for inst, method, states in cases:
             path = tmp_path / "inst.json"
-            dump_json(instance_to_dict(inst, exact=True), str(path))
+            dump_json(instance_to_dict(inst), str(path))
             out = tmp_path / "sol.json"
             argv = ["solve", path, "--method", *method]
             assert run(argv + ["--budget-states", states, "--out", out]) == 0
@@ -241,22 +254,25 @@ class TestSolve:
         assert "argument --tol" in capsys.readouterr().err
 
     def test_infeasible_lp_point_exits_invalid(self, ex52_path, capsys, monkeypatch):
-        # The LP self-check's failure is an error exit, not a traceback.
-        def broken(n_vars, objective, rows):
-            return simplex.OPTIMAL, [F(-1)] + [F(0)] * (n_vars - 1), F(0), 0
+        # A failed LP certificate is an error exit, not a traceback.  The
+        # certificate is handed x = 0, which breaks the first IR row.
+        check = simplex._certify
 
-        monkeypatch.setattr(simplex, "maximize", broken)
+        def at_zero(cost, rows, x, *rest):
+            check(cost, rows, [0] * len(x), *rest)
+
+        monkeypatch.setattr(simplex, "_certify", at_zero)
         assert run(["solve", ex52_path, "--method", "exact-ef"]) == 3
-        assert "error: simplex returned infeasible point at row 0" in capsys.readouterr().err
+        assert "error: simplex certificate: infeasible point at row 0" in capsys.readouterr().err
 
     def test_non_integral_declared_size_invalid(self, tmp_path, ex52, capsys):
         # A file declaring n 2.9 used to load as 2 agents, and m 1.5 as 1 task.
         path, out = tmp_path / "inst.json", tmp_path / "sol.json"
         for key, bad in (("n", 2.9), ("m", 1.5)):
-            dump_json(instance_to_dict(ex52, exact=True) | {key: bad}, str(path))
+            dump_json(instance_to_dict(ex52) | {key: bad}, str(path))
             assert run(["solve", path, "--method", "greedy"]) == 3
             assert f"error: declared {key} {bad!r} is not an integer" in capsys.readouterr().err
-        dump_json(instance_to_dict(ex52, exact=True) | {"n": 2.0, "m": 1.0}, str(path))
+        dump_json(instance_to_dict(ex52) | {"n": 2.0, "m": 1.0}, str(path))
         assert run(["solve", path, "--method", "greedy", "--out", out]) == 0
 
     def test_bad_instance_file(self, tmp_path):
@@ -401,7 +417,7 @@ class TestBenchPof:
         assert rows[0]["error"] == "InvalidInstanceError: row 7 is not an object"
         assert rows[1]["instance_id"] == "ok" and not rows[1]["error"]
 
-    @pytest.mark.parametrize("key", ["budget_lps", "budget_states", "jobs"])
+    @pytest.mark.parametrize("key", ["budget_lps", "budget_states"])
     def test_non_integral_setting_invalid(self, tmp_path, capsys, key):
         # 1.5 used to run as 1, and true as 1; a budget of 0 or -1 failed
         # every row instead of the run.
@@ -413,7 +429,7 @@ class TestBenchPof:
             assert run(["bench-pof", cpath, "--out", out]) == 3
             assert f"{key} {bad!r} is not {why}" in capsys.readouterr().err
             assert not out.exists()
-        cpath.write_text(json.dumps({key: 1.0 if key == "jobs" else 1000.0, "rows": [row]}))
+        cpath.write_text(json.dumps({key: 1000.0, "rows": [row]}))
         assert run(["bench-pof", cpath, "--out", out]) == 0
 
     @pytest.mark.parametrize("bad", ["0", "-1", "1.5"])
@@ -500,6 +516,10 @@ class TestBenchPof:
         cpath.write_text(json.dumps({"budget_lp": 1, "jobz": 4, "rows": [row]}))
         assert run(["bench-pof", cpath, "--out", out]) == 3
         assert "bench config takes no key 'budget_lp'" in capsys.readouterr().err
+        # The worker count is the --jobs flag's alone.
+        cpath.write_text(json.dumps({"jobs": 2, "rows": [row]}))
+        assert run(["bench-pof", cpath, "--out", out]) == 3
+        assert "bench config takes no key 'jobs'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unknown_row_key_is_a_row_error(self):
@@ -546,3 +566,20 @@ def test_readme_cli_block_runs(tmp_path, monkeypatch):
     for argv in commands:
         argv = [str(POF_CONFIG) if a == "bench/pof.json" else a for a in argv]
         assert main(argv) == 0, argv
+
+
+def test_string_vectors_are_invalid(tmp_path, ex52_path, capsys):
+    # Each str used to read as the list of its characters: the instance
+    # loaded as 1x1, the contract reached verification (exit 1), the row
+    # built partition [1, 2, 3] and make() built a graph.
+    ipath, kpath = tmp_path / "inst.json", tmp_path / "k.json"
+    ipath.write_text(json.dumps({"r": "1", "p": ["1"], "c": ["0"]}))
+    assert run(["solve", ipath, "--method", "greedy"]) == 3
+    assert "error: expected a list, got the string '1'" in capsys.readouterr().err
+    kpath.write_text(json.dumps({"assignment": "0", "alpha": "0"}))
+    assert run(["verify", ex52_path, kpath, "--notion", "ef"]) == 3
+    assert "error: expected a list, got the string '0'" in capsys.readouterr().err
+    out = _bench_row({"family": "partition-ef", "params": {"set": "123"}}, 100, 100)
+    assert out["error"] == "InvalidInstanceError: expected a list, got the string '123'"
+    with pytest.raises(InvalidInstanceError, match="got the string '1'"):
+        make("independent-set", {"adjacency": ["1", "0"]})

@@ -68,6 +68,19 @@ class TestInstanceValidation:
         with pytest.raises(InvalidInstanceError):
             instance_from_dict({"r": ["1/0"], "p": [[1]], "c": [[0]]})
 
+    def test_rejects_a_string_vector(self):
+        # A str used to read as the list of its characters.
+        alloc = Allocation((0,), 2)
+        for build in (
+            lambda: Instance(r="1", p=((1,),), c=((0,),)),
+            lambda: Instance(r=(1,), p=("1",), c=((0,),)),
+            lambda: Allocation("0", 2),
+            lambda: Contract(alloc, "0"),
+            lambda: Contract(alloc, (0,), "00"),
+        ):
+            with pytest.raises(InvalidInstanceError, match="got the string"):
+                build()
+
 
 class TestAgentTaskUtility:
     def test_example_52_wage_point(self, ex52):

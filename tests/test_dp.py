@@ -829,7 +829,7 @@ def test_state_budget_spans_all_guesses(monkeypatch, tmp_path):
         solve_ef1_fptas(inst, F(1, 6), budget_states=budget, f_bits=1)
     assert exc.value.limit == budget and exc.value.needed > budget
     path = tmp_path / "pef1.json"
-    dump_json(instance_to_dict(inst, exact=True), str(path))
+    dump_json(instance_to_dict(inst), str(path))
     argv = ["solve", str(path), "--method", "dp-ef1", "--eps", "1/6", "--f-bits", "1"]
     assert main(argv + ["--budget-states", str(budget)]) == 2
     out = tmp_path / "sol.json"

@@ -235,7 +235,7 @@ class TestSolveOptEf1:
         # so the n^m budget covers the search nodes and the LPs.  The
         # envy-floor screen leaves two allocations to an LP.
         path = tmp_path / "pef1.json"
-        dump_json(instance_to_dict(gen_partition_ef1([1]), exact=True), str(path))
+        dump_json(instance_to_dict(gen_partition_ef1([1])), str(path))
         argv = ["solve", str(path), "--method", "exact-ef1", "--budget-lps", "27", "--exact-arith"]
         assert main(argv) == 0
         assert json.loads(capsys.readouterr().out)["meta"]["lp_solves"] == 2

@@ -142,7 +142,7 @@ class TestRandom:
         a = gen_random(3, 5, 42, "uniform")
         b = gen_random(3, 5, 42, "uniform")
         assert a == b
-        assert instance_to_dict(a, exact=True) == instance_to_dict(b, exact=True)
+        assert instance_to_dict(a) == instance_to_dict(b)
         assert all(x.denominator <= RANDOM_DENOMINATOR for x in a.r)
 
     def test_profiles_differ(self):

@@ -67,7 +67,13 @@ def test_solve_lp_self_check_covers_upper_bounds(monkeypatch):
         objective_const=ONE,
         rows=[LpRow({0: ONE}, F(1, 2)), LpRow({0: -ONE}, -ONE)],
     )
-    monkeypatch.setattr(simplex, "maximize", lambda *args: (simplex.OPTIMAL, [F(2)], -F(2), 0))
+    # The simplex's certificate is handed a = 2 (2d over d) for its optimum.
+    check = simplex._certify
+
+    def at_two(cost, rows, x, y, value, d):
+        check(cost, rows, [2 * d], y, value, d)
+
+    monkeypatch.setattr(simplex, "_certify", at_two)
     with pytest.raises(FairconError, match="row 1"):
         solve_lp(model)
 

@@ -52,6 +52,19 @@ class TestCertify:
         with pytest.raises(FairconError, match="primal value"):
             simplex._certify(COST, ROWS, [3, 0], [2, 0, 1, 0], 11, 1)
 
+    def test_rejects_a_point_that_breaks_a_row(self):
+        # x + y <= 4 is broken at (3, 2); x >= 3 at (2, 1) over d = 4, where
+        # the row must be compared with rhs * d, not rhs.
+        with pytest.raises(FairconError, match="infeasible point at row 0"):
+            simplex._certify(COST, ROWS, [3, 2], [2, 0, 1, 0], 11, 1)
+        with pytest.raises(FairconError, match="infeasible point at row 3"):
+            simplex._certify(COST, ROWS, [8, 4], [8, 0, 4, 0], 44, 4)
+
+    def test_rejects_a_negative_entry(self):
+        # (3, -1) satisfies every row; only x >= 0 is broken.
+        with pytest.raises(FairconError, match="negative variable"):
+            simplex._certify(COST, ROWS, [3, -1], [2, 0, 1, 0], 11, 1)
+
     def test_maximize_reads_the_dual_from_its_tableau(self, monkeypatch):
         seen = []
         check = simplex._certify
