@@ -1,4 +1,4 @@
-"""Dense two-phase simplex over exact integers.
+"""Two-phase simplex over exact integers, on sparse rows.
 
 The tableau is kept fraction-free.  Every row coefficient and right-hand
 side is scaled by one common denominator D (the lcm of their denominators),
@@ -13,10 +13,13 @@ every sign and ratio ordering that Bland's rule reads is too: the pivot
 sequence and the returned vertex are those of a Fraction tableau, without a
 gcd per entry.
 
+Rows are sparse, a map from each nonzero column to its entry: a pivot
+updates only the rows with an entry in the pivot column, and each over its
+own columns and the pivot row's, not over all few hundred columns.
+
 Every optimum is certified in integers before it is returned: `_certify`
 checks the point against every row and x >= 0, and the dual (read from the
-final objective row at the slack columns) against the same rows.  Problems
-here are small (up to a few hundred rows), so a dense tableau is the right tool.
+final objective row at the slack columns) against the same rows.
 """
 
 from __future__ import annotations
@@ -41,9 +44,12 @@ def maximize(
     (coeffs, rhs) in rows, and x >= 0.
 
     Returns (status, x, value, pivots); x and value are None unless status
-    is 'optimal', and pivots counts the pivots of both phases.  An optimum
-    whose certificate fails raises FairconError.
+    is 'optimal', and pivots counts the pivots of both phases.  A variable
+    index outside range(n_vars), or an optimum whose certificate fails,
+    raises FairconError.
     """
+    if any(not 0 <= k < n_vars for coeffs in (objective, *(c for c, _ in rows)) for k in coeffs):
+        raise FairconError(f"simplex: a variable index lies outside range({n_vars})")
     n_rows = len(rows)
     scale = math.lcm(
         *(v.denominator for coeffs, _ in rows for v in coeffs.values()),
@@ -58,21 +64,20 @@ def maximize(
         for coeffs, rhs in rows
     ]
 
-    # Each tableau row holds its columns, then its rhs.  The row reads
-    # -coeffs . x + s' = -rhs.  Unless rhs > 0 the slack starts basic;
-    # otherwise the row is negated and starts on an artificial.
+    # Each tableau row maps its nonzero columns, and its rhs at key RHS, to
+    # their entries.  The row reads -coeffs . x + s' = -rhs.  Unless rhs > 0
+    # its slack starts basic; otherwise it is negated and starts on an artificial.
     art_rows = [i for i, (_, rhs) in enumerate(int_rows) if rhs > 0]
     art_start = n_vars + n_rows
-    width = art_start + len(art_rows)
-    tableau: list[list[int]] = []
+    width = RHS = art_start + len(art_rows)
+    tableau: list[dict[int, int]] = []
     basis: list[int] = []
     for i, (coeffs, rhs) in enumerate(int_rows):
-        row = [0] * (width + 1)
         sign = 1 if rhs > 0 else -1
-        for k, v in coeffs.items():
-            row[k] = sign * v
+        row = {k: sign * v for k, v in coeffs.items() if v}
         row[n_vars + i] = -sign
-        row[width] = sign * rhs
+        if rhs:
+            row[RHS] = sign * rhs
         tableau.append(row)
         basis.append(n_vars + i)
     for a_idx, i in enumerate(art_rows):
@@ -81,7 +86,7 @@ def maximize(
     # The objective row (reduced costs, "> 0 improves", then z = minus the
     # objective value), all times d and the cost denominator; it is the
     # last row, so pivots update it like any other.
-    tableau.append([0] * (width + 1))
+    tableau.append({})
     d = 1
     # Row r is stored over den[r], the d of its last update: its Bareiss row
     # is tableau[r] * d // den[r], an exact division.  The factor is
@@ -90,10 +95,10 @@ def maximize(
     den = [1] * (n_rows + 1)
     pivots = 0
 
-    def current(r: int) -> list[int]:
+    def current(r: int) -> dict[int, int]:
         """Row r brought up to the common denominator d."""
         if den[r] != d:
-            tableau[r] = [v * d // den[r] for v in tableau[r]]
+            tableau[r] = {k: v * d // den[r] for k, v in tableau[r].items()}
             den[r] = d
         return tableau[r]
 
@@ -105,38 +110,43 @@ def maximize(
         sign = 1 if row[pcol] > 0 else -1
         p = sign * row[pcol]
         for r, trow in enumerate(tableau):
-            f = sign * trow[pcol]
-            if f and r != prow:
+            if pcol in trow and r != prow:
                 # trow stands for trow * d / den[r], so divide by den[r].
-                tableau[r] = [(p * v - f * w) // den[r] for v, w in zip(trow, row)]
+                f, q = sign * trow[pcol], den[r]
+                new = {k: p * v // q for k, v in trow.items() if k not in row}
+                for k, w in row.items():
+                    v = (p * trow.get(k, 0) - f * w) // q
+                    if v:
+                        new[k] = v
+                tableau[r] = new
                 den[r] = p
         if sign < 0:
-            tableau[prow] = [-v for v in row]
+            tableau[prow] = {k: -v for k, v in row.items()}
         basis[prow] = pcol
         d = den[prow] = p
         pivots += 1
 
-    def run(cost: list[int]) -> str:
+    def run(cost: dict[int, int]) -> str:
         """Price `cost` against the basis, then pivot to optimality."""
-        zrow = [d * c for c in cost] + [0]
+        zrow = {k: d * c for k, c in cost.items()}
         for r, bv in enumerate(basis):
-            f = cost[bv] if bv < len(cost) else 0
+            f = cost.get(bv)
             if f:
-                zrow = [z - f * v for z, v in zip(zrow, current(r))]
-        tableau[n_rows] = zrow
+                for k, v in current(r).items():
+                    zrow[k] = zrow.get(k, 0) - f * v
+        tableau[n_rows] = {k: z for k, z in zrow.items() if z}
         den[n_rows] = d
         while True:
             # Bland: entering is the lowest-index improving column.
-            zrow = tableau[n_rows]
-            pcol = next((k for k in range(width) if zrow[k] > 0), -1)
+            pcol = min((k for k, z in tableau[n_rows].items() if z > 0 and k < width), default=-1)
             if pcol < 0:
                 return OPTIMAL
             # Ratio test b_r / a_r over a_r > 0, compared as cross products.
             prow, best_b, best_a = -1, 0, 1
             for r in range(n_rows):
-                a = tableau[r][pcol]
+                a = tableau[r].get(pcol, 0)
                 if a > 0:
-                    b = tableau[r][width]
+                    b = tableau[r].get(RHS, 0)
                     lhs, rhs = b * best_a, best_b * a
                     if prow < 0 or lhs < rhs or (lhs == rhs and basis[r] < basis[prow]):
                         prow, best_b, best_a = r, b, a
@@ -146,25 +156,22 @@ def maximize(
 
     # Phase 1: maximize -(sum of artificials); z is then their sum.
     if art_rows:
-        status = run([0] * art_start + [-1] * len(art_rows))
-        if status != OPTIMAL or tableau[n_rows][width] > 0:
+        status = run(dict.fromkeys(range(art_start, width), -1))
+        if status != OPTIMAL or tableau[n_rows].get(RHS, 0) > 0:
             return INFEASIBLE, None, None, pivots
         # Drive leftover artificials (basic at zero) out of the basis.
         for r in range(n_rows):
             if basis[r] >= art_start:
-                pcol = next((k for k in range(art_start) if tableau[r][k]), None)
+                pcol = min((k for k in tableau[r] if k < art_start), default=None)
                 if pcol is not None:
                     pivot(r, pcol)
         # Freeze artificials at zero by dropping their columns.
-        for row in tableau:
-            del row[art_start:width]
+        tableau[:] = [{k: v for k, v in row.items() if not art_start <= k < RHS} for row in tableau]
         width = art_start
 
     # Phase 2.
     cden = math.lcm(*(v.denominator for v in objective.values()))
-    cost = [0] * width
-    for k, v in objective.items():
-        cost[k] = v.numerator * (cden // v.denominator)
+    cost = {k: v.numerator * (cden // v.denominator) for k, v in objective.items() if v}
     status = run(cost)
     if status != OPTIMAL:
         return status, None, None, pivots
@@ -173,10 +180,11 @@ def maximize(
     x = [0] * n_vars
     for r, bv in enumerate(basis):
         if bv < n_vars:
-            x[bv] = current(r)[width]
-    y = [-z for z in zrow[n_vars:art_start]]
-    _certify(cost[:n_vars], int_rows, x, y, -zrow[width], d)
-    return OPTIMAL, [Fraction(v, d) for v in x], Fraction(-zrow[width], d * cden), pivots
+            x[bv] = current(r).get(RHS, 0)
+    y = [-zrow.get(k, 0) for k in range(n_vars, art_start)]
+    value = -zrow.get(RHS, 0)
+    _certify([cost.get(k, 0) for k in range(n_vars)], int_rows, x, y, value, d)
+    return OPTIMAL, [Fraction(v, d) for v in x], Fraction(value, d * cden), pivots
 
 
 def _certify(

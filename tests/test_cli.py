@@ -13,7 +13,7 @@ from faircon import dp, simplex
 from faircon.cli import _bench_row, main
 from faircon.errors import InvalidInstanceError
 from faircon.serialize import dump_json, instance_to_dict, load_json
-from faircon.instances import gen_example, gen_partition_ef1, gen_random, gen_two_agent_hard, make
+from faircon.instances import gen_partition_ef1, gen_random, gen_two_agent_hard, make
 
 
 REPO = Path(__file__).resolve().parents[1]

@@ -28,7 +28,6 @@ from faircon.errors import (
     NoViableAgentError,
 )
 from faircon.instances import (
-    gen_example,
     gen_partition_ef,
     gen_partition_eps_ef,
     gen_pof_sqrt,

@@ -9,7 +9,6 @@ import pytest
 
 from faircon.cli import main
 from faircon.core import (
-    Allocation,
     Contract,
     Instance,
     greedy_ef,

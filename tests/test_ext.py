@@ -15,14 +15,13 @@ from faircon.core import (
 )
 from faircon.errors import FairconError
 from faircon.ext import (
-    AugmentMap,
     efs_augment,
     embed_subsidized,
     extract_subsidies,
     round_robin_ef1,
 )
 from faircon.instances import gen_example, gen_partition_ef, gen_pof_sqrt, gen_random
-from faircon.numeric import ONE, ZERO
+from faircon.numeric import ZERO
 
 from conftest import random_instances
 from oracles import ef1_holds_exhaustive

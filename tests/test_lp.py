@@ -1,13 +1,12 @@
 """Fixed-allocation LPs: builders, the exact simplex, and cross-checks."""
 
 import itertools
-import random
 from fractions import Fraction as F
 
 import pytest
 
 from faircon import simplex
-from faircon.core import Allocation, Contract, Instance, greedy_ef, verify_ef, verify_ir
+from faircon.core import Allocation, Contract, verify_ef, verify_ir
 from faircon.errors import FairconError, InvalidInstanceError
 from faircon.instances import PROFILES, gen_partition_ef, gen_partition_ef1, gen_random
 from faircon.lp import (
@@ -21,7 +20,6 @@ from faircon.lp import (
 )
 from faircon.numeric import ONE, ZERO
 
-from conftest import make_contract
 from oracles import contract_lp_reference, grid_ef_best
 
 

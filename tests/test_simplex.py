@@ -12,13 +12,16 @@ from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from faircon import exact, simplex  # noqa: E402
+from faircon.core import Allocation  # noqa: E402
 from faircon.errors import FairconError  # noqa: E402
 from faircon.instances import (  # noqa: E402
     gen_partition_ef,
     gen_partition_ef1,
     gen_partition_eps_ef,
+    gen_pof_sqrt,
     gen_two_agent_hard,
 )
+from faircon.lp import build_ef_lp  # noqa: E402
 
 from oracles import simplex_reference  # noqa: E402
 
@@ -76,6 +79,26 @@ class TestCertify:
         [(_, _, x, y, value, d)] = seen
         assert [F(v, d) for v in x] == [3, 1] and F(value, d) == 11
         assert [F(v, d) for v in y] == [2, 0, 1]
+
+
+class TestVariableIndex:
+    """A row or objective index outside range(n_vars) would name a slack
+    column, the rhs, or a column that is not there."""
+
+    OBJECTIVE = {0: F(1), 1: F(1)}
+    ROWS = [({0: F(-1)}, F(-1)), ({1: F(-1)}, F(-2))]
+
+    def test_rejects_a_negative_index(self):
+        with pytest.raises(FairconError, match="outside range"):
+            simplex.maximize(2, self.OBJECTIVE, [*self.ROWS, ({-1: F(1)}, F(0))])
+        with pytest.raises(FairconError, match="outside range"):
+            simplex.maximize(2, {**self.OBJECTIVE, -1: F(1)}, self.ROWS)
+
+    def test_rejects_an_index_past_the_variables(self):
+        with pytest.raises(FairconError, match=r"outside range\(2\)"):
+            simplex.maximize(2, self.OBJECTIVE, [*self.ROWS, ({2: F(-1)}, F(-1))])
+        with pytest.raises(FairconError, match="outside range"):
+            simplex.maximize(2, {**self.OBJECTIVE, 5: F(1)}, self.ROWS)
 
 
 COEF = st.one_of(
@@ -146,6 +169,29 @@ def test_matches_reference_on_solver_lps(monkeypatch, inst, solve):
     assert lps
     for lp in lps:
         assert maximize(*lp) == simplex_reference(*lp)
+
+
+# EF LPs of gen_pof_sqrt(9), 171 rows over 90 variables, in the order
+# exact-ef's search solves them: its first three, which end infeasible, and
+# its 56th and 57th, the first two optima.  Their rows are wide and sparse,
+# and a hundred pivots or more fill them in.
+WIDE = [
+    ((0, 0, 0, 3, 4, 5, 6, 7, 8), simplex.INFEASIBLE, 124),
+    ((0, 0, 3, 1, 4, 5, 6, 7, 8), simplex.INFEASIBLE, 141),
+    ((0, 0, 3, 3, 4, 5, 6, 7, 8), simplex.INFEASIBLE, 125),
+    ((0, 3, 3, 1, 4, 5, 6, 7, 8), simplex.OPTIMAL, 184),
+    ((0, 3, 3, 4, 1, 5, 6, 7, 8), simplex.OPTIMAL, 184),
+]
+
+
+@pytest.mark.parametrize("assignment,status,pivots", WIDE)
+def test_matches_reference_on_wide_lps(assignment, status, pivots):
+    model = build_ef_lp(gen_pof_sqrt(9), Allocation(assignment, 9))
+    lp = (model.n_vars, model.objective, model.rows)
+    assert (model.n_vars, len(model.rows)) == (90, 171)
+    got = simplex.maximize(*lp)
+    assert (got[0], got[3]) == (status, pivots)
+    assert got == simplex_reference(*lp)
 
 
 def test_agrees_with_highs():
