@@ -58,7 +58,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -441,7 +441,7 @@ def dp_enumerate(
     principal units even with the best remaining tasks (the callers use it
     with a floor the guaranteed candidate provably clears; 0 or less drops
     nothing).  `prepared` is `_dp_setup(inst, disc)` when the caller has
-    already built it.
+    already built it; it is left as it was, so it can seed further runs.
     """
     m = inst.m
     result = _dp_setup(inst, disc) if prepared is None else prepared
@@ -468,6 +468,7 @@ def dp_enumerate(
     cols = [np.zeros(1, dtype=np.int64) for _ in range(packer.n_words)]
     h_vals = np.zeros(1, dtype=np.int64)
     total = 0
+    layers = []
     for j in range(m):
         deltas, dh = result.tables[j][2:4]
         need = min_final_h - future_h[j + 1]
@@ -503,10 +504,9 @@ def dp_enumerate(
                 raise BudgetExceededError("states", budget_states, total + len(running[1]))
         cols, h_vals, gidx = running
         total += len(h_vals)
-        result.gidx.append(gidx)
+        layers.append(gidx)
         log.debug("dp task %d: %d states", j, len(h_vals))
-    result.keys, result.h, result.states_total = np.stack(cols, axis=1), h_vals, total
-    return result
+    return replace(result, gidx=layers, keys=np.stack(cols, axis=1), h=h_vals, states_total=total)
 
 
 # Float margins.  Entries a, p*r, c lie in [0, 1] and round to the nearest

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import math
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -85,9 +86,10 @@ _Best = tuple[Fraction, Allocation, LpSolution]
 
 
 _Floors = tuple[tuple[int, Fraction], ...]
-# Whether an empty agent whose positive floors on one bundle number `count`
-# and sum to `total` has no fair contract (the module docstring's *Screen*).
-_RulesOut = Callable[[int, Fraction], bool]
+# A notion's screen rule as (most floors, largest floor sum): an empty
+# agent is ruled out by a bundle whose positive floors number more, or sum
+# to more, than that (the module docstring's *Screen*); None rules out none.
+_Limits = Optional[tuple[float, Num]]
 
 
 def _viable_pairs(inst: Instance) -> list[list[tuple[int, Fraction, _Floors]]]:
@@ -110,29 +112,23 @@ def _viable_pairs(inst: Instance) -> list[list[tuple[int, Fraction, _Floors]]]:
     return out
 
 
-class _EnvyScreen:
-    """The screen's state along one search path: per (k, i), the count and
-    sum of agent k's positive envy floors on S_i so far, and per agent k,
-    the bundles whose floors rule k out while it holds nothing."""
-
-    def __init__(self, n: int, rules_out: _RulesOut):
-        self.rules_out = rules_out
-        self.tally = [[(0, ZERO)] * n for _ in range(n)]
-        self.ruled = [0] * n
-
-    def add(self, i: int, floors: _Floors, sign: int = 1) -> None:
-        """Add (sign 1) or remove (sign -1) one task of S_i's floors."""
-        for k, f in floors:
-            count, total = self.tally[k][i]
-            before = self.rules_out(count, total)
-            count, total = count + sign, total + sign * f
-            self.tally[k][i] = (count, total)
-            self.ruled[k] += self.rules_out(count, total) - before
-
-    def cuts(self, held: list[int], tasks_left: int) -> bool:
-        """More agents hold nothing yet are ruled out than tasks remain."""
-        forced = sum(1 for k, ruled in enumerate(self.ruled) if ruled and not held[k])
-        return forced > tasks_left
+def _forced(
+    floors: list[dict[int, _Floors]], assignment: list[int], d: int, held: list[int],
+    limits: _Limits,
+) -> int:
+    """How many agents hold nothing yet are ruled out by the floors
+    (`floors[j][i]`, task j's under holder i) of some bundle of
+    assignment[:d + 1]."""
+    if limits is None:
+        return 0
+    most, largest = limits
+    tally: dict[tuple[int, int], tuple[int, Fraction]] = {}
+    for j, i in enumerate(assignment[:d + 1]):
+        for k, f in floors[j][i]:
+            if not held[k]:
+                count, total = tally.get((k, i), (0, ZERO))
+                tally[k, i] = (count + 1, total + f)
+    return len({k for (k, _), (count, total) in tally.items() if count > most or total > largest})
 
 
 def _twin_before(inst: Instance) -> list[Optional[int]]:
@@ -150,21 +146,21 @@ def _best_lp(
     inst: Instance,
     budget_lps: int,
     models: Callable[[Allocation], Iterable[LpModel]],
-    rules_out: _RulesOut,
+    limits: _Limits,
 ) -> tuple[_Best, dict[str, int]]:
     """Best LP optimum over all IR-feasible allocations, by branch-and-bound.
 
-    `models(alloc)` yields the LP models for one allocation; `rules_out` is
-    the notion's screen rule (`_RulesOut`).  The result is the one plain
-    enumeration gives: the first allocation in lexicographic order, and its
-    first model, that attains the best optimum.  The module docstring
-    argues why the welfare bound, the greedy-EF seed, the twin-agent rule
-    and the envy-floor screen never cut that allocation.  Within an
-    allocation the model loop stops once an LP reaches the allocation's
-    welfare, since no later model can beat it.  Every search node (a prefix
-    the bound lets through, screened or not) and every LP is charged to
-    `budget_lps`, each count on its own, so the search fails once either
-    passes it.  Returns ((objective, allocation, solution), counts) with
+    `models(alloc)` yields the LP models for one allocation; `limits` is
+    the notion's screen rule (`_Limits`), applied to each prefix by
+    `_forced`.  The result is the one plain enumeration gives: the first
+    allocation in lexicographic order, and its first model, that attains
+    the best optimum.  The module docstring argues why the welfare bound,
+    the greedy-EF seed, the twin-agent rule and the envy-floor screen never
+    cut that allocation.  Within an allocation the model loop stops once an
+    LP reaches the allocation's welfare, since no later model can beat it.
+    Every search node (a prefix the bound lets through, screened or not)
+    and every LP is charged to `budget_lps`, each count on its own, so the
+    search fails once either passes it.  Returns ((objective, allocation, solution), counts) with
     counts {"lp_solves", "pivots", "allocations_solved", "nodes",
     "screened"}: the LPs, their simplex pivots, the allocations that
     reached an LP, the search nodes and those the screen cut.  Logs
@@ -176,7 +172,7 @@ def _best_lp(
     for j in reversed(range(inst.m)):
         rest[j] = rest[j + 1] + max(w for _, w, _ in viable[j])
     seed = revenue(inst, greedy_ef(inst))
-    screen = _EnvyScreen(inst.n, rules_out)
+    floors = [{i: f for i, _, f in row} for row in viable]
     assignment = [0] * inst.m
     held = [0] * inst.n
     lps = pivots = solved = nodes = screened = 0
@@ -204,7 +200,7 @@ def _best_lp(
         if d == inst.m:
             solve_leaf(welfare)
             return
-        for i, w, floors in viable[d]:
+        for i, w, _ in viable[d]:
             if twin[i] is not None and not held[twin[i]]:
                 continue
             bound = welfare + w + rest[d + 1]
@@ -215,12 +211,10 @@ def _best_lp(
                 raise BudgetExceededError("search node", budget_lps)
             assignment[d] = i
             held[i] += 1
-            screen.add(i, floors)
-            if screen.cuts(held, inst.m - d - 1):
+            if _forced(floors, assignment, d, held, limits) > inst.m - d - 1:
                 screened += 1
             else:
                 search(d + 1, welfare + w)
-            screen.add(i, floors, -1)
             held[i] -= 1
 
     search(0, ZERO)
@@ -236,30 +230,15 @@ def _best_lp(
     }
 
 
-def _ef_rule(eps: Fraction) -> _RulesOut:
-    """eps-EF, and EF at eps 0: the floors on one bundle sum above eps."""
-    return lambda count, total: total > eps
-
-
-def _ef1_rule(count: int, total: Fraction) -> bool:
-    """EF1: two or more positive floors on one bundle; a witness drops one."""
-    return count > 1
-
-
-def _efs_rule(count: int, total: Fraction) -> bool:
-    """EFS: never, since subsidies repair any envy."""
-    return False
-
-
 def _solve(
     inst: Instance, budget_lps: int, models: Callable[[Allocation], Iterable[LpModel]],
-    rules_out: _RulesOut, method: str, fair: Callable[[Contract], bool],
+    limits: _Limits, method: str, fair: Callable[[Contract], bool],
     meta: Optional[dict] = None,
 ) -> SolveResult:
     """The contract of the best LP optimum (`_best_lp`), re-verified in
     rationals: its revenue must equal the LP value, and it must pass IR and
     `fair` (the notion) at tol 0.  `meta` leads the result's meta."""
-    (value, alloc, sol), counts = _best_lp(inst, budget_lps, models, rules_out)
+    (value, alloc, sol), counts = _best_lp(inst, budget_lps, models, limits)
     contract = contract_from_solution(sol, alloc)
     if revenue(inst, contract) != value or not (verify_ir(inst, contract)[0] and fair(contract)):
         raise FairconError(f"internal error: {method} optimum failed verification")
@@ -273,7 +252,7 @@ def solve_opt_ef(
     solving the fixed-allocation LP for each."""
     eps = as_fraction(eps)
     return _solve(
-        inst, budget_lps, lambda alloc: [build_ef_lp(inst, alloc, eps)], _ef_rule(eps),
+        inst, budget_lps, lambda alloc: [build_ef_lp(inst, alloc, eps)], (math.inf, eps),
         "exact-ef" if eps == 0 else "exact-eps-ef", lambda k: verify_eps_ef(inst, k, eps),
         {"eps": eps, "allocations": inst.n**inst.m},
     )
@@ -358,7 +337,7 @@ def solve_opt_ef1(inst: Instance, budget_lps: int = DEFAULT_LP_BUDGET) -> SolveR
             yield build_ef1_lp(inst, alloc, dict(zip(pairs, choice)))
 
     return _solve(
-        inst, budget_lps, models, _ef1_rule, "exact-ef1", lambda k: verify_ef1(inst, k)[0]
+        inst, budget_lps, models, (1, math.inf), "exact-ef1", lambda k: verify_ef1(inst, k)[0]
     )
 
 
@@ -372,6 +351,6 @@ def solve_opt_efs(inst: Instance, budget_lps: int = DEFAULT_LP_BUDGET) -> SolveR
     itself).
     """
     return _solve(
-        inst, budget_lps, lambda alloc: [build_efs_lp(inst, alloc)], _efs_rule, "exact-efs",
+        inst, budget_lps, lambda alloc: [build_efs_lp(inst, alloc)], None, "exact-efs",
         lambda k: verify_efs(inst, k),
     )

@@ -92,18 +92,14 @@ def _meta_value(x: Any, exact: bool) -> Any:
         return str(x)
 
 
-def result_to_dict(
-    res: SolveResult, report: FairnessReport | None = None, exact: bool = False
-) -> dict:
-    out = {
+def result_to_dict(res: SolveResult, report: FairnessReport, exact: bool = False) -> dict:
+    return {
         "method": res.method,
         "revenue": format_number(res.revenue, exact),
         "contract": contract_to_dict(res.contract, exact),
         "meta": {key: _meta_value(value, exact) for key, value in res.meta.items()},
+        "fairness": report_to_dict(report, exact),
     }
-    if report is not None:
-        out["fairness"] = report_to_dict(report, exact)
-    return out
 
 
 def dump_json(data: dict, path: str | None = None) -> None:

@@ -405,13 +405,13 @@ def adaptive_task_grids_reference(inst: Instance, guess, K: int):
     return tuple(grids)
 
 
-def best_lp_reference(inst: Instance, budget_lps: int, models, rules_out=None):
+def best_lp_reference(inst: Instance, budget_lps: int, models, limits=None):
     """The exact solvers' driver as plain enumeration: every allocation in
     `itertools.product` order whose pairs all admit an IR contract, every
     model of it, and the first strictly better LP optimum wins.
 
     A drop-in for `faircon.exact._best_lp` (same arguments, same return
-    shape) with no bound, seed, symmetry or screen (`rules_out` is
+    shape) with no bound, seed, symmetry or screen (`limits` is
     ignored), so patching it in gives the reference each branch-and-bound
     solve must match.  It reuses the library's LP builders and simplex: it
     checks the search, not the LPs.

@@ -116,6 +116,23 @@ class TestDpEnumerate:
             ok, _ = verify_ir(inst, k, tol=0)
             assert ok
 
+    def test_prepared_setup_is_left_as_it_was(self):
+        # Two runs on one setup equal two fresh runs: the second run, whose
+        # h floor leaves no final state, must not read the first one's layers.
+        inst = gen_random(2, 3, 5)
+        disc = uniform_grid(inst, 6)
+        prepared = dp_module._dp_setup(inst, disc)
+        for min_final_h in (0, 5):
+            got = dp_enumerate(inst, disc, min_final_h=min_final_h, prepared=prepared)
+            want = dp_enumerate(inst, disc, min_final_h=min_final_h)
+            assert got is not prepared and prepared.gidx == [] and prepared.h is None
+            assert [g.tolist() for g in got.gidx] == [g.tolist() for g in want.gidx]
+            assert np.array_equal(got.keys, want.keys) and np.array_equal(got.h, want.h)
+            assert got.states_total == want.states_total
+        assert len(got.h) == 0
+        with pytest.raises(IndexError):
+            got.reconstruct(-1)
+
     def test_example_52_rounded_optimum_profile_present(self, ex52):
         # eps = 1/4 -> internal grid 1/12; the EF optimum alpha* = 1/10
         # rounds to 2/12 and lands on profile v = (1, 0, 0, 0) with h = 1,

@@ -3,6 +3,7 @@
 import json
 import logging
 from fractions import Fraction as F
+from math import inf
 from unittest import mock
 
 import pytest
@@ -147,7 +148,7 @@ class TestBranchAndBound:
             return model
 
         plain = lambda alloc: exact.build_ef_lp(inst, alloc)  # noqa: E731
-        ef = exact._ef_rule(ZERO)
+        ef = (inf, 0)
         (value, _, _), counts = exact._best_lp(inst, 10, lambda a: [floored(a), plain(a)], ef)
         assert value == F(3, 4) and counts["lp_solves"] == 2
         (value, _, _), counts = exact._best_lp(inst, 10, lambda a: [plain(a), floored(a)], ef)
@@ -172,7 +173,7 @@ class TestBranchAndBound:
             return [floored, exact.build_ef_lp(inst, alloc)]
 
         with pytest.raises(BudgetExceededError, match="lps budget of 1 exceeded"):
-            exact._best_lp(inst, 1, floored_then_plain, exact._ef_rule(ZERO))
+            exact._best_lp(inst, 1, floored_then_plain, (inf, 0))
 
     def test_twin_agents_keep_the_first_optimum(self):
         # Agents 1 and 2 are equal, so the optimum's orbit holds several
@@ -185,6 +186,41 @@ class TestBranchAndBound:
                 want = solve(inst)
             assert got.contract == want.contract and got.revenue == want.revenue
             assert got.meta["allocations_solved"] < want.meta["allocations_solved"]
+
+
+def solver_limits(solve) -> tuple:
+    """The screen limits `solve` hands `_best_lp`."""
+    with mock.patch.object(exact, "_best_lp", wraps=exact._best_lp) as spy:
+        solve(TestBranchAndBound.GREEDY_ONLY)
+    return spy.call_args.args[3]
+
+
+def leaf_forced(limits, *floors) -> int:
+    """`_forced` at the leaf of an allocation that gives agent 0 one task
+    per entry of `floors` and agent 1 none, agent 1's envy floor on task j
+    being floors[j]."""
+    m = len(floors)
+    return exact._forced([{0: ((1, f),)} for f in floors], [0] * m, m - 1, [m, 0], limits)
+
+
+class TestScreenLeaf:
+    # At a leaf no task remains, so the search cuts when `_forced` is positive.
+    def test_ef_cuts_on_one_positive_floor(self):
+        assert leaf_forced(solver_limits(solve_opt_ef), F(1, 100)) == 1
+
+    def test_eps_ef_cuts_only_a_floor_sum_above_eps(self):
+        limits = solver_limits(lambda inst: solve_opt_ef(inst, F(1, 10)))
+        assert leaf_forced(limits, F(1, 20), F(1, 20)) == 0
+        assert leaf_forced(limits, F(1, 20), F(3, 40)) == 1
+
+    def test_ef1_cuts_only_two_floors(self):
+        limits = solver_limits(solve_opt_ef1)
+        assert leaf_forced(limits, ONE) == 0
+        assert leaf_forced(limits, F(1, 100), F(1, 100)) == 1
+
+    def test_efs_never_cuts(self):
+        limits = solver_limits(solve_opt_efs)
+        assert leaf_forced(limits, ONE) == leaf_forced(limits, ONE, ONE, ONE) == 0
 
 
 class TestCase4Bounds:

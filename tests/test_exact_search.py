@@ -5,6 +5,7 @@ and the envy-floor screen cuts only allocations with no fair contract."""
 
 import itertools
 from fractions import Fraction as F
+from math import inf
 from unittest import mock
 
 import pytest
@@ -146,29 +147,27 @@ def ef1_every_witness(inst: Instance, alloc):
         yield build_ef1_lp(inst, alloc, dict(zip(pairs, choice)))
 
 
-# Per notion: the screen rule `_best_lp` gets, and every LP model of an
+# Per notion: the screen limits `_best_lp` gets, and every LP model of an
 # allocation.  EF is eps-EF at eps 0.
 SCREENED_NOTIONS = {
     **{
-        f"eps-ef {eps}": (exact._ef_rule(eps), ef_every_model(eps))
+        f"eps-ef {eps}": ((inf, eps), ef_every_model(eps))
         for eps in (F(0), F(1, 100), F(1, 20), F(1, 4))
     },
-    "ef1": (exact._ef1_rule, ef1_every_witness),
-    "efs": (exact._efs_rule, lambda inst, alloc: [build_efs_lp(inst, alloc)]),
+    "ef1": ((1, inf), ef1_every_witness),
+    "efs": (None, lambda inst, alloc: [build_efs_lp(inst, alloc)]),
 }
 
 
-def screen_cuts(inst: Instance, rules_out, assignment) -> list[bool]:
+def screen_cuts(inst: Instance, limits, assignment) -> list[bool]:
     """Per prefix assignment[:d], d = 1..m, whether the search's screen cuts
-    it, with the screen driven as `_best_lp` drives it."""
-    floors = {(j, i): f for j, row in enumerate(exact._viable_pairs(inst)) for i, _, f in row}
-    screen = exact._EnvyScreen(inst.n, rules_out)
+    it, with `_forced` called as `_best_lp` calls it."""
+    floors = [{i: f for i, _, f in row} for row in exact._viable_pairs(inst)]
     held = [0] * inst.n
     out = []
     for d, i in enumerate(assignment):
         held[i] += 1
-        screen.add(i, floors[d, i])
-        out.append(screen.cuts(held, inst.m - d - 1))
+        out.append(exact._forced(floors, list(assignment), d, held, limits) > inst.m - d - 1)
     return out
 
 
@@ -203,9 +202,9 @@ def assert_screen_sound(inst: Instance, at_leaf: bool) -> int:
     """Every allocation the screen cuts (at the leaf, or at a shorter
     prefix) has no feasible LP model; returns the cut allocations."""
     cut = 0
-    for name, (rules_out, models) in SCREENED_NOTIONS.items():
+    for name, (limits, models) in SCREENED_NOTIONS.items():
         for alloc in ir_allocations(inst):
-            cuts = screen_cuts(inst, rules_out, alloc.assignment)
+            cuts = screen_cuts(inst, limits, alloc.assignment)
             if not (cuts[-1] if at_leaf else any(cuts[:-1])):
                 continue
             cut += 1
