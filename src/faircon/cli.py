@@ -101,11 +101,9 @@ def cmd_verify(args) -> int:
         data = data["contract"]
     contract = serialize.contract_from_dict(data, inst.n)
     if args.notion == "eps-ef" and args.eps is None:
-        print("eps-ef verification requires --eps", file=sys.stderr)
-        return EXIT_INVALID
+        raise InvalidInstanceError("eps-ef verification requires --eps")
     if args.notion == "efs" and contract.subsidies is None:
-        print("contract has no subsidies", file=sys.stderr)
-        return EXIT_INVALID
+        raise InvalidInstanceError("contract has no subsidies")
     report = fairness_report(inst, contract, args.eps or 0, args.tol)
     payload = serialize.report_to_dict(report, args.exact_arith)
     ok = report.ir_ok and bool(getattr(report, NOTIONS[args.notion]))
@@ -167,11 +165,9 @@ def cmd_generate(args) -> int:
     flags = {key: _PARAM_FLAGS.get(key, key) for key in required + optional}
     given = [f for f in _FAMILY_FLAGS if getattr(args, f) is not None]
     if extra := [f for f in given if f not in flags.values()]:
-        print(f"--{extra[0]} is not a parameter of {args.family}", file=sys.stderr)
-        return EXIT_INVALID
+        raise InvalidInstanceError(f"--{extra[0]} is not a parameter of {args.family}")
     if missing := [flags[key] for key in required if flags[key] not in given]:
-        print(f"--{missing[0]} is required for {args.family}", file=sys.stderr)
-        return EXIT_INVALID
+        raise InvalidInstanceError(f"--{missing[0]} is required for {args.family}")
     # Every other parameter has a flag default.
     params = {key: getattr(args, f) for key, f in flags.items()}
     inst = instances.make(args.family, params)
@@ -268,27 +264,24 @@ def build_parser() -> argparse.ArgumentParser:
         description="Revenue-optimal fair contracts: solvers, verifiers, generators.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--eps", type=number, help="epsilon for eps-EF / DP methods")
+    shared.add_argument("--tol", type=tolerance, default="1e-9")
+    shared.add_argument("--exact-arith", action="store_true", help="print rationals as num/den")
+    shared.add_argument("--out")
 
-    ps = sub.add_parser("solve", help="solve an instance file")
+    ps = sub.add_parser("solve", parents=[shared], help="solve an instance file")
     ps.add_argument("instance")
     ps.add_argument("--method", required=True, choices=tuple(SOLVERS))
-    ps.add_argument("--eps", type=number, help="epsilon for eps-EF / DP methods")
-    ps.add_argument("--tol", type=tolerance, default="1e-9")
     ps.add_argument("--budget-lps", type=count, default=exact.DEFAULT_LP_BUDGET)
     ps.add_argument("--budget-states", type=count, default=dp.DEFAULT_STATE_BUDGET)
     ps.add_argument("--f-bits", type=integer, default=None, help="override the EF1 guess resolution")
-    ps.add_argument("--exact-arith", action="store_true", help="print rationals as num/den")
-    ps.add_argument("--out")
     ps.set_defaults(func=cmd_solve)
 
-    pv = sub.add_parser("verify", help="verify a contract against an instance")
+    pv = sub.add_parser("verify", parents=[shared], help="verify a contract against an instance")
     pv.add_argument("instance")
     pv.add_argument("contract")
     pv.add_argument("--notion", required=True, choices=tuple(NOTIONS))
-    pv.add_argument("--eps", type=number)
-    pv.add_argument("--tol", type=tolerance, default="1e-9")
-    pv.add_argument("--exact-arith", action="store_true")
-    pv.add_argument("--out")
     pv.set_defaults(func=cmd_verify)
 
     pg = sub.add_parser("generate", help="write an instance from a named family")

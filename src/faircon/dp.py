@@ -170,15 +170,14 @@ def instance_bit_length(inst: Instance) -> int:
     return total
 
 
-def _ladder_top(inst: Instance, f_bits: Optional[int]) -> int:
+def _ladder_top(inst: Instance, f_bits: int) -> int:
     """The exponent of the guess ladder's smallest nonzero rung m 2^-top."""
-    if f_bits is not None and f_bits < 0:
+    if f_bits < 0:
         raise InvalidInstanceError("f_bits must be nonnegative")
-    f = instance_bit_length(inst) if f_bits is None else f_bits
-    return f + max(0, math.ceil(math.log2(inst.m))) if inst.m > 1 else f
+    return f_bits + max(0, math.ceil(math.log2(inst.m))) if inst.m > 1 else f_bits
 
 
-def utility_guesses(inst: Instance, f_bits: Optional[int] = None) -> list[Fraction]:
+def utility_guesses(inst: Instance, f_bits: int) -> list[Fraction]:
     """The guess set {0} union {m 2^-i}: some element brackets each possible
     optimal utility within a factor of two (down to 2^-f_bits)."""
     top = _ladder_top(inst, f_bits)
@@ -743,6 +742,7 @@ def solve_ef1_fptas(
     delta = nu / m
     K = ceil_div(ONE, delta)
     step = Fraction(1, K)
+    f_bits = instance_bit_length(inst) if f_bits is None else f_bits
 
     # The ladder has top + 2 rungs and every guess runs the DP, and an
     # agent's subgrid of a task has up to K + 1 points: charge the larger
@@ -777,7 +777,7 @@ def solve_ef1_fptas(
             "eps": eps,
             "nu": nu,
             "delta": step,
-            "f_bits": instance_bit_length(inst) if f_bits is None else f_bits,
+            "f_bits": f_bits,
             "guess": best_guess,
             "guesses": guesses,
             "guesses_pruned": pruned,

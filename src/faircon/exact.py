@@ -80,8 +80,6 @@ log = logging.getLogger("faircon")
 DEFAULT_LP_BUDGET = 10**7
 _LOG_EVERY_LPS = 1_000  # DEBUG progress interval
 
-__all__ = ["solve_opt_ef", "solve_opt_ef1", "solve_opt_efs"]
-
 _Best = tuple[Fraction, Allocation, LpSolution]
 
 
@@ -175,28 +173,28 @@ def _best_lp(
     floors = [{i: f for i, _, f in row} for row in viable]
     assignment = [0] * inst.m
     held = [0] * inst.n
-    lps = pivots = solved = nodes = screened = 0
+    counts = dict.fromkeys(("lp_solves", "pivots", "allocations_solved", "nodes", "screened"), 0)
     best: Optional[_Best] = None
 
     def solve_leaf(welfare: Fraction) -> None:
-        nonlocal best, lps, pivots, solved
-        solved += 1
+        nonlocal best
+        counts["allocations_solved"] += 1
         alloc = Allocation(tuple(assignment), inst.n)
         for model in models(alloc):
-            lps += 1
-            if lps > budget_lps:
+            counts["lp_solves"] += 1
+            if counts["lp_solves"] > budget_lps:
                 raise BudgetExceededError("lps", budget_lps)
             sol = solve_lp(model)
-            pivots += sol.pivots
-            if lps % _LOG_EVERY_LPS == 0:
-                log.debug("exact: %d LPs, %d allocations solved", lps, solved)
+            counts["pivots"] += sol.pivots
+            if counts["lp_solves"] % _LOG_EVERY_LPS == 0:
+                log.debug("exact: %d LPs, %d allocations solved",
+                          counts["lp_solves"], counts["allocations_solved"])
             if sol.optimal and (best is None or sol.objective > best[0]):
                 best = (sol.objective, alloc, sol)
             if sol.optimal and sol.objective == welfare:
                 return
 
     def search(d: int, welfare: Fraction) -> None:
-        nonlocal nodes, screened
         if d == inst.m:
             solve_leaf(welfare)
             return
@@ -206,13 +204,13 @@ def _best_lp(
             bound = welfare + w + rest[d + 1]
             if bound < seed or (best is not None and bound <= best[0]):
                 continue
-            nodes += 1
-            if nodes > budget_lps:
+            counts["nodes"] += 1
+            if counts["nodes"] > budget_lps:
                 raise BudgetExceededError("search node", budget_lps)
             assignment[d] = i
             held[i] += 1
             if _forced(floors, assignment, d, held, limits) > inst.m - d - 1:
-                screened += 1
+                counts["screened"] += 1
             else:
                 search(d + 1, welfare + w)
             held[i] -= 1
@@ -220,14 +218,12 @@ def _best_lp(
     search(0, ZERO)
     log.info(
         "exact: %d allocations, %d nodes, %d screened, %d solved, %d LPs, best objective %s",
-        inst.n**inst.m, nodes, screened, solved, lps, None if best is None else best[0],
+        inst.n**inst.m, counts["nodes"], counts["screened"], counts["allocations_solved"],
+        counts["lp_solves"], None if best is None else best[0],
     )
     if best is None:
         raise FairconError("no feasible allocation; Assumption 1 should prevent this")
-    return best, {
-        "lp_solves": lps, "pivots": pivots, "allocations_solved": solved,
-        "nodes": nodes, "screened": screened,
-    }
+    return best, counts
 
 
 def _solve(

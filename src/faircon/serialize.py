@@ -83,13 +83,10 @@ def report_to_dict(rep: FairnessReport, exact: bool = False) -> dict:
 
 def _meta_value(x: Any, exact: bool) -> Any:
     """A meta value as JSON: a number as `format_number` writes it, a tuple
-    or list element by element, anything else as its str."""
+    or list element by element."""
     if isinstance(x, (tuple, list)):
         return [_meta_value(v, exact) for v in x]
-    try:
-        return format_number(x, exact)
-    except (TypeError, ValueError):
-        return str(x)
+    return format_number(x, exact)
 
 
 def result_to_dict(res: SolveResult, report: FairnessReport, exact: bool = False) -> dict:

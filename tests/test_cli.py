@@ -275,6 +275,13 @@ class TestSolve:
         dump_json(instance_to_dict(ex52) | {"n": 2.0, "m": 1.0}, str(path))
         assert run(["solve", path, "--method", "greedy", "--out", out]) == 0
 
+    def test_declared_size_must_match_the_rows(self, tmp_path, ex52, capsys):
+        path = tmp_path / "inst.json"
+        for key, size, rows in (("n", 3, "p/c rows"), ("m", 2, "r length")):
+            dump_json(instance_to_dict(ex52) | {key: size}, str(path))
+            assert run(["solve", path, "--method", "greedy"]) == 3
+            assert f"error: declared {key} does not match {rows}" in capsys.readouterr().err
+
     def test_bad_instance_file(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{\"r\": [2], \"p\": [[1]], \"c\": [[0]]}")
@@ -320,10 +327,24 @@ class TestVerify:
         dump_json({"assignment": [1.0], "alpha": ["3/5"]}, str(kpath))
         assert run(["verify", ex52_path, kpath, "--notion", "ef1"]) == 0
 
-    def test_efs_without_subsidies_invalid(self, tmp_path, ex52_path):
+    def test_efs_without_subsidies_invalid(self, tmp_path, ex52_path, capsys):
         kpath = tmp_path / "k.json"
         dump_json({"assignment": [0], "alpha": [0.1]}, str(kpath))
         assert run(["verify", ex52_path, kpath, "--notion", "efs"]) == 3
+        assert "error: contract has no subsidies" in capsys.readouterr().err
+
+    def test_eps_ef_without_eps_invalid(self, tmp_path, ex52_path, capsys):
+        kpath = tmp_path / "k.json"
+        dump_json({"assignment": [1], "alpha": ["3/5"]}, str(kpath))
+        assert run(["verify", ex52_path, kpath, "--notion", "eps-ef"]) == 3
+        assert "error: eps-ef verification requires --eps" in capsys.readouterr().err
+        assert run(["verify", ex52_path, kpath, "--notion", "eps-ef", "--eps", "1/10"]) == 0
+
+    def test_contract_without_alpha_invalid(self, tmp_path, ex52_path, capsys):
+        kpath = tmp_path / "k.json"
+        dump_json({"assignment": [1]}, str(kpath))
+        assert run(["verify", ex52_path, kpath, "--notion", "ef"]) == 3
+        assert "error: bad contract JSON: 'alpha'" in capsys.readouterr().err
 
 
 class TestBenchPof:
@@ -478,6 +499,13 @@ class TestBenchPof:
         for f_bits in (True, 1.5):
             out = _bench_row({**row, "f_bits": f_bits}, 1000, 10**6)
             assert out["error"] == f"InvalidInstanceError: f_bits {f_bits!r} is not an integer"
+
+    def test_method_outside_its_column_is_a_row_error(self):
+        # dp-ef1 and greedy would each run, and fill the wrong column.
+        row = {"family": "example", "params": {"id": "5.2", "eps": "1/20"}, "eps": "1/4"}
+        for key, method in (("ef_method", "dp-ef1"), ("ef1_method", "greedy")):
+            out = _bench_row({**row, key: method}, 1000, 10**6)
+            assert out["error"] == f"InvalidInstanceError: unknown {key} {method!r}"
 
     def test_unknown_family_parameter_is_a_row_error(self):
         # The misspelled seed used to run seed 0 and report ok.

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from faircon.core import (
+    Allocation,
     Contract,
     revenue,
     unconstrained_opt,
@@ -104,10 +105,19 @@ class TestSubsidyReduction:
             assert verify_efs(inst, back, tol=0)
         assert subsidized >= 2
 
+    def test_whole_subsidy_units_roundtrip(self):
+        # A subsidy of 3/2 takes one fully paid added task and one paid 1/2;
+        # the third added task goes to agent 0 unpaid.
+        _, mapping = efs_augment(gen_random(2, 1, 14))
+        k = Contract(Allocation((1,), 2), (F(1, 2),), (F(3, 2), ZERO))
+        lifted = embed_subsidized(k, mapping)
+        assert lifted.assignment == (1, 0, 0, 0)
+        assert lifted.alpha == (F(1, 2), 1, F(1, 2), 0)
+        assert extract_subsidies(lifted, mapping) == k
+
     def test_extract_requires_matching_shape(self):
         inst = gen_random(2, 1, 13)
         _, mapping = efs_augment(inst)
-        from faircon.core import Allocation
 
         short = Contract(Allocation((0,), 2), (ZERO,))
         with pytest.raises(Exception):
@@ -116,7 +126,6 @@ class TestSubsidyReduction:
     def test_embed_rejects_oversized_subsidies(self):
         inst = gen_random(2, 1, 14)
         _, mapping = efs_augment(inst)
-        from faircon.core import Allocation
 
         k = Contract(Allocation((0,), 2), (ZERO,), (F(3), F(2)))
         with pytest.raises(FairconError):

@@ -2,6 +2,7 @@
 module: an import whose name the file never reads is dead code."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted((ROOT / "src" / "faircon").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
 
-# (file, name) pairs imported for a reader outside the module.
+# (file, name) pairs imported for a reader outside the module; each must
+# be a name perfbench/tracing.py wraps on that module.
 READ_ELSEWHERE = {
     # perfbench/tracing.py wraps dp.agent_task_utility by module attribute.
     ("dp.py", "agent_task_utility"),
@@ -39,3 +41,18 @@ def test_the_scan_sees_an_unread_import(tmp_path):
     module = tmp_path / "m.py"
     module.write_text("import os\nimport sys as system\nfrom json import dumps, loads\nloads(system.argv)\n")
     assert unread_imports(module) == ["os", "dumps"]
+
+
+def test_every_import_read_elsewhere_is_still_wrapped():
+    # Once the tracer stops wrapping a name, the import kept for it is dead:
+    # the entry must go, and the scan above then fails until the import does.
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py"
+    )
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    wrapped = {
+        (f"{owner.__name__.rpartition('.')[2]}.py", attr)
+        for _, owner, attr, _ in tracing.boundaries()
+    }
+    assert READ_ELSEWHERE <= wrapped
