@@ -275,7 +275,12 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--method", required=True, choices=tuple(SOLVERS))
     ps.add_argument("--budget-lps", type=count, default=exact.DEFAULT_LP_BUDGET)
     ps.add_argument("--budget-states", type=count, default=dp.DEFAULT_STATE_BUDGET)
-    ps.add_argument("--f-bits", type=integer, default=None, help="override the EF1 guess resolution")
+    ps.add_argument(
+        "--f-bits", type=integer, default=None,
+        help="dp-ef1 guess resolution; default: the instance's total bit length over every "
+        "numerator and denominator, at which the (f_bits + ceil(log2 m) + 2)^n guesses, charged "
+        "to --budget-states up front, exceed it already on small 3-agent instances",
+    )
     ps.set_defaults(func=cmd_solve)
 
     pv = sub.add_parser("verify", parents=[shared], help="verify a contract against an instance")

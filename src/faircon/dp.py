@@ -113,22 +113,20 @@ def uniform_grid(inst: Instance, steps: int) -> Discretization:
     )
 
 
-def adaptive_grid(inst: Instance, guess: Sequence[Num], delta: Num) -> Discretization:
+def adaptive_grid(inst: Instance, guess: Sequence[Num], K: int) -> Discretization:
     """EF1 discretization for one vector of guessed agent utilities.
 
     For each task, each agent's candidate contracts run from its minimum
     wage up to the largest contract keeping *every* agent at or below its
-    guessed utility, in K = ceil(1/delta) uniform steps; the task's grid is
-    the union over agents.  Agent utility grids have step guess / K; the
-    principal keeps a plain 1/K grid.
+    guessed utility, in K uniform steps; the task's grid is the union over
+    agents.  Agent utility grids have step guess / K; the principal keeps a
+    plain 1/K grid.
     """
     guess = [as_fraction(g) for g in guess]
     if len(guess) != inst.n or any(g < 0 for g in guess):
         raise InvalidInstanceError("guess must give a nonnegative utility per agent")
-    delta = as_fraction(delta)
-    if not (0 < delta <= 1):
-        raise InvalidInstanceError("delta must be in (0, 1]")
-    K = ceil_div(ONE, delta)
+    if K < 1:
+        raise InvalidInstanceError("need at least one grid step")
 
     grids: list[tuple[Fraction, ...]] = []
     for j in range(inst.m):
@@ -174,15 +172,14 @@ def _ladder_top(inst: Instance, f_bits: int) -> int:
     """The exponent of the guess ladder's smallest nonzero rung m 2^-top."""
     if f_bits < 0:
         raise InvalidInstanceError("f_bits must be nonnegative")
-    return f_bits + max(0, math.ceil(math.log2(inst.m))) if inst.m > 1 else f_bits
+    return f_bits + (inst.m - 1).bit_length()  # (m - 1).bit_length() = ceil(log2 m)
 
 
 def utility_guesses(inst: Instance, f_bits: int) -> list[Fraction]:
-    """The guess set {0} union {m 2^-i}: some element brackets each possible
-    optimal utility within a factor of two (down to 2^-f_bits)."""
+    """The guess set {0} union {m 2^-i}, ascending: some element brackets
+    each possible optimal utility within a factor of two (down to 2^-f_bits)."""
     top = _ladder_top(inst, f_bits)
-    out = [ZERO] + [Fraction(inst.m) * Fraction(1, 2**i) for i in range(top + 1)]
-    return sorted(set(out))
+    return [ZERO] + [Fraction(inst.m, 2**i) for i in range(top, -1, -1)]
 
 
 class _Packer:
@@ -576,7 +573,7 @@ def _ef1_screen(inst: Instance, agents: np.ndarray, alphas: np.ndarray, slack: f
     return np.all(own[:, :, None] >= switch - drop - slack, axis=(1, 2))
 
 
-def _scan_candidates(inst, dp: DpResult, best_rev, best, verify, screen: bool):
+def _scan_candidates(dp: DpResult, best_rev, best, verify, screen: bool):
     """Best-true-revenue verifier-passing candidate, scanned by descending
     float revenue; returns (revenue, contract, verifier calls).
 
@@ -588,6 +585,7 @@ def _scan_candidates(inst, dp: DpResult, best_rev, best, verify, screen: bool):
     failer too close to the incumbent for floats to order gets
     reconstructed, for its exact revenue.
     """
+    inst = dp.inst
     positions, frev = dp.band(best_rev)
     order = np.argsort(-frev, kind="stable")
     margin = _band_margin(inst.m)
@@ -656,7 +654,7 @@ def _best_over_guesses(inst, runs, unit_cap, rev_floor, budget_states, verify, s
         except BudgetExceededError as exc:
             raise BudgetExceededError("states", budget_states, states + exc.needed) from None
         states += dp.states_total
-        new_rev, new_best, run_checks = _scan_candidates(inst, dp, best_rev, best, verify, screen)
+        new_rev, new_best, run_checks = _scan_candidates(dp, best_rev, best, verify, screen)
         checks += run_checks
         if new_best is not best:
             best_rev, best, best_guess = new_rev, new_best, guess
@@ -665,6 +663,18 @@ def _best_over_guesses(inst, runs, unit_cap, rev_floor, budget_states, verify, s
     if best is None:
         raise FairconError("no candidate passed verification; this contradicts the guarantee")
     return best, best_rev, best_guess, states, checks, count, pruned
+
+
+def _fptas_front(inst: Instance, eps: Num, rule) -> tuple[Fraction, Fraction, int, Fraction]:
+    """An FPTAS's parameters for the public eps: eps as a Fraction, the
+    internal x = rule(eps), the grid size K = ceil(m / x), so the step 1/K
+    is at most x/m, and the revenue floor: either proof's guaranteed
+    candidate earns at least OPT-EF - 2x, and greedy EF lower-bounds OPT-EF."""
+    eps = as_fraction(eps)
+    if eps <= 0:
+        raise InvalidInstanceError("eps must be positive")
+    x = rule(eps)
+    return eps, x, ceil_div(inst.m, x), revenue(inst, greedy_ef(inst)) - 2 * x
 
 
 def solve_eps_ef_fptas(
@@ -679,21 +689,11 @@ def solve_eps_ef_fptas(
     rounded optimum is 3*(eps/3)-EF and loses at most 2*(eps/3) revenue, so
     the public contract holds with the single public knob.
     """
-    eps = as_fraction(eps)
-    if eps <= 0:
-        raise InvalidInstanceError("eps must be positive")
-    eps_int = eps / 3
-    delta = eps_int / inst.m
-    K = ceil_div(ONE, delta)
-    step = Fraction(1, K)
+    eps, eps_int, K, floor = _fptas_front(inst, eps, lambda eps: eps / 3)
     # Building the grid alone costs time linear in its K + 1 points, so
     # charge them before it is built.
     if K + 1 > budget_states:
         raise BudgetExceededError("states", budget_states, K + 1)
-
-    # The guaranteed candidate earns at least OPT-EF - 2 eps/3, and the
-    # greedy EF contract lower-bounds OPT-EF, giving a sound revenue floor.
-    floor = revenue(inst, greedy_ef(inst)) - 2 * eps_int
     best, best_rev, _, states, checked, _, _ = _best_over_guesses(
         inst, [(None, uniform_grid(inst, K))], None, floor, budget_states,
         lambda contract: verify_eps_ef(inst, contract, eps, tol=0), screen=False,
@@ -705,7 +705,7 @@ def solve_eps_ef_fptas(
         {
             "eps": eps,
             "eps_internal": eps_int,
-            "delta": step,
+            "delta": Fraction(1, K),
             "grid_points": K + 1,
             "states": states,
             "candidates_checked": checked,
@@ -732,16 +732,10 @@ def solve_ef1_fptas(
     `guesses_pruned` the skipped ones).  budget_states bounds the DP states
     of all guesses together.
     """
-    eps = as_fraction(eps)
-    if eps <= 0:
-        raise InvalidInstanceError("eps must be positive")
     n, m = inst.n, inst.m
     # nu = eps/2 (not eps) so the proof's 2*nu revenue loss meets the
     # public -eps contract; the 1/(6m) cap drives the EF1 argument.
-    nu = min(eps / 2, Fraction(1, 6 * m))
-    delta = nu / m
-    K = ceil_div(ONE, delta)
-    step = Fraction(1, K)
+    eps, nu, K, floor = _fptas_front(inst, eps, lambda eps: min(eps / 2, Fraction(1, 6 * m)))
     f_bits = instance_bit_length(inst) if f_bits is None else f_bits
 
     # The ladder has top + 2 rungs and every guess runs the DP, and an
@@ -756,15 +750,10 @@ def solve_ef1_fptas(
         cap = 2 * sum((max(inst.welfare(i, j), ZERO) for j in range(m)), ZERO)
         per_agent.append([g for g in ladder if g <= cap] or [ZERO])
 
-    runs = (
-        (guess, adaptive_grid(inst, guess, delta)) for guess in itertools.product(*per_agent)
-    )
+    runs = ((guess, adaptive_grid(inst, guess, K)) for guess in itertools.product(*per_agent))
     # The cap is the same for every guess: an agent guessed at 0 gets a grid
     # at or below its minimum wage on every task, so it holds no unit anyway.
-    unit_cap = K + ceil_div(nu, step) + m
-    # The correct guess's surviving candidate earns at least OPT-EF - 2 nu,
-    # and greedy EF lower-bounds OPT-EF.
-    floor = revenue(inst, greedy_ef(inst)) - 2 * nu
+    unit_cap = K + math.ceil(nu * K) + m
     best, best_rev, best_guess, states, checks, guesses, pruned = _best_over_guesses(
         inst, runs, unit_cap, floor, budget_states,
         lambda k: verify_ef1(inst, k, tol=0)[0], screen=True,
@@ -776,7 +765,7 @@ def solve_ef1_fptas(
         {
             "eps": eps,
             "nu": nu,
-            "delta": step,
+            "delta": Fraction(1, K),
             "f_bits": f_bits,
             "guess": best_guess,
             "guesses": guesses,

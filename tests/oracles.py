@@ -466,7 +466,7 @@ def best_over_guesses_reference(
         except BudgetExceededError as exc:
             raise BudgetExceededError("states", budget_states, states + exc.needed) from None
         states += dp.states_total
-        new_rev, new_best, run_checks = _scan_candidates(inst, dp, best_rev, best, verify, screen)
+        new_rev, new_best, run_checks = _scan_candidates(dp, best_rev, best, verify, screen)
         checks += run_checks
         if new_best is not best:
             best_rev, best, best_guess = new_rev, new_best, guess

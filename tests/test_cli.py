@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 import shlex
 import time
 from fractions import Fraction as F
@@ -10,10 +11,10 @@ from pathlib import Path
 import pytest
 
 from faircon import dp, simplex
-from faircon.cli import _bench_row, main
+from faircon.cli import SOLVERS, _bench_row, build_parser, main
 from faircon.errors import InvalidInstanceError
 from faircon.serialize import dump_json, instance_to_dict, load_json
-from faircon.instances import gen_partition_ef1, gen_random, gen_two_agent_hard, make
+from faircon.instances import FAMILIES, gen_partition_ef1, gen_random, gen_two_agent_hard, make
 
 
 REPO = Path(__file__).resolve().parents[1]
@@ -589,11 +590,29 @@ def test_readme_cli_block_runs(tmp_path, monkeypatch):
     block = (REPO / "README.md").read_text().split("## CLI", 1)[1]
     block = block.split("```sh\n", 1)[1].split("```", 1)[0]
     commands = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("faircon ")]
-    assert [argv[0] for argv in commands] == ["generate"] * 3 + ["solve"] * 3 + ["verify", "bench-pof"]
+    assert [argv[0] for argv in commands] == ["generate"] * 8 + ["solve"] * 3 + ["verify", "bench-pof"]
+    assert [argv[1] for argv in commands[:8]] == list(FAMILIES)
     monkeypatch.chdir(tmp_path)
     for argv in commands:
         argv = [str(POF_CONFIG) if a == "bench/pof.json" else a for a in argv]
         assert main(argv) == 0, argv
+
+
+def test_readme_names_every_method_family_and_option():
+    # Every solve method, generate family and long option of a subcommand,
+    # each as a whole word: `partition-ef` is a prefix of `partition-ef1`.
+    readme = (REPO / "README.md").read_text()
+    subparsers = next(a for a in build_parser()._actions if a.choices and "solve" in a.choices)
+    options = {
+        opt
+        for sub in subparsers.choices.values()
+        for action in sub._actions
+        for opt in action.option_strings
+        if opt.startswith("--") and opt != "--help"
+    }
+    names = [*SOLVERS, *FAMILIES, *sorted(options)]
+    missing = [x for x in names if not re.search(rf"(?<![\w-]){re.escape(x)}(?![\w-])", readme)]
+    assert missing == []
 
 
 def test_string_vectors_are_invalid(tmp_path, ex52_path, capsys):

@@ -2,8 +2,10 @@
 
 import itertools
 import json
+import math
 import random
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -304,7 +306,7 @@ class TestAdaptiveGrid:
         # Agent 0 can never earn on the task (p r = 0, c > 0): its subgrid
         # is empty and the task grid comes from agent 1 alone.
         inst = Instance(r=(1,), p=((0,), (F(1, 2),)), c=((F(1, 2),), (F(1, 8),)))
-        disc = adaptive_grid(inst, guess=(F(1, 4), F(1, 4)), delta=F(1, 4))
+        disc = adaptive_grid(inst, guess=(F(1, 4), F(1, 4)), K=4)
         grid = disc.task_grids[0]
         wage1 = F(1, 8) / F(1, 2)
         assert min(grid) == wage1  # nothing below agent 1's wage
@@ -313,19 +315,17 @@ class TestAdaptiveGrid:
         assert max(grid) == F(3, 4)
 
     def test_example_52_zero_guess_collapses_grid(self, ex52):
-        disc = adaptive_grid(ex52, guess=(ZERO, ZERO), delta=F(1, 12))
+        disc = adaptive_grid(ex52, guess=(ZERO, ZERO), K=12)
         assert disc.task_grids[0] == (F(1, 10),)
 
     def test_loose_guess_spans_to_one(self, ex52):
-        disc = adaptive_grid(ex52, guess=(F(1), F(1)), delta=F(1, 12))
+        disc = adaptive_grid(ex52, guess=(F(1), F(1)), K=12)
         assert max(disc.task_grids[0]) == 1
         assert min(disc.task_grids[0]) == F(1, 10)
 
     def test_guess_validation(self, ex52):
         with pytest.raises(InvalidInstanceError):
-            adaptive_grid(ex52, guess=(-1, 0), delta=F(1, 4))
-        with pytest.raises(InvalidInstanceError):
-            adaptive_grid(ex52, guess=(0, 0), delta=2)
+            adaptive_grid(ex52, guess=(-1, 0), K=4)
 
 
 def test_guess_ladder_covers_every_utility():
@@ -342,6 +342,47 @@ def test_guess_ladder_covers_every_utility():
             assert F(0) in ladder
     with pytest.raises(InvalidInstanceError):
         utility_guesses(inst, -1)
+
+
+def test_ladder_top_is_f_plus_ceil_log2_m():
+    # The ladder's exponent reads only m from the instance.
+    for m in range(1, 4097):
+        t = 0
+        while 2**t < m:
+            t += 1
+        for f in (0, 5):
+            assert dp_module._ladder_top(SimpleNamespace(m=m), f) == f + t
+
+
+def test_utility_guesses_ascend_from_zero_to_m():
+    for inst in random_instances(12, 3, 6, seed0=4300) + [gen_partition_ef1([1])]:
+        for f in (0, 1, 4):
+            ladder = utility_guesses(inst, f)
+            assert ladder[0] == 0 and ladder[-1] == inst.m
+            assert all(a < b for a, b in zip(ladder, ladder[1:]))
+            assert len(ladder) == dp_module._ladder_top(inst, f) + 2
+
+
+def test_both_fptas_derive_k_and_floor_from_x(monkeypatch):
+    # x is eps/3 for dp-eps-ef and min(eps/2, 1/(6m)) for dp-ef1; both take
+    # K = ceil(m / x) and floor the DP at greedy-EF revenue - 2x.
+    floors = []
+    real = dp_module._best_over_guesses
+
+    def driver(inst, runs, unit_cap, rev_floor, *rest, **kwargs):
+        floors.append(rev_floor)
+        return real(inst, runs, unit_cap, rev_floor, *rest, **kwargs)
+
+    monkeypatch.setattr(dp_module, "_best_over_guesses", driver)
+    for inst in (gen_random(2, 3, 7), gen_partition_ef1([1]), gen_two_agent_hard([1, 2])):
+        greedy = revenue(inst, greedy_ef(inst))
+        for eps in (F(1, 4), F(1, 6)):
+            ef = solve_eps_ef_fptas(inst, eps)
+            ef1 = solve_ef1_fptas(inst, eps, f_bits=1)
+            nu = min(eps / 2, F(1, 6 * inst.m))
+            for x, key, meta in ((eps / 3, "eps_internal", ef.meta), (nu, "nu", ef1.meta)):
+                assert meta[key] == x and meta["delta"] == F(1, math.ceil(inst.m / x))
+            assert floors[-2:] == [greedy - 2 * eps / 3, greedy - 2 * nu]
 
 
 def test_instance_bit_length_counts_all_entries():
@@ -544,7 +585,7 @@ def _seeded_adaptive_grids():
         guesses = list(itertools.product(ladder, repeat=inst.n))
         for guess in random.Random(inst.m).sample(guesses, min(4, len(guesses))):
             for K in (5, 24):
-                yield inst, guess, K, adaptive_grid(inst, guess, F(1, K))
+                yield inst, guess, K, adaptive_grid(inst, guess, K)
 
 
 class TestOptionKernel:
@@ -603,7 +644,7 @@ class TestOptionKernel:
     def test_zero_guess(self, ex52):
         for inst in (ex52, ZERO_PR, gen_partition_ef1([1])):
             guess = (ZERO,) * inst.n
-            disc = adaptive_grid(inst, guess, F(1, 12))
+            disc = adaptive_grid(inst, guess, 12)
             assert disc.task_grids == adaptive_task_grids_reference(inst, guess, 12)
             _options_match(inst, disc)
 
@@ -681,18 +722,28 @@ class TestBandScreen:
         assert worst <= bound
         assert _band_margin(inst.m) == 1e-9 and _screen_slack(inst.m) == 1e-7
 
-    def test_scan_reconstructs_only_screen_passers(self, monkeypatch):
-        # 6,289 band positions count as verifier calls, but the screen
-        # rejects all but a few before any contract is rebuilt.
+    def test_scan_rebuilds_passers_and_close_failers(self, monkeypatch):
+        # 6,289 band positions count as verifier calls.  The scan rebuilds
+        # the screen-passers and, for their exact revenue, the screen-failers
+        # within the band margin of the incumbent: 21 contracts, 14 of them
+        # screen-failers.
         rebuilt = []
         real = dp_module.DpResult.reconstruct
-        monkeypatch.setattr(
-            dp_module.DpResult, "reconstruct", lambda dp, i: rebuilt.append(i) or real(dp, i)
-        )
-        res = solve_ef1_fptas(gen_partition_ef1([1]), F(1, 6), f_bits=1)
+
+        def reconstruct(dp, index):
+            rebuilt.append(real(dp, index))
+            return rebuilt[-1]
+
+        monkeypatch.setattr(dp_module.DpResult, "reconstruct", reconstruct)
+        inst = gen_partition_ef1([1])
+        res = solve_ef1_fptas(inst, F(1, 6), f_bits=1)
         assert (res.meta["exact_checks"], res.meta["states"]) == (6289, 8659)
         assert res.revenue == F(7, 10)
         assert 0 < len(rebuilt) < 100
+        agents = np.array([assignment for assignment, _ in rebuilt])
+        alphas = np.array([[float(a) for a in contract] for _, contract in rebuilt])
+        passed = _ef1_screen(inst, agents, alphas, _screen_slack(inst.m))
+        assert (len(rebuilt), int(np.count_nonzero(~passed))) == (21, 14)
 
 
 # (instance, eps, f_bits) the guess driver is checked on: the 20

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from faircon.core import Allocation, Contract, Instance, agent_task_utility
-from faircon.dp import solve_ef1_fptas, uniform_grid
+from faircon.dp import adaptive_grid, solve_ef1_fptas, uniform_grid
 from faircon.errors import DimensionMismatchError, InvalidInstanceError
 from faircon.ext import efs_augment, embed_subsidized
 from faircon.instances import gen_example, gen_independent_set, gen_partition_eps_ef, gen_random
@@ -74,6 +74,10 @@ GUARDS = {
     ),
     "uniform-grid-0-steps": (
         lambda: uniform_grid(two_by_two(), 0), InvalidInstanceError, "need at least one grid step",
+    ),
+    "adaptive-grid-0-steps": (
+        lambda: adaptive_grid(two_by_two(), (0, 0), 0), InvalidInstanceError,
+        "need at least one grid step",
     ),
     "dp-ef1-eps-0": (
         lambda: solve_ef1_fptas(two_by_two(), 0), InvalidInstanceError, "eps must be positive",
