@@ -7,9 +7,11 @@ agent j's bundle), keeping one representative (allocation, contract) per
 profile: the one with the most principal units.  The fairness argument for
 a representative depends only on its cross-utility profile, and the most
 principal units can only improve the revenue guarantee.  Profiles are
-radix-packed into one or more int64 words (components never straddle a
-word), so a transition is a vectorized integer addition; all grids are
-uniform, so rounded utilities are exact integer unit counts.
+packed into one or more int64 words, each component a bit field just wide
+enough for the most it can reach (the sum over tasks of its largest option
+delta) and never straddling a word, so a transition is a vectorized
+integer addition; all grids are uniform, so rounded utilities are exact
+integer unit counts.
 
 A task layer's transition keeps each packed word as one contiguous int64
 column.  Candidates (state plus option delta) whose principal units cannot
@@ -31,10 +33,12 @@ over one common denominator D and each agent's p*r and c over one
 denominator L, so the IR sign, the agent units and the principal units of
 every (grid point, agent) pair are one integer product and one floor
 division each.  The kernel emits integer units and a grid index per
-option; each task is then packed once, in numpy, into one table that the
-transitions, the scan and the backtrack all read.  Adaptive grids are built
-the same way, as integer numerators over L*K, and each distinct point
-becomes a Fraction once.
+option, and keeps only the first option of each agent and units: a later
+one moves the profile alike with no more principal units.  Each task is
+then packed once, in numpy, into one table that the transitions, the
+scan and the backtrack all read.  Adaptive grids are built the same way,
+as integer numerators over L*K, and each distinct point becomes a
+Fraction once.
 
 Both FPTAS solvers run through one guess loop (`_best_over_guesses`):
 per (guess, grid) run it floors the DP at the revenue the answer must
@@ -44,13 +48,14 @@ incumbent earns the unconstrained optimum and skips a run whose principal
 units cannot beat the incumbent.  dp-eps-ef passes one run on a uniform
 grid, dp-ef1 one run per vector of utility guesses.
 
-The candidate scan walks the final layer in descending float revenue.  For
-dp-ef1 it backtracks fixed-size blocks of the band into (N, m) agent and
-contract arrays and screens EF1 in numpy over the (N, n, m) utility
-tensor; only screen-passers, and screen-failers whose float revenue is too
-close to the incumbent's to order, are reconstructed and given an exact
-revenue.  The float margins of the band and of the screen are derived from
-m below (`_band_margin`, `_screen_slack`).
+The candidate scan walks the final layer in descending float revenue,
+sorting only the head it reads (`_descending`).  For dp-ef1 it backtracks
+fixed-size blocks of the band into (N, m) agent and contract arrays and
+screens EF1 in numpy over the (N, n, m) utility tensor; only
+screen-passers, and screen-failers whose float revenue is too close to the
+incumbent's to order, are reconstructed and given an exact revenue.  The
+float margins of the band and of the screen are derived from m below
+(`_band_margin`, `_screen_slack`).
 """
 
 from __future__ import annotations
@@ -183,35 +188,45 @@ def utility_guesses(inst: Instance, f_bits: int) -> list[Fraction]:
 
 
 class _Packer:
-    """Radix-packs profile components into int64 words, one or more
-    components per word so additions never carry across components."""
+    """Packs profile components into int64 words as bit fields.
 
-    def __init__(self, radix: int, n_comp: int):
-        if radix >= 2**62:
+    Component c gets reach[c].bit_length() bits, where reach[c] bounds it
+    on every state, so additions of option deltas never carry across
+    fields.  Components go in order, the first in the most significant
+    bits, and start a new word when the next field would pass 62 bits: the
+    words, compared in order, order the keys as the component rows."""
+
+    def __init__(self, reach: Sequence[int]):
+        self.widths = [int(r).bit_length() for r in reach]
+        if max(self.widths) > 62:
             raise InvalidInstanceError("grid too fine to pack profile components")
-        self.radix = radix
-        self.n_comp = n_comp
-        self.per_word = max(1, int(62 // math.log2(max(2, radix))))
-        self.n_words = -(-n_comp // self.per_word)
+        self.reach = np.array(reach, dtype=np.int64)
+        self.word_of = []
+        word = used = 0
+        for width in self.widths:
+            if used + width > 62:
+                word, used = word + 1, 0
+            self.word_of.append(word)
+            used += width
+        self.n_words = word + 1
 
     def pack_rows(self, comps: np.ndarray) -> np.ndarray:
         """(N, n_comp) int64 component matrix -> (N, n_words) int64."""
         out = np.zeros((len(comps), self.n_words), dtype=np.int64)
-        for pos in range(self.n_comp):
-            word = out[:, pos // self.per_word]
-            word *= self.radix
+        for pos, (w, width) in enumerate(zip(self.word_of, self.widths)):
+            word = out[:, w]
+            word <<= width
             word += comps[:, pos]
         return out
 
     def unpack_rows(self, rows: np.ndarray) -> np.ndarray:
         """(N, n_words) int64 -> (N, n_comp) int64 component matrix."""
-        out = np.empty((len(rows), self.n_comp), dtype=np.int64)
-        for w in range(self.n_words):
-            chunk = min(self.per_word, self.n_comp - w * self.per_word)
-            rem = rows[:, w].copy()
-            for pos in range(chunk - 1, -1, -1):
-                rem, val = np.divmod(rem, self.radix)
-                out[:, w * self.per_word + pos] = val
+        out = np.empty((len(rows), len(self.widths)), dtype=np.int64)
+        rem = np.array(rows, dtype=np.int64)
+        for pos in range(len(self.widths) - 1, -1, -1):
+            word, width = rem[:, self.word_of[pos]], self.widths[pos]
+            np.bitwise_and(word, (1 << width) - 1, out=out[:, pos])
+            word >>= width
         return out
 
 
@@ -284,9 +299,12 @@ def _task_options(
     inst: Instance, disc: Discretization, j: int
 ) -> list[tuple[int, int, tuple[int, ...], int]]:
     """IR (alpha, agent) choices for task j as (agent, grid index of alpha,
-    every agent's units, principal units), deduplicated when they move the
-    profile identically.  An agent's units are the same on any receiver's
-    bundle.
+    every agent's units, principal units), only the first of those with the
+    same agent and units.  An agent's units are the same on any receiver's
+    bundle.  The grid ascends, so along it the principal units never rise:
+    a later option of the same agent and units moves every state to the
+    same profile with no more principal units, and so never wins a dedupe,
+    clears a floor the first misses or names a backtrack.
 
     Exact integer kernel: with the grid point alpha = A/D and agent i's
     p*r = P_i/L_i and c = C_i/L_i, utility u_i = (A P_i - D C_i)/(D L_i), so
@@ -311,7 +329,7 @@ def _task_options(
         h_mul.append(P[i] * h_step.denominator)
 
     out: list[tuple[int, int, tuple[int, ...], int]] = []
-    seen: set[tuple[int, ...]] = set()
+    seen: set[tuple[int, tuple[int, ...]]] = set()
     for k, alpha in enumerate(grid):
         A = alpha.numerator * (D // alpha.denominator)
         u = [A * P[i] - DC[i] for i in range(n)]  # D L_i times the utility
@@ -328,12 +346,10 @@ def _task_options(
         for agent in range(n):
             if u[agent] < 0:
                 continue  # not IR: this pair can never appear in a contract
-            dh = -((-(D - A) * h_mul[agent]) // h_den[agent])
-            sig = (agent, dh, units)
-            if sig in seen:
+            if (agent, units) in seen:
                 continue
-            seen.add(sig)
-            out.append((agent, k, units, dh))
+            seen.add((agent, units))
+            out.append((agent, k, units, -((-(D - A) * h_mul[agent]) // h_den[agent])))
     return out
 
 
@@ -398,21 +414,22 @@ def _dedupe_block(cols: list[np.ndarray], h: np.ndarray, gidx: np.ndarray):
 def _dp_setup(inst: Instance, disc: Discretization) -> DpResult:
     """A DpResult before any transition: the profile packer, every task's
     options as one table, and `future_h`."""
-    n, m = inst.n, inst.m
+    n = inst.n
     unpacked = []
-    for j in range(m):
+    for j in range(inst.m):
         if not (opts := _task_options(inst, disc, j)):
             raise FairconError(f"task {j} has no IR grid contract")
         agents, points, units, dh = (np.array(col, dtype=np.int64) for col in zip(*opts))
         alphas = np.array([float(disc.task_grids[j][k]) for k in points.tolist()])
-        unpacked.append((agents, alphas, units, dh, points))
-    # No profile component exceeds m times the largest unit of one option.
-    packer = _Packer(m * max(1, max(int(t[2].max()) for t in unpacked)) + 1, n * n)
-    tables = []
-    for agents, alphas, units, dh, points in unpacked:
         deltas = np.zeros((len(dh), n, n), dtype=np.int64)
         deltas[np.arange(len(dh)), :, agents] = units  # agent i's units on the receiver's bundle
-        tables.append((agents, alphas, packer.pack_rows(deltas.reshape(len(dh), -1)), dh, points))
+        unpacked.append((agents, alphas, deltas.reshape(len(dh), -1), dh, points))
+    # No state's component exceeds the sum over tasks of its largest delta.
+    packer = _Packer([sum(col) for col in zip(*(t[2].max(axis=0).tolist() for t in unpacked))])
+    tables = [
+        (agents, alphas, packer.pack_rows(deltas), dh, points)
+        for agents, alphas, deltas, dh, points in unpacked
+    ]
     future_h = list(itertools.accumulate((int(t[3].max()) for t in reversed(tables)), initial=0))
     return DpResult(inst, disc, packer, tables, future_h[::-1])
 
@@ -442,12 +459,10 @@ def dp_enumerate(
     m = inst.m
     result = _dp_setup(inst, disc) if prepared is None else prepared
     packer, future_h = result.packer, result.future_h
-    # No state exceeds the sum over tasks of each component's largest
-    # option delta, so the cap test runs only when that sum passes the cap.
-    if unit_cap is not None:
-        reach = sum(packer.unpack_rows(t[2]).max(axis=0) for t in result.tables)
-        if np.all(reach <= unit_cap):
-            unit_cap = None
+    # No state passes the packer's reach, so the cap test runs only when
+    # some component's reach passes the cap.
+    if unit_cap is not None and np.all(packer.reach <= unit_cap):
+        unit_cap = None
 
     def kept(cols: list[np.ndarray], hv: np.ndarray, gidx: np.ndarray):
         """A deduplicated block, as word columns, without the states over
@@ -573,6 +588,31 @@ def _ef1_screen(inst: Instance, agents: np.ndarray, alphas: np.ndarray, slack: f
     return np.all(own[:, :, None] >= switch - drop - slack, axis=(1, 2))
 
 
+def _descending(frev: np.ndarray, low: float):
+    """The positions of frev at or above `low`, in the order
+    np.argsort(-frev, kind="stable") gives, as blocks of _SCAN_BLOCK.
+
+    Only the head that is read gets sorted.  Each round partitions off the
+    `size` largest values, ties included, so the stable sort of that head
+    starts with the first `size` positions of the full order; the round
+    yields the blocks among them not yet yielded and doubles `size`, so a
+    scan that reads everything sorts at most about twice as much as one
+    full sort.
+    """
+    live = np.flatnonzero(frev >= low)
+    neg = -frev[live]
+    done, size = 0, _SCAN_BLOCK
+    while done < len(live):
+        if size < len(live):
+            head = np.flatnonzero(neg <= np.partition(neg, size - 1)[size - 1])
+        else:
+            head = np.arange(len(live))
+        order = live[head[np.argsort(neg[head], kind="stable")]]
+        for start in range(done, min(size, len(live)), _SCAN_BLOCK):
+            yield order[start : start + _SCAN_BLOCK]
+        done, size = size, 2 * size
+
+
 def _scan_candidates(dp: DpResult, best_rev, best, verify, screen: bool):
     """Best-true-revenue verifier-passing candidate, scanned by descending
     float revenue; returns (revenue, contract, verifier calls).
@@ -587,16 +627,13 @@ def _scan_candidates(dp: DpResult, best_rev, best, verify, screen: bool):
     """
     inst = dp.inst
     positions, frev = dp.band(best_rev)
-    order = np.argsort(-frev, kind="stable")
     margin = _band_margin(inst.m)
     slack = _screen_slack(inst.m)
     checks = 0
     fbest = float(best_rev) if best_rev is not None else -math.inf
-    # Float revenue falls along `order` and fbest only rises, so the scan
-    # never leaves this prefix.
-    scanned = order[: int(np.count_nonzero(frev >= fbest - margin))]
-    for start in range(0, len(scanned), _SCAN_BLOCK):
-        block = scanned[start : start + _SCAN_BLOCK]
+    # Float revenue falls along the scan and fbest only rises, so the scan
+    # never reaches a revenue below this cut.
+    for block in _descending(frev, fbest - margin):
         if screen:
             passed = _ef1_screen(inst, *dp.choices(positions[block]), slack).tolist()
         else:

@@ -86,6 +86,56 @@ class TestRounding:
                     assert true <= rounded <= true + F(1, 10)
 
 
+# Four agents with p r near 1 on every task: at K = 12 each of the 16
+# profile components reaches 33 or 34 units, 6 bits each, so the profiles
+# take two key words (ten fields in the first, six in the second).  Its
+# future_h is [35, 24, 12, 0], and a cap of 20 binds every agent.
+FOUR_AGENTS = Instance(
+    r=(1, 1, 1),
+    p=(
+        (1, F(9, 10), F(19, 20)),
+        (F(19, 20), 1, F(9, 10)),
+        (F(9, 10), F(19, 20), 1),
+        (1, 1, F(9, 10)),
+    ),
+    c=(
+        (F(1, 20), F(1, 10), 0),
+        (F(1, 10), F(1, 30), F(1, 20)),
+        (0, F(1, 20), F(1, 10)),
+        (F(1, 5), 0, F(1, 30)),
+    ),
+)
+
+# (instance, K, key words) of the packing checks: partition-ef [1, 2, 3] on
+# dp-eps-ef's eps 1/15 grid, and FOUR_AGENTS.
+PACKING_CASES = {
+    "pef-123": (gen_partition_ef([1, 2, 3]), 180, 1),
+    "four-agents": (FOUR_AGENTS, 12, 2),
+}
+
+
+def _check_backtracking(inst, K, n_words):
+    """At every final position of the DP on a K-step uniform grid, packed
+    into n_words words, the path's option deltas and principal units sum to
+    the state's key and h, and choices() and reconstruct() name the same
+    path.  The final keys, unpacked, ascend strictly and stay in reach."""
+    dp = dp_enumerate(inst, uniform_grid(inst, K))
+    assert dp.packer.n_words == n_words
+    positions = np.arange(len(dp.h))
+    keys, h = np.zeros_like(dp.keys), np.zeros_like(dp.h)
+    for t, o in dp._walk(positions):
+        keys += dp.tables[t][2][o]
+        h += dp.tables[t][3][o]
+    assert np.array_equal(keys, dp.keys) and np.array_equal(h, dp.h)
+    agents, alphas = dp.choices(positions)
+    paths = [dp.reconstruct(pos) for pos in range(len(positions))]
+    assert agents.tolist() == [list(a) for a, _ in paths]
+    assert alphas.tolist() == [[float(x) for x in al] for _, al in paths]
+    rows = [tuple(row) for row in dp.packer.unpack_rows(dp.keys).tolist()]
+    assert len(rows) > 1000 and np.all(np.array(rows) <= dp.packer.reach)
+    assert all(a < b for a, b in zip(rows, rows[1:]))
+
+
 class TestDpEnumerate:
     def test_trivial_single_task(self):
         inst = Instance(r=(1,), p=((1,),), c=((0,),))
@@ -160,28 +210,34 @@ class TestDpEnumerate:
 
     def test_backtracking_rebuilds_every_final_state(self):
         # dp-eps-ef's grid at eps 1/15 (K = 180) packs partition-ef
-        # [1, 2, 3]'s profiles into two words.  At every final position the
-        # path's option deltas and principal units sum to the state's key
-        # and h, and choices() and reconstruct() name the same path.
-        inst = gen_partition_ef([1, 2, 3])
-        dp = dp_enumerate(inst, uniform_grid(inst, 180))
-        assert dp.packer.n_words == 2
-        positions = np.arange(len(dp.h))
-        keys, h = np.zeros_like(dp.keys), np.zeros_like(dp.h)
-        for t, o in dp._walk(positions):
-            keys += dp.tables[t][2][o]
-            h += dp.tables[t][3][o]
-        assert np.array_equal(keys, dp.keys) and np.array_equal(h, dp.h)
-        agents, alphas = dp.choices(positions)
-        paths = [dp.reconstruct(pos) for pos in range(len(positions))]
-        assert agents.tolist() == [list(a) for a, _ in paths]
-        assert alphas.tolist() == [[float(x) for x in al] for _, al in paths]
+        # [1, 2, 3]'s profiles into one word.
+        _check_backtracking(*PACKING_CASES["pef-123"])
+
+    def test_backtracking_rebuilds_every_final_state_on_two_words(self):
+        _check_backtracking(*PACKING_CASES["four-agents"])
 
     def test_pack_rows_inverts_unpack_rows(self):
-        packer = _Packer(1000, 7)  # six components in the first word, one in the second
-        assert packer.n_words == 2
-        comps = np.random.default_rng(0).integers(0, 1000, size=(50, 7))
-        assert np.array_equal(packer.unpack_rows(packer.pack_rows(comps)), comps)
+        # Widths 0, 2, 3, 41, 10, 62, 0 and 31: word 0 takes 56 bits, the
+        # 62-bit field opens word 1 and the zero-width one joins it, and the
+        # 31-bit field opens word 2.  The narrow leading fields tie often,
+        # so the rows order on later fields too.
+        reach = [0, 3, 5, 2**40, 1000, 2**62 - 1, 0, 2**31 - 1]
+        packer = _Packer(reach)
+        assert packer.widths == [0, 2, 3, 41, 10, 62, 0, 31]
+        assert packer.word_of == [0, 0, 0, 0, 0, 1, 1, 2] and packer.n_words == 3
+        rng = np.random.default_rng(0)
+        comps = np.stack([rng.integers(0, r, size=200, endpoint=True) for r in reach], axis=1)
+        comps[:4] = [0] * 8, reach, comps[4], comps[4]  # both extremes and a repeat
+        packed = packer.pack_rows(comps)
+        assert np.array_equal(packer.unpack_rows(packed), comps)
+        # The packed words, compared in order, order the rows as the
+        # components do.
+        assert np.array_equal(np.lexsort(packed.T[::-1]), np.lexsort(comps.T[::-1]))
+
+    def test_component_wider_than_62_bits_raises(self):
+        assert _Packer([2**62 - 1]).n_words == 1
+        with pytest.raises(InvalidInstanceError, match="grid too fine"):
+            _Packer([3, 2**62])
 
     def test_task_without_ir_contract_raises(self):
         # No agent is IR at the task's one grid point, alpha = 0.
@@ -215,8 +271,8 @@ def _drawn_block(rng, words: int):
     return rows, h, gidx
 
 
-# partition-ef [1, 2, 3] on dp-eps-ef's eps 1/15 grid (K = 180): two key
-# words, tasks of 309, 18, 33 and 48 options, 10 the floor's h and
+# partition-ef [1, 2, 3] on dp-eps-ef's eps 1/15 grid (K = 180): one key
+# word of 57 bits, tasks of 291, 12, 21 and 30 options, 10 the floor's h and
 # future_h[0] = 108.  Agent 0's components reach 90 units and those of
 # agents 1 and 2 reach 36, so a unit cap of 40 binds agent 0 only and 12
 # binds every agent; 90, the largest reach, is a cap no state passes; and
@@ -229,6 +285,7 @@ PEF_123_RUNS = [
     (90, 10),
     (None, 109),
 ]
+FOUR_AGENTS_RUNS = [(None, 0), (20, 0), (12, 15)]
 
 
 class TestSortOnceDedupe:
@@ -249,23 +306,33 @@ class TestSortOnceDedupe:
 
     @pytest.mark.parametrize("cap, min_final_h", PEF_123_RUNS)
     def test_dp_matches_reference_at_every_chunk(self, monkeypatch, cap, min_final_h):
-        inst = gen_partition_ef([1, 2, 3])
-        disc = uniform_grid(inst, 180)
-        caps = None if cap is None else [cap] * inst.n
-        layers, keys, h, total = dp_enumerate_reference(inst, disc, caps, min_final_h)
-        # 5,000 candidates a block forces the rolling merge on tasks 1-3.
-        for chunk in (dp_module._CHUNK, 5_000):
-            monkeypatch.setattr(dp_module, "_CHUNK", chunk)
-            dp = dp_enumerate(inst, disc, unit_cap=cap, min_final_h=min_final_h)
-            assert dp.packer.n_words == 2
-            assert [g.tolist() for g in dp.gidx] == [g.tolist() for g in layers]
-            assert all(g.dtype == np.int64 for g in dp.gidx)
-            assert dp.keys.dtype == keys.dtype and dp.keys.shape == keys.shape
-            assert np.array_equal(dp.keys, keys)
-            assert dp.h.dtype == h.dtype and np.array_equal(dp.h, h)
-            assert dp.states_total == total
+        total = _check_dp_at_every_chunk(monkeypatch, *PACKING_CASES["pef-123"], cap, min_final_h)
         if min_final_h == 109:
             assert total == 0
+
+    @pytest.mark.parametrize("cap, min_final_h", FOUR_AGENTS_RUNS)
+    def test_two_word_dp_matches_reference_at_every_chunk(self, monkeypatch, cap, min_final_h):
+        _check_dp_at_every_chunk(monkeypatch, *PACKING_CASES["four-agents"], cap, min_final_h)
+
+
+def _check_dp_at_every_chunk(monkeypatch, inst, K, n_words, cap, min_final_h):
+    """The DP on a K-step uniform grid, packed into n_words words, equals the
+    reference DP at the default block size and at one that forces the
+    rolling merge on every task after the first; returns the state count."""
+    disc = uniform_grid(inst, K)
+    caps = None if cap is None else [cap] * inst.n
+    layers, keys, h, total = dp_enumerate_reference(inst, disc, caps, min_final_h)
+    for chunk in (dp_module._CHUNK, 5_000):
+        monkeypatch.setattr(dp_module, "_CHUNK", chunk)
+        dp = dp_enumerate(inst, disc, unit_cap=cap, min_final_h=min_final_h)
+        assert dp.packer.n_words == n_words
+        assert [g.tolist() for g in dp.gidx] == [g.tolist() for g in layers]
+        assert all(g.dtype == np.int64 for g in dp.gidx)
+        assert dp.keys.dtype == keys.dtype and dp.keys.shape == keys.shape
+        assert np.array_equal(dp.keys, keys)
+        assert dp.h.dtype == h.dtype and np.array_equal(dp.h, h)
+        assert dp.states_total == total
+    return total
 
 
 def test_eps_ef_grid_needs_no_caps():
@@ -290,8 +357,7 @@ def test_eps_ef_grid_needs_no_caps():
         best = [sum((max(inst.welfare(i, j), ZERO) for j in range(inst.m)), ZERO) for i in range(inst.n)]
         caps = [ceil_div(b * K, ONE) + 2 * inst.m for b in best]
         setup = dp_module._dp_setup(inst, disc)
-        reach = sum(setup.packer.unpack_rows(t[2]).max(axis=0) for t in setup.tables)
-        assert np.all(reach < np.repeat(caps, inst.n))
+        assert np.all(setup.packer.reach < np.repeat(caps, inst.n))
         h_floor = int((revenue(inst, greedy_ef(inst)) - 2 * eps / 3) * K)
         plain = dp_enumerate(inst, disc, min_final_h=h_floor)
         # The reference tests every state against the per-agent caps, with
@@ -562,11 +628,22 @@ def _fptas_runs(monkeypatch, inst, eps, f_bits, budget_states=None):
     return res, runs
 
 
+def _undominated(options):
+    """The options whose agent and units no earlier option has."""
+    seen, out = set(), []
+    for option in options:
+        if (option[0], option[2]) not in seen:
+            seen.add((option[0], option[2]))
+            out.append(option)
+    return out
+
+
 def _options_match(inst, disc):
-    """The kernel's options equal the Fraction reference's, with int units."""
+    """The kernel's options equal the Fraction reference's, with int units,
+    once each option whose agent and units an earlier one has is dropped."""
     for j in range(inst.m):
         kernel = _task_options(inst, disc, j)
-        assert kernel == task_options_reference(inst, disc, j)
+        assert kernel == _undominated(task_options_reference(inst, disc, j))
         assert all(type(x) is int for o in kernel for x in (o[0], o[1], o[3], *o[2]))
 
 
@@ -588,9 +665,21 @@ def _seeded_adaptive_grids():
                 yield inst, guess, K, adaptive_grid(inst, guess, K)
 
 
+def _kernel_cases():
+    """(instance, discretization) pairs the kernel tests read: the seeded
+    adaptive grids, then seeded uniform grids at K = 1, 7 and 12."""
+    cases = [(inst, disc) for inst, _, _, disc in _seeded_adaptive_grids()]
+    return cases + [
+        (inst, uniform_grid(inst, steps))
+        for inst in random_instances(12, 3, 4, seed0=4100) + [ZERO_PR]
+        for steps in (1, 7, 12)
+    ]
+
+
 class TestOptionKernel:
     """The integer option kernel and the integer adaptive grid equal the
-    Fraction definitions they replace, option for option."""
+    Fraction definitions they replace, option for option, but for the
+    dominated options the kernel drops."""
 
     def test_uniform_grids(self):
         for inst in random_instances(12, 3, 4, seed0=4100) + [ZERO_PR]:
@@ -622,24 +711,68 @@ class TestOptionKernel:
                     assert not any(units[i] for i in zeros)
         assert zero_agents >= 50
 
-    def test_radix_is_the_largest_grid_top_unit(self):
-        # _dp_setup reads the packer's radix off the option table.  It must
-        # be m * max(1, U) + 1, with U the largest ceil(u / step) over the
-        # agents at each task's grid top, as the utilities give it.
-        cases = [(inst, disc) for inst, _, _, disc in _seeded_adaptive_grids()]
-        cases += [
-            (inst, uniform_grid(inst, steps))
-            for inst in random_instances(12, 3, 4, seed0=4100) + [ZERO_PR]
-            for steps in (1, 7, 12)
-        ]
-        for inst, disc in cases:
-            top_units = [0]
-            for j, i in itertools.product(range(inst.m), range(inst.n)):
-                u = agent_task_utility(inst, i, j, disc.task_grids[j][-1])
-                if u > 0:
-                    top_units.append(ceil_div(u, disc.agent_steps[i]))
-            radix = dp_module._dp_setup(inst, disc).packer.radix
-            assert radix == inst.m * max(1, max(top_units)) + 1
+    def test_dropped_options_are_dominated(self):
+        # Each option of the reference that the kernel drops has the agent
+        # and units of an earlier, kept option and fewer principal units (the
+        # reference already drops a repeat of all three): from any state it
+        # reaches the same profile with less h.
+        dropped = 0
+        for inst, disc in _kernel_cases():
+            for j in range(inst.m):
+                first = {}
+                for agent, k, units, dh in task_options_reference(inst, disc, j):
+                    if (agent, units) in first:
+                        dropped += 1
+                        assert dh < first[agent, units]
+                    else:
+                        first[agent, units] = dh
+        assert dropped > 200
+
+    def test_widths_are_the_bit_lengths_of_the_reach(self):
+        # Component (i, r), agent i's units on agent r's bundle, reaches at
+        # most the sum over tasks of i's largest units among the options
+        # that give the task to r.  The packer gives it that many bits, and
+        # no final state's component passes it.
+        for inst, disc in _kernel_cases():
+            n = inst.n
+            reach = [0] * (n * n)
+            for j in range(inst.m):
+                for i, r in itertools.product(range(n), repeat=2):
+                    units = [u[i] for a, _, u, _ in task_options_reference(inst, disc, j) if a == r]
+                    reach[i * n + r] += max(units, default=0)
+            dp = dp_enumerate(inst, disc)
+            assert dp.packer.reach.tolist() == reach
+            assert dp.packer.widths == [x.bit_length() for x in reach]
+            assert np.all(dp.packer.unpack_rows(dp.keys) <= dp.packer.reach)
+
+    def test_dp_without_dominated_options_is_unchanged(self, monkeypatch):
+        # The DP on the reference's full option table, dominated options
+        # included, keeps the same final profiles, h and state count, and
+        # rebuilds the same contract at every final position (only the
+        # option numbers in gidx differ).  Uniform and adaptive grids, and
+        # the runs of one dp-ef1 solve at its own cap and at a cap that binds.
+        runs = [(inst, disc, None, 0) for inst, disc in _kernel_cases()[::3]]
+        real = dp_module.dp_enumerate
+        calls = []
+
+        def recording(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(dp_module, "dp_enumerate", recording)
+        solve_ef1_fptas(gen_random(2, 3, 1), F(1, 4), f_bits=6)
+        monkeypatch.undo()
+        for inst, disc, cap, h_floor, _, _ in calls:
+            half = int(dp_module._dp_setup(inst, disc).packer.reach.max()) // 2
+            runs += [(inst, disc, cap, h_floor), (inst, disc, half, h_floor)]
+        for inst, disc, cap, h_floor in runs:
+            kept = dp_enumerate(inst, disc, unit_cap=cap, min_final_h=h_floor)
+            monkeypatch.setattr(dp_module, "_task_options", task_options_reference)
+            full = dp_enumerate(inst, disc, unit_cap=cap, min_final_h=h_floor)
+            monkeypatch.undo()
+            assert np.array_equal(kept.keys, full.keys) and np.array_equal(kept.h, full.h)
+            assert kept.states_total == full.states_total
+            assert all(kept.reconstruct(p) == full.reconstruct(p) for p in range(len(kept.h)))
 
     def test_zero_guess(self, ex52):
         for inst in (ex52, ZERO_PR, gen_partition_ef1([1])):
@@ -663,6 +796,45 @@ class TestOptionKernel:
         assert str(kernel.value) == str(ref.value) == (
             "agent 0 has positive utility 1/8 but a degenerate grid"
         )
+
+
+def _drawn_revenues():
+    """(name, float revenues, cut) cases for the scan order."""
+    rng = np.random.default_rng(5)
+    B = dp_module._SCAN_BLOCK
+    # 3 * B values of which the 10 around the end of the first block tie
+    # exactly, so the tie straddles the block boundary.
+    straddle = rng.random(3 * B)
+    head = np.argsort(-straddle, kind="stable")
+    straddle[head[B - 5 : B + 5]] = straddle[head[B - 5]]
+    # Few distinct values, so every partition round ends inside a tie.
+    coarse = rng.integers(0, 7, size=5 * B + 17) / 7
+    return [
+        ("straddle", straddle, -math.inf),
+        ("empty", np.zeros(0), -math.inf),
+        ("under-one-block", rng.random(B - 1), -math.inf),
+        ("coarse", coarse, -math.inf),
+        ("coarse-cut", coarse, 3 / 7),
+        ("cut-above-all", straddle, 2.0),
+        ("random-cut", rng.random(20 * B), 0.1),
+    ]
+
+
+DESCENDING_CASES = _drawn_revenues()
+
+
+@pytest.mark.parametrize(
+    "frev, low", [case[1:] for case in DESCENDING_CASES], ids=[case[0] for case in DESCENDING_CASES]
+)
+def test_descending_blocks_slice_the_stable_argsort(frev, low):
+    # The scan's blocks are the stable descending argsort, cut below at the
+    # revenue cut and sliced into _SCAN_BLOCK positions.
+    B = dp_module._SCAN_BLOCK
+    order = np.argsort(-frev, kind="stable")
+    order = order[: int(np.count_nonzero(frev >= low))]
+    want = [order[start : start + B].tolist() for start in range(0, len(order), B)]
+    got = [block.tolist() for block in dp_module._descending(frev, low)]
+    assert got == want
 
 
 # (instance, eps, f_bits) whose every guess's DP band the screen tests read:
