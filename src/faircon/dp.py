@@ -28,17 +28,18 @@ per-guess adaptive grids for EF1 contracts, where the contract grid for
 each task spans exactly the range that keeps every agent at or below its
 guessed utility.
 
-Option generation is integer arithmetic.  A task's grid points are put
-over one common denominator D and each agent's p*r and c over one
+Option generation is integer arithmetic.  A task's grid points are
+integers over one denominator D and each agent's p*r and c over one
 denominator L, so the IR sign, the agent units and the principal units of
 every (grid point, agent) pair are one integer product and one floor
 division each.  The kernel emits integer units and a grid index per
 option, and keeps only the first option of each agent and units: a later
 one moves the profile alike with no more principal units.  Each task is
 then packed once, in numpy, into one table that the transitions, the
-scan and the backtrack all read.  Adaptive grids are built the same way,
-as integer numerators over L*K, and each distinct point becomes a
-Fraction once.
+scan and the backtrack all read.  Grid points stay integers from the grid
+builders on, numerators over their task's denominator (K for a uniform
+grid, L*K for an adaptive one); only a contract `reconstruct` returns
+holds Fractions.
 
 Both FPTAS solvers run through one guess loop (`_best_over_guesses`):
 per (guess, grid) run it floors the DP at the revenue the answer must
@@ -93,29 +94,32 @@ _CHUNK = 2_000_000  # transition candidates per numpy block
 
 @dataclass(frozen=True)
 class Discretization:
-    """Uniform grids: per-task contract sets in ascending order, per-agent
-    utility steps (step 0 means the degenerate grid {0}), and the
-    principal's step.
+    """The DP's grids: per-task contract sets, per-agent utility steps
+    (step 0 means the degenerate grid {0}), and K, whose inverse is the
+    principal's step.  Task j's grid is (points, den): ascending integer
+    numerators over one denominator, point k being the contract
+    points[k] / den (`alpha`).
 
     Rounded utilities are ceil(value / step) steps, matching "smallest grid
     element >= value"; clamping at zero is implicit since grids start at 0.
     """
 
-    task_grids: tuple[tuple[Fraction, ...], ...]
+    task_grids: tuple[tuple[Sequence[int], int], ...]
     agent_steps: tuple[Fraction, ...]
-    principal_step: Fraction
+    K: int
+
+    def alpha(self, j: int, k: int) -> Fraction:
+        """Point k of task j's grid."""
+        points, den = self.task_grids[j]
+        return Fraction(points[k], den)
 
 
 def uniform_grid(inst: Instance, steps: int) -> Discretization:
     """The eps-EF discretization: contracts and utilities on {0, 1/K, .., 1}."""
     if steps < 1:
         raise InvalidInstanceError("need at least one grid step")
-    grid = tuple(Fraction(k, steps) for k in range(steps + 1))
-    return Discretization(
-        task_grids=(grid,) * inst.m,
-        agent_steps=(Fraction(1, steps),) * inst.n,
-        principal_step=Fraction(1, steps),
-    )
+    grid = (range(steps + 1), steps)
+    return Discretization((grid,) * inst.m, (Fraction(1, steps),) * inst.n, steps)
 
 
 def adaptive_grid(inst: Instance, guess: Sequence[Num], K: int) -> Discretization:
@@ -133,7 +137,7 @@ def adaptive_grid(inst: Instance, guess: Sequence[Num], K: int) -> Discretizatio
     if K < 1:
         raise InvalidInstanceError("need at least one grid step")
 
-    grids: list[tuple[Fraction, ...]] = []
+    grids: list[tuple[tuple[int, ...], int]] = []
     for j in range(inst.m):
         cap_alpha = []
         for i in range(inst.n):
@@ -154,13 +158,9 @@ def adaptive_grid(inst: Instance, guess: Sequence[Num], K: int) -> Discretizatio
         for w in wages:
             W = w.numerator * (L // w.denominator)
             points.update(range(K * W, K * top + 1, top - W) if top > W else (K * W,))
-        grids.append(tuple(Fraction(x, L * K) for x in sorted(points)))
+        grids.append((tuple(sorted(points)), L * K))
 
-    return Discretization(
-        task_grids=tuple(grids),
-        agent_steps=tuple(g / K for g in guess),
-        principal_step=Fraction(1, K),
-    )
+    return Discretization(tuple(grids), tuple(g / K for g in guess), K)
 
 
 def instance_bit_length(inst: Instance) -> int:
@@ -256,7 +256,7 @@ class DpResult:
     def reconstruct(self, index: int) -> tuple[tuple[int, ...], tuple[Fraction, ...]]:
         path = sorted(self._walk(index))  # (task, option index), task 0 first
         assignment = tuple(int(self.tables[t][0][o]) for t, o in path)
-        return assignment, tuple(self.disc.task_grids[t][self.tables[t][4][o]] for t, o in path)
+        return assignment, tuple(self.disc.alpha(t, self.tables[t][4][o]) for t, o in path)
 
     def _walk(self, positions):
         """(task, option index) for final-layer positions, an int or an
@@ -269,13 +269,12 @@ class DpResult:
 
     def band(self, min_rev: Optional[Fraction]):
         """Final-layer positions whose principal units could still beat
-        min_rev (h * step > min_rev), plus their float true revenues.
+        min_rev (h / K > min_rev), plus their float true revenues.
 
         Principal units overestimate true revenue, so anything outside the
         band is safely skipped.
         """
-        step = self.disc.principal_step
-        h_min = 0 if min_rev is None else int(min_rev / step) + 1
+        h_min = 0 if min_rev is None else int(min_rev * self.disc.K) + 1
         positions = np.nonzero(self.h >= h_min)[0].astype(np.int64)
         frev = np.zeros(len(positions), dtype=np.float64)
         pr = np.array([[float(x) for x in row] for row in self.inst.pr])
@@ -306,17 +305,16 @@ def _task_options(
     same profile with no more principal units, and so never wins a dedupe,
     clears a floor the first misses or names a backtrack.
 
-    Exact integer kernel: with the grid point alpha = A/D and agent i's
+    Exact integer kernel: the grid holds each point alpha = A/D as its
+    numerator A over the task's denominator D.  With agent i's
     p*r = P_i/L_i and c = C_i/L_i, utility u_i = (A P_i - D C_i)/(D L_i), so
     its sign is the IR test and, for a step S_i/T_i, its units are
     ceil((A P_i - D C_i) T_i / (D L_i S_i)); the principal's units are
-    ceil((D - A) P_i T / (D L_i S)) for its step S/T.
+    ceil((D - A) P_i K / (D L_i)) for its step 1/K.
     """
     n = inst.n
-    grid = disc.task_grids[j]
-    D = math.lcm(*(a.denominator for a in grid))
-    h_step = disc.principal_step
-    L, P, DC, unit_den, unit_mul, h_den, h_mul = [], [], [], [], [], [], []
+    points, D = disc.task_grids[j]
+    L, P, DC, unit_den, unit_mul = [], [], [], [], []
     for i in range(n):
         pr, c = inst.pr[i][j], inst.c[i][j]
         L.append(math.lcm(pr.denominator, c.denominator))
@@ -325,13 +323,10 @@ def _task_options(
         step = disc.agent_steps[i]
         unit_den.append(D * L[i] * step.numerator)  # 0 marks a degenerate grid
         unit_mul.append(step.denominator)
-        h_den.append(D * L[i] * h_step.numerator)
-        h_mul.append(P[i] * h_step.denominator)
 
     out: list[tuple[int, int, tuple[int, ...], int]] = []
     seen: set[tuple[int, tuple[int, ...]]] = set()
-    for k, alpha in enumerate(grid):
-        A = alpha.numerator * (D // alpha.denominator)
+    for k, A in enumerate(points):
         u = [A * P[i] - DC[i] for i in range(n)]  # D L_i times the utility
         units = [0] * n
         for i in range(n):
@@ -349,7 +344,7 @@ def _task_options(
             if (agent, units) in seen:
                 continue
             seen.add((agent, units))
-            out.append((agent, k, units, -((-(D - A) * h_mul[agent]) // h_den[agent])))
+            out.append((agent, k, units, -((-(D - A) * P[agent] * disc.K) // (D * L[agent]))))
     return out
 
 
@@ -419,28 +414,27 @@ def _dp_setup(inst: Instance, disc: Discretization) -> DpResult:
     for j in range(inst.m):
         if not (opts := _task_options(inst, disc, j)):
             raise FairconError(f"task {j} has no IR grid contract")
-        agents, points, units, dh = (np.array(col, dtype=np.int64) for col in zip(*opts))
-        alphas = np.array([float(disc.task_grids[j][k]) for k in points.tolist()])
+        agents, index, units, dh = (np.array(col, dtype=np.int64) for col in zip(*opts))
+        points, den = disc.task_grids[j]
+        alphas = np.array([points[k] / den for k in index.tolist()])  # rounded as float(Fraction)
         deltas = np.zeros((len(dh), n, n), dtype=np.int64)
         deltas[np.arange(len(dh)), :, agents] = units  # agent i's units on the receiver's bundle
-        unpacked.append((agents, alphas, deltas.reshape(len(dh), -1), dh, points))
+        unpacked.append((agents, alphas, deltas.reshape(len(dh), -1), dh, index))
     # No state's component exceeds the sum over tasks of its largest delta.
     packer = _Packer([sum(col) for col in zip(*(t[2].max(axis=0).tolist() for t in unpacked))])
     tables = [
-        (agents, alphas, packer.pack_rows(deltas), dh, points)
-        for agents, alphas, deltas, dh, points in unpacked
+        (agents, alphas, packer.pack_rows(deltas), dh, index)
+        for agents, alphas, deltas, dh, index in unpacked
     ]
     future_h = list(itertools.accumulate((int(t[3].max()) for t in reversed(tables)), initial=0))
     return DpResult(inst, disc, packer, tables, future_h[::-1])
 
 
 def dp_enumerate(
-    inst: Instance,
-    disc: Discretization,
+    setup: DpResult,
     budget_states: int = DEFAULT_STATE_BUDGET,
     unit_cap: Optional[int] = None,
     min_final_h: int = 0,
-    prepared: Optional[DpResult] = None,
 ) -> DpResult:
     """The max-principal-units IR (allocation, contract) per reachable
     cross-utility profile.
@@ -453,12 +447,10 @@ def dp_enumerate(
     its proof).  min_final_h drops any state that cannot reach that many
     principal units even with the best remaining tasks (the callers use it
     with a floor the guaranteed candidate provably clears; 0 or less drops
-    nothing).  `prepared` is `_dp_setup(inst, disc)` when the caller has
-    already built it; it is left as it was, so it can seed further runs.
+    nothing).  `setup` is `_dp_setup(inst, disc)`; it is left as it was, so
+    it can seed further runs.
     """
-    m = inst.m
-    result = _dp_setup(inst, disc) if prepared is None else prepared
-    packer, future_h = result.packer, result.future_h
+    packer, future_h = setup.packer, setup.future_h
     # No state passes the packer's reach, so the cap test runs only when
     # some component's reach passes the cap.
     if unit_cap is not None and np.all(packer.reach <= unit_cap):
@@ -480,8 +472,7 @@ def dp_enumerate(
     h_vals = np.zeros(1, dtype=np.int64)
     total = 0
     layers = []
-    for j in range(m):
-        deltas, dh = result.tables[j][2:4]
+    for j, (_, _, deltas, dh, _) in enumerate(setup.tables):
         need = min_final_h - future_h[j + 1]
         n_prev = len(h_vals)
         # A candidate's h is h_vals[s] + dh[o]: when the smallest clears
@@ -517,7 +508,7 @@ def dp_enumerate(
         total += len(h_vals)
         layers.append(gidx)
         log.debug("dp task %d: %d states", j, len(h_vals))
-    return replace(result, gidx=layers, keys=np.stack(cols, axis=1), h=h_vals, states_total=total)
+    return replace(setup, gidx=layers, keys=np.stack(cols, axis=1), h=h_vals, states_total=total)
 
 
 # Float margins.  Entries a, p*r, c lie in [0, 1] and round to the nearest
@@ -668,9 +659,9 @@ def _best_over_guesses(inst, runs, unit_cap, rev_floor, budget_states, verify, s
     change nothing and are not made: every run once the incumbent earns
     `unconstrained_opt`, which no IR contract exceeds, and a run whose best
     principal units (`future_h[0]`, which overestimate any of its revenues)
-    times its principal step do not exceed the incumbent's revenue; the
-    latter count as pruned.  Returns (contract, revenue, its guess, states,
-    verifier calls, runs made, runs pruned).
+    over K do not exceed the incumbent's revenue; the latter count as
+    pruned.  Returns (contract, revenue, its guess, states, verifier calls,
+    runs made, runs pruned).
     """
     ceiling = unconstrained_opt(inst)
     best_rev: Optional[Fraction] = None
@@ -678,16 +669,14 @@ def _best_over_guesses(inst, runs, unit_cap, rev_floor, budget_states, verify, s
     best_guess = None
     states = checks = count = pruned = 0
     for guess, disc in runs:
-        step = disc.principal_step
-        prepared = _dp_setup(inst, disc)
-        if best_rev is not None and prepared.future_h[0] * step <= best_rev:
+        setup = _dp_setup(inst, disc)
+        if best_rev is not None and setup.future_h[0] <= best_rev * disc.K:
             pruned += 1
             continue
         count += 1
         floor = rev_floor if best_rev is None else max(rev_floor, best_rev)
-        h_floor = int(floor / step)
         try:
-            dp = dp_enumerate(inst, disc, budget_states - states, unit_cap, h_floor, prepared)
+            dp = dp_enumerate(setup, budget_states - states, unit_cap, int(floor * disc.K))
         except BudgetExceededError as exc:
             raise BudgetExceededError("states", budget_states, states + exc.needed) from None
         states += dp.states_total

@@ -88,6 +88,4 @@ def format_number(x: Num, exact: bool = False) -> int | float | str:
 def format_scalar_text(x: Num, exact: bool = False) -> str:
     """Human-readable scalar with the CLI's 12-significant-digit contract."""
     f = as_fraction(x)
-    if exact:
-        return str(f) if f.denominator > 1 else str(int(f))
-    return f"{float(f):.12g}"
+    return str(f) if exact else f"{float(f):.12g}"

@@ -279,6 +279,14 @@ def exhaustive_profiles(inst: Instance, grids, agent_steps, principal_step):
     return profiles
 
 
+def grid_fractions(disc) -> tuple[tuple[Fraction, ...], ...]:
+    """Each task's contract grid of a discretization as ascending Fractions."""
+    return tuple(
+        tuple(disc.alpha(j, k) for k in range(len(points)))
+        for j, (points, _) in enumerate(disc.task_grids)
+    )
+
+
 def dp_profiles(dp) -> dict[tuple[int, ...], int]:
     """A DP's final layer as {(v[0][0], v[0][1], ..): max principal units}."""
     comps = dp.packer.unpack_rows(dp.keys).tolist()
@@ -301,32 +309,43 @@ def dedupe_reference(rows: np.ndarray, h: np.ndarray, gidx: np.ndarray):
 
 
 def dp_enumerate_reference(inst: Instance, disc, prune_caps=None, min_final_h=0):
-    """The profile DP's transitions from their definition: per task layer,
-    every candidate (state plus option delta) in one (N, n_words) array, one
-    `dedupe_reference` over (key, -h, gidx), then the states over a cap or
-    below the layer's h floor dropped.  No chunks, no merge, no budget.
-    The caps are per agent: prune_caps[i] bounds agent i's units on every
-    bundle, the form dp-ef1 passed before its cap became one number.
+    """The profile DP's transitions from their definition, on unpacked
+    profiles: each task's options are `task_options_reference`'s, only the
+    first of each agent and units kept, as n*n component rows (agent i's
+    units on the receiver's bundle at i*n + receiver).  Per task layer,
+    every candidate (state plus option delta) goes in one array, one
+    `dedupe_reference` runs over (row, -h, gidx), then the states over a cap
+    or below the layer's h floor are dropped.  No packing, chunks, merge or
+    budget.  The caps are per agent: prune_caps[i] bounds agent i's units
+    on every bundle, the form dp-ef1 passed before its cap became one
+    number.
 
-    Returns (gidx per layer, final keys, final h, states over all layers),
-    the fields of `faircon.dp.DpResult` that `dp_enumerate` fills in.
+    Returns (gidx per layer, final component rows, final h, states over all
+    layers): what `dp_enumerate` fills in, its keys unpacked.
     """
-    from faircon.dp import _dp_setup
-
-    setup = _dp_setup(inst, disc)
-    packer = setup.packer
-    caps = None if prune_caps is None else np.repeat(np.array(prune_caps, dtype=np.int64), inst.n)
-    states = np.zeros((1, packer.n_words), dtype=np.int64)
+    n = inst.n
+    tables = []
+    for j in range(inst.m):
+        seen, deltas, dh = set(), [], []
+        for agent, _, units, h_units in task_options_reference(inst, disc, j):
+            if (agent, units) not in seen:
+                seen.add((agent, units))
+                deltas.append([units[i] if r == agent else 0 for i in range(n) for r in range(n)])
+                dh.append(h_units)
+        tables.append((np.array(deltas, dtype=np.int64), np.array(dh, dtype=np.int64)))
+    future_h = list(itertools.accumulate((int(dh.max()) for _, dh in reversed(tables)), initial=0))
+    future_h.reverse()
+    caps = None if prune_caps is None else np.repeat(np.array(prune_caps, dtype=np.int64), n)
+    states = np.zeros((1, n * n), dtype=np.int64)
     h = np.zeros(1, dtype=np.int64)
     layers, total = [], 0
-    for j in range(inst.m):
-        deltas, dh = setup.tables[j][2], setup.tables[j][3]
-        cand = (states[None, :, :] + deltas[:, None, :]).reshape(-1, packer.n_words)
+    for j, (deltas, dh) in enumerate(tables):
+        cand = (states[None, :, :] + deltas[:, None, :]).reshape(-1, n * n)
         cand_h = (h[None, :] + dh[:, None]).ravel()
         states, h, gidx = dedupe_reference(cand, cand_h, np.arange(len(cand), dtype=np.int64))
-        mask = h >= min_final_h - setup.future_h[j + 1]
+        mask = h >= min_final_h - future_h[j + 1]
         if caps is not None:
-            mask &= np.all(packer.unpack_rows(states) <= caps, axis=1)
+            mask &= np.all(states <= caps, axis=1)
         states, h, gidx = states[mask], h[mask], gidx[mask]
         layers.append(gidx)
         total += len(h)
@@ -363,13 +382,13 @@ def task_options_reference(inst: Instance, disc, j: int):
     n = inst.n
     out = []
     seen = set()
-    for k, alpha in enumerate(disc.task_grids[j]):
+    for k, alpha in enumerate(grid_fractions(disc)[j]):
         u = [alpha * inst.p[i][j] * inst.r[j] - inst.c[i][j] for i in range(n)]
         du = tuple(units(x, disc.agent_steps[i], i) for i, x in enumerate(u))
         for agent in range(n):
             if u[agent] < 0:
                 continue
-            dh = units((1 - alpha) * inst.p[agent][j] * inst.r[j], disc.principal_step, agent)
+            dh = units((1 - alpha) * inst.p[agent][j] * inst.r[j], Fraction(1, disc.K), agent)
             sig = (agent, dh, du)
             if sig in seen:
                 continue
@@ -453,16 +472,16 @@ def best_over_guesses_reference(
     dp-ef1 and dp-eps-ef solve must match.  It reuses the library's DP and
     candidate scan: it checks the loop, not the runs.
     """
-    from faircon.dp import _scan_candidates, dp_enumerate
+    from faircon.dp import _dp_setup, _scan_candidates, dp_enumerate
     from faircon.errors import BudgetExceededError
 
     best_rev = best = best_guess = None
     states = checks = count = 0
     for count, (guess, disc) in enumerate(runs, 1):
         floor = rev_floor if best_rev is None else max(rev_floor, best_rev)
-        h_floor = int(floor / disc.principal_step)
+        h_floor = int(floor * disc.K)
         try:
-            dp = dp_enumerate(inst, disc, budget_states - states, unit_cap, h_floor)
+            dp = dp_enumerate(_dp_setup(inst, disc), budget_states - states, unit_cap, h_floor)
         except BudgetExceededError as exc:
             raise BudgetExceededError("states", budget_states, states + exc.needed) from None
         states += dp.states_total

@@ -17,7 +17,7 @@ from faircon.core import (
     verify_eps_ef,
     verify_ir,
 )
-from faircon.dp import dp_enumerate, solve_ef1_fptas, solve_eps_ef_fptas, uniform_grid
+from faircon.dp import _dp_setup, dp_enumerate, solve_ef1_fptas, solve_eps_ef_fptas, uniform_grid
 from faircon.exact import solve_opt_ef, solve_opt_ef1, solve_opt_efs
 from faircon.ext import efs_augment, round_robin_ef1
 from faircon.instances import (
@@ -35,6 +35,7 @@ from oracles import (
     exhaustive_profiles,
     grid_ef1_opt,
     grid_efs_opt_two_agents,
+    grid_fractions,
 )
 
 TOL = F(1, 10**9)
@@ -127,12 +128,12 @@ def test_criterion_6_dp_completeness_oracle():
     for m, seed in cases:
         inst = gen_random(2, m, seed)
         disc = uniform_grid(inst, 4)  # five-point grids
-        dp = dp_enumerate(inst, disc)
+        dp = dp_enumerate(_dp_setup(inst, disc))
         expected = exhaustive_profiles(
             inst,
-            grids=[disc.task_grids[j] for j in range(m)],
+            grids=grid_fractions(disc),
             agent_steps=disc.agent_steps,
-            principal_step=disc.principal_step,
+            principal_step=F(1, disc.K),
         )
         assert dp_profiles(dp) == best_h_per_profile(expected)
     elapsed = time.time() - started

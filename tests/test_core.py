@@ -34,7 +34,7 @@ from faircon.instances import (
     gen_random,
 )
 from faircon import core
-from faircon.numeric import INF_WAGE, as_fraction
+from faircon.numeric import INF_WAGE, as_fraction, format_number, format_scalar_text
 from faircon.serialize import instance_from_dict
 
 from conftest import make_contract, random_instances
@@ -424,3 +424,28 @@ def test_report_rejects_negative_tol(ex52):
     ):
         with pytest.raises(InvalidInstanceError, match="tol must be nonnegative"):
             check()
+
+
+@pytest.mark.parametrize(
+    "x, exact, number, text",
+    [
+        (F(3), True, 3, "3"),
+        (F(3), False, 3, "3"),
+        (F(-2, 1), True, -2, "-2"),
+        (F(1, 3), True, "1/3", "1/3"),
+        (F(-5, 7), True, "-5/7", "-5/7"),
+        (F(1, 3), False, 0.333333333333, "0.333333333333"),
+        (F(2, 3), False, 0.666666666667, "0.666666666667"),
+        (F(123456789, 1000), False, 123456.789, "123456.789"),
+        (F(10**13 + 1, 10), False, 1.00000000000e12, "1e+12"),
+        (0.5, False, 0.5, "0.5"),
+        ("7/1", True, 7, "7"),
+    ],
+)
+def test_number_formats(x, exact, number, text):
+    # JSON numbers are ints when integral, "num/den" in exact mode and
+    # otherwise floats rounded to 12 significant digits; the text form
+    # follows the same rules.
+    got = format_number(x, exact)
+    assert got == number and type(got) is type(number)
+    assert format_scalar_text(x, exact) == text

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 from types import SimpleNamespace
 
@@ -30,6 +31,7 @@ from faircon.dp import (
     _band_error,
     _band_margin,
     _dedupe_block,
+    _dp_setup,
     _ef1_screen,
     _screen_slack,
     _task_options,
@@ -65,6 +67,7 @@ from oracles import (
     dp_profiles,
     ef1_holds_exhaustive,
     exhaustive_profiles,
+    grid_fractions,
     task_options_reference,
 )
 
@@ -77,7 +80,7 @@ class TestRounding:
         disc = uniform_grid(inst, 10)
         for j in range(inst.m):
             for agent, k, units, dh in _task_options(inst, disc, j):
-                alpha = disc.task_grids[j][k]
+                alpha = disc.alpha(j, k)
                 tru = (1 - alpha) * inst.p[agent][j] * inst.r[j]
                 assert tru <= dh * F(1, 10) <= tru + F(1, 10)
                 for i in range(inst.n):
@@ -119,7 +122,7 @@ def _check_backtracking(inst, K, n_words):
     into n_words words, the path's option deltas and principal units sum to
     the state's key and h, and choices() and reconstruct() name the same
     path.  The final keys, unpacked, ascend strictly and stay in reach."""
-    dp = dp_enumerate(inst, uniform_grid(inst, K))
+    dp = dp_enumerate(_dp_setup(inst, uniform_grid(inst, K)))
     assert dp.packer.n_words == n_words
     positions = np.arange(len(dp.h))
     keys, h = np.zeros_like(dp.keys), np.zeros_like(dp.h)
@@ -139,7 +142,7 @@ def _check_backtracking(inst, K, n_words):
 class TestDpEnumerate:
     def test_trivial_single_task(self):
         inst = Instance(r=(1,), p=((1,),), c=((0,),))
-        dp = dp_enumerate(inst, uniform_grid(inst, 1))
+        dp = dp_enumerate(_dp_setup(inst, uniform_grid(inst, 1)))
         # alpha = 0 gives the principal everything; alpha = 1 the agent.
         assert dp_profiles(dp) == {(0,): 1, (1,): 0}
 
@@ -150,18 +153,18 @@ class TestDpEnumerate:
         weak_first = Instance(r=(1,), p=((F(1, 2),), (1,)), c=((0,), (0,)))
         for inst in (gen_random(2, 2, 9), gen_random(2, 3, 10), weak_first):
             disc = uniform_grid(inst, 4)  # five-point grids
-            dp = dp_enumerate(inst, disc)
+            dp = dp_enumerate(_dp_setup(inst, disc))
             expected = exhaustive_profiles(
                 inst,
-                grids=disc.task_grids,
+                grids=grid_fractions(disc),
                 agent_steps=disc.agent_steps,
-                principal_step=disc.principal_step,
+                principal_step=F(1, disc.K),
             )
             assert dp_profiles(dp) == best_h_per_profile(expected)
 
     def test_every_representative_is_ir(self):
         inst = gen_random(2, 3, 77)
-        dp = dp_enumerate(inst, uniform_grid(inst, 5))
+        dp = dp_enumerate(_dp_setup(inst, uniform_grid(inst, 5)))
         for pos in range(len(dp.h)):
             assignment, alphas = dp.reconstruct(pos)
             k = Contract(Allocation(assignment, inst.n), alphas)
@@ -173,11 +176,11 @@ class TestDpEnumerate:
         # h floor leaves no final state, must not read the first one's layers.
         inst = gen_random(2, 3, 5)
         disc = uniform_grid(inst, 6)
-        prepared = dp_module._dp_setup(inst, disc)
+        setup = _dp_setup(inst, disc)
         for min_final_h in (0, 5):
-            got = dp_enumerate(inst, disc, min_final_h=min_final_h, prepared=prepared)
-            want = dp_enumerate(inst, disc, min_final_h=min_final_h)
-            assert got is not prepared and prepared.gidx == [] and prepared.h is None
+            got = dp_enumerate(setup, min_final_h=min_final_h)
+            want = dp_enumerate(_dp_setup(inst, disc), min_final_h=min_final_h)
+            assert got is not setup and setup.gidx == [] and setup.h is None
             assert [g.tolist() for g in got.gidx] == [g.tolist() for g in want.gidx]
             assert np.array_equal(got.keys, want.keys) and np.array_equal(got.h, want.h)
             assert got.states_total == want.states_total
@@ -189,7 +192,7 @@ class TestDpEnumerate:
         # eps = 1/4 -> internal grid 1/12; the EF optimum alpha* = 1/10
         # rounds to 2/12 and lands on profile v = (1, 0, 0, 0) with h = 1,
         # the most principal units that profile reaches.
-        dp = dp_enumerate(ex52, uniform_grid(ex52, 12))
+        dp = dp_enumerate(_dp_setup(ex52, uniform_grid(ex52, 12)))
         assert dp_profiles(dp)[(1, 0, 0, 0)] == 1
 
     def test_dedupe_keeps_the_smallest_gidx_of_a_tie(self):
@@ -242,14 +245,14 @@ class TestDpEnumerate:
     def test_task_without_ir_contract_raises(self):
         # No agent is IR at the task's one grid point, alpha = 0.
         inst = Instance(r=(1,), p=((F(1, 2),),), c=((F(1, 4),),))
-        disc = Discretization(task_grids=((ZERO,),), agent_steps=(F(1, 4),), principal_step=F(1, 4))
+        disc = Discretization(task_grids=(((0,), 1),), agent_steps=(F(1, 4),), K=4)
         with pytest.raises(FairconError, match="task 0 has no IR grid contract"):
-            dp_enumerate(inst, disc)
+            dp_enumerate(_dp_setup(inst, disc))
 
     def test_state_budget(self):
         inst = gen_random(2, 4, 3)
         with pytest.raises(BudgetExceededError):
-            dp_enumerate(inst, uniform_grid(inst, 30), budget_states=10)
+            dp_enumerate(_dp_setup(inst, uniform_grid(inst, 30)), budget_states=10)
 
 
 def _drawn_block(rng, words: int):
@@ -321,15 +324,15 @@ def _check_dp_at_every_chunk(monkeypatch, inst, K, n_words, cap, min_final_h):
     rolling merge on every task after the first; returns the state count."""
     disc = uniform_grid(inst, K)
     caps = None if cap is None else [cap] * inst.n
-    layers, keys, h, total = dp_enumerate_reference(inst, disc, caps, min_final_h)
+    layers, rows, h, total = dp_enumerate_reference(inst, disc, caps, min_final_h)
     for chunk in (dp_module._CHUNK, 5_000):
         monkeypatch.setattr(dp_module, "_CHUNK", chunk)
-        dp = dp_enumerate(inst, disc, unit_cap=cap, min_final_h=min_final_h)
+        dp = dp_enumerate(_dp_setup(inst, disc), unit_cap=cap, min_final_h=min_final_h)
         assert dp.packer.n_words == n_words
         assert [g.tolist() for g in dp.gidx] == [g.tolist() for g in layers]
         assert all(g.dtype == np.int64 for g in dp.gidx)
-        assert dp.keys.dtype == keys.dtype and dp.keys.shape == keys.shape
-        assert np.array_equal(dp.keys, keys)
+        assert dp.keys.dtype == np.int64 and dp.keys.shape == (len(rows), n_words)
+        assert np.array_equal(dp.packer.unpack_rows(dp.keys), rows)
         assert dp.h.dtype == h.dtype and np.array_equal(dp.h, h)
         assert dp.states_total == total
     return total
@@ -356,15 +359,16 @@ def test_eps_ef_grid_needs_no_caps():
         disc = uniform_grid(inst, K)
         best = [sum((max(inst.welfare(i, j), ZERO) for j in range(inst.m)), ZERO) for i in range(inst.n)]
         caps = [ceil_div(b * K, ONE) + 2 * inst.m for b in best]
-        setup = dp_module._dp_setup(inst, disc)
+        setup = _dp_setup(inst, disc)
         assert np.all(setup.packer.reach < np.repeat(caps, inst.n))
         h_floor = int((revenue(inst, greedy_ef(inst)) - 2 * eps / 3) * K)
-        plain = dp_enumerate(inst, disc, min_final_h=h_floor)
+        plain = dp_enumerate(setup, min_final_h=h_floor)
         # The reference tests every state against the per-agent caps, with
         # no reach pre-check to skip the test.
-        layers, keys, h, _ = dp_enumerate_reference(inst, disc, caps, h_floor)
+        layers, rows, h, _ = dp_enumerate_reference(inst, disc, caps, h_floor)
         assert [g.tolist() for g in plain.gidx] == [g.tolist() for g in layers]
-        assert np.array_equal(plain.keys, keys) and np.array_equal(plain.h, h)
+        assert np.array_equal(plain.packer.unpack_rows(plain.keys), rows)
+        assert np.array_equal(plain.h, h)
 
 
 class TestAdaptiveGrid:
@@ -373,7 +377,7 @@ class TestAdaptiveGrid:
         # is empty and the task grid comes from agent 1 alone.
         inst = Instance(r=(1,), p=((0,), (F(1, 2),)), c=((F(1, 2),), (F(1, 8),)))
         disc = adaptive_grid(inst, guess=(F(1, 4), F(1, 4)), K=4)
-        grid = disc.task_grids[0]
+        grid = grid_fractions(disc)[0]
         wage1 = F(1, 8) / F(1, 2)
         assert min(grid) == wage1  # nothing below agent 1's wage
         # cap is min over agents of the guess-respecting ceiling, here from
@@ -382,12 +386,12 @@ class TestAdaptiveGrid:
 
     def test_example_52_zero_guess_collapses_grid(self, ex52):
         disc = adaptive_grid(ex52, guess=(ZERO, ZERO), K=12)
-        assert disc.task_grids[0] == (F(1, 10),)
+        assert grid_fractions(disc)[0] == (F(1, 10),)
 
     def test_loose_guess_spans_to_one(self, ex52):
         disc = adaptive_grid(ex52, guess=(F(1), F(1)), K=12)
-        assert max(disc.task_grids[0]) == 1
-        assert min(disc.task_grids[0]) == F(1, 10)
+        assert max(grid_fractions(disc)[0]) == 1
+        assert min(grid_fractions(disc)[0]) == F(1, 10)
 
     def test_guess_validation(self, ex52):
         with pytest.raises(InvalidInstanceError):
@@ -689,7 +693,7 @@ class TestOptionKernel:
     def test_adaptive_grids(self):
         checked = 0
         for inst, guess, K, disc in _seeded_adaptive_grids():
-            assert disc.task_grids == adaptive_task_grids_reference(inst, guess, K)
+            assert grid_fractions(disc) == adaptive_task_grids_reference(inst, guess, K)
             _options_match(inst, disc)
             checked += 1
         assert checked > 60
@@ -705,7 +709,7 @@ class TestOptionKernel:
             zero_agents += len(zeros)
             for j in range(inst.m):
                 for i in zeros:
-                    assert all(agent_task_utility(inst, i, j, a) <= 0 for a in disc.task_grids[j])
+                    assert all(agent_task_utility(inst, i, j, a) <= 0 for a in grid_fractions(disc)[j])
                 for _, _, units, _ in _task_options(inst, disc, j):
                     # An agent's units are the same on every receiver's bundle.
                     assert not any(units[i] for i in zeros)
@@ -728,6 +732,25 @@ class TestOptionKernel:
                         first[agent, units] = dh
         assert dropped > 200
 
+    def test_non_reduced_grids_give_the_same_options(self):
+        # Every grid scaled by 3, numerators and denominator alike, names
+        # the same contracts: the kernel emits the same options, and a DP
+        # run on a 3 x 4 adaptive case (K = 24, 75 final states) and on
+        # ZERO_PR's uniform K = 12 case (27) rebuilds the same contracts at
+        # every final position.
+        def tripled(disc):
+            grids = tuple((tuple(3 * x for x in points), 3 * den) for points, den in disc.task_grids)
+            return replace(disc, task_grids=grids)
+
+        cases = _kernel_cases()
+        for inst, disc in cases:
+            for j in range(inst.m):
+                assert _task_options(inst, tripled(disc), j) == _task_options(inst, disc, j)
+        for inst, disc in (cases[17], cases[-1]):
+            dp, dp3 = (dp_enumerate(_dp_setup(inst, d)) for d in (disc, tripled(disc)))
+            assert len(dp.h) > 20 and np.array_equal(dp3.keys, dp.keys)
+            assert all(dp3.reconstruct(p) == dp.reconstruct(p) for p in range(len(dp.h)))
+
     def test_widths_are_the_bit_lengths_of_the_reach(self):
         # Component (i, r), agent i's units on agent r's bundle, reaches at
         # most the sum over tasks of i's largest units among the options
@@ -740,7 +763,7 @@ class TestOptionKernel:
                 for i, r in itertools.product(range(n), repeat=2):
                     units = [u[i] for a, _, u, _ in task_options_reference(inst, disc, j) if a == r]
                     reach[i * n + r] += max(units, default=0)
-            dp = dp_enumerate(inst, disc)
+            dp = dp_enumerate(_dp_setup(inst, disc))
             assert dp.packer.reach.tolist() == reach
             assert dp.packer.widths == [x.bit_length() for x in reach]
             assert np.all(dp.packer.unpack_rows(dp.keys) <= dp.packer.reach)
@@ -762,13 +785,13 @@ class TestOptionKernel:
         monkeypatch.setattr(dp_module, "dp_enumerate", recording)
         solve_ef1_fptas(gen_random(2, 3, 1), F(1, 4), f_bits=6)
         monkeypatch.undo()
-        for inst, disc, cap, h_floor, _, _ in calls:
-            half = int(dp_module._dp_setup(inst, disc).packer.reach.max()) // 2
-            runs += [(inst, disc, cap, h_floor), (inst, disc, half, h_floor)]
+        for setup, _, cap, h_floor in calls:
+            half = int(setup.packer.reach.max()) // 2
+            runs += [(setup.inst, setup.disc, cap, h_floor), (setup.inst, setup.disc, half, h_floor)]
         for inst, disc, cap, h_floor in runs:
-            kept = dp_enumerate(inst, disc, unit_cap=cap, min_final_h=h_floor)
+            kept = dp_enumerate(_dp_setup(inst, disc), unit_cap=cap, min_final_h=h_floor)
             monkeypatch.setattr(dp_module, "_task_options", task_options_reference)
-            full = dp_enumerate(inst, disc, unit_cap=cap, min_final_h=h_floor)
+            full = dp_enumerate(_dp_setup(inst, disc), unit_cap=cap, min_final_h=h_floor)
             monkeypatch.undo()
             assert np.array_equal(kept.keys, full.keys) and np.array_equal(kept.h, full.h)
             assert kept.states_total == full.states_total
@@ -778,16 +801,12 @@ class TestOptionKernel:
         for inst in (ex52, ZERO_PR, gen_partition_ef1([1])):
             guess = (ZERO,) * inst.n
             disc = adaptive_grid(inst, guess, 12)
-            assert disc.task_grids == adaptive_task_grids_reference(inst, guess, 12)
+            assert grid_fractions(disc) == adaptive_task_grids_reference(inst, guess, 12)
             _options_match(inst, disc)
 
     def test_positive_utility_on_degenerate_grid_raises(self):
         inst = Instance(r=(1,), p=((F(1, 2),), (1,)), c=((F(1, 8),), (F(1, 4),)))
-        disc = Discretization(
-            task_grids=((F(1, 4), F(1, 2)),),
-            agent_steps=(ZERO, F(1, 8)),
-            principal_step=F(1, 8),
-        )
+        disc = Discretization(task_grids=(((2, 4), 8),), agent_steps=(ZERO, F(1, 8)), K=8)
         # At alpha 1/2 agent 0 earns 1/8 but has no utility grid.
         with pytest.raises(FairconError) as ref:
             task_options_reference(inst, disc, 0)
@@ -944,7 +963,7 @@ def _traced_guesses(monkeypatch, inst, eps, f_bits):
 
     def setup(inst, disc):
         prepared = real_setup(inst, disc)
-        events.append([prepared.future_h[0] * disc.principal_step, incumbent[0], False])
+        events.append([F(prepared.future_h[0], disc.K), incumbent[0], False])
         return prepared
 
     def enumerate_(*args, **kwargs):
@@ -1003,7 +1022,7 @@ class TestGuessDriver:
         step = F(1, 4)
 
         def run(name, *points):
-            return name, Discretization((tuple(map(F, points)),), (step,), step)
+            return name, Discretization(((tuple(int(4 * F(p)) for p in points), 4),), (step,), 4)
 
         def drive(*runs, rev_floor=ZERO):
             _, rev, guess, _, _, made, pruned = dp_module._best_over_guesses(
@@ -1044,13 +1063,13 @@ def test_unit_cap_prunes_as_per_agent_caps(monkeypatch, case):
     step = res.meta["delta"]
     cap = 1 / step + ceil_div(res.meta["nu"], step) + inst.m
     zero_runs = 0
-    for (_, disc, _, unit_cap, h_floor, _), dp in calls:
+    for (setup, _, unit_cap, h_floor), dp in calls:
         assert unit_cap == cap and type(unit_cap) is int
-        caps = [cap if s > 0 else 0 for s in disc.agent_steps]
+        caps = [cap if s > 0 else 0 for s in setup.disc.agent_steps]
         zero_runs += 0 in caps
-        layers, keys, h, total = dp_enumerate_reference(inst, disc, caps, h_floor)
+        layers, rows, h, total = dp_enumerate_reference(inst, setup.disc, caps, h_floor)
         assert [g.tolist() for g in dp.gidx] == [g.tolist() for g in layers]
-        assert np.array_equal(dp.keys, keys) and np.array_equal(dp.h, h)
+        assert np.array_equal(dp.packer.unpack_rows(dp.keys), rows) and np.array_equal(dp.h, h)
         assert dp.states_total == total
     assert zero_runs > 0
 

@@ -1,8 +1,9 @@
 """Byte-for-byte CLI snapshots: `solve --exact-arith` for every method and
 `verify --exact-arith` for every notion, on example 5.2 and a seeded 2x3
 random instance, plus two dp-ef1 solves that exercise the adaptive-grid
-option kernel and the candidate-band screen at scale, and the instance file
-and manifest `generate` writes for every family.
+option kernel and the candidate-band screen at scale, a dp-eps-ef solve
+whose profiles pack into two words, and the instance file and manifest
+`generate` writes for every family.
 
 The snapshots pin whole fairness reports (IR and EF slacks, EF1 witnesses,
 the left-hand-side form) and solver meta, which the other tests only sample.
@@ -30,6 +31,7 @@ INSTANCES = {
     "rand2x3s1": lambda: gen_random(2, 3, 1),
     "pef1-1": lambda: gen_partition_ef1([1]),
     "readme": lambda: gen_random(2, 4, 7, "sparse-ability"),
+    "ex57": lambda: gen_example("5.7", Fraction(1, 4)),
 }
 
 # Extra solve flags per method; eps methods share one eps, dp-ef1 gets a
@@ -41,11 +43,13 @@ SOLVE_FLAGS["dp-ef1"] = SOLVE_FLAGS["dp-ef1"] + ["--f-bits", "6"]
 # band holds thousands of candidates for a handful of exact verifications
 # (meta pins exact_checks and states); its exact-ef1 solve reaches
 # allocations that leave agents empty.  readme is the README's instance at a
-# short guess ladder.
+# short guess ladder.  ex57's five agents make 25 profile components, which
+# dp-eps-ef packs into two words.
 EXTRA_SOLVES = [
     ("pef1-1", "dp-ef1", ["--eps", "1/6", "--f-bits", "1"]),
     ("pef1-1", "exact-ef1", []),
     ("readme", "dp-ef1", ["--eps", "1/4", "--f-bits", "3"]),
+    ("ex57", "dp-eps-ef", ["--eps", "1/4"]),
 ]
 
 # (instance, notion, contract, extra flags).  The rand2x3s1 ef, eps-ef and
