@@ -13,10 +13,9 @@ import logging
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
-from . import dp, exact, ext, instances, serialize
+from . import exact, ext, instances, serialize
 from .core import (
     SolveResult,
     fairness_report,
@@ -24,7 +23,7 @@ from .core import (
     revenue,
     unconstrained_opt,
 )
-from .errors import BudgetExceededError, FairconError, InvalidInstanceError
+from .errors import DEFAULT_STATE_BUDGET, BudgetExceededError, FairconError, InvalidInstanceError
 from .numeric import as_count, as_fraction, as_int, format_scalar_text
 
 log = logging.getLogger("faircon")
@@ -49,18 +48,24 @@ def _greedy(inst) -> SolveResult:
     return SolveResult(contract, revenue(inst, contract), "greedy", {})
 
 
+def _dp():
+    from . import dp  # numpy comes with it, so only a DP solve imports it
+    return dp
+
+
 # Method name -> (solver, needs_eps).  Each solver takes (inst, eps,
 # budget_lps, budget_states, f_bits) and looks its function up on the module
-# at call time, so a name rebound there (a tracing wrapper) sees the call.
+# at call time, so a name rebound there (a tracing wrapper) sees the call;
+# the DP module is imported on the first DP solve, then looked up the same way.
 SOLVERS = {
     "greedy": (lambda inst, *_: _greedy(inst), False),
     "exact-ef": (lambda inst, eps, lps, *_: exact.solve_opt_ef(inst, 0, lps), False),
     "exact-eps-ef": (lambda inst, eps, lps, *_: exact.solve_opt_ef(inst, eps, lps), True),
     "exact-ef1": (lambda inst, eps, lps, *_: exact.solve_opt_ef1(inst, lps), False),
     "exact-efs": (lambda inst, eps, lps, *_: exact.solve_opt_efs(inst, lps), False),
-    "dp-eps-ef": (lambda inst, eps, lps, states, _: dp.solve_eps_ef_fptas(inst, eps, states), True),
+    "dp-eps-ef": (lambda inst, eps, lps, states, _: _dp().solve_eps_ef_fptas(inst, eps, states), True),
     "dp-ef1": (
-        lambda inst, eps, lps, states, f_bits: dp.solve_ef1_fptas(inst, eps, states, f_bits),
+        lambda inst, eps, lps, states, f_bits: _dp().solve_ef1_fptas(inst, eps, states, f_bits),
         True,
     ),
     "round-robin": (lambda inst, *_: ext.round_robin_ef1(inst), False),
@@ -234,9 +239,10 @@ def cmd_bench_pof(args) -> int:
     if unknown := [key for key in config if key not in BENCH_KEYS]:
         raise InvalidInstanceError(f"bench config takes no key {unknown[0]!r}")
     budget_lps = as_count(config.get("budget_lps", exact.DEFAULT_LP_BUDGET), "budget_lps")
-    budget_states = as_count(config.get("budget_states", dp.DEFAULT_STATE_BUDGET), "budget_states")
+    budget_states = as_count(config.get("budget_states", DEFAULT_STATE_BUDGET), "budget_states")
     started = time.time()
     if args.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # here, so serial runs skip its import
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(
                 pool.map(_bench_row, rows, [budget_lps] * len(rows), [budget_states] * len(rows))
@@ -274,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("instance")
     ps.add_argument("--method", required=True, choices=tuple(SOLVERS))
     ps.add_argument("--budget-lps", type=count, default=exact.DEFAULT_LP_BUDGET)
-    ps.add_argument("--budget-states", type=count, default=dp.DEFAULT_STATE_BUDGET)
+    ps.add_argument("--budget-states", type=count, default=DEFAULT_STATE_BUDGET)
     ps.add_argument(
         "--f-bits", type=integer, default=None,
         help="dp-ef1 guess resolution; default: the instance's total bit length over every "

@@ -83,12 +83,11 @@ from .core import (
     verify_ef1,
     verify_eps_ef,
 )
-from .errors import BudgetExceededError, FairconError, InvalidInstanceError
+from .errors import DEFAULT_STATE_BUDGET, BudgetExceededError, FairconError, InvalidInstanceError
 from .numeric import Num, ONE, ZERO, as_fraction, ceil_div
 
 log = logging.getLogger("faircon")
 
-DEFAULT_STATE_BUDGET = 5_000_000
 _CHUNK = 2_000_000  # transition candidates per numpy block
 
 

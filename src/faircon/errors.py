@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the DP's default state budget."""
 
 
 class FairconError(Exception):
@@ -34,3 +34,7 @@ class BudgetExceededError(FairconError):
         self.needed = needed
         detail = f" (needs ~{needed})" if needed is not None else ""
         super().__init__(f"{kind} budget of {limit} exceeded{detail}")
+
+
+# The DP's default state budget; the CLI reads it here without importing numpy.
+DEFAULT_STATE_BUDGET = 5_000_000

@@ -2,8 +2,11 @@
 
 import csv
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import time
 from fractions import Fraction as F
 from pathlib import Path
@@ -630,3 +633,88 @@ def test_string_vectors_are_invalid(tmp_path, ex52_path, capsys):
     assert out["error"] == "InvalidInstanceError: expected a list, got the string '123'"
     with pytest.raises(InvalidInstanceError, match="got the string '1'"):
         make("independent-set", {"adjacency": ["1", "0"]})
+
+
+# The modules `import faircon.cli` loads; a top-level numpy import in any of
+# them would load numpy for every command.
+CLI_MODULES = ("cli", "core", "exact", "lp", "simplex", "ext", "instances", "serialize", "numeric")
+
+
+def run_fresh(script, tmp_path):
+    """Run `script` in a new interpreter that imports faircon from src/, with
+    `tmp_path` as argv[1]; returns the JSON its last stdout line prints."""
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+COLD_START = """
+import json, sys
+from faircon import cli
+
+out = sys.argv[1]
+inst = out + "/inst.json"
+solve = ["solve", inst, "--eps", "1/4", "--out", out + "/sol.json", "--method"]
+calls = [["generate", "partition-ef", "--set", "1,2", "--out", inst]]
+calls += [solve + [m] for m in ("greedy", "round-robin", "exact-ef", "exact-ef1", "exact-efs")]
+calls += [["verify", inst, out + "/sol.json", "--notion", "efs"], ["--help"]]
+codes = [cli.main(argv) for argv in calls]
+loaded = lambda: sorted(m for m in ("numpy", "concurrent.futures.process") if m in sys.modules)
+before = loaded()
+faircon = sorted(m for m in sys.modules if m.startswith("faircon."))
+dp_code = cli.main(solve + ["dp-eps-ef"])
+print(json.dumps({"codes": codes, "before": before, "faircon": faircon, "dp_code": dp_code,
+                  "after": loaded()}))
+"""
+
+CALL_TIME_LOOKUP = """
+import json, sys
+from faircon import cli
+import faircon.dp as dp
+
+counts = {}
+originals = {name: getattr(dp, name) for name in ("solve_eps_ef_fptas", "solve_ef1_fptas")}
+
+def counting(name):
+    def wrapper(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return originals[name](*args, **kwargs)
+    return wrapper
+
+out = sys.argv[1]
+inst = out + "/inst.json"
+codes = [cli.main(["generate", "example", "--id", "5.2", "--eps", "1/100", "--out", inst])]
+# Wrapped, then unwrapped again, as the tracer's traced and untraced passes.
+for wrap in (True, False):
+    for name, solver in originals.items():
+        setattr(dp, name, counting(name) if wrap else solver)
+    for method in ("dp-eps-ef", "dp-ef1"):
+        argv = ["solve", inst, "--method", method, "--eps", "1/4", "--f-bits", "6"]
+        codes.append(cli.main(argv + ["--out", out + "/" + method + ".json"]))
+print(json.dumps({"codes": codes, "counts": counts}))
+"""
+
+
+class TestColdStart:
+    def test_only_a_dp_solve_loads_numpy(self, tmp_path):
+        # Checked on sys.modules, not on a timing: greedy, round robin, the
+        # exact solvers, verify, generate and --help load neither numpy nor
+        # the process pool, and the first DP solve loads numpy.
+        got = run_fresh(COLD_START, tmp_path)
+        assert got["codes"] == [0] * 8
+        assert {f"faircon.{name}" for name in CLI_MODULES} <= set(got["faircon"])
+        assert "faircon.dp" not in got["faircon"]
+        assert got["before"] == []
+        assert got["dp_code"] == 0
+        assert got["after"] == ["numpy"]
+
+    def test_dp_solvers_are_looked_up_after_the_lazy_import(self, tmp_path):
+        # The tracer rebinds the DP solvers on faircon.dp before the CLI has
+        # imported it, and restores them for its untraced passes: each
+        # wrapper sees exactly the one solve made while it was bound.
+        got = run_fresh(CALL_TIME_LOOKUP, tmp_path)
+        assert got["codes"] == [0] * 5
+        assert got["counts"] == {"solve_eps_ef_fptas": 1, "solve_ef1_fptas": 1}
