@@ -45,14 +45,20 @@ Both FPTAS solvers run through one guess loop (`_best_over_guesses`):
 per (guess, grid) run it floors the DP at the revenue the answer must
 beat, hands on the state budget the earlier runs left, scans the final
 layer and keeps the best verified candidate.  It stops once the
-incumbent earns the unconstrained optimum and skips a run whose principal
-units cannot beat the incumbent.  dp-eps-ef passes one run on a uniform
-grid, dp-ef1 one run per vector of utility guesses.
+incumbent earns the unconstrained optimum, and skips a run whose principal
+units cannot beat the incumbent before building its option tables: the
+bound is the sum over tasks of each task's most principal units
+(`_best_task_h`), one bisection per agent and task, and `_dp_setup`
+derives `future_h` from the same function.  dp-eps-ef passes one run on a
+uniform grid, dp-ef1 one run per vector of utility guesses.
 
 The candidate scan walks the final layer in descending float revenue,
 sorting only the head it reads (`_descending`).  For dp-ef1 it backtracks
-fixed-size blocks of the band into (N, m) agent and contract arrays and
-screens EF1 in numpy over the (N, n, m) utility tensor; only
+fixed-size blocks of the band into agent and contract arrays and screens
+EF1 in numpy on (agent, agent, task, row) arrays, rows last and
+contiguous, so every pass and reduction runs along the block's rows.
+Each run of screen-failers above the incumbent by more than the margin is
+counted as rejected verifier calls in one numpy step; only
 screen-passers, and screen-failers whose float revenue is too close to the
 incumbent's to order, are reconstructed and given an exact revenue.  The
 float margins of the band and of the screen are derived from m below
@@ -61,6 +67,7 @@ float margins of the band and of the screen are derived from m below
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import logging
 import math
@@ -247,6 +254,8 @@ class DpResult:
     # and contract grid index of each option, as arrays.
     tables: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
     future_h: list[int]  # most principal units obtainable from task j on
+    pr: np.ndarray  # float p*r and c, n x m, for the band and the screen
+    c: np.ndarray
     gidx: list = field(default_factory=list)
     keys: Optional[np.ndarray] = None
     h: Optional[np.ndarray] = None
@@ -276,10 +285,9 @@ class DpResult:
         h_min = 0 if min_rev is None else int(min_rev * self.disc.K) + 1
         positions = np.nonzero(self.h >= h_min)[0].astype(np.int64)
         frev = np.zeros(len(positions), dtype=np.float64)
-        pr = np.array([[float(x) for x in row] for row in self.inst.pr])
         for t, o in self._walk(positions):
             agents, alphas = self.tables[t][:2]
-            frev += ((1.0 - alphas) * pr[agents, t])[o]
+            frev += ((1.0 - alphas) * self.pr[agents, t])[o]
         return positions, frev
 
     def choices(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -313,15 +321,10 @@ def _task_options(
     """
     n = inst.n
     points, D = disc.task_grids[j]
-    L, P, DC, unit_den, unit_mul = [], [], [], [], []
-    for i in range(n):
-        pr, c = inst.pr[i][j], inst.c[i][j]
-        L.append(math.lcm(pr.denominator, c.denominator))
-        P.append(pr.numerator * (L[i] // pr.denominator))
-        DC.append(D * c.numerator * (L[i] // c.denominator))
-        step = disc.agent_steps[i]
-        unit_den.append(D * L[i] * step.numerator)  # 0 marks a degenerate grid
-        unit_mul.append(step.denominator)
+    L, P, DC = _task_terms(inst, j, D)
+    # unit_den 0 marks a degenerate grid.
+    unit_den = [D * L[i] * step.numerator for i, step in enumerate(disc.agent_steps)]
+    unit_mul = [step.denominator for step in disc.agent_steps]
 
     out: list[tuple[int, int, tuple[int, ...], int]] = []
     seen: set[tuple[int, tuple[int, ...]]] = set()
@@ -344,6 +347,43 @@ def _task_options(
                 continue
             seen.add((agent, units))
             out.append((agent, k, units, -((-(D - A) * P[agent] * disc.K) // (D * L[agent]))))
+    return out
+
+
+def _task_terms(inst: Instance, j: int, D: int) -> tuple[list[int], list[int], list[int]]:
+    """Per agent i, task j's p*r and D*c as integers P_i and DC_i over one
+    denominator L_i: (L, P, DC)."""
+    L, P, DC = [], [], []
+    for i in range(inst.n):
+        pr, c = inst.pr[i][j], inst.c[i][j]
+        L.append(math.lcm(pr.denominator, c.denominator))
+        P.append(pr.numerator * (L[i] // pr.denominator))
+        DC.append(D * c.numerator * (L[i] // c.denominator))
+    return L, P, DC
+
+
+def _best_task_h(inst: Instance, disc: Discretization) -> list[int]:
+    """Per task, the most principal units of any IR option: the largest
+    principal units in the task's `_task_options` table.
+
+    Along the ascending grid an agent's principal units never rise, so its
+    most are at its first IR point, the first A with A P_i >= DC_i in
+    `_task_options`' terms, found by bisection.  An agent with p*r = 0 is IR
+    at every point or none and earns the principal 0 units.
+    """
+    out = []
+    for j, (points, D) in enumerate(disc.task_grids):
+        best = []
+        for L, P, DC in zip(*_task_terms(inst, j, D)):
+            if P:
+                k = bisect.bisect_left(points, -(-DC // P))
+            else:
+                k = 0 if DC <= 0 else len(points)
+            if k < len(points):
+                best.append(-((-(D - points[k]) * P * disc.K) // (D * L)))
+        if not best:
+            raise FairconError(f"task {j} has no IR grid contract")
+        out.append(max(best))
     return out
 
 
@@ -407,12 +447,12 @@ def _dedupe_block(cols: list[np.ndarray], h: np.ndarray, gidx: np.ndarray):
 
 def _dp_setup(inst: Instance, disc: Discretization) -> DpResult:
     """A DpResult before any transition: the profile packer, every task's
-    options as one table, and `future_h`."""
+    options as one table, `future_h` and the float p*r and c matrices."""
     n = inst.n
+    future_h = list(itertools.accumulate(reversed(_best_task_h(inst, disc)), initial=0))
     unpacked = []
     for j in range(inst.m):
-        if not (opts := _task_options(inst, disc, j)):
-            raise FairconError(f"task {j} has no IR grid contract")
+        opts = _task_options(inst, disc, j)  # nonempty: _best_task_h found an IR option
         agents, index, units, dh = (np.array(col, dtype=np.int64) for col in zip(*opts))
         points, den = disc.task_grids[j]
         alphas = np.array([points[k] / den for k in index.tolist()])  # rounded as float(Fraction)
@@ -425,8 +465,8 @@ def _dp_setup(inst: Instance, disc: Discretization) -> DpResult:
         (agents, alphas, packer.pack_rows(deltas), dh, index)
         for agents, alphas, deltas, dh, index in unpacked
     ]
-    future_h = list(itertools.accumulate((int(t[3].max()) for t in reversed(tables)), initial=0))
-    return DpResult(inst, disc, packer, tables, future_h[::-1])
+    pr, c = (np.array(mat, dtype=np.float64) for mat in (inst.pr, inst.c))  # rounded as float(x)
+    return DpResult(inst, disc, packer, tables, future_h[::-1], pr, c)
 
 
 def dp_enumerate(
@@ -556,26 +596,34 @@ def _screen_slack(m: int) -> float:
     return max(_SCREEN_SLACK, 2 * _screen_error(m))
 
 
-def _ef1_screen(inst: Instance, agents: np.ndarray, alphas: np.ndarray, slack: float) -> np.ndarray:
+def _ef1_screen(terms, agents: np.ndarray, alphas: np.ndarray, slack: float) -> np.ndarray:
     """Float EF1 screen of N contracts, given as (N, m) agent and contract
-    arrays: False only where EF1 fails by more than `slack`.
+    arrays: False only where EF1 fails by more than `slack`.  `terms` holds
+    p*r and c as n x m matrices `pr` and `c`: a DpResult's float arrays, or
+    an Instance's Fractions, rounded here as float(x).
 
-    It reads the terms of `core.fairness_report` over the (N, n, m) utility
-    tensor: own sums, clamped switch sums and best drops.  The own sum is
-    always the clamped one: at tolerance 0 the exact verifier's own sum is
-    the clamped sum whether or not IR holds (under IR the clamp changes no
-    own task), so no IR branch is needed.  Own sums are the diagonal of the
-    switch sums; an empty bundle has switch and drop 0 and so always passes.
+    It reads the terms of `core.fairness_report`: own sums, clamped switch
+    sums and best drops.  Every array is laid out (agent, agent, task, row),
+    rows last and contiguous, so each pass and reduction runs along the N
+    rows.  The own sum is always the clamped one: at tolerance 0 the exact
+    verifier's own sum is the clamped sum whether or not IR holds (under IR
+    the clamp changes no own task), so no IR branch is needed.  Own sums are
+    the diagonal of the switch sums; an empty bundle has switch and drop 0
+    and so always passes.
     """
-    n = inst.n
-    pr = np.array([[float(x) for x in row] for row in inst.pr])
-    c = np.array([[float(x) for x in row] for row in inst.c])
-    gains = np.maximum(alphas[:, None, :] * pr - c, 0.0)  # (N, n, m)
-    member = agents[:, None, :] == np.arange(n)[:, None]  # (N, n, m): task in S_j
-    switch = np.einsum("bit,bjt->bij", gains, member.astype(np.float64))
-    drop = np.where(member[:, None, :, :], gains[:, :, None, :], 0.0).max(axis=3)
-    own = np.diagonal(switch, axis1=1, axis2=2)
-    return np.all(own[:, :, None] >= switch - drop - slack, axis=(1, 2))
+    pr, c = (np.asarray(mat, dtype=np.float64) for mat in (terms.pr, terms.c))
+    n = len(pr)
+    gains = np.ascontiguousarray(alphas.T) * pr[:, :, None]  # (n, m, N): agent i, task t
+    gains -= c[:, :, None]
+    np.maximum(gains, 0.0, out=gains)
+    member = np.ascontiguousarray(agents.T) == np.arange(n)[:, None, None]  # (n, m, N): t in S_j
+    held = gains[:, None] * member  # (n, n, m, N): i's gain on t when t is in S_j, else 0
+    switch = held.sum(axis=2)  # (n, n, N)
+    own = switch[np.arange(n), np.arange(n)]  # (n, N), a copy
+    # In place: each fresh block-sized temporary costs more than its pass.
+    switch -= held.max(axis=2)
+    switch -= slack
+    return np.all(own[:, None] >= switch, axis=(0, 1))
 
 
 def _descending(frev: np.ndarray, low: float):
@@ -614,6 +662,13 @@ def _scan_candidates(dp: DpResult, best_rev, best, verify, screen: bool):
     rejected verifier call whenever verify would have run, and only a
     failer too close to the incumbent for floats to order gets
     reconstructed, for its exact revenue.
+
+    Within a block, the rows to rebuild are found in one numpy step: the
+    screen-passers and the rows at or below the incumbent's float plus the
+    margin (the first row below it by more than the margin ends the scan).
+    The failers between two of them are counted, not visited, and the step
+    is redone only when the incumbent changes.  `checks` is what visiting
+    every row in turn would count (`tests/oracles.scan_candidates_reference`).
     """
     inst = dp.inst
     positions, frev = dp.band(best_rev)
@@ -624,25 +679,31 @@ def _scan_candidates(dp: DpResult, best_rev, best, verify, screen: bool):
     # Float revenue falls along the scan and fbest only rises, so the scan
     # never reaches a revenue below this cut.
     for block in _descending(frev, fbest - margin):
+        fr, pos = frev[block], positions[block]
         if screen:
-            passed = _ef1_screen(inst, *dp.choices(positions[block]), slack).tolist()
+            ok = _ef1_screen(dp, *dp.choices(pos), slack)
         else:
-            passed = [True] * len(block)
-        for q, ok in zip(block.tolist(), passed):
-            fr = float(frev[q])
-            if fr < fbest - margin:
-                return best_rev, best, checks
-            if not ok and fr > fbest + margin:
-                checks += 1  # verify would run, and reject
-                continue
-            assignment, alphas = dp.reconstruct(int(positions[q]))
-            contract = Contract(Allocation(assignment, inst.n), alphas)
-            rev = revenue(inst, contract)
-            if best_rev is not None and rev <= best_rev:
-                continue
-            checks += 1
-            if ok and verify(contract):
-                best_rev, best, fbest = rev, contract, float(rev)
+            ok = np.ones(len(block), dtype=bool)
+        start = 0  # the rows before it are rebuilt or counted
+        while start < len(block):
+            rebuild = np.flatnonzero(ok[start:] | (fr[start:] <= fbest + margin)) + start
+            for q in rebuild.tolist():
+                checks += q - start  # the failers above fbest + margin: verify would reject
+                start = q + 1
+                if fr[q] < fbest - margin:
+                    return best_rev, best, checks
+                assignment, alphas = dp.reconstruct(int(pos[q]))
+                contract = Contract(Allocation(assignment, inst.n), alphas)
+                rev = revenue(inst, contract)
+                if best_rev is not None and rev <= best_rev:
+                    continue
+                checks += 1
+                if ok[q] and verify(contract):
+                    best_rev, best, fbest = rev, contract, float(rev)
+                    break  # a new incumbent moves the line between counted and rebuilt
+            else:
+                checks += len(block) - start
+                start = len(block)
     return best_rev, best, checks
 
 
@@ -657,10 +718,11 @@ def _best_over_guesses(inst, runs, unit_cap, rev_floor, budget_states, verify, s
     incumbent only on a strictly higher revenue, so two kinds of run could
     change nothing and are not made: every run once the incumbent earns
     `unconstrained_opt`, which no IR contract exceeds, and a run whose best
-    principal units (`future_h[0]`, which overestimate any of its revenues)
-    over K do not exceed the incumbent's revenue; the latter count as
-    pruned.  Returns (contract, revenue, its guess, states, verifier calls,
-    runs made, runs pruned).
+    principal units (the sum of `_best_task_h`, which is its `future_h[0]`
+    and overestimates any of its revenues) over K do not exceed the
+    incumbent's revenue; the latter count as pruned, and their option tables
+    are never built.  Returns (contract, revenue, its guess, states,
+    verifier calls, runs made, runs pruned).
     """
     ceiling = unconstrained_opt(inst)
     best_rev: Optional[Fraction] = None
@@ -668,14 +730,15 @@ def _best_over_guesses(inst, runs, unit_cap, rev_floor, budget_states, verify, s
     best_guess = None
     states = checks = count = pruned = 0
     for guess, disc in runs:
-        setup = _dp_setup(inst, disc)
-        if best_rev is not None and setup.future_h[0] <= best_rev * disc.K:
+        if best_rev is not None and sum(_best_task_h(inst, disc)) <= best_rev * disc.K:
             pruned += 1
             continue
         count += 1
         floor = rev_floor if best_rev is None else max(rev_floor, best_rev)
         try:
-            dp = dp_enumerate(setup, budget_states - states, unit_cap, int(floor * disc.K))
+            dp = dp_enumerate(
+                _dp_setup(inst, disc), budget_states - states, unit_cap, int(floor * disc.K)
+            )
         except BudgetExceededError as exc:
             raise BudgetExceededError("states", budget_states, states + exc.needed) from None
         states += dp.states_total

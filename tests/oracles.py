@@ -9,6 +9,7 @@ paths it is used to check.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -491,6 +492,63 @@ def best_over_guesses_reference(
             best_rev, best, best_guess = new_rev, new_best, guess
     assert best is not None, "no candidate passed verification"
     return best, best_rev, best_guess, states, checks, count, 0
+
+
+def ef1_screen_reference(inst: Instance, agents: np.ndarray, alphas: np.ndarray, slack: float):
+    """The float EF1 screen of `faircon.dp` before its rows-last layout, over
+    the (N, n, m) utility tensor, and each row's float EF1 slack, the least
+    own - (switch - drop) over ordered pairs: (passed, slack per row)."""
+    n = inst.n
+    pr = np.array([[float(x) for x in row] for row in inst.pr])
+    c = np.array([[float(x) for x in row] for row in inst.c])
+    gains = np.maximum(alphas[:, None, :] * pr - c, 0.0)  # (N, n, m)
+    member = agents[:, None, :] == np.arange(n)[:, None]  # (N, n, m): task in S_j
+    switch = np.einsum("bit,bjt->bij", gains, member.astype(np.float64))
+    drop = np.where(member[:, None, :, :], gains[:, :, None, :], 0.0).max(axis=3)
+    own = np.diagonal(switch, axis1=1, axis2=2)
+    passed = np.all(own[:, :, None] >= switch - drop - slack, axis=(1, 2))
+    return passed, (own[:, :, None] - (switch - drop)).min(axis=(1, 2))
+
+
+def scan_candidates_reference(dp, best_rev, best, verify, screen: bool):
+    """`faircon.dp._scan_candidates` as one loop step per scanned row: the
+    same arguments and (revenue, contract, verifier calls) return.
+
+    Each row in descending float revenue ends the scan when it falls the
+    band margin below the incumbent, counts as one rejected verifier call
+    when the screen fails it above the incumbent by more than the margin,
+    and is otherwise rebuilt for its exact revenue.
+    """
+    from faircon.core import revenue
+    from faircon.dp import _band_margin, _descending, _ef1_screen, _screen_slack
+
+    inst = dp.inst
+    positions, frev = dp.band(best_rev)
+    margin = _band_margin(inst.m)
+    slack = _screen_slack(inst.m)
+    checks = 0
+    fbest = float(best_rev) if best_rev is not None else -math.inf
+    for block in _descending(frev, fbest - margin):
+        if screen:
+            passed = _ef1_screen(inst, *dp.choices(positions[block]), slack).tolist()
+        else:
+            passed = [True] * len(block)
+        for q, ok in zip(block.tolist(), passed):
+            fr = float(frev[q])
+            if fr < fbest - margin:
+                return best_rev, best, checks
+            if not ok and fr > fbest + margin:
+                checks += 1  # verify would run, and reject
+                continue
+            assignment, alphas = dp.reconstruct(int(positions[q]))
+            contract = Contract(Allocation(assignment, inst.n), alphas)
+            rev = revenue(inst, contract)
+            if best_rev is not None and rev <= best_rev:
+                continue
+            checks += 1
+            if ok and verify(contract):
+                best_rev, best, fbest = rev, contract, float(rev)
+    return best_rev, best, checks
 
 
 def ef1_case4_models(inst: Instance, alloc: Allocation):

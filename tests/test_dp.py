@@ -30,9 +30,11 @@ from faircon.dp import (
     _Packer,
     _band_error,
     _band_margin,
+    _best_task_h,
     _dedupe_block,
     _dp_setup,
     _ef1_screen,
+    _screen_error,
     _screen_slack,
     _task_options,
     adaptive_grid,
@@ -66,8 +68,10 @@ from oracles import (
     dp_enumerate_reference,
     dp_profiles,
     ef1_holds_exhaustive,
+    ef1_screen_reference,
     exhaustive_profiles,
     grid_fractions,
+    scan_candidates_reference,
     task_options_reference,
 )
 
@@ -615,6 +619,35 @@ class TestEf1FloatScreen:
         assert not verify_ef1(inst, k, tol=0)[0]
         assert not _ef1_float_plausible(inst, k)
 
+    def test_matches_the_tensor_form(self):
+        # Seeded blocks of every 1-4 agents x 1-6 tasks, N from 1 to a full
+        # scan block, contracts on a 1/12 grid (exact ties) or drawn at random,
+        # with every row of one block given to agent 0 (the others' bundles
+        # empty).  The rows-last screen and the (N, n, n, m) tensor form may
+        # disagree only where the reference slack lies within 2 screen
+        # errors of the threshold, where float summation order can decide.
+        rng = np.random.default_rng(29)
+        B = dp_module._SCAN_BLOCK
+        compared = failed = 0
+        for case, (n, m) in enumerate(itertools.product(range(1, 5), range(1, 7))):
+            inst = gen_random(n, m, 2900 + case, PROFILES[case % 3])
+            N = int(rng.choice([1, 2, 7, 100, B])) if case % 4 else B
+            agents = rng.integers(0, inst.n, size=(N, inst.m))
+            if case % 5 == 0:
+                agents[:] = 0
+            if case % 2:
+                alphas = rng.integers(0, 13, size=(N, inst.m)) / 12
+            else:
+                alphas = rng.random((N, inst.m))
+            slack = _screen_slack(inst.m)
+            got = _ef1_screen(inst, agents, alphas, slack)
+            want, ef1_slack = ef1_screen_reference(inst, agents, alphas, slack)
+            clear = np.abs(ef1_slack + slack) > 2 * _screen_error(inst.m)
+            assert got.shape == (N,) and np.array_equal(got[clear], want[clear])
+            compared += int(clear.sum())
+            failed += int((~want[clear]).sum())
+        assert compared > 10_000 and failed > 1000
+
 
 def _fptas_runs(monkeypatch, inst, eps, f_bits, budget_states=None):
     """solve_ef1_fptas's result and the DpResult of every guess it ran."""
@@ -955,16 +988,22 @@ DRIVER_CASES = (
 
 def _traced_guesses(monkeypatch, inst, eps, f_bits):
     """solve_ef1_fptas's result and, for every guess it reached, in order:
-    (principal-unit bound, incumbent revenue before the guess, DP run made)."""
-    events, incumbent = [], [None]
-    real_setup, real_enum, real_scan = (
-        dp_module._dp_setup, dp_module.dp_enumerate, dp_module._scan_candidates
+    (principal-unit bound, incumbent revenue before the guess, DP run made).
+
+    The bound is recorded at the first `_best_task_h` call on the guess's
+    grid: the driver's prune test when there is an incumbent, else the
+    `_dp_setup` of the run it makes, which asks again for its `future_h`."""
+    events, incumbent, last_disc = [], [None], [None]
+    real_bound, real_enum, real_scan = (
+        dp_module._best_task_h, dp_module.dp_enumerate, dp_module._scan_candidates
     )
 
-    def setup(inst, disc):
-        prepared = real_setup(inst, disc)
-        events.append([F(prepared.future_h[0], disc.K), incumbent[0], False])
-        return prepared
+    def bound(inst, disc):
+        per_task = real_bound(inst, disc)
+        if disc is not last_disc[0]:
+            last_disc[0] = disc
+            events.append([F(sum(per_task), disc.K), incumbent[0], False])
+        return per_task
 
     def enumerate_(*args, **kwargs):
         events[-1][2] = True
@@ -975,7 +1014,7 @@ def _traced_guesses(monkeypatch, inst, eps, f_bits):
         incumbent[0] = out[0]
         return out
 
-    monkeypatch.setattr(dp_module, "_dp_setup", setup)
+    monkeypatch.setattr(dp_module, "_best_task_h", bound)
     monkeypatch.setattr(dp_module, "dp_enumerate", enumerate_)
     monkeypatch.setattr(dp_module, "_scan_candidates", scan)
     res = solve_ef1_fptas(inst, eps, f_bits=f_bits)
@@ -1040,6 +1079,130 @@ class TestGuessDriver:
         # With no incumbent a run is made even when its bound only ties the
         # floor: its best contract earns exactly the floor.
         assert drive(run("a", F(1, 4), 1), rev_floor=F(3, 4)) == (F(3, 4), "a", 1, 0)
+
+
+# The dp-eps-ef golden solves: (instance, eps).
+EPS_EF_GOLDEN = [
+    (gen_example("5.2", F(1, 100)), F(1, 4)),
+    (gen_random(2, 3, 1), F(1, 4)),
+    (gen_example("5.7", F(1, 4)), F(1, 4)),
+]
+
+
+def _table_best_h(inst, disc):
+    """Per task, the largest principal units in `_dp_setup`'s option table."""
+    return [int(table[3].max()) for table in _dp_setup(inst, disc).tables]
+
+
+class TestPrincipalBound:
+    """`_best_task_h`, the guess driver's prune bound and the source of
+    `future_h`, finds by bisection what the option tables hold."""
+
+    def test_uniform_grids(self):
+        grids = [(inst, K) for inst, K, _ in PACKING_CASES.values()]
+        grids += [(inst, ceil_div(ONE, eps / 3 / inst.m)) for inst, eps in EPS_EF_GOLDEN]
+        for inst, K in grids:
+            disc = uniform_grid(inst, K)
+            assert _best_task_h(inst, disc) == _table_best_h(inst, disc)
+
+    @pytest.mark.parametrize("case", range(len(DRIVER_CASES)))
+    def test_adaptive_grid_of_every_reached_guess(self, monkeypatch, case):
+        inst, eps, f_bits = DRIVER_CASES[case]
+        discs = []
+        real = dp_module.adaptive_grid
+
+        def recording(*args):
+            discs.append(real(*args))
+            return discs[-1]
+
+        monkeypatch.setattr(dp_module, "adaptive_grid", recording)
+        res = solve_ef1_fptas(inst, eps, f_bits=f_bits)
+        monkeypatch.undo()
+        assert len(discs) == res.meta["guesses"] + res.meta["guesses_pruned"]
+        for disc in discs:
+            best_h = _best_task_h(inst, disc)
+            assert best_h == _table_best_h(inst, disc)
+            assert _dp_setup(inst, disc).future_h[0] == sum(best_h)
+
+
+def _recorded_scans(monkeypatch, solve, inst, *args, **kwargs):
+    """The arguments and result of every `_scan_candidates` call a solve makes."""
+    calls = []
+    real = dp_module._scan_candidates
+
+    def recording(*scan_args):
+        calls.append((scan_args, real(*scan_args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(dp_module, "_scan_candidates", recording)
+    solve(inst, *args, **kwargs)
+    monkeypatch.undo()
+    return calls
+
+
+class TestScanMatchesPerRowLoop:
+    """The block-wise scan returns what visiting every row in turn returns:
+    the same revenue, contract and verifier-call count."""
+
+    @pytest.mark.parametrize("case", range(len(DRIVER_CASES)))
+    def test_every_dp_ef1_run(self, monkeypatch, case):
+        inst, eps, f_bits = DRIVER_CASES[case]
+        calls = _recorded_scans(monkeypatch, solve_ef1_fptas, inst, eps, f_bits=f_bits)
+        assert calls
+        for scan_args, got in calls:
+            assert got == scan_candidates_reference(*scan_args)
+
+    @pytest.mark.parametrize("case", range(len(EPS_EF_GOLDEN)), ids=["ex52", "rand2x3s1", "ex57"])
+    def test_every_dp_eps_ef_run(self, monkeypatch, case):
+        inst, eps = EPS_EF_GOLDEN[case]
+        (scan_args, got), = _recorded_scans(monkeypatch, solve_eps_ef_fptas, inst, eps)
+        assert scan_args[-1] is False and got == scan_candidates_reference(*scan_args)
+
+    # Two identical agents: a contract's revenue does not depend on who
+    # holds a task, so every contract vector's allocations tie exactly in
+    # revenue, float revenue included, and differ in EF1.  In scan order,
+    # with 16-row blocks, the screen-passers are rows 1, 4, 9, 10, 14, ...;
+    # rows 0-2 earn 3, rows 3-6 35/12, rows 7-11 11/4 and row 12 31/12.
+    TWINS = Instance(
+        r=(1, 1, 1, 1),
+        p=((1, 1, F(1, 2), 1), (1, 1, F(1, 2), 1)),
+        c=((0, F(1, 10), 0, F(1, 5)), (0, F(1, 10), 0, F(1, 5))),
+    )
+
+    @pytest.mark.parametrize(
+        "accept_call, best_rev, want",
+        [
+            # The first passer wins at 3; row 2, a failer, ties it exactly
+            # and is rebuilt, not counted: row 0 and the win are the checks.
+            (1, None, (3, 2)),
+            # Row 9 wins at 11/4 mid-block, after 7 failers counted and 3
+            # verifier calls: row 11, a failer counted while there was no
+            # incumbent, now ties it and is rebuilt, and row 12 ends the scan.
+            (3, None, (F(11, 4), 10)),
+            # An incumbent at 5/2 from an earlier run; row 4 wins at 35/12
+            # and its tied failers, rows 5 and 6, are rebuilt.
+            (2, F(5, 2), (F(35, 12), 5)),
+        ],
+        ids=["exact-tie", "mid-block", "incumbent-given"],
+    )
+    def test_hand_built_runs(self, monkeypatch, accept_call, best_rev, want):
+        monkeypatch.setattr(dp_module, "_SCAN_BLOCK", 16)
+        inst = self.TWINS
+        dp = dp_enumerate(_dp_setup(inst, uniform_grid(inst, 6)))
+        prior = None if best_rev is None else make_contract(inst, [0] * 4, [1, 0, 0, 0])
+        assert prior is None or revenue(inst, prior) == best_rev
+        results = []
+        for scan in (dp_module._scan_candidates, scan_candidates_reference):
+            calls = []
+
+            def verify(contract):
+                calls.append(contract)
+                return len(calls) == accept_call
+
+            rev, contract, checks = scan(dp, best_rev, prior, verify, True)
+            results.append((rev, contract, checks, len(calls)))
+        assert results[0] == results[1]
+        assert results[0][0] == want[0] and results[0][2] == want[1]
 
 
 @pytest.mark.parametrize("case", range(20, 24), ids=["ex52", "rand2x3s1", "pef1-1", "readme"])
