@@ -10,6 +10,7 @@ assigned pair individually rational (IR).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
@@ -67,7 +68,13 @@ class Instance:
 
     def viable_agents(self, j: int) -> list[int]:
         """Agents with nonnegative welfare on task j (nonempty by construction)."""
-        return [i for i in range(self.n) if self.welfare(i, j) >= 0]
+        return [i for i in range(self.n) if self.pr[i][j] >= self.c[i][j]]
+
+    @cached_property
+    def viable_wages(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Per task, each viable agent's minimum wage, in agent order (built once)."""
+        rows = (self.viable_agents(j) for j in range(self.m))
+        return tuple(tuple(minimum_wage(self, i, j) for i in row) for j, row in enumerate(rows))
 
 
 def minimum_wage(inst: Instance, i: int, j: int) -> Fraction | float:

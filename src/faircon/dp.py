@@ -14,14 +14,16 @@ integer addition; all grids are uniform, so rounded utilities are exact
 integer unit counts.
 
 A task layer's transition keeps each packed word as one contiguous int64
-column.  Candidates (state plus option delta) whose principal units cannot
-reach the run's floor are dropped before any sort.  One stable sort on the
-key alone (`_sort_keys`) then brings equal profiles together, and one
-linear pass keeps each one's max h and, among its rows with that h, the
-smallest backtrack index (`_dedupe_block`).  A layer too large for one
-block is built block by block and merged into a running set the same way.
-dp-ef1's unit cap, one number for every component, is tested only when
-some component can reach it at all.
+column and gives each candidate (state plus option delta) one int64 score,
+(hmax - h) * span + gidx: hmax = future_h[0] bounds the principal units h,
+and span, the layer's options times its previous states, exceeds every
+backtrack index gidx, so the lowest score is the highest h and, among
+equal h, the smallest gidx.  A candidate below the run's floor fails one
+score comparison before any sort; one stable sort on the key alone
+(`_sort_keys`) and one min-reduce keep each profile's lowest score
+(`_dedupe_block`), block by block and then into a running set.  A layer
+whose scores could pass 2^63 is refused.  dp-ef1's unit cap, one number
+for every component, is tested only when some component can reach it.
 
 Two instantiations: a uniform grid for eps-envy-free contracts, and
 per-guess adaptive grids for EF1 contracts, where the contract grid for
@@ -84,7 +86,7 @@ from .core import (
     SolveResult,
     agent_task_utility,  # unused here; perfbench/tracing.py wraps dp.agent_task_utility
     greedy_ef,
-    minimum_wage,
+    minimum_wage,  # unused here; perfbench/tracing.py wraps dp.minimum_wage
     revenue,
     unconstrained_opt,
     verify_ef1,
@@ -145,15 +147,9 @@ def adaptive_grid(inst: Instance, guess: Sequence[Num], K: int) -> Discretizatio
 
     grids: list[tuple[tuple[int, ...], int]] = []
     for j in range(inst.m):
-        cap_alpha = []
-        for i in range(inst.n):
-            pr = inst.pr[i][j]
-            if pr == 0:
-                cap_alpha.append(ONE)
-            else:
-                cap_alpha.append(min(ONE, (guess[i] + inst.c[i][j]) / pr))
-        low_alpha = min(cap_alpha)
-        wages = [w for i in inst.viable_agents(j) if (w := minimum_wage(inst, i, j)) <= low_alpha]
+        caps = ((g + c[j]) / pr[j] for g, pr, c in zip(guess, inst.pr, inst.c) if pr[j])
+        low_alpha = min([ONE, *caps])  # an agent with p*r = 0 caps nothing
+        wages = [w for w in inst.viable_wages[j] if w <= low_alpha]
         if not wages:
             raise FairconError(f"no contract grid for task {j}; Assumption 1 broken?")
         # Point k of agent i's subgrid is w + k/K (low - w): over the common
@@ -419,30 +415,26 @@ def _sort_keys(cols: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     return order, key
 
 
-def _dedupe_block(cols: list[np.ndarray], h: np.ndarray, gidx: np.ndarray):
-    """The max-h representative per distinct key, keys in lexicographic order.
+def _dedupe_block(cols: list[np.ndarray], score: np.ndarray):
+    """The lowest-score row per distinct key, keys in lexicographic order.
 
-    `cols` holds the key's int64 words as separate columns, the most
-    significant first.  One stable sort reads the key alone (`_sort_keys`),
-    not h or gidx.  One linear pass over the sorted key then finds where
-    each key's group starts and keeps the group's largest h and, among its
-    rows with that h, the smallest gidx, matching the task/contract/agent
-    loop order.  It reads gidx itself, not the row's sorted position: the
-    rows of a tie need not arrive in gidx order.
+    `cols` holds the key's int64 words as columns, the most significant
+    first; `score` is (hmax - h) * span + gidx (`dp_enumerate`), so the
+    lowest is the max h and, among equal h, the smallest gidx, matching the
+    task/contract/agent loop order in whatever order a tie arrives.  One
+    stable sort reads the key alone (`_sort_keys`); one gather and one
+    min-reduce per key pick the score.
     """
     order, key = _sort_keys(cols)
     first = np.ones(len(key), dtype=bool)
     np.not_equal(key[1:], key[:-1], out=first[1:])
     del key
     if first.all():  # every key distinct
-        return [c[order] for c in cols], h[order], gidx[order]
+        return [c[order] for c in cols], score[order]
     starts = np.flatnonzero(first)
     del first
-    h, gidx, order = h[order], gidx[order], order[starts]
-    best = np.maximum.reduceat(h, starts)
-    # gidx is this function's own copy: mask the rows below their group's max.
-    np.putmask(gidx, h != np.repeat(best, np.diff(starts, append=len(h))), np.iinfo(np.int64).max)
-    return [c[order] for c in cols], best, np.minimum.reduceat(gidx, starts)
+    order, score = order[starts], np.minimum.reduceat(score[order], starts)
+    return [c[order] for c in cols], score
 
 
 def _dp_setup(inst: Instance, disc: Discretization) -> DpResult:
@@ -490,64 +482,65 @@ def dp_enumerate(
     it can seed further runs.
     """
     packer, future_h = setup.packer, setup.future_h
+    hmax = future_h[0]  # no state's h exceeds it
     # No state passes the packer's reach, so the cap test runs only when
     # some component's reach passes the cap.
     if unit_cap is not None and np.all(packer.reach <= unit_cap):
         unit_cap = None
 
-    def kept(cols: list[np.ndarray], hv: np.ndarray, gidx: np.ndarray):
+    def kept(cols: list[np.ndarray], score: np.ndarray):
         """A deduplicated block, as word columns, without the states over
         the cap.  The cap test reads only the key, so pruning each block
         before the merge keeps exactly the states that pruning the merged
-        layer would.  The h floor is not tested here: it reads only a key's
-        max h, so the candidates below it were dropped before the sort."""
+        layer would."""
         if unit_cap is None:
-            return cols, hv, gidx
+            return cols, score
         mask = np.all(packer.unpack_rows(np.array(cols).T) <= unit_cap, axis=1)
-        return [c[mask] for c in cols], hv[mask], gidx[mask]
+        return [c[mask] for c in cols], score[mask]
 
-    # Profiles are kept as one contiguous int64 column per packed word.
+    # One contiguous int64 column per packed word; principal units as hmax - h.
     cols = [np.zeros(1, dtype=np.int64) for _ in range(packer.n_words)]
-    h_vals = np.zeros(1, dtype=np.int64)
+    hneg = np.full(1, hmax, dtype=np.int64)
     total = 0
     layers = []
     for j, (_, _, deltas, dh, _) in enumerate(setup.tables):
         need = min_final_h - future_h[j + 1]
-        n_prev = len(h_vals)
-        # A candidate's h is h_vals[s] + dh[o]: when the smallest clears
-        # `need`, so does every one and the filter is skipped.
-        filter_h = n_prev > 0 and h_vals.min() + dh.min() < need
+        n_prev = len(hneg)
+        span = len(dh) * n_prev  # every gidx of the layer is below it
+        if (hmax + 1) * span >= 2**63:
+            raise InvalidInstanceError("grid too fine to pack principal units and backtrack")
+        # A candidate's h is h[s] + dh[o]: when the smallest clears `need`,
+        # so does every one and the filter is skipped.
+        filter_h = n_prev > 0 and hmax - hneg.max() + dh.min() < need
         delta_cols = [np.ascontiguousarray(deltas[:, w]) for w in range(packer.n_words)]
         running = None  # rolling merge keeps memory at O(distinct states)
         block = max(1, _CHUNK // max(1, n_prev))
         for start in range(0, len(dh), block):
             sub = slice(start, start + block)
-            cand_h = (h_vals[None, :] + dh[sub][:, None]).ravel()
+            score = (hneg[None, :] - dh[sub][:, None]).ravel()
+            score *= span
+            score += np.arange(start * n_prev, start * n_prev + len(score), dtype=np.int64)
             cand = ((c[None, :] + d[sub][:, None]).ravel() for c, d in zip(cols, delta_cols))
             if filter_h:
                 # Drop h < need before the sort, one key word at a time: a
                 # key's group keeps exactly its rows of max h, which all
                 # clear need or none do.
-                gidx = np.flatnonzero(cand_h >= need)
-                cand, cand_h = [c[gidx] for c in cand], cand_h[gidx]
-            else:
-                gidx = np.arange(len(cand_h), dtype=np.int64)
-                cand = list(cand)
-            gidx += start * n_prev
-            piece = kept(*_dedupe_block(cand, cand_h, gidx))
+                mask = score < (hmax - need + 1) * span
+                cand, score = (c[mask] for c in cand), score[mask]
+            piece = kept(*_dedupe_block(list(cand), score))
             running = piece if running is None else _dedupe_block(
                 [np.concatenate(pair) for pair in zip(running[0], piece[0])],
                 np.concatenate((running[1], piece[1])),
-                np.concatenate((running[2], piece[2])),
             )
             # The running set only grows and ends as this layer's states.
             if total + len(running[1]) > budget_states:
                 raise BudgetExceededError("states", budget_states, total + len(running[1]))
-        cols, h_vals, gidx = running
-        total += len(h_vals)
+        cols, score = running
+        hneg, gidx = np.divmod(score, span)
+        total += len(hneg)
         layers.append(gidx)
-        log.debug("dp task %d: %d states", j, len(h_vals))
-    return replace(setup, gidx=layers, keys=np.stack(cols, axis=1), h=h_vals, states_total=total)
+        log.debug("dp task %d: %d states", j, len(hneg))
+    return replace(setup, gidx=layers, keys=np.stack(cols, 1), h=hmax - hneg, states_total=total)
 
 
 # Float margins.  Entries a, p*r, c lie in [0, 1] and round to the nearest

@@ -203,13 +203,17 @@ class TestDpEnumerate:
         # Key 5 ties on h = 2 in both blocks; the second block's gidx 4 is
         # the smaller and must win the merge, as a sort-merge must keep it.
         # Key 3 keeps its larger h whatever its gidx.
-        first = _dedupe_block([np.array([5, 3, 5])], np.array([2, 1, 1]), np.array([10, 11, 3]))
-        second = _dedupe_block([np.array([5, 3])], np.array([2, 0]), np.array([4, 2]))
-        cols, h, gidx = _dedupe_block(
-            [np.concatenate(first[0] + second[0])],
-            np.concatenate((first[1], second[1])),
-            np.concatenate((first[2], second[2])),
+        span, hmax = 12, 2
+        first = _dedupe_block(
+            [np.array([5, 3, 5])], _score(np.array([2, 1, 1]), np.array([10, 11, 3]), span, hmax)
         )
+        second = _dedupe_block(
+            [np.array([5, 3])], _score(np.array([2, 0]), np.array([4, 2]), span, hmax)
+        )
+        cols, score = _dedupe_block(
+            [np.concatenate(first[0] + second[0])], np.concatenate((first[1], second[1]))
+        )
+        h, gidx = _unscore(score, span, hmax)
         rows = np.stack(cols, axis=1)
         assert rows.tolist() == [[3], [5]]
         assert h.tolist() == [1, 2]
@@ -258,6 +262,57 @@ class TestDpEnumerate:
         with pytest.raises(BudgetExceededError):
             dp_enumerate(_dp_setup(inst, uniform_grid(inst, 30)), budget_states=10)
 
+    def test_score_guard_raises_before_reading_the_layer(self):
+        # Task 0's 291 options times a 2^62 bound on h pass 2^63: the guard
+        # must refuse before the layer's option arrays are read at all.
+        inst, K, _ = PACKING_CASES["pef-123"]
+        setup = _dp_setup(inst, uniform_grid(inst, K))
+        tables = [
+            (a, al, _LengthOnly(len(dh)), _LengthOnly(len(dh)), k) for a, al, _, dh, k in setup.tables
+        ]
+        bad = replace(setup, tables=tables, future_h=[2**62] + setup.future_h[1:])
+        with pytest.raises(InvalidInstanceError, match="grid too fine"):
+            dp_enumerate(bad)
+
+    def test_score_guard_is_exact(self):
+        # One task, so the layer's span is its option count: the largest
+        # bound on h with (bound + 1) * span < 2^63 runs and returns what
+        # the true bound does, scores reaching within two spans of 2^63; one
+        # more is refused.
+        inst = gen_random(3, 1, 4)
+        setup = _dp_setup(inst, uniform_grid(inst, 40))
+        span = len(setup.tables[0][3])
+        assert span > 1
+        want = dp_enumerate(setup)
+        top = (2**63 - 1) // span - 1
+        got = dp_enumerate(replace(setup, future_h=[top, 0]))
+        assert [g.tolist() for g in got.gidx] == [g.tolist() for g in want.gidx]
+        assert np.array_equal(got.keys, want.keys)
+        assert got.h.dtype == np.int64 and np.array_equal(got.h, want.h)
+        with pytest.raises(InvalidInstanceError, match="grid too fine"):
+            dp_enumerate(replace(setup, future_h=[top + 1, 0]))
+
+
+class _LengthOnly:
+    """An option array that only tells its length."""
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def __len__(self):
+        return self.n
+
+
+def _score(h, gidx, span: int, hmax: int) -> np.ndarray:
+    """`dp_enumerate`'s candidate score of (h, gidx): (hmax - h) * span + gidx."""
+    return (hmax - h) * span + gidx
+
+
+def _unscore(score: np.ndarray, span: int, hmax: int):
+    """(h, gidx) back from scores."""
+    hneg, gidx = np.divmod(score, span)
+    return hmax - hneg, gidx
+
 
 def _drawn_block(rng, words: int):
     """A dedupe block as the DP makes them, or harder: key words drawn from
@@ -296,20 +351,16 @@ FOUR_AGENTS_RUNS = [(None, 0), (20, 0), (12, 15)]
 
 
 class TestSortOnceDedupe:
-    """The key-only sort and its tie pass keep what a sort over (key, -h,
-    gidx) keeps, and the DP built on them equals the reference DP."""
+    """The key-only sort and its score min-reduce keep what a sort over
+    (key, -h, gidx) keeps, and the DP built on them equals the reference DP."""
 
     @pytest.mark.parametrize("words", [1, 2, 3])
     def test_matches_reference_on_drawn_blocks(self, words):
-        rng = np.random.default_rng(words)
-        for _ in range(300):
-            rows, h, gidx = _drawn_block(rng, words)
-            want = dedupe_reference(rows, h, gidx)
-            cols, got_h, got_gidx = _dedupe_block(list(rows.T.copy()), h, gidx)
-            got = (np.stack(cols, axis=1), got_h, got_gidx)
-            for g, w in zip(got, want):
-                assert g.dtype == w.dtype == np.int64
-                assert np.array_equal(g, w)
+        _check_drawn_blocks(np.random.default_rng(words), words, wide=False)
+
+    @pytest.mark.parametrize("words", [1, 2, 3])
+    def test_matches_reference_on_scores_near_2_to_62(self, words):
+        _check_drawn_blocks(np.random.default_rng(10 + words), words, wide=True)
 
     @pytest.mark.parametrize("cap, min_final_h", PEF_123_RUNS)
     def test_dp_matches_reference_at_every_chunk(self, monkeypatch, cap, min_final_h):
@@ -320,6 +371,35 @@ class TestSortOnceDedupe:
     @pytest.mark.parametrize("cap, min_final_h", FOUR_AGENTS_RUNS)
     def test_two_word_dp_matches_reference_at_every_chunk(self, monkeypatch, cap, min_final_h):
         _check_dp_at_every_chunk(monkeypatch, *PACKING_CASES["four-agents"], cap, min_final_h)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_floor_at_and_one_above_the_best_h(self, monkeypatch, m):
+        # With one agent, a task's first option is its first IR grid point,
+        # the one with the most principal units, so under a floor one above
+        # future_h[0] candidate 0 of the first layer falls one unit short.
+        inst = gen_random(1, m, 3)
+        best = _dp_setup(inst, uniform_grid(inst, 12)).future_h[0]
+        assert _check_dp_at_every_chunk(monkeypatch, inst, 12, 1, None, best) >= m
+        assert _check_dp_at_every_chunk(monkeypatch, inst, 12, 1, None, best + 1) == 0
+
+
+def _check_drawn_blocks(rng, words: int, wide: bool):
+    """`_dedupe_block` on 300 drawn blocks, scored with a span just above
+    their gidx and an h bound of 2, or, when `wide`, one so large that the
+    scores reach near 2^62, keeps what `dedupe_reference` keeps."""
+    for _ in range(300):
+        rows, h, gidx = _drawn_block(rng, words)
+        span = 3 * len(h) + 1
+        hmax = 2**62 // span if wide else 2
+        want = dedupe_reference(rows, h, gidx)
+        score = _score(h, gidx, span, hmax)
+        if wide and len(h):
+            assert score.max() >= 2**61
+        cols, score = _dedupe_block(list(rows.T.copy()), score)
+        got = (np.stack(cols, axis=1), *_unscore(score, span, hmax))
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype == np.int64
+            assert np.array_equal(g, w)
 
 
 def _check_dp_at_every_chunk(monkeypatch, inst, K, n_words, cap, min_final_h):

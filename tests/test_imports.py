@@ -13,8 +13,9 @@ MODULES = sorted((ROOT / "src" / "faircon").glob("*.py")) + sorted((ROOT / "test
 # (file, name) pairs imported for a reader outside the module; each must
 # be a name perfbench/tracing.py wraps on that module.
 READ_ELSEWHERE = {
-    # perfbench/tracing.py wraps dp.agent_task_utility by module attribute.
+    # perfbench/tracing.py wraps these by module attribute.
     ("dp.py", "agent_task_utility"),
+    ("dp.py", "minimum_wage"),
 }
 
 
