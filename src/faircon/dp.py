@@ -50,19 +50,19 @@ layer and keeps the best verified candidate.  It stops once the
 incumbent earns the unconstrained optimum, and skips a run whose principal
 units cannot beat the incumbent before building its option tables: the
 bound is the sum over tasks of each task's most principal units
-(`_best_task_h`), one bisection per agent and task, and `_dp_setup`
-derives `future_h` from the same function.  dp-eps-ef passes one run on a
-uniform grid, dp-ef1 one run per vector of utility guesses.
+(`_best_task_h`), one bisection per agent and task; a run it makes reads
+`future_h` from its own option tables.  dp-eps-ef passes one run on a
+uniform grid, dp-ef1 one run per vector of utility guesses.  The loop
+counts its runs, states, verifier calls and screen rejections in one dict.
 
 The candidate scan walks the final layer in descending float revenue,
 sorting only the head it reads (`_descending`).  For dp-ef1 it backtracks
 fixed-size blocks of the band into agent and contract arrays and screens
 EF1 in numpy on (agent, agent, task, row) arrays, rows last and
-contiguous, so every pass and reduction runs along the block's rows.
-Each run of screen-failers above the incumbent by more than the margin is
-counted as rejected verifier calls in one numpy step; only
-screen-passers, and screen-failers whose float revenue is too close to the
-incumbent's to order, are reconstructed and given an exact revenue.  The
+contiguous, so every pass and reduction runs along the block's rows.  A
+screen-failer fails EF1 exactly, so it is never rebuilt: the scan visits
+only the screen-passers (every row, without the screen), rebuilds each
+for its exact revenue and verifies those that beat the incumbent.  The
 float margins of the band and of the screen are derived from m below
 (`_band_margin`, `_screen_slack`).
 """
@@ -439,12 +439,14 @@ def _dedupe_block(cols: list[np.ndarray], score: np.ndarray):
 
 def _dp_setup(inst: Instance, disc: Discretization) -> DpResult:
     """A DpResult before any transition: the profile packer, every task's
-    options as one table, `future_h` and the float p*r and c matrices."""
+    options as one table, `future_h` (summed from each table's most
+    principal units) and the float p*r and c matrices."""
     n = inst.n
-    future_h = list(itertools.accumulate(reversed(_best_task_h(inst, disc)), initial=0))
     unpacked = []
     for j in range(inst.m):
-        opts = _task_options(inst, disc, j)  # nonempty: _best_task_h found an IR option
+        opts = _task_options(inst, disc, j)
+        if not opts:
+            raise FairconError(f"task {j} has no IR grid contract")
         agents, index, units, dh = (np.array(col, dtype=np.int64) for col in zip(*opts))
         points, den = disc.task_grids[j]
         alphas = np.array([points[k] / den for k in index.tolist()])  # rounded as float(Fraction)
@@ -457,8 +459,9 @@ def _dp_setup(inst: Instance, disc: Discretization) -> DpResult:
         (agents, alphas, packer.pack_rows(deltas), dh, index)
         for agents, alphas, deltas, dh, index in unpacked
     ]
+    future_h = itertools.accumulate((int(t[3].max()) for t in reversed(unpacked)), initial=0)
     pr, c = (np.array(mat, dtype=np.float64) for mat in (inst.pr, inst.c))  # rounded as float(x)
-    return DpResult(inst, disc, packer, tables, future_h[::-1], pr, c)
+    return DpResult(inst, disc, packer, tables, list(future_h)[::-1], pr, c)
 
 
 def dp_enumerate(
@@ -553,10 +556,8 @@ def dp_enumerate(
 #     |band revenue - exact revenue| <= 1.002 m (m + 4) u = _band_error(m),
 # and the incumbent's float(revenue) is off by at most m u more.  The scan
 # stops at a candidate below the incumbent's float by more than the margin,
-# and counts a screen-failer above it by more than the margin as beating the
-# incumbent without computing its exact revenue; both are sound while the
-# margin exceeds _band_error(m) + m u.  1e-9 is at least twice that up to
-# m = 2,100; beyond, the margin grows with the bound.
+# which is sound while the margin exceeds _band_error(m) + m u.  1e-9 is at
+# least twice that up to m = 2,100; beyond, the margin grows with the bound.
 _BAND_MARGIN = 1e-9
 #
 # EF1 screen: an entry a p r - c, and its clamp max(., 0), comes out within
@@ -646,28 +647,21 @@ def _descending(frev: np.ndarray, low: float):
 
 def _scan_candidates(dp: DpResult, best_rev, best, verify, screen: bool):
     """Best-true-revenue verifier-passing candidate, scanned by descending
-    float revenue; returns (revenue, contract, verifier calls).
+    float revenue; returns (revenue, contract, verifier calls, screened).
 
-    Once there is an incumbent, exact revenue comparison gates the
-    verifier, and the scan stops once float revenue falls the band margin
-    below the incumbent.  With `screen`, the float EF1 screen runs first
-    over fixed-size blocks of the scan; a screen-failer counts as one
-    rejected verifier call whenever verify would have run, and only a
-    failer too close to the incumbent for floats to order gets
-    reconstructed, for its exact revenue.
-
-    Within a block, the rows to rebuild are found in one numpy step: the
-    screen-passers and the rows at or below the incumbent's float plus the
-    margin (the first row below it by more than the margin ends the scan).
-    The failers between two of them are counted, not visited, and the step
-    is redone only when the incumbent changes.  `checks` is what visiting
-    every row in turn would count (`tests/oracles.scan_candidates_reference`).
+    With `screen`, the float EF1 screen runs first over each fixed-size
+    block of the scan, and only its passers are visited; without it, every
+    row is.  The scan stops at the first visited row more than the band
+    margin below the incumbent's float revenue; a visited row is rebuilt
+    for its exact revenue, skipped unless that beats the incumbent, and
+    otherwise verified.  `screened` counts the rows the screen rejected
+    above that stop (`tests/oracles.scan_candidates_reference`).
     """
     inst = dp.inst
     positions, frev = dp.band(best_rev)
     margin = _band_margin(inst.m)
     slack = _screen_slack(inst.m)
-    checks = 0
+    checks = screened = 0
     fbest = float(best_rev) if best_rev is not None else -math.inf
     # Float revenue falls along the scan and fbest only rises, so the scan
     # never reaches a revenue below this cut.
@@ -677,27 +671,25 @@ def _scan_candidates(dp: DpResult, best_rev, best, verify, screen: bool):
             ok = _ef1_screen(dp, *dp.choices(pos), slack)
         else:
             ok = np.ones(len(block), dtype=bool)
-        start = 0  # the rows before it are rebuilt or counted
-        while start < len(block):
-            rebuild = np.flatnonzero(ok[start:] | (fr[start:] <= fbest + margin)) + start
-            for q in rebuild.tolist():
-                checks += q - start  # the failers above fbest + margin: verify would reject
-                start = q + 1
-                if fr[q] < fbest - margin:
-                    return best_rev, best, checks
-                assignment, alphas = dp.reconstruct(int(pos[q]))
-                contract = Contract(Allocation(assignment, inst.n), alphas)
-                rev = revenue(inst, contract)
-                if best_rev is not None and rev <= best_rev:
-                    continue
-                checks += 1
-                if ok[q] and verify(contract):
-                    best_rev, best, fbest = rev, contract, float(rev)
-                    break  # a new incumbent moves the line between counted and rebuilt
-            else:
-                checks += len(block) - start
-                start = len(block)
-    return best_rev, best, checks
+        for q in np.flatnonzero(ok).tolist():
+            if fr[q] < fbest - margin:
+                break
+            assignment, alphas = dp.reconstruct(int(pos[q]))
+            contract = Contract(Allocation(assignment, inst.n), alphas)
+            rev = revenue(inst, contract)
+            if best_rev is not None and rev <= best_rev:
+                continue
+            checks += 1
+            if verify(contract):
+                best_rev, best, fbest = rev, contract, float(rev)
+        # The scan passed exactly the rows at or above its final cut, a
+        # prefix: the row that set the final incumbent is within the margin
+        # of it, so every row below the cut comes after that row.
+        reached = int(np.count_nonzero(fr >= fbest - margin))
+        screened += reached - int(np.count_nonzero(ok[:reached]))
+        if reached < len(block):
+            break
+    return best_rev, best, checks, screened
 
 
 def _best_over_guesses(inst, runs, unit_cap, rev_floor, budget_states, verify, screen):
@@ -714,36 +706,45 @@ def _best_over_guesses(inst, runs, unit_cap, rev_floor, budget_states, verify, s
     principal units (the sum of `_best_task_h`, which is its `future_h[0]`
     and overestimates any of its revenues) over K do not exceed the
     incumbent's revenue; the latter count as pruned, and their option tables
-    are never built.  Returns (contract, revenue, its guess, states,
-    verifier calls, runs made, runs pruned).
+    are never built.  Returns (contract, revenue, its guess, counts), counts
+    {"guesses", "guesses_pruned", "states", "exact_checks", "screened"}: the
+    runs made and pruned, their DP states, verifier calls and the rows the
+    float screen rejected (`_scan_candidates`).
     """
     ceiling = unconstrained_opt(inst)
     best_rev: Optional[Fraction] = None
     best: Optional[Contract] = None
     best_guess = None
-    states = checks = count = pruned = 0
+    counts = dict.fromkeys(("guesses", "guesses_pruned", "states", "exact_checks", "screened"), 0)
     for guess, disc in runs:
         if best_rev is not None and sum(_best_task_h(inst, disc)) <= best_rev * disc.K:
-            pruned += 1
+            counts["guesses_pruned"] += 1
             continue
-        count += 1
+        counts["guesses"] += 1
         floor = rev_floor if best_rev is None else max(rev_floor, best_rev)
+        states = counts["states"]
         try:
             dp = dp_enumerate(
                 _dp_setup(inst, disc), budget_states - states, unit_cap, int(floor * disc.K)
             )
         except BudgetExceededError as exc:
             raise BudgetExceededError("states", budget_states, states + exc.needed) from None
-        states += dp.states_total
-        new_rev, new_best, run_checks = _scan_candidates(dp, best_rev, best, verify, screen)
-        checks += run_checks
+        counts["states"] += dp.states_total
+        new_rev, new_best, checks, screened = _scan_candidates(dp, best_rev, best, verify, screen)
+        counts["exact_checks"] += checks
+        counts["screened"] += screened
         if new_best is not best:
             best_rev, best, best_guess = new_rev, new_best, guess
         if best_rev == ceiling:
             break
     if best is None:
         raise FairconError("no candidate passed verification; this contradicts the guarantee")
-    return best, best_rev, best_guess, states, checks, count, pruned
+    log.info(
+        "fptas: %d runs, %d pruned, %d states, %d screened, %d exact checks, best revenue %s",
+        counts["guesses"], counts["guesses_pruned"], counts["states"], counts["screened"],
+        counts["exact_checks"], best_rev,
+    )
+    return best, best_rev, best_guess, counts
 
 
 def _fptas_front(inst: Instance, eps: Num, rule) -> tuple[Fraction, Fraction, int, Fraction]:
@@ -775,23 +776,13 @@ def solve_eps_ef_fptas(
     # charge them before it is built.
     if K + 1 > budget_states:
         raise BudgetExceededError("states", budget_states, K + 1)
-    best, best_rev, _, states, checked, _, _ = _best_over_guesses(
+    best, best_rev, _, counts = _best_over_guesses(
         inst, [(None, uniform_grid(inst, K))], None, floor, budget_states,
         lambda contract: verify_eps_ef(inst, contract, eps, tol=0), screen=False,
     )
-    return SolveResult(
-        best,
-        best_rev,
-        "dp-eps-ef",
-        {
-            "eps": eps,
-            "eps_internal": eps_int,
-            "delta": Fraction(1, K),
-            "grid_points": K + 1,
-            "states": states,
-            "candidates_checked": checked,
-        },
-    )
+    meta = {"eps": eps, "eps_internal": eps_int, "delta": Fraction(1, K), "grid_points": K + 1}
+    meta.update(states=counts["states"], exact_checks=counts["exact_checks"])
+    return SolveResult(best, best_rev, "dp-eps-ef", meta)
 
 
 def solve_ef1_fptas(
@@ -809,9 +800,10 @@ def solve_ef1_fptas(
     near-envy-freeness into exact EF1.  Candidates from all guesses are
     filtered by the exact EF1 verifier; the best true revenue wins.  The
     loop stops once the incumbent earns `unconstrained_opt` and skips the
-    guesses that cannot beat it (meta `guesses` counts the DP runs made,
-    `guesses_pruned` the skipped ones).  budget_states bounds the DP states
-    of all guesses together.
+    guesses that cannot beat it.  meta counts the DP runs made (`guesses`)
+    and skipped (`guesses_pruned`), their `states`, the verifier calls
+    (`exact_checks`) and the rows the float screen rejected (`screened`).
+    budget_states bounds the DP states of all guesses together.
     """
     n, m = inst.n, inst.m
     # nu = eps/2 (not eps) so the proof's 2*nu revenue loss meets the
@@ -835,23 +827,9 @@ def solve_ef1_fptas(
     # The cap is the same for every guess: an agent guessed at 0 gets a grid
     # at or below its minimum wage on every task, so it holds no unit anyway.
     unit_cap = K + math.ceil(nu * K) + m
-    best, best_rev, best_guess, states, checks, guesses, pruned = _best_over_guesses(
+    best, best_rev, best_guess, counts = _best_over_guesses(
         inst, runs, unit_cap, floor, budget_states,
         lambda k: verify_ef1(inst, k, tol=0)[0], screen=True,
     )
-    return SolveResult(
-        best,
-        best_rev,
-        "dp-ef1",
-        {
-            "eps": eps,
-            "nu": nu,
-            "delta": Fraction(1, K),
-            "f_bits": f_bits,
-            "guess": best_guess,
-            "guesses": guesses,
-            "guesses_pruned": pruned,
-            "states": states,
-            "exact_checks": checks,
-        },
-    )
+    meta = {"eps": eps, "nu": nu, "delta": Fraction(1, K), "f_bits": f_bits, "guess": best_guess}
+    return SolveResult(best, best_rev, "dp-ef1", {**meta, **counts})

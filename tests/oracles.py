@@ -477,7 +477,7 @@ def best_over_guesses_reference(
     from faircon.errors import BudgetExceededError
 
     best_rev = best = best_guess = None
-    states = checks = count = 0
+    states = checks = screened = count = 0
     for count, (guess, disc) in enumerate(runs, 1):
         floor = rev_floor if best_rev is None else max(rev_floor, best_rev)
         h_floor = int(floor * disc.K)
@@ -486,12 +486,19 @@ def best_over_guesses_reference(
         except BudgetExceededError as exc:
             raise BudgetExceededError("states", budget_states, states + exc.needed) from None
         states += dp.states_total
-        new_rev, new_best, run_checks = _scan_candidates(dp, best_rev, best, verify, screen)
+        new_rev, new_best, run_checks, run_screened = _scan_candidates(
+            dp, best_rev, best, verify, screen
+        )
         checks += run_checks
+        screened += run_screened
         if new_best is not best:
             best_rev, best, best_guess = new_rev, new_best, guess
     assert best is not None, "no candidate passed verification"
-    return best, best_rev, best_guess, states, checks, count, 0
+    counts = {
+        "guesses": count, "guesses_pruned": 0, "states": states,
+        "exact_checks": checks, "screened": screened,
+    }
+    return best, best_rev, best_guess, counts
 
 
 def ef1_screen_reference(inst: Instance, agents: np.ndarray, alphas: np.ndarray, slack: float):
@@ -512,12 +519,12 @@ def ef1_screen_reference(inst: Instance, agents: np.ndarray, alphas: np.ndarray,
 
 def scan_candidates_reference(dp, best_rev, best, verify, screen: bool):
     """`faircon.dp._scan_candidates` as one loop step per scanned row: the
-    same arguments and (revenue, contract, verifier calls) return.
+    same arguments and (revenue, contract, verifier calls, screened) return.
 
     Each row in descending float revenue ends the scan when it falls the
-    band margin below the incumbent, counts as one rejected verifier call
-    when the screen fails it above the incumbent by more than the margin,
-    and is otherwise rebuilt for its exact revenue.
+    band margin below the incumbent, counts as screened when the screen
+    fails it, and is otherwise rebuilt for its exact revenue and verified
+    when that beats the incumbent.
     """
     from faircon.core import revenue
     from faircon.dp import _band_margin, _descending, _ef1_screen, _screen_slack
@@ -526,7 +533,7 @@ def scan_candidates_reference(dp, best_rev, best, verify, screen: bool):
     positions, frev = dp.band(best_rev)
     margin = _band_margin(inst.m)
     slack = _screen_slack(inst.m)
-    checks = 0
+    checks = screened = 0
     fbest = float(best_rev) if best_rev is not None else -math.inf
     for block in _descending(frev, fbest - margin):
         if screen:
@@ -534,11 +541,10 @@ def scan_candidates_reference(dp, best_rev, best, verify, screen: bool):
         else:
             passed = [True] * len(block)
         for q, ok in zip(block.tolist(), passed):
-            fr = float(frev[q])
-            if fr < fbest - margin:
-                return best_rev, best, checks
-            if not ok and fr > fbest + margin:
-                checks += 1  # verify would run, and reject
+            if float(frev[q]) < fbest - margin:
+                return best_rev, best, checks, screened
+            if not ok:
+                screened += 1
                 continue
             assignment, alphas = dp.reconstruct(int(positions[q]))
             contract = Contract(Allocation(assignment, inst.n), alphas)
@@ -546,9 +552,9 @@ def scan_candidates_reference(dp, best_rev, best, verify, screen: bool):
             if best_rev is not None and rev <= best_rev:
                 continue
             checks += 1
-            if ok and verify(contract):
+            if verify(contract):
                 best_rev, best, fbest = rev, contract, float(rev)
-    return best_rev, best, checks
+    return best_rev, best, checks, screened
 
 
 def ef1_case4_models(inst: Instance, alloc: Allocation):

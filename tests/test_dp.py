@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import logging
 import math
 import random
 from dataclasses import replace
@@ -1026,11 +1027,11 @@ class TestBandScreen:
         assert worst <= bound
         assert _band_margin(inst.m) == 1e-9 and _screen_slack(inst.m) == 1e-7
 
-    def test_scan_rebuilds_passers_and_close_failers(self, monkeypatch):
-        # 6,289 band positions count as verifier calls.  The scan rebuilds
-        # the screen-passers and, for their exact revenue, the screen-failers
-        # within the band margin of the incumbent: 21 contracts, 14 of them
-        # screen-failers.
+    def test_scan_rebuilds_only_screen_passers(self, monkeypatch):
+        # A screen-failer fails EF1 exactly, so the scan never rebuilds one:
+        # of the 6,308 band rows it reaches over the solve's runs, the screen
+        # rejects 6,301, and the 7 it passes are rebuilt, of which 2 beat the
+        # incumbent and are verified.
         rebuilt = []
         real = dp_module.DpResult.reconstruct
 
@@ -1041,13 +1042,33 @@ class TestBandScreen:
         monkeypatch.setattr(dp_module.DpResult, "reconstruct", reconstruct)
         inst = gen_partition_ef1([1])
         res = solve_ef1_fptas(inst, F(1, 6), f_bits=1)
-        assert (res.meta["exact_checks"], res.meta["states"]) == (6289, 8659)
+        meta = res.meta
+        assert (meta["exact_checks"], meta["screened"], meta["states"]) == (2, 6301, 8659)
         assert res.revenue == F(7, 10)
-        assert 0 < len(rebuilt) < 100
         agents = np.array([assignment for assignment, _ in rebuilt])
         alphas = np.array([[float(a) for a in contract] for _, contract in rebuilt])
         passed = _ef1_screen(inst, agents, alphas, _screen_slack(inst.m))
-        assert (len(rebuilt), int(np.count_nonzero(~passed))) == (21, 14)
+        assert len(rebuilt) == 7 and passed.all()
+
+
+def test_fptas_solve_logs_summary_at_info(caplog):
+    # One summary per solve, read from the guess loop's counts; dp-eps-ef
+    # reports only its states and verifier calls in meta.
+    inst = gen_partition_ef1([1])
+    with caplog.at_level(logging.INFO, logger="faircon"):
+        ef1 = solve_ef1_fptas(inst, F(1, 6), f_bits=1)
+        eps_ef = solve_eps_ef_fptas(inst, F(1, 6))
+    counts = ("guesses", "guesses_pruned", "states", "screened", "exact_checks")
+    assert tuple(ef1.meta[key] for key in counts) == (7, 9, 8659, 6301, 2)
+    keys = {"eps", "eps_internal", "delta", "grid_points", "states", "exact_checks"}
+    assert set(eps_ef.meta) == keys
+    assert (eps_ef.meta["states"], eps_ef.meta["exact_checks"]) == (51566, 1)
+    summaries = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
+    assert summaries == [
+        "fptas: 7 runs, 9 pruned, 8659 states, 6301 screened, 2 exact checks, best revenue 7/10",
+        "fptas: 1 runs, 0 pruned, 51566 states, 0 screened, 1 exact checks, "
+        f"best revenue {eps_ef.revenue}",
+    ]
 
 
 # (instance, eps, f_bits) the guess driver is checked on: the 20
@@ -1070,20 +1091,29 @@ def _traced_guesses(monkeypatch, inst, eps, f_bits):
     """solve_ef1_fptas's result and, for every guess it reached, in order:
     (principal-unit bound, incumbent revenue before the guess, DP run made).
 
-    The bound is recorded at the first `_best_task_h` call on the guess's
-    grid: the driver's prune test when there is an incumbent, else the
-    `_dp_setup` of the run it makes, which asks again for its `future_h`."""
+    The bound is recorded on the guess's grid first seen: by the driver's
+    prune test (`_best_task_h`) when there is an incumbent, else by the
+    `_dp_setup` of the run it makes, as its `future_h[0]`."""
     events, incumbent, last_disc = [], [None], [None]
-    real_bound, real_enum, real_scan = (
-        dp_module._best_task_h, dp_module.dp_enumerate, dp_module._scan_candidates
+    real_bound, real_setup, real_enum, real_scan = (
+        dp_module._best_task_h, dp_module._dp_setup, dp_module.dp_enumerate,
+        dp_module._scan_candidates,
     )
+
+    def record(disc, units):
+        if disc is not last_disc[0]:
+            last_disc[0] = disc
+            events.append([F(units, disc.K), incumbent[0], False])
 
     def bound(inst, disc):
         per_task = real_bound(inst, disc)
-        if disc is not last_disc[0]:
-            last_disc[0] = disc
-            events.append([F(sum(per_task), disc.K), incumbent[0], False])
+        record(disc, sum(per_task))
         return per_task
+
+    def setup(inst, disc):
+        out = real_setup(inst, disc)
+        record(disc, out.future_h[0])
+        return out
 
     def enumerate_(*args, **kwargs):
         events[-1][2] = True
@@ -1095,6 +1125,7 @@ def _traced_guesses(monkeypatch, inst, eps, f_bits):
         return out
 
     monkeypatch.setattr(dp_module, "_best_task_h", bound)
+    monkeypatch.setattr(dp_module, "_dp_setup", setup)
     monkeypatch.setattr(dp_module, "dp_enumerate", enumerate_)
     monkeypatch.setattr(dp_module, "_scan_candidates", scan)
     res = solve_ef1_fptas(inst, eps, f_bits=f_bits)
@@ -1144,10 +1175,10 @@ class TestGuessDriver:
             return name, Discretization(((tuple(int(4 * F(p)) for p in points), 4),), (step,), 4)
 
         def drive(*runs, rev_floor=ZERO):
-            _, rev, guess, _, _, made, pruned = dp_module._best_over_guesses(
+            _, rev, guess, counts = dp_module._best_over_guesses(
                 inst, runs, None, rev_floor, 10**6, lambda k: True, screen=False
             )
-            return rev, guess, made, pruned
+            return rev, guess, counts["guesses"], counts["guesses_pruned"]
 
         # 3/4 is one step short of the ceiling, so "b" runs; its 1 ends the loop.
         assert drive(run("a", F(1, 4), 1), run("b", 0, 1), run("c", 0)) == (1, "b", 2, 0)
@@ -1175,8 +1206,9 @@ def _table_best_h(inst, disc):
 
 
 class TestPrincipalBound:
-    """`_best_task_h`, the guess driver's prune bound and the source of
-    `future_h`, finds by bisection what the option tables hold."""
+    """`_best_task_h`, the guess driver's prune bound, finds by bisection
+    what the option tables hold, and so what `_dp_setup` sums into
+    `future_h`."""
 
     def test_uniform_grids(self):
         grids = [(inst, K) for inst, K, _ in PACKING_CASES.values()]
@@ -1222,7 +1254,7 @@ def _recorded_scans(monkeypatch, solve, inst, *args, **kwargs):
 
 class TestScanMatchesPerRowLoop:
     """The block-wise scan returns what visiting every row in turn returns:
-    the same revenue, contract and verifier-call count."""
+    the same revenue, contract, verifier-call count and screened count."""
 
     @pytest.mark.parametrize("case", range(len(DRIVER_CASES)))
     def test_every_dp_ef1_run(self, monkeypatch, case):
@@ -1243,6 +1275,7 @@ class TestScanMatchesPerRowLoop:
     # revenue, float revenue included, and differ in EF1.  In scan order,
     # with 16-row blocks, the screen-passers are rows 1, 4, 9, 10, 14, ...;
     # rows 0-2 earn 3, rows 3-6 35/12, rows 7-11 11/4 and row 12 31/12.
+    # `want` is (revenue, verifier calls, screened).
     TWINS = Instance(
         r=(1, 1, 1, 1),
         p=((1, 1, F(1, 2), 1), (1, 1, F(1, 2), 1)),
@@ -1252,16 +1285,16 @@ class TestScanMatchesPerRowLoop:
     @pytest.mark.parametrize(
         "accept_call, best_rev, want",
         [
-            # The first passer wins at 3; row 2, a failer, ties it exactly
-            # and is rebuilt, not counted: row 0 and the win are the checks.
-            (1, None, (3, 2)),
-            # Row 9 wins at 11/4 mid-block, after 7 failers counted and 3
-            # verifier calls: row 11, a failer counted while there was no
-            # incumbent, now ties it and is rebuilt, and row 12 ends the scan.
-            (3, None, (F(11, 4), 10)),
+            # The first passer, row 1, wins at 3; rows 0 and 2 are screened,
+            # the tie included, and row 3 ends the scan.
+            (1, None, (3, 1, 2)),
+            # Row 9 wins at 11/4 mid-block on the third verifier call; row
+            # 10 ties it and is rebuilt, not verified; the 8 failers among
+            # rows 0-11 are screened, and row 12 ends the scan.
+            (3, None, (F(11, 4), 3, 8)),
             # An incumbent at 5/2 from an earlier run; row 4 wins at 35/12
-            # and its tied failers, rows 5 and 6, are rebuilt.
-            (2, F(5, 2), (F(35, 12), 5)),
+            # on the second call, and the failers among rows 0-6 are screened.
+            (2, F(5, 2), (F(35, 12), 2, 5)),
         ],
         ids=["exact-tie", "mid-block", "incumbent-given"],
     )
@@ -1279,10 +1312,11 @@ class TestScanMatchesPerRowLoop:
                 calls.append(contract)
                 return len(calls) == accept_call
 
-            rev, contract, checks = scan(dp, best_rev, prior, verify, True)
-            results.append((rev, contract, checks, len(calls)))
+            rev, contract, checks, screened = scan(dp, best_rev, prior, verify, True)
+            results.append((rev, contract, checks, screened, len(calls)))
         assert results[0] == results[1]
-        assert results[0][0] == want[0] and results[0][2] == want[1]
+        rev, _, checks, screened, n_calls = results[0]
+        assert (rev, checks, screened) == want and n_calls == checks
 
 
 @pytest.mark.parametrize("case", range(20, 24), ids=["ex52", "rand2x3s1", "pef1-1", "readme"])

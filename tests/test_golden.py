@@ -39,9 +39,9 @@ INSTANCES = {
 SOLVE_FLAGS = {m: (["--eps", "1/4"] if needs_eps else []) for m, (_, needs_eps) in SOLVERS.items()}
 SOLVE_FLAGS["dp-ef1"] = SOLVE_FLAGS["dp-ef1"] + ["--f-bits", "6"]
 
-# (instance, method, flags) solved on their own.  pef1-1 is scan-bound: its
-# band holds thousands of candidates for a handful of exact verifications
-# (meta pins exact_checks and states); its exact-ef1 solve reaches
+# (instance, method, flags) solved on their own.  pef1-1 is scan-bound: the
+# float screen rejects thousands of its band rows (meta `screened`) and the
+# exact verifier runs twice (`exact_checks`); its exact-ef1 solve reaches
 # allocations that leave agents empty.  readme is the README's instance at a
 # short guess ladder.  ex57's five agents make 25 profile components, which
 # dp-eps-ef packs into two words.
