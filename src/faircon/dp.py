@@ -44,16 +44,17 @@ grid, L*K for an adaptive one); only a contract `reconstruct` returns
 holds Fractions.
 
 Both FPTAS solvers run through one guess loop (`_best_over_guesses`):
-per (guess, grid) run it floors the DP at the revenue the answer must
-beat, hands on the state budget the earlier runs left, scans the final
-layer and keeps the best verified candidate.  It stops once the
-incumbent earns the unconstrained optimum, and skips a run whose principal
-units cannot beat the incumbent before building its option tables: the
-bound is the sum over tasks of each task's most principal units
-(`_best_task_h`), one bisection per agent and task; a run it makes reads
-`future_h` from its own option tables.  dp-eps-ef passes one run on a
-uniform grid, dp-ef1 one run per vector of utility guesses.  The loop
-counts its runs, states, verifier calls and screen rejections in one dict.
+per (guess, grid) it floors the DP at the revenue the answer must beat,
+hands on the state budget the earlier runs left, scans the final layer
+and keeps the best verified candidate.  With no incumbent yet, it floors
+the DP first at the layer's top less m principal units, where the answer
+mostly sits, and lowers the floor only while no verified answer clears
+it.  It stops once the incumbent earns the unconstrained optimum, and
+skips a guess whose principal units cannot beat the incumbent before
+building its option tables (`_best_task_h`, one bisection per agent and
+task).  dp-eps-ef passes one uniform grid, dp-ef1 one per vector of
+utility guesses.  One dict counts guesses, DP runs, states, verifier
+calls and screen rejections.
 
 The candidate scan walks the final layer in descending float revenue,
 sorting only the head it reads (`_descending`).  For dp-ef1 it backtracks
@@ -70,6 +71,7 @@ float margins of the band and of the screen are derived from m below
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import logging
 import math
@@ -479,10 +481,10 @@ def dp_enumerate(
     unit_cap optionally drops states with a rounded cross-utility above it;
     soundness of the cap is the caller's concern (dp-ef1 derives it from
     its proof).  min_final_h drops any state that cannot reach that many
-    principal units even with the best remaining tasks (the callers use it
-    with a floor the guaranteed candidate provably clears; 0 or less drops
-    nothing).  `setup` is `_dp_setup(inst, disc)`; it is left as it was, so
-    it can seed further runs.
+    principal units even with the best remaining tasks, and so keeps the
+    unfloored run's final states of h >= min_final_h, backtracks included
+    (0 or less drops nothing).  `setup` is `_dp_setup(inst, disc)`; it is
+    left as it was, so it can seed further runs.
     """
     packer, future_h = setup.packer, setup.future_h
     hmax = future_h[0]  # no state's h exceeds it
@@ -694,55 +696,67 @@ def _scan_candidates(dp: DpResult, best_rev, best, verify, screen: bool):
 
 def _best_over_guesses(inst, runs, unit_cap, rev_floor, budget_states, verify, screen):
     """The best verifier-passing candidate over the DP runs of
-    (guess, discretization) pairs, one run after another, each capped at
-    `unit_cap` units per cross-utility (None for no cap).
+    (guess, discretization) pairs, in order, each capped at `unit_cap`
+    units per cross-utility (None for no cap).
 
-    Each run drops the states that cannot reach `rev_floor` (a revenue the
-    guaranteed candidate provably clears) or beat the incumbent, and gets
-    what the earlier runs left of the state budget.  The scan replaces the
-    incumbent only on a strictly higher revenue, so two kinds of run could
-    change nothing and are not made: every run once the incumbent earns
-    `unconstrained_opt`, which no IR contract exceeds, and a run whose best
-    principal units (the sum of `_best_task_h`, which is its `future_h[0]`
-    and overestimates any of its revenues) over K do not exceed the
-    incumbent's revenue; the latter count as pruned, and their option tables
-    are never built.  Returns (contract, revenue, its guess, counts), counts
-    {"guesses", "guesses_pruned", "states", "exact_checks", "screened"}: the
-    runs made and pruned, their DP states, verifier calls and the rows the
-    float screen rejected (`_scan_candidates`).
+    A guess's run drops the states that cannot reach `rev_floor` (a revenue
+    the guaranteed candidate provably clears) or beat the incumbent, and
+    gets what the earlier runs left of the state budget.  With no incumbent,
+    the first run's floor f is top - m, top = `future_h[0]`, or the proof
+    floor if higher.  Until f - 1 < R K for a verified revenue R (no dropped
+    state can then earn R) or f is the proof floor, the guess runs again
+    from its one setup, scanning from scratch, at f = ceil(R K) once some R
+    is verified, else at top - 2m, top - 4m, ...; a memo verifies each
+    contract once per guess.  The scan replaces the incumbent only on a
+    strictly higher revenue, so two kinds of guess could change nothing and
+    are not run: every guess once the incumbent earns `unconstrained_opt`,
+    which no IR contract exceeds, and a guess whose best principal units
+    (the sum of `_best_task_h`, its `future_h[0]`, above any of its
+    revenues) over K do not exceed the incumbent's revenue; these count as
+    pruned, and their option tables are never built.  Returns (contract,
+    revenue, its guess, counts): the guesses run and pruned, the DP runs,
+    their states, the rows the float screen rejected (`_scan_candidates`)
+    and the contracts verified.
     """
     ceiling = unconstrained_opt(inst)
     best_rev: Optional[Fraction] = None
     best: Optional[Contract] = None
     best_guess = None
-    counts = dict.fromkeys(("guesses", "guesses_pruned", "states", "exact_checks", "screened"), 0)
+    counts = dict.fromkeys("guesses guesses_pruned runs states screened exact_checks".split(), 0)
     for guess, disc in runs:
         if best_rev is not None and sum(_best_task_h(inst, disc)) <= best_rev * disc.K:
             counts["guesses_pruned"] += 1
             continue
         counts["guesses"] += 1
-        floor = rev_floor if best_rev is None else max(rev_floor, best_rev)
-        states = counts["states"]
-        try:
-            dp = dp_enumerate(
-                _dp_setup(inst, disc), budget_states - states, unit_cap, int(floor * disc.K)
-            )
-        except BudgetExceededError as exc:
-            raise BudgetExceededError("states", budget_states, states + exc.needed) from None
-        counts["states"] += dp.states_total
-        new_rev, new_best, checks, screened = _scan_candidates(dp, best_rev, best, verify, screen)
-        counts["exact_checks"] += checks
-        counts["screened"] += screened
-        if new_best is not best:
+        setup, checked = _dp_setup(inst, disc), functools.cache(verify)
+        low = int((rev_floor if best_rev is None else max(rev_floor, best_rev)) * disc.K)
+        drop = inst.m
+        floor = low if best_rev is not None else max(low, setup.future_h[0] - drop)
+        while True:
+            states = counts["states"]
+            try:
+                dp = dp_enumerate(setup, budget_states - states, unit_cap, floor)
+            except BudgetExceededError as exc:
+                raise BudgetExceededError("states", budget_states, states + exc.needed) from None
+            counts["runs"] += 1
+            counts["states"] += dp.states_total
+            new_rev, new_best, _, screened = _scan_candidates(dp, best_rev, best, checked, screen)
+            counts["screened"] += screened
+            found = new_best is not best
+            if floor <= low or (found and floor - 1 < new_rev * disc.K):
+                break
+            drop *= 2
+            floor = max(low, math.ceil(new_rev * disc.K) if found else setup.future_h[0] - drop)
+        counts["exact_checks"] += checked.cache_info().misses
+        if found:
             best_rev, best, best_guess = new_rev, new_best, guess
         if best_rev == ceiling:
             break
     if best is None:
         raise FairconError("no candidate passed verification; this contradicts the guarantee")
     log.info(
-        "fptas: %d runs, %d pruned, %d states, %d screened, %d exact checks, best revenue %s",
-        counts["guesses"], counts["guesses_pruned"], counts["states"], counts["screened"],
-        counts["exact_checks"], best_rev,
+        "fptas: %d guesses, %d pruned, %d runs, %d states, %d screened, %d exact checks, "
+        "best revenue %s", *counts.values(), best_rev,
     )
     return best, best_rev, best_guess, counts
 
@@ -781,7 +795,7 @@ def solve_eps_ef_fptas(
         lambda contract: verify_eps_ef(inst, contract, eps, tol=0), screen=False,
     )
     meta = {"eps": eps, "eps_internal": eps_int, "delta": Fraction(1, K), "grid_points": K + 1}
-    meta.update(states=counts["states"], exact_checks=counts["exact_checks"])
+    meta.update({key: counts[key] for key in ("runs", "states", "exact_checks")})
     return SolveResult(best, best_rev, "dp-eps-ef", meta)
 
 
@@ -800,9 +814,10 @@ def solve_ef1_fptas(
     near-envy-freeness into exact EF1.  Candidates from all guesses are
     filtered by the exact EF1 verifier; the best true revenue wins.  The
     loop stops once the incumbent earns `unconstrained_opt` and skips the
-    guesses that cannot beat it.  meta counts the DP runs made (`guesses`)
-    and skipped (`guesses_pruned`), their `states`, the verifier calls
-    (`exact_checks`) and the rows the float screen rejected (`screened`).
+    guesses that cannot beat it.  meta counts the guesses run (`guesses`)
+    and skipped (`guesses_pruned`), the DP `runs`, their `states`, the
+    contracts verified (`exact_checks`) and the rows the float screen
+    rejected (`screened`).
     budget_states bounds the DP states of all guesses together.
     """
     n, m = inst.n, inst.m

@@ -464,9 +464,10 @@ def best_lp_reference(inst: Instance, budget_lps: int, models, limits=None):
 def best_over_guesses_reference(
     inst: Instance, runs, unit_cap, rev_floor, budget_states, verify, screen
 ):
-    """The FPTAS guess driver before it stopped at the unconstrained optimum
-    or pruned a guess: every (guess, discretization) run is made, in order,
-    and the first strictly better verified candidate wins.
+    """The FPTAS guess driver before it stopped at the unconstrained optimum,
+    pruned a guess or raised a guess's floor: every (guess, discretization)
+    run is made once, in order, floored at the proof floor or the
+    incumbent, and the first strictly better verified candidate wins.
 
     A drop-in for `faircon.dp._best_over_guesses` (same arguments, same
     return shape, no run pruned), so patching it in gives the reference each
@@ -495,7 +496,7 @@ def best_over_guesses_reference(
             best_rev, best, best_guess = new_rev, new_best, guess
     assert best is not None, "no candidate passed verification"
     counts = {
-        "guesses": count, "guesses_pruned": 0, "states": states,
+        "guesses": count, "guesses_pruned": 0, "runs": count, "states": states,
         "exact_checks": checks, "screened": screened,
     }
     return best, best_rev, best_guess, counts

@@ -193,24 +193,31 @@ class TestSolve:
             assert f"states budget of 5000000 exceeded (needs ~{need})" in capsys.readouterr().err
 
     def test_state_budget_equal_to_reported_states_suffices(self, tmp_path, capsys):
-        # Pruned states are never charged: a budget of exactly the states
-        # the solve reports succeeds, and one less fails needing that count,
-        # over dp-ef1's guesses and dp-eps-ef's single run alike.
+        # Pruned states are never charged: the smallest budget that succeeds
+        # is the states the solve reports, over dp-ef1's guesses and
+        # dp-eps-ef's runs alike, unless the grid points, charged before the
+        # grid is built, are more; one less fails needing that count.
+        # tah-1-2 answers on its first, floored run, with 74 states on 121
+        # grid points; the 3x3 draw lowers its floor four times, and its
+        # last run is the one that overruns.
         cases = [
-            (gen_partition_ef1([1]), ["dp-ef1", "--eps", "1/6", "--f-bits", 1], 8659),
-            (gen_two_agent_hard([1, 2]), ["dp-eps-ef", "--eps", "1/10"], 39040),
+            (gen_partition_ef1([1]), ["dp-ef1", "--eps", "1/6", "--f-bits", 1], 8659, 7, 8659),
+            (gen_two_agent_hard([1, 2]), ["dp-eps-ef", "--eps", "1/10"], 74, 1, 121),
+            (gen_random(3, 3, 21), ["dp-eps-ef", "--eps", "1/20"], 1539, 5, 1539),
         ]
-        for inst, method, states in cases:
+        for inst, method, states, runs, need in cases:
             path = tmp_path / "inst.json"
             dump_json(instance_to_dict(inst), str(path))
             out = tmp_path / "sol.json"
             argv = ["solve", path, "--method", *method]
-            assert run(argv + ["--budget-states", states, "--out", out]) == 0
-            assert load_json(str(out))["meta"]["states"] == states
+            assert run(argv + ["--budget-states", need, "--out", out]) == 0
+            meta = load_json(str(out))["meta"]
+            assert (meta["states"], meta["runs"]) == (states, runs)
+            assert need == max(states, meta.get("grid_points", 0))
             capsys.readouterr()
-            assert run(argv + ["--budget-states", states - 1]) == 2
+            assert run(argv + ["--budget-states", need - 1]) == 2
             err = capsys.readouterr().err
-            assert f"states budget of {states - 1} exceeded (needs ~{states})" in err
+            assert f"states budget of {need - 1} exceeded (needs ~{need})" in err
 
     def test_readme_dp_ef1_command(self, tmp_path):
         # The README's dp-ef1 command at the default f_bits (158 rungs per

@@ -1053,20 +1053,23 @@ class TestBandScreen:
 
 def test_fptas_solve_logs_summary_at_info(caplog):
     # One summary per solve, read from the guess loop's counts; dp-eps-ef
-    # reports only its states and verifier calls in meta.
+    # reports only its runs, states and verifier calls in meta.  Each
+    # dp-ef1 guess here runs once; dp-eps-ef answers on its first,
+    # floored run.
     inst = gen_partition_ef1([1])
     with caplog.at_level(logging.INFO, logger="faircon"):
         ef1 = solve_ef1_fptas(inst, F(1, 6), f_bits=1)
         eps_ef = solve_eps_ef_fptas(inst, F(1, 6))
-    counts = ("guesses", "guesses_pruned", "states", "screened", "exact_checks")
-    assert tuple(ef1.meta[key] for key in counts) == (7, 9, 8659, 6301, 2)
-    keys = {"eps", "eps_internal", "delta", "grid_points", "states", "exact_checks"}
+    counts = ("guesses", "guesses_pruned", "runs", "states", "screened", "exact_checks")
+    assert tuple(ef1.meta[key] for key in counts) == (7, 9, 7, 8659, 6301, 2)
+    keys = {"eps", "eps_internal", "delta", "grid_points", "runs", "states", "exact_checks"}
     assert set(eps_ef.meta) == keys
-    assert (eps_ef.meta["states"], eps_ef.meta["exact_checks"]) == (51566, 1)
+    assert tuple(eps_ef.meta[key] for key in ("runs", "states", "exact_checks")) == (1, 32, 1)
     summaries = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
     assert summaries == [
-        "fptas: 7 runs, 9 pruned, 8659 states, 6301 screened, 2 exact checks, best revenue 7/10",
-        "fptas: 1 runs, 0 pruned, 51566 states, 0 screened, 1 exact checks, "
+        "fptas: 7 guesses, 9 pruned, 7 runs, 8659 states, 6301 screened, 2 exact checks, "
+        "best revenue 7/10",
+        "fptas: 1 guesses, 0 pruned, 1 runs, 32 states, 0 screened, 1 exact checks, "
         f"best revenue {eps_ef.revenue}",
     ]
 
@@ -1317,6 +1320,101 @@ class TestScanMatchesPerRowLoop:
         assert results[0] == results[1]
         rev, _, checks, screened, n_calls = results[0]
         assert (rev, checks, screened) == want and n_calls == checks
+
+
+class TestFloorSchedule:
+    """A run with no incumbent floors the DP at top - m first and lowers the
+    floor only while no verified answer clears it, so it returns what one
+    run at the proof floor returns (`best_over_guesses_reference`)."""
+
+    @pytest.mark.parametrize(
+        "inst, K, cap, runs",
+        [
+            # Floor 5 (top 7 - m) verifies nothing under the cap; floor 3
+            # verifies 1/2, which 3 - 1 = 2 units do not clear; floor 2
+            # holds an exact tie at 1/2 that comes first in scan order.
+            (
+                Instance(r=(1, 1), p=((F(1, 4), 1), (F(2, 3), F(1, 2)), (F(1, 3), F(1, 2))),
+                         c=((0, 0),) * 3),
+                4, F(1, 2), 3,
+            ),
+            # Floor 8 verifies 7/4 at exactly 8 - 1 units; floor 7 holds a
+            # tie at 7/4 that comes first.
+            (
+                Instance(r=(1, 1, 1), p=((1, F(2, 3), F(3, 4)), (F(1, 3), F(2, 3), 1)),
+                         c=((0, 0, 0),) * 2),
+                4, F(7, 4), 2,
+            ),
+        ],
+        ids=["no-answer-then-tie", "tie-one-unit-below"],
+    )
+    def test_verifier_capping_revenue_forces_deeper_runs(self, inst, K, cap, runs):
+        # The verifier rejects every candidate earning above cap, so the
+        # answer sits below the first floors, and the ties below it decide
+        # the contract.
+        grids, results = [(None, uniform_grid(inst, K))], []
+        for driver in (dp_module._best_over_guesses, best_over_guesses_reference):
+            calls = []
+
+            def verify(contract):
+                calls.append(contract)
+                return revenue(inst, contract) <= cap
+
+            results.append((driver(inst, grids, None, ZERO, 10**7, verify, False), calls))
+        (got, calls), (want, _) = results
+        assert got[:2] == want[:2] and got[1] == cap
+        counts = got[3]
+        assert counts["runs"] == runs and counts["guesses"] == 1
+        # The memo verifies each contract once, however many runs meet it.
+        assert counts["exact_checks"] == len(calls) == len(set(calls))
+
+    def test_seeded_solve_needs_five_runs(self, monkeypatch):
+        # gen_random(3, 3, 21) at eps 1/20 finds no verified answer that
+        # clears its first floors; the solve still returns the proof-floor
+        # run's contract and verifies no contract twice, though its five
+        # runs build more states together than that one run.
+        inst, eps = gen_random(3, 3, 21), F(1, 20)
+        monkeypatch.setattr(dp_module, "_best_over_guesses", best_over_guesses_reference)
+        want = solve_eps_ef_fptas(inst, eps)
+        monkeypatch.undo()
+        calls = []
+
+        def recording(inst, contract, *args, **kwargs):
+            calls.append(contract)
+            return verify_eps_ef(inst, contract, *args, **kwargs)
+
+        monkeypatch.setattr(dp_module, "verify_eps_ef", recording)
+        got = solve_eps_ef_fptas(inst, eps)
+        assert (got.contract, got.revenue) == (want.contract, want.revenue)
+        assert (got.meta["runs"], got.meta["states"], want.meta["states"]) == (5, 1539, 817)
+        assert got.meta["exact_checks"] == len(calls) == len(set(calls))
+
+    @pytest.mark.parametrize(
+        "case", range(len(EPS_EF_GOLDEN) + 1), ids=["ex52", "rand2x3s1", "ex57", "pef-1-3"]
+    )
+    def test_floored_run_keeps_the_full_runs_states_above_it(self, case):
+        # Every floor the schedule can take above the proof floor keeps
+        # exactly the unfloored run's final states with h >= f, in the same
+        # order and with the same backtrack.  Every backtrack is compared
+        # (`_walk`, which `reconstruct` reads); every `reconstruct` where
+        # there are at most 20,000 (pef-1-3's deepest floor keeps 48,460).
+        inst, eps = (EPS_EF_GOLDEN + [(gen_partition_ef([1, 2, 3]), F(1, 15))])[case]
+        _, _, K, rev_floor = dp_module._fptas_front(inst, eps, lambda eps: eps / 3)
+        setup = _dp_setup(inst, uniform_grid(inst, K))
+        full = dp_enumerate(setup, 10**7)
+        low, top, drop, floors = int(rev_floor * K), setup.future_h[0], inst.m, []
+        while top - drop > low:
+            floors.append(top - drop)
+            drop *= 2
+        assert floors
+        for f in floors:
+            got = dp_enumerate(setup, 10**7, None, f)
+            keep = np.flatnonzero(full.h >= f)
+            assert np.array_equal(got.keys, full.keys[keep]) and np.array_equal(got.h, full.h[keep])
+            for (t, o), (t_full, o_full) in zip(got._walk(np.arange(len(keep))), full._walk(keep)):
+                assert t == t_full and np.array_equal(o, o_full)
+            if len(keep) <= 20_000:
+                assert all(got.reconstruct(i) == full.reconstruct(int(q)) for i, q in enumerate(keep))
 
 
 @pytest.mark.parametrize("case", range(20, 24), ids=["ex52", "rand2x3s1", "pef1-1", "readme"])
