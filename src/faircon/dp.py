@@ -30,18 +30,25 @@ per-guess adaptive grids for EF1 contracts, where the contract grid for
 each task spans exactly the range that keeps every agent at or below its
 guessed utility.
 
-Option generation is integer arithmetic.  A task's grid points are
-integers over one denominator D and each agent's p*r and c over one
-denominator L, so the IR sign, the agent units and the principal units of
-every (grid point, agent) pair are one integer product and one floor
-division each.  The kernel emits integer units and a grid index per
-option, and keeps only the first option of each agent and units: a later
-one moves the profile alike with no more principal units.  Each task is
-then packed once, in numpy, into one table that the transitions, the
-scan and the backtrack all read.  Grid points stay integers from the grid
-builders on, numerators over their task's denominator (K for a uniform
-grid, L*K for an adaptive one); only a contract `reconstruct` returns
-holds Fractions.
+Option generation is one exact integer pass over every (task, grid point)
+row of a setup (`_dp_setup`).  A task's grid points are integers A over
+one denominator D and each agent's p*r and c integers P and C over one
+denominator L, so per row and agent u = A P - D C is D L times the
+utility: u >= 0 is IR, the agent's units are ceil(u T / (D L S)) for its
+step S/T, and the principal's are ceil((D - A) P K / (D L)).  Only the
+first option of each agent and units is kept: a later one moves the
+profile alike with no more principal units.  No agent's units fall along
+a task's ascending grid, so rows of equal units are contiguous, and an IR
+(row, agent) is kept where the row starts its task, its units differ from
+the row before, or the agent was not IR there.  The kept options come out
+task by task, grid point by grid point, agents in order, and are packed at
+once into one table per task that the transitions, the scan and the
+backtrack all read.  The pass runs in int64 when an exact bound on every
+product, grid point and denominator stays below 2^53, so a float contract
+A / D rounds as the exact quotient, and on Python ints otherwise.  Grid
+points stay integers from the grid builders on, numerators over their
+task's denominator (K for a uniform grid, L*K for an adaptive one); only a
+contract `reconstruct` returns holds Fractions.
 
 Both FPTAS solvers run through one guess loop (`_best_over_guesses`):
 per (guess, grid) it floors the DP at the revenue the answer must beat,
@@ -75,7 +82,7 @@ import functools
 import itertools
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -249,7 +256,8 @@ class DpResult:
     disc: Discretization
     packer: _Packer
     # Per task: the agent, float contract, packed deltas, principal units
-    # and contract grid index of each option, as arrays.
+    # and contract grid index of each option, as arrays in (grid point,
+    # agent) order: slices of one array each, built in one pass.
     tables: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
     future_h: list[int]  # most principal units obtainable from task j on
     pr: np.ndarray  # float p*r and c, n x m, for the band and the screen
@@ -299,55 +307,6 @@ class DpResult:
         return agents, alphas
 
 
-def _task_options(
-    inst: Instance, disc: Discretization, j: int
-) -> list[tuple[int, int, tuple[int, ...], int]]:
-    """IR (alpha, agent) choices for task j as (agent, grid index of alpha,
-    every agent's units, principal units), only the first of those with the
-    same agent and units.  An agent's units are the same on any receiver's
-    bundle.  The grid ascends, so along it the principal units never rise:
-    a later option of the same agent and units moves every state to the
-    same profile with no more principal units, and so never wins a dedupe,
-    clears a floor the first misses or names a backtrack.
-
-    Exact integer kernel: the grid holds each point alpha = A/D as its
-    numerator A over the task's denominator D.  With agent i's
-    p*r = P_i/L_i and c = C_i/L_i, utility u_i = (A P_i - D C_i)/(D L_i), so
-    its sign is the IR test and, for a step S_i/T_i, its units are
-    ceil((A P_i - D C_i) T_i / (D L_i S_i)); the principal's units are
-    ceil((D - A) P_i K / (D L_i)) for its step 1/K.
-    """
-    n = inst.n
-    points, D = disc.task_grids[j]
-    L, P, DC = _task_terms(inst, j, D)
-    # unit_den 0 marks a degenerate grid.
-    unit_den = [D * L[i] * step.numerator for i, step in enumerate(disc.agent_steps)]
-    unit_mul = [step.denominator for step in disc.agent_steps]
-
-    out: list[tuple[int, int, tuple[int, ...], int]] = []
-    seen: set[tuple[int, tuple[int, ...]]] = set()
-    for k, A in enumerate(points):
-        u = [A * P[i] - DC[i] for i in range(n)]  # D L_i times the utility
-        units = [0] * n
-        for i in range(n):
-            if u[i] > 0:
-                if unit_den[i] == 0:
-                    raise FairconError(
-                        f"agent {i} has positive utility {Fraction(u[i], D * L[i])} "
-                        "but a degenerate grid"
-                    )
-                units[i] = -((-u[i] * unit_mul[i]) // unit_den[i])
-        units = tuple(units)
-        for agent in range(n):
-            if u[agent] < 0:
-                continue  # not IR: this pair can never appear in a contract
-            if (agent, units) in seen:
-                continue
-            seen.add((agent, units))
-            out.append((agent, k, units, -((-(D - A) * P[agent] * disc.K) // (D * L[agent]))))
-    return out
-
-
 def _task_terms(inst: Instance, j: int, D: int) -> tuple[list[int], list[int], list[int]]:
     """Per agent i, task j's p*r and D*c as integers P_i and DC_i over one
     denominator L_i: (L, P, DC)."""
@@ -362,11 +321,11 @@ def _task_terms(inst: Instance, j: int, D: int) -> tuple[list[int], list[int], l
 
 def _best_task_h(inst: Instance, disc: Discretization) -> list[int]:
     """Per task, the most principal units of any IR option: the largest
-    principal units in the task's `_task_options` table.
+    principal units in the task's `_dp_setup` table.
 
     Along the ascending grid an agent's principal units never rise, so its
     most are at its first IR point, the first A with A P_i >= DC_i in
-    `_task_options`' terms, found by bisection.  An agent with p*r = 0 is IR
+    `_task_terms`' terms, found by bisection.  An agent with p*r = 0 is IR
     at every point or none and earns the principal 0 units.
     """
     out = []
@@ -442,26 +401,64 @@ def _dedupe_block(cols: list[np.ndarray], score: np.ndarray):
 def _dp_setup(inst: Instance, disc: Discretization) -> DpResult:
     """A DpResult before any transition: the profile packer, every task's
     options as one table, `future_h` (summed from each table's most
-    principal units) and the float p*r and c matrices."""
-    n = inst.n
-    unpacked = []
-    for j in range(inst.m):
-        opts = _task_options(inst, disc, j)
-        if not opts:
-            raise FairconError(f"task {j} has no IR grid contract")
-        agents, index, units, dh = (np.array(col, dtype=np.int64) for col in zip(*opts))
-        points, den = disc.task_grids[j]
-        alphas = np.array([points[k] / den for k in index.tolist()])  # rounded as float(Fraction)
-        deltas = np.zeros((len(dh), n, n), dtype=np.int64)
-        deltas[np.arange(len(dh)), :, agents] = units  # agent i's units on the receiver's bundle
-        unpacked.append((agents, alphas, deltas.reshape(len(dh), -1), dh, index))
+    principal units) and the float p*r and c matrices.
+
+    One pass over every (task, grid point) row builds the options (module
+    docstring, "Option generation") from per (task, agent) terms: P, DC,
+    T and the unit denominator D L S of the agent's step S/T (1 on a
+    degenerate grid, where no unit may be positive), P K, D L and D."""
+    n, K = inst.n, disc.K
+    steps = [(step.numerator, step.denominator) for step in disc.agent_steps]
+    terms, bound = [], 0
+    for j, (points, D) in enumerate(disc.task_grids):
+        top = max(D, points[-1] if len(points) else 0)  # bounds every A and D - A
+        terms.append([])
+        for L, P, DC, (S, T) in zip(*_task_terms(inst, j, D), steps):
+            terms[j].append((P, DC, T, D * L * S or 1, P * K, D * L, D))
+            # DC <= D L and |u| <= max(top P, D L), since p*r, c <= 1.
+            bound = max(bound, top * max(P, 1) * max(T, K), D * L * max(S, 1))
+    dtype = np.int64 if bound < 2**53 else object  # there A / D rounds as the exact quotient
+    sizes = [len(points) for points, _ in disc.task_grids]
+    starts = list(itertools.accumulate(sizes, initial=0))  # each task's first row, then the count
+    A = np.array(list(itertools.chain.from_iterable(p for p, _ in disc.task_grids)), dtype=dtype)
+    P, DC, T, den, PK, DL, D = np.repeat(np.array(terms, dtype), sizes, 0).transpose(2, 0, 1)
+    u = A[:, None] * P - DC  # D L times each agent's utility, per row and agent
+    keep = u >= 0  # IR, then only each agent's first option with its units
+    units = -(-(np.maximum(u, 0) * T) // den)
+    fresh = np.ones(starts[-1] + 1, dtype=bool)  # rows that start a task or a run of units
+    np.any(units[1:] != units[:-1], axis=1, out=fresh[1 : starts[-1]])
+    fresh[starts] = True
+    keep[1:] &= fresh[1:-1, None] | ~keep[:-1]
+    rows, agents = np.nonzero(keep)  # task, then grid point, then agent
+    bounds = np.searchsorted(rows, starts).tolist()  # each task's first option, then the count
+    # The first task with a positive utility on a degenerate grid or with
+    # no option raises, as a loop over the tasks would.
+    empty = next((j for j in range(inst.m) if bounds[j] == bounds[j + 1]), inst.m)
+    degenerate = [i for i, (S, _) in enumerate(steps) if not S]
+    if degenerate and (bad := u[:, degenerate] > 0).any():
+        row, col = np.argwhere(bad)[0].tolist()
+        if bisect.bisect_right(starts, row) - 1 < empty:
+            i = degenerate[col]
+            utility = Fraction(int(u[row, i]), int(DL[row, i]))
+            raise FairconError(f"agent {i} has positive utility {utility} but a degenerate grid")
+    if empty < inst.m:
+        raise FairconError(f"task {empty} has no IR grid contract")
+    deltas = np.zeros((len(rows), n, n), dtype=np.int64)
+    deltas[np.arange(len(rows)), :, agents] = units[rows]  # agent i's on the receiver's bundle
+    deltas = deltas.reshape(len(rows), -1)
+    dh = (-((A[:, None] - D) * PK // DL))[rows, agents].astype(np.int64, copy=False)
+    alphas = (A[rows] / D[rows, 0]).astype(np.float64, copy=False)  # rounded as float(Fraction)
+    index = rows - np.repeat(starts[:-1], np.diff(bounds))
     # No state's component exceeds the sum over tasks of its largest delta.
-    packer = _Packer([sum(col) for col in zip(*(t[2].max(axis=0).tolist() for t in unpacked))])
+    maxima = np.maximum.reduceat(deltas, bounds[:-1]).tolist()  # per task and component
+    packer = _Packer([sum(col) for col in zip(*maxima)])
+    packed = packer.pack_rows(deltas)
     tables = [
-        (agents, alphas, packer.pack_rows(deltas), dh, index)
-        for agents, alphas, deltas, dh, index in unpacked
+        (agents[s:e], alphas[s:e], packed[s:e], dh[s:e], index[s:e])
+        for s, e in itertools.pairwise(bounds)
     ]
-    future_h = itertools.accumulate((int(t[3].max()) for t in reversed(unpacked)), initial=0)
+    tops = np.maximum.reduceat(dh, bounds[:-1]).tolist()
+    future_h = itertools.accumulate(reversed(tops), initial=0)
     pr, c = (np.array(mat, dtype=np.float64) for mat in (inst.pr, inst.c))  # rounded as float(x)
     return DpResult(inst, disc, packer, tables, list(future_h)[::-1], pr, c)
 
@@ -545,7 +542,10 @@ def dp_enumerate(
         total += len(hneg)
         layers.append(gidx)
         log.debug("dp task %d: %d states", j, len(hneg))
-    return replace(setup, gidx=layers, keys=np.stack(cols, 1), h=hmax - hneg, states_total=total)
+    return DpResult(
+        setup.inst, setup.disc, packer, setup.tables, future_h, setup.pr, setup.c,
+        layers, np.stack(cols, 1), hmax - hneg, total,
+    )
 
 
 # Float margins.  Entries a, p*r, c lie in [0, 1] and round to the nearest

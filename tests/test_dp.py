@@ -37,7 +37,6 @@ from faircon.dp import (
     _ef1_screen,
     _screen_error,
     _screen_slack,
-    _task_options,
     adaptive_grid,
     dp_enumerate,
     instance_bit_length,
@@ -83,8 +82,8 @@ class TestRounding:
         # step.
         inst = gen_random(2, 3, 123)
         disc = uniform_grid(inst, 10)
-        for j in range(inst.m):
-            for agent, k, units, dh in _task_options(inst, disc, j):
+        for j, options in enumerate(_setup_options(inst, disc)):
+            for agent, k, units, dh in options:
                 alpha = disc.alpha(j, k)
                 tru = (1 - alpha) * inst.p[agent][j] * inst.r[j]
                 assert tru <= dh * F(1, 10) <= tru + F(1, 10)
@@ -756,11 +755,41 @@ def _undominated(options):
     return out
 
 
+def _setup_options(inst, disc):
+    """Per task, the options of `_dp_setup`'s table as (agent, grid index,
+    every agent's units, principal units), units decoded from the packed
+    deltas: agent i's units sit in component (i, the option's agent)."""
+    setup = _dp_setup(inst, disc)
+    out = []
+    for agents, _, packed, dh, index in setup.tables:
+        comps = setup.packer.unpack_rows(packed).reshape(len(dh), inst.n, inst.n)
+        rows = zip(agents.tolist(), index.tolist(), comps.tolist(), dh.tolist())
+        out.append([(a, k, tuple(units[a] for units in comp), h) for a, k, comp, h in rows])
+    return out
+
+
+def _full_table_setup(inst, disc):
+    """`_dp_setup(inst, disc)` with every task's table rebuilt from the
+    reference's full option list, dominated options included.  A dominated
+    option repeats a kept option's agent and units with fewer principal
+    units, so the packer and `future_h` stay those of the kept tables."""
+    setup = _dp_setup(inst, disc)
+    tables = []
+    for j in range(inst.m):
+        agents, index, units, dh = zip(*task_options_reference(inst, disc, j))
+        agents, index, dh = (np.array(col, dtype=np.int64) for col in (agents, index, dh))
+        deltas = np.zeros((len(dh), inst.n, inst.n), dtype=np.int64)
+        deltas[np.arange(len(dh)), :, agents] = units
+        alphas = np.array([float(disc.alpha(j, k)) for k in index.tolist()])
+        packed = setup.packer.pack_rows(deltas.reshape(len(dh), -1))
+        tables.append((agents, alphas, packed, dh, index))
+    return replace(setup, tables=tables)
+
+
 def _options_match(inst, disc):
     """The kernel's options equal the Fraction reference's, with int units,
     once each option whose agent and units an earlier one has is dropped."""
-    for j in range(inst.m):
-        kernel = _task_options(inst, disc, j)
+    for j, kernel in enumerate(_setup_options(inst, disc)):
         assert kernel == _undominated(task_options_reference(inst, disc, j))
         assert all(type(x) is int for o in kernel for x in (o[0], o[1], o[3], *o[2]))
 
@@ -821,10 +850,11 @@ class TestOptionKernel:
         for inst, guess, _, disc in _seeded_adaptive_grids():
             zeros = [i for i in range(inst.n) if guess[i] == 0]
             zero_agents += len(zeros)
+            options = _setup_options(inst, disc)
             for j in range(inst.m):
                 for i in zeros:
                     assert all(agent_task_utility(inst, i, j, a) <= 0 for a in grid_fractions(disc)[j])
-                for _, _, units, _ in _task_options(inst, disc, j):
+                for _, _, units, _ in options[j]:
                     # An agent's units are the same on every receiver's bundle.
                     assert not any(units[i] for i in zeros)
         assert zero_agents >= 50
@@ -858,8 +888,7 @@ class TestOptionKernel:
 
         cases = _kernel_cases()
         for inst, disc in cases:
-            for j in range(inst.m):
-                assert _task_options(inst, tripled(disc), j) == _task_options(inst, disc, j)
+            assert _setup_options(inst, tripled(disc)) == _setup_options(inst, disc)
         for inst, disc in (cases[17], cases[-1]):
             dp, dp3 = (dp_enumerate(_dp_setup(inst, d)) for d in (disc, tripled(disc)))
             assert len(dp.h) > 20 and np.array_equal(dp3.keys, dp.keys)
@@ -904,9 +933,7 @@ class TestOptionKernel:
             runs += [(setup.inst, setup.disc, cap, h_floor), (setup.inst, setup.disc, half, h_floor)]
         for inst, disc, cap, h_floor in runs:
             kept = dp_enumerate(_dp_setup(inst, disc), unit_cap=cap, min_final_h=h_floor)
-            monkeypatch.setattr(dp_module, "_task_options", task_options_reference)
-            full = dp_enumerate(_dp_setup(inst, disc), unit_cap=cap, min_final_h=h_floor)
-            monkeypatch.undo()
+            full = dp_enumerate(_full_table_setup(inst, disc), unit_cap=cap, min_final_h=h_floor)
             assert np.array_equal(kept.keys, full.keys) and np.array_equal(kept.h, full.h)
             assert kept.states_total == full.states_total
             assert all(kept.reconstruct(p) == full.reconstruct(p) for p in range(len(kept.h)))
@@ -919,16 +946,90 @@ class TestOptionKernel:
             _options_match(inst, disc)
 
     def test_positive_utility_on_degenerate_grid_raises(self):
-        inst = Instance(r=(1,), p=((F(1, 2),), (1,)), c=((F(1, 8),), (F(1, 4),)))
-        disc = Discretization(task_grids=(((2, 4), 8),), agent_steps=(ZERO, F(1, 8)), K=8)
-        # At alpha 1/2 agent 0 earns 1/8 but has no utility grid.
-        with pytest.raises(FairconError) as ref:
-            task_options_reference(inst, disc, 0)
-        with pytest.raises(FairconError) as kernel:
-            _task_options(inst, disc, 0)
-        assert str(kernel.value) == str(ref.value) == (
-            "agent 0 has positive utility 1/8 but a degenerate grid"
+        # The error names the first (grid point, agent) pair with a positive
+        # utility and no utility grid, as the reference's loop does.  At
+        # alpha 1/2 agent 0 earns 1/8 but has no utility grid.  Then neither
+        # agent has one: agent 1 earns 1/8 at alpha 1/4, before agent 0
+        # earns anything, and from alpha 3/4 both earn, agent 0 first.
+        one = Instance(r=(1,), p=((F(1, 2),), (1,)), c=((F(1, 8),), (F(1, 4),)))
+        two = Instance(r=(1,), p=((F(1, 2),), (1,)), c=((F(1, 4),), (F(1, 8),)))
+        cases = (
+            (one, Discretization((((2, 4), 8),), (ZERO, F(1, 8)), 8), 0),
+            (two, Discretization((((1, 2, 3, 4), 4),), (ZERO, ZERO), 4), 1),
+            (two, Discretization((((3, 4), 4),), (ZERO, ZERO), 4), 0),
         )
+        for inst, disc, agent in cases:
+            with pytest.raises(FairconError) as ref:
+                task_options_reference(inst, disc, 0)
+            with pytest.raises(FairconError) as kernel:
+                _dp_setup(inst, disc)
+            assert str(kernel.value) == str(ref.value) == (
+                f"agent {agent} has positive utility 1/8 but a degenerate grid"
+            )
+
+    def test_the_first_failing_task_names_the_error(self):
+        # Task 1 alone holds no IR point, then task 0 alone; a task with a
+        # positive utility on a degenerate grid raises in task order too.
+        inst = Instance(r=(1, 1), p=((F(1, 2),) * 2, (1, 1)), c=((F(1, 4),) * 2, (F(1, 8),) * 2))
+        fine, none_ir, degenerate = (range(5), 4), ((0,), 4), ((3, 4), 4)
+        bad_grid = "but a degenerate grid"
+        cases = (
+            ((fine, none_ir), (F(1, 4),) * 2, "task 1 has no IR grid contract"),
+            ((none_ir, fine), (F(1, 4),) * 2, "task 0 has no IR grid contract"),
+            ((none_ir, degenerate), (ZERO, ZERO), "task 0 has no IR grid contract"),
+            ((degenerate, none_ir), (ZERO, ZERO), f"agent 0 has positive utility 1/8 {bad_grid}"),
+        )
+        for grids, steps, message in cases:
+            disc = Discretization(task_grids=grids, agent_steps=steps, K=4)
+            with pytest.raises(FairconError) as ref:
+                for j in range(inst.m):  # the reference, task by task
+                    if not task_options_reference(inst, disc, j):
+                        raise FairconError(f"task {j} has no IR grid contract")
+            with pytest.raises(FairconError) as kernel:
+                _dp_setup(inst, disc)
+            assert str(kernel.value) == str(ref.value) == message
+
+    def test_equal_units_across_a_task_boundary(self):
+        # Agent 0 is IR with 0 units at task 0's last point (p r = c) and at
+        # task 1's first (c = 0): the rows match across the boundary, and
+        # task 1's first option is still its own.
+        inst = Instance(r=(1, 1), p=((F(1, 2), 1),), c=((F(1, 2), 0),))
+        for K in (1, 4):
+            _options_match(inst, uniform_grid(inst, K))
+
+    def test_an_agent_first_ir_in_mid_grid_keeps_that_option(self):
+        # Agent 0 (p r = c = 0) holds 0 units at every point; agent 1 turns
+        # IR at alpha 1/2 with 0 units, the units of the row before, so
+        # only its being IR there marks its first option.
+        inst = Instance(r=(1,), p=((0,), (1,)), c=((0,), (F(1, 2),)))
+        for K in (2, 3, 4, 10):
+            _options_match(inst, uniform_grid(inst, K))
+
+    def test_large_numerators_match_the_reference(self):
+        # Data over denominators near 2^41 put the pass's products past
+        # int64, so it runs on Python ints: its options, and each option's
+        # float contract, still equal the reference's.
+        rng = random.Random(33)
+
+        def frac(low, high):
+            den = rng.randrange(2**40, 2**41)
+            return F(rng.randrange(int(low * den), int(high * den)), den)
+
+        checked = 0
+        for n, m in ((1, 2), (2, 2), (2, 3), (3, 2)):
+            inst = Instance(
+                r=tuple(frac(0.5, 1) for _ in range(m)),
+                p=tuple(tuple(frac(0.5, 1) for _ in range(m)) for _ in range(n)),
+                c=tuple(tuple(frac(0, 0.25) for _ in range(m)) for _ in range(n)),
+            )
+            assert min(x.numerator for row in inst.pr for x in row) >= 2**40
+            guess = tuple(rng.choice(utility_guesses(inst, 1)[1:]) for _ in range(n))
+            for disc in (uniform_grid(inst, 1), uniform_grid(inst, 7), adaptive_grid(inst, guess, 5)):
+                _options_match(inst, disc)
+                for j, (_, alphas, _, _, index) in enumerate(_dp_setup(inst, disc).tables):
+                    assert alphas.tolist() == [float(disc.alpha(j, k)) for k in index.tolist()]
+                checked += 1
+        assert checked == 12
 
 
 def _drawn_revenues():
