@@ -4,11 +4,13 @@ The model: a principal delegates m tasks to n agents.  Task j assigned to
 agent i succeeds with probability p[i][j] after the agent sinks cost c[i][j];
 success pays the principal r[j], of which a fraction alpha[j] goes to the
 agent.  A full-allocation contract assigns every task and keeps every
-assigned pair individually rational (IR).
+assigned pair individually rational (IR).  Instance checks and fairness
+verdicts run in integers over one common denominator (`Instance.scaled`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -25,7 +27,7 @@ class Instance:
     All entries must lie in [0, 1], and every task must have at least one
     agent with nonnegative welfare p*r - c (otherwise the task could never
     be allocated; construction raises NoViableAgentError).  `pr` holds the
-    products p[i][j] * r[j], derived once on construction.
+    products p[i][j] * r[j], and `scaled` pr and c in integers, both built once.
     """
 
     r: tuple[Fraction, ...]
@@ -46,12 +48,13 @@ class Instance:
             raise InvalidInstanceError("p and c must be n x m, r length m")
         for vec in (self.r, *self.p, *self.c):
             for x in vec:
-                if not (0 <= x <= 1):
+                if not (0 <= x.numerator <= x.denominator):
                     raise InvalidInstanceError(f"entry {x} outside [0, 1]")
         pr = tuple(tuple(p * r for p, r in zip(row, self.r)) for row in self.p)
         object.__setattr__(self, "pr", pr)
+        _, pr, c = self.scaled
         for j in range(m):
-            if all(self.welfare(i, j) < 0 for i in range(n)):
+            if all(pr[i][j] < c[i][j] for i in range(n)):
                 raise NoViableAgentError(j)
 
     @property
@@ -69,6 +72,14 @@ class Instance:
     def viable_agents(self, j: int) -> list[int]:
         """Agents with nonnegative welfare on task j (nonempty by construction)."""
         return [i for i in range(self.n) if self.pr[i][j] >= self.c[i][j]]
+
+    @cached_property
+    def scaled(self) -> tuple[int, tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+        """(D, pr * D, c * D) in ints, D the lcm of every pr and c denominator (built once)."""
+        rows = (*self.pr, *self.c)
+        d = math.lcm(*(x.denominator for row in rows for x in row))
+        ints = tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in rows)
+        return d, ints[: self.n], ints[self.n :]
 
     @cached_property
     def viable_wages(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -203,13 +214,14 @@ def revenue(inst: Instance, k: Contract) -> Fraction:
     return total
 
 
-def utilities(inst: Instance, alpha: Sequence[Fraction]) -> tuple[tuple[Fraction, ...], ...]:
+def utilities(inst: Instance, alpha: Sequence[Fraction]) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """The n x m utility matrix alpha_j p_ij r_j - c_ij under contract vector
-    alpha: every fairness notion compares sums over its rows."""
-    return tuple(
-        tuple(a * pr - c for a, pr, c in zip(alpha, pr_row, c_row))
-        for pr_row, c_row in zip(inst.pr, inst.c)
-    )
+    alpha, as ints (L, U): U = utility * L, L = D * lcm(alpha denominators)
+    with D from `Instance.scaled`.  Every fairness notion compares row sums."""
+    d, pr, c = inst.scaled
+    a = math.lcm(*(x.denominator for x in alpha))
+    s = [x.numerator * (a // x.denominator) for x in alpha]
+    return d * a, tuple(tuple(x * p - a * y for x, p, y in zip(s, *rows)) for rows in zip(pr, c))
 
 
 def fairness_report(inst: Instance, k: Contract, eps: Num = 0, tol: Num = 0) -> FairnessReport:
@@ -219,45 +231,48 @@ def fairness_report(inst: Instance, k: Contract, eps: Num = 0, tol: Num = 0) -> 
     task at 0 otherwise (the general envy form, recorded in lhs_form); its
     sum over another bundle S_j always clamps.  EF1 drops the first best
     task of S_j (witness None for an empty S_j, which passes).  EFS adds
-    the subsidies to both sides.  A negative eps or tol is rejected.
+    the subsidies to both sides.  A negative eps or tol is rejected.  Sums,
+    clamps and verdicts stay in `utilities`' integers over L: a slack x / L
+    passes tolerance t when x * t.denominator >= -t.numerator * L.
     """
     _check_dims(inst, k)
     tol, eps = as_fraction(tol), as_fraction(eps)
-    if eps < 0:
-        raise InvalidInstanceError("eps must be nonnegative")
-    if tol < 0:
-        raise InvalidInstanceError("tol must be nonnegative")
-    u = utilities(inst, k.alpha)
+    for name, x in (("eps", eps), ("tol", tol)):
+        if x < 0:
+            raise InvalidInstanceError(f"{name} must be nonnegative")
+    scale, u = utilities(inst, k.alpha)
     n, bundles, s = inst.n, k.allocation.bundles(), k.subsidies
-    ir_slacks = {(i, j): u[i][j] for j, i in enumerate(k.assignment)}
-    ir_ok = all(x >= -tol for x in ir_slacks.values())
-    gains = [[max(x, ZERO) for x in row] for row in u]
-    lhs = u if ir_ok else gains
-    own = [sum((lhs[i][t] for t in bundles[i]), ZERO) for i in range(n)]
-    slacks = tuple(
-        tuple(
-            ZERO if i == j else own[i] - sum((gains[i][t] for t in bundles[j]), ZERO)
-            for j in range(n)
-        )
-        for i in range(n)
-    )
+
+    def passes(xs, t: Fraction, den: int = 1) -> bool:  # every x / (scale * den) >= -t
+        bar = -t.numerator * scale * den
+        return all(x * t.denominator >= bar for x in xs)
+    ir = {(i, j): u[i][j] for j, i in enumerate(k.assignment)}
+    ir_ok = passes(ir.values(), tol)
+    gains = [[x if x > 0 else 0 for x in row] for row in u]
+    own = [sum((u if ir_ok else gains)[i][t] for t in bundles[i]) for i in range(n)]
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    envy = {(i, j): own[i] - sum(gains[i][t] for t in bundles[j]) for i, j in pairs}
     witnesses = {  # max keeps the first of ties
         (i, j): max(bundles[j], key=gains[i].__getitem__) if bundles[j] else None for i, j in pairs
     }
+    if s is not None:  # the subsidies over their own common denominator
+        den = math.lcm(*(x.denominator for x in s))
+        sub = [x.numerator * (den // x.denominator) for x in s]
+        efs = (x * den + (sub[i] - sub[j]) * scale for (i, j), x in envy.items())
+    ef1 = (envy[i, j] + gains[i][w] for (i, j), w in witnesses.items() if w is not None)
     return FairnessReport(
         tolerance=tol,
         epsilon=eps,
         ir_ok=ir_ok,
-        ir_slacks=ir_slacks,
-        ef_ok=all(slacks[i][j] >= -tol for i, j in pairs),
-        ef_slacks=slacks,
-        eps_ef_ok=all(slacks[i][j] >= -eps - tol for i, j in pairs),
-        ef1_ok=all(
-            w is None or slacks[i][j] + gains[i][w] >= -tol for (i, j), w in witnesses.items()
+        ir_slacks={key: Fraction(x, scale) for key, x in ir.items()},
+        ef_ok=passes(envy.values(), tol),
+        ef_slacks=tuple(
+            tuple(Fraction(envy.get((i, j), 0), scale) for j in range(n)) for i in range(n)
         ),
+        eps_ef_ok=passes(envy.values(), eps + tol),
+        ef1_ok=passes(ef1, tol),
         ef1_witnesses=witnesses,
-        efs_ok=None if s is None else all(slacks[i][j] + s[i] - s[j] >= -tol for i, j in pairs),
+        efs_ok=None if s is None else passes(efs, tol, den),
         lhs_form="simplified" if ir_ok else "clamped",
     )
 
@@ -330,9 +345,5 @@ def greedy_ef(inst: Instance) -> Contract:
 def unconstrained_opt(inst: Instance) -> Fraction:
     """Best revenue with no fairness constraints: each task goes to the
     welfare-maximizing agent at the IR-binding contract."""
-    total = ZERO
-    for j in range(inst.m):
-        best = max(inst.welfare(i, j) for i in range(inst.n))
-        if best > 0:
-            total += best
-    return total
+    d, pr, c = inst.scaled
+    return Fraction(sum(max(0, *(p[j] - q[j] for p, q in zip(pr, c))) for j in range(inst.m)), d)

@@ -38,14 +38,16 @@ def round_robin_ef1(inst: Instance) -> SolveResult:
     a task.
     """
     n, m = inst.n, inst.m
-    star = max(range(n), key=lambda i: (sum((max(inst.welfare(i, j), ZERO) for j in range(m)), ZERO), -i))
+    d, pr, c = inst.scaled  # welfare times the instance's common denominator d
+    star = max(range(n), key=lambda i: (sum(max(x - y, 0) for x, y in zip(pr[i], c[i])), -i))
     cheapest = greedy_ef(inst).alpha
     alphas = [
-        minimum_wage(inst, star, j) if inst.welfare(star, j) >= 0 else cheapest[j]
+        minimum_wage(inst, star, j) if pr[star][j] >= c[star][j] else cheapest[j]
         for j in range(m)
     ]
 
-    u = utilities(inst, alphas)
+    scale, u = utilities(inst, alphas)
+    a = scale // d  # the alphas' denominator: (1 - alpha) p r is (pr - c) * a - u
     order = [star] + [i for i in range(n) if i != star]
     assignment: list[int | None] = [None] * m
     remaining = set(range(m))
@@ -57,7 +59,7 @@ def round_robin_ef1(inst: Instance) -> SolveResult:
                 continue  # agent passes: nothing IR for it remains
             best = max(
                 candidates,
-                key=lambda j: (u[i][j], (1 - alphas[j]) * inst.pr[i][j], -j),
+                key=lambda j: (u[i][j], (pr[i][j] - c[i][j]) * a - u[i][j], -j),
             )
             assignment[best] = i
             remaining.discard(best)

@@ -35,6 +35,9 @@ def as_fraction(x: Num) -> Fraction:
             raise ValueError(f"non-finite number: {x!r}")
         return Fraction(x)
     if isinstance(x, str):
+        num, slash, den = x.partition("/")  # "num/den" in ASCII digits: the form faircon writes
+        if slash and x.isascii() and num.isdigit() and den.isdigit() and (d := int(den)):
+            return Fraction(int(num), d)
         try:
             return Fraction(x)
         except ZeroDivisionError:

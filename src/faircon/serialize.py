@@ -102,8 +102,7 @@ def result_to_dict(res: SolveResult, report: FairnessReport, exact: bool = False
 def dump_json(data: dict, path: str | None = None) -> None:
     """Indented, key-sorted JSON and a newline, to `path` or else stdout."""
     with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def load_json(path: str) -> dict:

@@ -1,5 +1,6 @@
 """Data model, utility arithmetic, verifiers, greedy constructor."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -66,6 +67,47 @@ class TestInstanceValidation:
             as_fraction("1/0")
         with pytest.raises(InvalidInstanceError):
             instance_from_dict({"r": ["1/0"], "p": [[1]], "c": [[0]]})
+
+    def test_entries_at_the_ends_of_the_unit_interval(self):
+        for bad in (F(-1, 2), F(3, 2)):
+            for r, p, c in (((bad,), ((1,),), ((0,),)), ((1,), ((bad,),), ((0,),)),
+                            ((1,), ((1,),), ((bad,),))):
+                with pytest.raises(InvalidInstanceError, match="outside"):
+                    Instance(r, p, c)
+        for ok in (0, 1, F(0), F(1)):
+            assert Instance((1,), ((1,),), ((ok,),)).c[0][0] == ok
+            assert Instance((ok,), ((ok,),), ((0,),)).pr[0][0] == ok
+
+    def test_a_task_at_zero_welfare_stays_viable(self):
+        # Best welfare exactly 0 keeps the task; 1/10^30 below 0 refuses it.
+        half = F(1, 2)
+        inst = Instance((1,), ((half,), (F(1, 4),)), ((half,), (half,)))
+        assert inst.viable_agents(0) == [0]
+        with pytest.raises(NoViableAgentError):
+            Instance((1,), ((half,), (F(1, 4),)), ((half + F(1, 10**30),), (half,)))
+
+    def test_integer_form(self):
+        inst = Instance((F(1, 3), 1), ((F(1, 2), F(3, 7)),), ((F(1, 9), 0),))
+        d, pr, c = inst.scaled
+        assert d == 126
+        assert [F(x, d) for x in pr[0]] == list(inst.pr[0])
+        assert [F(x, d) for x in c[0]] == list(inst.c[0])
+
+    @pytest.mark.parametrize(
+        "text",
+        ["3/64", "03/04", "\u0661/\u0662", "1_0/3", " 3/4 ", "+3/4", "-3/4", "3/-4", "3/0",
+         "3/ 4", "3 /4", "1e-9", "0/5", "3/4\n", "3/4/5", "/4", "3/", "", "7"],
+    )
+    def test_as_fraction_reads_strings_as_fraction_does(self, text):
+        # Fraction(str), with a zero denominator refused as a ValueError.
+        def outcome(read):
+            try:
+                return read(text)
+            except Exception as exc:  # noqa: BLE001 - the type is the result
+                return ValueError if isinstance(exc, ZeroDivisionError) else type(exc)
+
+        got, want = outcome(as_fraction), outcome(F)
+        assert got == want and type(got) is type(want)
 
     def test_rejects_a_string_vector(self):
         # A str used to read as the list of its characters.
@@ -334,11 +376,11 @@ class TestUtilityMatrix:
     def test_entries_and_derived_products(self):
         for inst in random_instances(10, 3, 5):
             alpha = tuple(F(j + 1, inst.m + 2) for j in range(inst.m))
-            u = utilities(inst, alpha)
+            L, U = utilities(inst, alpha)
             for i in range(inst.n):
                 for j in range(inst.m):
                     assert inst.pr[i][j] == inst.p[i][j] * inst.r[j]
-                    assert u[i][j] == agent_task_utility(inst, i, j, alpha[j])
+                    assert F(U[i][j], L) == agent_task_utility(inst, i, j, alpha[j])
 
     def test_pr_is_not_part_of_identity(self):
         a = Instance(r=(1, F(1, 2)), p=((F(1, 3), 1),), c=((0, 0),))
@@ -402,6 +444,96 @@ def test_report_agrees_with_every_standalone_verifier():
     assert {s[2] for s in seen} == {None, True, False}
     assert any(s[3] for s in seen)  # eps > 0 changed a verdict somewhere
     assert tol_flips > 0
+
+
+def _big_fraction(rng, lo=0):
+    """A value in [lo, 1] over a denominator between 2^40 and 2^70."""
+    den = rng.choice((2 ** rng.randint(40, 70), rng.randint(2**40, 2**70)))
+    return F(rng.randint(-(-lo * den // 1), den), den)
+
+
+def _boundary_case(rng, t):
+    """An instance and a contract whose denominators stress the report's
+    one-denominator arithmetic: every fourth instance and every other α
+    vector over denominators of 2^40 to 2^70, subsidies over primes that
+    do not divide the report's denominator L, and twin-task instances
+    whose equal gains test the witness tie rule."""
+    n, m = 1 + t % 3, 1 + t % 5
+    if t % 4 == 0:
+        r = [_big_fraction(rng, F(1, 2)) for _ in range(m)]
+        p = [[_big_fraction(rng, F(1, 2)) for _ in range(m)] for _ in range(n)]
+        c = [[_big_fraction(rng) / 4 for _ in range(m)] for _ in range(n)]
+        inst = Instance(r, p, c)
+    elif t % 4 == 1:  # tasks 0 and 1 are twins
+        base = gen_random(n, max(m - 1, 1), 9000 + t)
+        inst = Instance(
+            (base.r[0],) + base.r,
+            tuple((row[0],) + row for row in base.p),
+            tuple((row[0],) + row for row in base.c),
+        )
+        m = inst.m
+    else:
+        inst = gen_random(n, m, 9000 + t)
+    assignment = tuple(rng.randrange(n) for _ in range(m))
+    if t % 2:
+        alphas = tuple(_big_fraction(rng) for _ in range(m))
+    else:
+        alphas = tuple(F(rng.randint(0, 9), 9) for _ in range(m))
+    if t % 4 == 1:
+        alphas = (alphas[1],) + alphas[1:]
+    primes = [q for q in (7, 11, 13, 17, 19, 23) if utilities(inst, alphas)[0] % q]
+    subs = tuple(F(rng.randint(0, 20), rng.choice(primes)) for _ in range(n))
+    return inst, Contract(Allocation(assignment, n), alphas, subs if t % 3 else None)
+
+
+def _margins(inst, k, eps, tol):
+    """Every value a verdict compares with -tol, as an exact Fraction:
+    IR slacks, envy slacks, envy slacks plus the EF1 witness's gain, and
+    envy slacks plus the subsidy difference."""
+    rep = report_reference(inst, k, eps, tol)
+    gain = lambda i, t: max(agent_task_utility(inst, i, t, k.alpha[t]), F(0))  # noqa: E731
+    out = list(rep["ir_slacks"].values())
+    for (i, j), w in rep["ef1_witnesses"].items():
+        out.append(rep["ef_slacks"][i][j])
+        if w is not None:
+            out.append(rep["ef_slacks"][i][j] + gain(i, w))
+        if k.subsidies is not None:
+            out.append(rep["ef_slacks"][i][j] + k.subsidies[i] - k.subsidies[j])
+    return out
+
+
+def test_report_matches_the_reference_at_large_denominators_and_exact_ties():
+    """The integer report against `report_reference`: large instance and α
+    denominators, subsidies coprime to L, eps and tol with denominators of
+    their own, and tolerances at which a margin equals -tol (or -eps - tol)
+    exactly, so the verdict passes, or falls short of it by 1/(7 L S) (S the
+    subsidies' common denominator), so it fails by less than one unit of
+    L."""
+    rng = random.Random(34)
+    ties = set()
+    for t in range(60):
+        inst, k = _boundary_case(rng, t)
+        L, _ = utilities(inst, k.alpha)
+        S = math.lcm(*(s.denominator for s in k.subsidies or (F(1),)))
+        assert math.gcd(L, S) == 1
+        tiny = F(1, 7 * L * S)
+        cases = [(F(0), F(0)), (F(2, 11), F(1, 7)), (F(1, 3**9), F(1, 10**9))]
+        for base_tol in (F(0), F(1, 10**30)):
+            below = sorted({x for x in _margins(inst, k, 0, base_tol) if x < 0})
+            for x in rng.sample(below, min(len(below), 3)):
+                cases += [(F(0), -x), (F(0), -x - tiny), (-x - base_tol, base_tol),
+                              (-x - base_tol - tiny, base_tol)]
+        for eps, tol in cases:
+            if eps < 0 or tol < 0:
+                continue
+            rep = fairness_report(inst, k, eps, tol)
+            assert vars(rep) == report_reference(inst, k, eps, tol), (t, eps, tol)
+            slacks = [*rep.ir_slacks.values(), *(rep.ef_slacks[i][j] for i, j in rep.ef1_witnesses)]
+            if -tol in slacks:
+                ties.add((rep.lhs_form, "tol"))
+            if eps and -eps - tol in slacks:
+                ties.add((rep.lhs_form, "eps"))
+    assert ties == {(form, kind) for form in ("simplified", "clamped") for kind in ("tol", "eps")}
 
 
 def test_report_rejects_negative_eps(ex52):
