@@ -204,14 +204,17 @@ def agent_task_utility(inst: Instance, i: int, j: int, alpha: Num) -> Fraction:
 
 
 def revenue(inst: Instance, k: Contract) -> Fraction:
-    """Expected principal revenue sum (1-alpha_j) p r, net of subsidies."""
+    """Expected principal revenue sum (1-alpha_j) p r, net of subsidies,
+    summed in ints over `Instance.scaled`'s D and the alpha and subsidy denominators."""
     _check_dims(inst, k)
-    total = ZERO
-    for j, i in enumerate(k.assignment):
-        total += (1 - k.alpha[j]) * inst.pr[i][j]
-    if k.subsidies is not None:
-        total -= sum(k.subsidies, ZERO)
-    return total
+    d, pr, _ = inst.scaled
+    a = math.lcm(*(x.denominator for x in k.alpha))
+    subs = k.subsidies or ()
+    den = math.lcm(d * a, *(x.denominator for x in subs))
+    pairs = enumerate(zip(k.assignment, k.alpha))
+    kept = sum((a - x.numerator * (a // x.denominator)) * pr[i][j] for j, (i, x) in pairs)
+    paid = sum(x.numerator * (den // x.denominator) for x in subs)
+    return Fraction(kept * (den // (d * a)) - paid, den)
 
 
 def utilities(inst: Instance, alpha: Sequence[Fraction]) -> tuple[int, tuple[tuple[int, ...], ...]]:

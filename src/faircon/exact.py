@@ -28,18 +28,19 @@ It returns exactly what plain enumeration returns, by four arguments:
   the smallest allocation of its orbit, which is canonical, so it is never
   cut.
 - *Screen.*  IR forces alpha_j >= mw_ij, the minimum wage of task j's
-  holder i, so an agent k with an empty bundle values task j of S_i at
-  least at its envy floor f_ijk = max(0, mw_ij pr_kj - c_kj).  k's envy
-  row for S_i then fails under every contract when the floors of S_i rule
-  it out: any positive floor under EF, a sum above eps under eps-EF, two
-  or more positive floors under EF1 (a witness drops only one), never
-  under EFS (subsidies repair any envy).  Floors only grow with S_i, so an
-  agent ruled out at a prefix must still take a task, and each remaining
-  task makes at most one agent nonempty: a prefix is cut when more
-  ruled-out agents hold nothing than tasks remain (at a leaf, when any
-  does).  A cut allocation has no feasible LP, so it could never have
-  changed the incumbent: every other cut, and the first optimum, are the
-  same as without the screen.
+  holder i, so any agent k values task j of S_i at least at its envy
+  floor f_ijk = max(0, mw_ij pr_kj - c_kj), while alpha <= 1 caps what
+  k's own bundle gives it at W_k, the bundle's welfare (0 when empty).
+  k's envy row for S_i then fails under every contract when the floors
+  of S_i sum to more than W_k + eps (eps 0 under EF); EF1 drops the
+  largest floor first (a witness removes one task), and EFS has no
+  screen (subsidies repair any envy).  Floors only grow with S_i and W_k
+  only when k takes a task, so an agent ruled out at a prefix must take
+  one of the remaining tasks, each of which goes to one agent: a prefix
+  is cut when more agents are ruled out than tasks remain (at a leaf,
+  when any is).  A cut allocation has no feasible LP, so it could never
+  have changed the incumbent: every other cut, and the first optimum,
+  are the same as without the screen.
 """
 
 from __future__ import annotations
@@ -84,10 +85,10 @@ _Best = tuple[Fraction, Allocation, LpSolution]
 
 
 _Floors = tuple[tuple[int, Fraction], ...]
-# A notion's screen rule as (most floors, largest floor sum): an empty
-# agent is ruled out by a bundle whose positive floors number more, or sum
-# to more, than that (the module docstring's *Screen*); None rules out none.
-_Limits = Optional[tuple[float, Num]]
+# A notion's screen rule as (drops one task, eps): a bundle whose floors, less
+# the largest if the rule drops one, sum to more than agent k's welfare so far
+# plus eps rules k out (the module docstring's *Screen*); None rules out none.
+_Rule = Optional[tuple[bool, Fraction]]
 
 
 def _viable_pairs(inst: Instance) -> list[list[tuple[int, Fraction, _Floors]]]:
@@ -110,23 +111,33 @@ def _viable_pairs(inst: Instance) -> list[list[tuple[int, Fraction, _Floors]]]:
     return out
 
 
+def _screen(viable: list, rule: _Rule) -> tuple[list[dict], list[dict], Optional[tuple[bool, int]]]:
+    """`_viable_pairs`' floors and welfare per (task, holder), and `rule`
+    as (drops one task, eps), in ints over one common denominator L."""
+    drop, eps = rule or (False, ZERO)
+    fracs = [x for row in viable for _, w, fs in row for x in (w, *(f for _, f in fs))]
+    scale = math.lcm(eps.denominator, *(x.denominator for x in fracs))
+    floors = [{i: tuple((k, int(f * scale)) for k, f in fs) for i, _, fs in row} for row in viable]
+    units = [{i: int(w * scale) for i, w, _ in row} for row in viable]
+    return floors, units, None if rule is None else (drop, int(eps * scale))
+
+
 def _forced(
-    floors: list[dict[int, _Floors]], assignment: list[int], d: int, held: list[int],
-    limits: _Limits,
+    floors: list[dict], assignment: list[int], d: int, own: list[int],
+    screen: Optional[tuple[bool, int]],
 ) -> int:
-    """How many agents hold nothing yet are ruled out by the floors
-    (`floors[j][i]`, task j's under holder i) of some bundle of
-    assignment[:d + 1]."""
-    if limits is None:
+    """How many agents the floors (`floors[j][i]`, task j's under holder i)
+    of some bundle of assignment[:d + 1] rule out under `screen`, given
+    each agent's welfare so far `own`; all three come from `_screen`."""
+    if screen is None:
         return 0
-    most, largest = limits
-    tally: dict[tuple[int, int], tuple[int, Fraction]] = {}
+    drop, cap = screen
+    tally: dict[tuple[int, int], tuple[int, int]] = {}
     for j, i in enumerate(assignment[:d + 1]):
         for k, f in floors[j][i]:
-            if not held[k]:
-                count, total = tally.get((k, i), (0, ZERO))
-                tally[k, i] = (count + 1, total + f)
-    return len({k for (k, _), (count, total) in tally.items() if count > most or total > largest})
+            total, top = tally.get((k, i), (0, 0))
+            tally[k, i] = (total + f, top if top > f else f)
+    return len({k for (k, _), (total, top) in tally.items() if total - drop * top > own[k] + cap})
 
 
 def _twin_before(inst: Instance) -> list[Optional[int]]:
@@ -144,12 +155,12 @@ def _best_lp(
     inst: Instance,
     budget_lps: int,
     models: Callable[[Allocation], Iterable[LpModel]],
-    limits: _Limits,
+    rule: _Rule,
 ) -> tuple[_Best, dict[str, int]]:
     """Best LP optimum over all IR-feasible allocations, by branch-and-bound.
 
-    `models(alloc)` yields the LP models for one allocation; `limits` is
-    the notion's screen rule (`_Limits`), applied to each prefix by
+    `models(alloc)` yields the LP models for one allocation; `rule` is
+    the notion's screen rule (`_Rule`), applied to each prefix by
     `_forced`.  The result is the one plain enumeration gives: the first
     allocation in lexicographic order, and its first model, that attains
     the best optimum.  The module docstring argues why the welfare bound,
@@ -165,14 +176,15 @@ def _best_lp(
     progress at DEBUG and a summary at INFO.
     """
     viable = _viable_pairs(inst)
+    floors, units, screen = _screen(viable, rule)
     twin = _twin_before(inst)
     rest = [ZERO] * (inst.m + 1)  # rest[d]: best welfare of tasks d..m-1
     for j in reversed(range(inst.m)):
         rest[j] = rest[j + 1] + max(w for _, w, _ in viable[j])
     seed = revenue(inst, greedy_ef(inst))
-    floors = [{i: f for i, _, f in row} for row in viable]
     assignment = [0] * inst.m
     held = [0] * inst.n
+    own = [0] * inst.n  # each agent's welfare so far, in `_screen`'s ints
     counts = dict.fromkeys(("lp_solves", "pivots", "allocations_solved", "nodes", "screened"), 0)
     best: Optional[_Best] = None
 
@@ -209,11 +221,13 @@ def _best_lp(
                 raise BudgetExceededError("search node", budget_lps)
             assignment[d] = i
             held[i] += 1
-            if _forced(floors, assignment, d, held, limits) > inst.m - d - 1:
+            own[i] += units[d][i]
+            if _forced(floors, assignment, d, own, screen) > inst.m - d - 1:
                 counts["screened"] += 1
             else:
                 search(d + 1, welfare + w)
             held[i] -= 1
+            own[i] -= units[d][i]
 
     search(0, ZERO)
     log.info(
@@ -228,13 +242,13 @@ def _best_lp(
 
 def _solve(
     inst: Instance, budget_lps: int, models: Callable[[Allocation], Iterable[LpModel]],
-    limits: _Limits, method: str, fair: Callable[[Contract], bool],
+    rule: _Rule, method: str, fair: Callable[[Contract], bool],
     meta: Optional[dict] = None,
 ) -> SolveResult:
     """The contract of the best LP optimum (`_best_lp`), re-verified in
     rationals: its revenue must equal the LP value, and it must pass IR and
     `fair` (the notion) at tol 0.  `meta` leads the result's meta."""
-    (value, alloc, sol), counts = _best_lp(inst, budget_lps, models, limits)
+    (value, alloc, sol), counts = _best_lp(inst, budget_lps, models, rule)
     contract = contract_from_solution(sol, alloc)
     if revenue(inst, contract) != value or not (verify_ir(inst, contract)[0] and fair(contract)):
         raise FairconError(f"internal error: {method} optimum failed verification")
@@ -248,7 +262,7 @@ def solve_opt_ef(
     solving the fixed-allocation LP for each."""
     eps = as_fraction(eps)
     return _solve(
-        inst, budget_lps, lambda alloc: [build_ef_lp(inst, alloc, eps)], (math.inf, eps),
+        inst, budget_lps, lambda alloc: [build_ef_lp(inst, alloc, eps)], (False, eps),
         "exact-ef" if eps == 0 else "exact-eps-ef", lambda k: verify_eps_ef(inst, k, eps),
         {"eps": eps, "allocations": inst.n**inst.m},
     )
@@ -333,7 +347,7 @@ def solve_opt_ef1(inst: Instance, budget_lps: int = DEFAULT_LP_BUDGET) -> SolveR
             yield build_ef1_lp(inst, alloc, dict(zip(pairs, choice)))
 
     return _solve(
-        inst, budget_lps, models, (1, math.inf), "exact-ef1", lambda k: verify_ef1(inst, k)[0]
+        inst, budget_lps, models, (True, ZERO), "exact-ef1", lambda k: verify_ef1(inst, k)[0]
     )
 
 

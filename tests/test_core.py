@@ -536,6 +536,27 @@ def test_report_matches_the_reference_at_large_denominators_and_exact_ties():
     assert ties == {(form, kind) for form in ("simplified", "clamped") for kind in ("tol", "eps")}
 
 
+def test_revenue_matches_the_fraction_sum():
+    """`revenue` sums in ints over one denominator; it must return the
+    plain Fraction sum of (1 - alpha_j) p r less the subsidies, on seeded
+    contracts with and without subsidies, at small and 2^40-2^70
+    denominators."""
+    rng = random.Random(35)
+    kinds = set()
+    for t in range(120):
+        if t % 2:
+            inst, k = _boundary_case(rng, t)
+        else:
+            inst = gen_random(1 + t % 3, 1 + t % 5, 11000 + t)
+            k = _random_contract(rng, inst, t // 2)
+        terms = enumerate(zip(k.assignment, k.alpha))
+        kept = sum(((1 - a) * inst.p[i][j] * inst.r[j] for j, (i, a) in terms), F(0))
+        want = kept - sum(k.subsidies or (), F(0))
+        assert revenue(inst, k) == want, t
+        kinds.add((t % 2, k.subsidies is None))
+    assert kinds == {(big, bare) for big in (0, 1) for bare in (True, False)}
+
+
 def test_report_rejects_negative_eps(ex52):
     with pytest.raises(InvalidInstanceError):
         fairness_report(ex52, greedy_ef(ex52), eps=-1)

@@ -3,7 +3,6 @@
 import json
 import logging
 from fractions import Fraction as F
-from math import inf
 from unittest import mock
 
 import pytest
@@ -117,6 +116,21 @@ class TestSolveOptEf:
         assert res.revenue == F(1, 5)
         assert res.meta["lp_solves"] < 300
 
+    @pytest.mark.parametrize("inst, counts, assignment, alpha", [
+        (gen_partition_ef([1, 2, 3, 4, 5]), (99, 51, 6, 6), (1,) * 6, (F(0),) * 6),
+        (
+            gen_two_agent_hard([1, 2, 3, 4]), (62, 14, 17, 17), (0, 0, 0, 1, 1, 0),
+            (F(1, 2), ONE, F(0), ONE, ONE, F(0)),
+        ),
+    ])
+    def test_search_counts_on_the_reduction_families(self, inst, counts, assignment, alpha):
+        # The exact search's counts and contract on the hardness families,
+        # pinned: a screen that rules out fewer agents solves more LPs.
+        res = solve_opt_ef(inst)
+        keys = ("nodes", "screened", "allocations_solved", "lp_solves")
+        assert tuple(res.meta[key] for key in keys) == counts
+        assert (res.contract.assignment, res.contract.alpha) == (assignment, alpha)
+
 
 class TestBranchAndBound:
     # Agent 0 is cheap on task 0 and agent 1 on task 1, so greedy EF pays
@@ -148,21 +162,21 @@ class TestBranchAndBound:
             return model
 
         plain = lambda alloc: exact.build_ef_lp(inst, alloc)  # noqa: E731
-        ef = (inf, 0)
+        ef = (False, F(0))
         (value, _, _), counts = exact._best_lp(inst, 10, lambda a: [floored(a), plain(a)], ef)
         assert value == F(3, 4) and counts["lp_solves"] == 2
         (value, _, _), counts = exact._best_lp(inst, 10, lambda a: [plain(a), floored(a)], ef)
         assert value == F(3, 4) and counts["lp_solves"] == 1
 
     def test_budget_charges_search_nodes_and_lps_each(self):
-        # partition-ef [1, 2] takes 12 search nodes and 4 LPs: a budget of
-        # 12 covers both counts, 11 stops the search.
+        # partition-ef [1, 2] takes 9 search nodes and 3 LPs: a budget of
+        # 9 covers both counts, 8 stops the search.
         inst = gen_partition_ef([1, 2])
         res = solve_opt_ef(inst)
-        assert (res.meta["nodes"], res.meta["lp_solves"]) == (12, 4)
-        assert solve_opt_ef(inst, budget_lps=12).revenue == res.revenue
-        with pytest.raises(BudgetExceededError, match="search node budget of 11 exceeded"):
-            solve_opt_ef(inst, budget_lps=11)
+        assert (res.meta["nodes"], res.meta["lp_solves"]) == (9, 3)
+        assert solve_opt_ef(inst, budget_lps=9).revenue == res.revenue
+        with pytest.raises(BudgetExceededError, match="search node budget of 8 exceeded"):
+            solve_opt_ef(inst, budget_lps=8)
         # One search node whose first model falls short of the welfare, so
         # its second LP runs and passes a budget of 1.
         inst = Instance(r=(ONE,), p=((ONE,),), c=((F(1, 4),),))
@@ -173,7 +187,7 @@ class TestBranchAndBound:
             return [floored, exact.build_ef_lp(inst, alloc)]
 
         with pytest.raises(BudgetExceededError, match="lps budget of 1 exceeded"):
-            exact._best_lp(inst, 1, floored_then_plain, (inf, 0))
+            exact._best_lp(inst, 1, floored_then_plain, (False, F(0)))
 
     def test_twin_agents_keep_the_first_optimum(self):
         # Agents 1 and 2 are equal, so the optimum's orbit holds several
@@ -188,39 +202,59 @@ class TestBranchAndBound:
             assert got.meta["allocations_solved"] < want.meta["allocations_solved"]
 
 
-def solver_limits(solve) -> tuple:
-    """The screen limits `solve` hands `_best_lp`."""
+def solver_rule(solve) -> tuple:
+    """The screen rule `solve` hands `_best_lp`."""
     with mock.patch.object(exact, "_best_lp", wraps=exact._best_lp) as spy:
         solve(TestBranchAndBound.GREEDY_ONLY)
     return spy.call_args.args[3]
 
 
-def leaf_forced(limits, *floors) -> int:
+def leaf_forced(rule, *floors, welfare=None) -> int:
     """`_forced` at the leaf of an allocation that gives agent 0 one task
-    per entry of `floors` and agent 1 none, agent 1's envy floor on task j
-    being floors[j]."""
-    m = len(floors)
-    return exact._forced([{0: ((1, f),)} for f in floors], [0] * m, m - 1, [m, 0], limits)
+    per entry of `floors`, agent 1's envy floor on task j being floors[j],
+    and agent 1 nothing, or one last task of the given welfare."""
+    viable = [[(0, F(0), ((1, f),))] for f in floors]
+    assignment = [0] * len(floors)
+    if welfare is not None:
+        viable.append([(1, welfare, ())])
+        assignment.append(1)
+    floor_ints, units, screen = exact._screen(viable, rule)
+    own = [0, units[-1][1] if welfare is not None else 0]
+    return exact._forced(floor_ints, assignment, len(assignment) - 1, own, screen)
 
 
 class TestScreenLeaf:
     # At a leaf no task remains, so the search cuts when `_forced` is positive.
     def test_ef_cuts_on_one_positive_floor(self):
-        assert leaf_forced(solver_limits(solve_opt_ef), F(1, 100)) == 1
+        assert leaf_forced(solver_rule(solve_opt_ef), F(1, 100)) == 1
 
     def test_eps_ef_cuts_only_a_floor_sum_above_eps(self):
-        limits = solver_limits(lambda inst: solve_opt_ef(inst, F(1, 10)))
-        assert leaf_forced(limits, F(1, 20), F(1, 20)) == 0
-        assert leaf_forced(limits, F(1, 20), F(3, 40)) == 1
+        rule = solver_rule(lambda inst: solve_opt_ef(inst, F(1, 10)))
+        assert leaf_forced(rule, F(1, 20), F(1, 20)) == 0
+        assert leaf_forced(rule, F(1, 20), F(3, 40)) == 1
 
     def test_ef1_cuts_only_two_floors(self):
-        limits = solver_limits(solve_opt_ef1)
-        assert leaf_forced(limits, ONE) == 0
-        assert leaf_forced(limits, F(1, 100), F(1, 100)) == 1
+        rule = solver_rule(solve_opt_ef1)
+        assert leaf_forced(rule, ONE) == 0
+        assert leaf_forced(rule, F(1, 100), F(1, 100)) == 1
 
     def test_efs_never_cuts(self):
-        limits = solver_limits(solve_opt_efs)
-        assert leaf_forced(limits, ONE) == leaf_forced(limits, ONE, ONE, ONE) == 0
+        rule = solver_rule(solve_opt_efs)
+        assert leaf_forced(rule, ONE) == leaf_forced(rule, ONE, ONE, ONE) == 0
+
+    def test_held_agent_cut_only_above_its_welfare_plus_eps(self):
+        # Agent 1 holds a task of welfare 1/10: it is ruled out only when
+        # the floors on agent 0's bundle, less the largest under EF1, sum to
+        # more than 1/10 plus eps.
+        ef = solver_rule(solve_opt_ef)
+        assert leaf_forced(ef, F(1, 20), F(1, 20), welfare=F(1, 10)) == 0
+        assert leaf_forced(ef, F(1, 20), F(3, 40), welfare=F(1, 10)) == 1
+        eps_ef = solver_rule(lambda inst: solve_opt_ef(inst, F(1, 10)))
+        assert leaf_forced(eps_ef, F(1, 10), F(1, 10), welfare=F(1, 10)) == 0
+        assert leaf_forced(eps_ef, F(1, 10), F(1, 10), F(1, 100), welfare=F(1, 10)) == 1
+        ef1 = solver_rule(solve_opt_ef1)
+        assert leaf_forced(ef1, F(1, 10), F(1, 10), welfare=F(1, 10)) == 0
+        assert leaf_forced(ef1, F(1, 10), F(1, 5), F(1, 100), welfare=F(1, 10)) == 1
 
 
 class TestCase4Bounds:
@@ -356,10 +390,10 @@ def test_exact_solve_logs_summary_at_info(caplog):
         res = solve_opt_ef(inst)
     meta = res.meta
     counts = ("allocations", "nodes", "screened", "allocations_solved", "lp_solves")
-    assert tuple(meta[key] for key in counts) == (27, 12, 3, 4, 4)
+    assert tuple(meta[key] for key in counts) == (27, 9, 2, 3, 3)
     summaries = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
     assert summaries == [
-        "exact: 27 allocations, 12 nodes, 3 screened, 4 solved, 4 LPs, "
+        "exact: 27 allocations, 9 nodes, 2 screened, 3 solved, 3 LPs, "
         f"best objective {res.revenue}"
     ]
 

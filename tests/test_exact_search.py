@@ -5,7 +5,6 @@ and the envy-floor screen cuts only allocations with no fair contract."""
 
 import itertools
 from fractions import Fraction as F
-from math import inf
 from unittest import mock
 
 import pytest
@@ -147,27 +146,28 @@ def ef1_every_witness(inst: Instance, alloc):
         yield build_ef1_lp(inst, alloc, dict(zip(pairs, choice)))
 
 
-# Per notion: the screen limits `_best_lp` gets, and every LP model of an
+# Per notion: the screen rule `_best_lp` gets, and every LP model of an
 # allocation.  EF is eps-EF at eps 0.
 SCREENED_NOTIONS = {
     **{
-        f"eps-ef {eps}": ((inf, eps), ef_every_model(eps))
+        f"eps-ef {eps}": ((False, eps), ef_every_model(eps))
         for eps in (F(0), F(1, 100), F(1, 20), F(1, 4))
     },
-    "ef1": ((1, inf), ef1_every_witness),
+    "ef1": ((True, F(0)), ef1_every_witness),
     "efs": (None, lambda inst, alloc: [build_efs_lp(inst, alloc)]),
 }
 
 
-def screen_cuts(inst: Instance, limits, assignment) -> list[bool]:
+def screen_cuts(inst: Instance, rule, assignment) -> list[bool]:
     """Per prefix assignment[:d], d = 1..m, whether the search's screen cuts
-    it, with `_forced` called as `_best_lp` calls it."""
-    floors = [{i: f for i, _, f in row} for row in exact._viable_pairs(inst)]
-    held = [0] * inst.n
+    it, with `_forced` called as `_best_lp` calls it: each agent's welfare
+    so far includes the prefix's last task."""
+    floors, units, screen = exact._screen(exact._viable_pairs(inst), rule)
+    own = [0] * inst.n
     out = []
     for d, i in enumerate(assignment):
-        held[i] += 1
-        out.append(exact._forced(floors, list(assignment), d, held, limits) > inst.m - d - 1)
+        own[i] += units[d][i]
+        out.append(exact._forced(floors, list(assignment), d, own, screen) > inst.m - d - 1)
     return out
 
 
@@ -202,9 +202,9 @@ def assert_screen_sound(inst: Instance, at_leaf: bool) -> int:
     """Every allocation the screen cuts (at the leaf, or at a shorter
     prefix) has no feasible LP model; returns the cut allocations."""
     cut = 0
-    for name, (limits, models) in SCREENED_NOTIONS.items():
+    for name, (rule, models) in SCREENED_NOTIONS.items():
         for alloc in ir_allocations(inst):
-            cuts = screen_cuts(inst, limits, alloc.assignment)
+            cuts = screen_cuts(inst, rule, alloc.assignment)
             if not (cuts[-1] if at_leaf else any(cuts[:-1])):
                 continue
             cut += 1
@@ -246,3 +246,13 @@ def test_screen_rules_fire_on_the_seeded_examples():
     for inst in (gen_partition_ef([1, 2]), gen_partition_ef1([1])):
         assert assert_screen_sound(inst, at_leaf=True) > 0
         assert assert_screen_sound(inst, at_leaf=False) > 0
+    # On two-agent-hard [1, 2, 3] the EF rule also cuts allocations where
+    # both agents hold a task, so the agent it rules out holds one; the
+    # leaf soundness check covers those cuts.
+    inst = gen_two_agent_hard([1, 2, 3])
+    assert assert_screen_sound(inst, at_leaf=True) > 0
+    rule, _ = SCREENED_NOTIONS["eps-ef 0"]
+    assert any(
+        all(alloc.bundles()) and screen_cuts(inst, rule, alloc.assignment)[-1]
+        for alloc in ir_allocations(inst)
+    )
